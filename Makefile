@@ -1,7 +1,7 @@
 # Convenience targets; the logic lives in scripts/check.sh so CI and
 # humans run exactly the same commands.
 
-.PHONY: test bench-smoke bench-gate analyze lint check ingest-smoke service-smoke cache-smoke cluster-replay
+.PHONY: test bench-smoke bench-gate analyze lint check ingest-smoke service-smoke cache-smoke cluster-replay perfbench
 
 test:
 	./scripts/check.sh test
@@ -39,6 +39,11 @@ cache-smoke:
 # CLUSTER_JOBS=100000.
 cluster-replay:
 	./scripts/check.sh cluster-replay
+
+# The repo benchmark's own selftests (perfbench/tests): the tracer wraps
+# repro functions by name and the workloads send plan fields over the wire.
+perfbench:
+	./scripts/check.sh perfbench
 
 check:
 	./scripts/check.sh all

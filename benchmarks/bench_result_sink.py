@@ -1,8 +1,8 @@
 """Micro-benchmark: streaming result sinks vs retaining every JobResult.
 
-Runs the fully streaming replay (``--stream-specs``) twice over the same
-synthesized trace — once with the retaining sink (the default) and once with
-the aggregate sink — and records what the sink architecture exists to
+Replays the same synthesized, arrival-sorted trace through
+``execute(plan)`` twice — once with the retaining sink (the default) and
+once with the aggregate sink — and records what the sink architecture exists to
 deliver: with ``--sink aggregate`` the comparison holds **zero** resident
 ``JobResult`` objects and the digest still matches the retain path
 byte-for-byte, while the memory still traced once the pipeline has drained
@@ -11,7 +11,7 @@ per-job metadata) drops to a small fraction of the retaining run's.
 
 Peak traced memory is recorded for context but does not gate: the peak is
 dominated by transient engine state — concurrent jobs' tasks and copies —
-which ``--stream-specs`` already bounds to O(max concurrent) regardless of
+which lazy spec streaming already bounds to O(max concurrent) regardless of
 the sink.  The *residency ratio* is the sink's own number.
 
 Both legs run with ``workers=1`` so every allocation happens in this
@@ -31,10 +31,9 @@ import time
 import tracemalloc
 
 from benchmarks.conftest import bench_scale, bench_scale_name, record_benchmark
-from repro.experiments.cli import metrics_digest
-from repro.experiments.runner import replay_stream
-from repro.simulator.sinks import SinkFactory
-from repro.workload.trace_replay import TraceReplayConfig, synthesize_trace
+from repro.experiments.plan import ReplayPlan
+from repro.experiments.runner import execute, metrics_digest
+from repro.workload.trace_replay import synthesize_trace
 from repro.workload.traces import save_trace
 
 #: Trace-length multiplier over the bench scale's job count (see module docs).
@@ -54,16 +53,15 @@ def test_result_sink_residency(benchmark, tmp_path):
     )
     path = tmp_path / "bench_trace.jsonl"
     save_trace(trace, path)
-    replay_config = TraceReplayConfig(seed=19)
 
     def run(sink_kind: str):
+        plan = ReplayPlan(
+            trace=str(path), policies=("gs",), scale=bench_scale_name(),
+            workers=1, sink=sink_kind, seed=19,
+        ).validate()
         tracemalloc.start()
         started = time.perf_counter()
-        streamed = replay_stream(
-            ["gs"], path, replay_config=replay_config, scale=scale,
-            shards=1, workers=1, stream_specs=True,
-            sink=SinkFactory(kind=sink_kind),
-        )
+        executed = execute(plan)
         elapsed = time.perf_counter() - started
         # pytest-benchmark disables the cyclic GC while timing; collect
         # explicitly so "resident" counts live objects, not engine cycles
@@ -71,7 +69,7 @@ def test_result_sink_residency(benchmark, tmp_path):
         gc.collect()
         resident, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        return streamed, resident, peak, elapsed
+        return executed.comparison, resident, peak, elapsed
 
     retained, retain_resident, retain_peak, retain_seconds = run("retain")
     folded_holder = []
@@ -83,15 +81,12 @@ def test_result_sink_residency(benchmark, tmp_path):
     benchmark.pedantic(run_aggregate, rounds=1, iterations=1)
     folded, aggregate_resident, aggregate_peak, aggregate_seconds = folded_holder[-1]
 
-    digests_match = metrics_digest(folded.comparison) == metrics_digest(
-        retained.comparison
-    )
+    digests_match = metrics_digest(folded) == metrics_digest(retained)
     resident_retain = sum(
-        len(metrics.results) for metrics in retained.comparison.runs["gs"].metrics
+        len(metrics.results) for metrics in retained.runs["gs"].metrics
     )
     resident_aggregate = sum(
-        len(metrics.sink.results or ())
-        for metrics in folded.comparison.runs["gs"].metrics
+        len(metrics.sink.results or ()) for metrics in folded.runs["gs"].metrics
     )
     residency_ratio = (
         aggregate_resident / retain_resident if retain_resident else float("inf")
@@ -133,7 +128,7 @@ def test_result_sink_residency(benchmark, tmp_path):
         "path's — expected a material reduction"
     )
     # Sanity bound only: the transient peak belongs to the engine (bounded by
-    # --stream-specs, identical across sinks) and tracemalloc's peak is noisy
+    # lazy spec streaming, identical across sinks) and tracemalloc's peak is noisy
     # across a shared pytest session, so the gate is deliberately loose.
     assert peak_ratio < 1.5, (
         f"aggregate-sink peak memory is {peak_ratio:.2f}x the retain path's"

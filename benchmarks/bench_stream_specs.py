@@ -1,11 +1,10 @@
 """Micro-benchmark: lazy job-spec streaming inside one simulation.
 
-Times ``runner.replay_stream(stream_specs=True)`` — requests carry a
+Times ``execute(plan)`` over an arrival-sorted trace file — requests carry a
 ``TraceSpecSource`` window description, the engine ingests specs through its
-one-spec lookahead and evicts finished jobs — against the batch fan-out over
-the same synthesized trace, asserts their digests match, and records the
-wall-clocks plus the engine's peak-resident-jobs gauge under the
-``stream-specs`` kind in ``BENCH_engine.json``.
+one-spec lookahead and evicts finished jobs — and records the wall-clock
+plus the engine's peak-resident-jobs gauge under the ``stream-specs`` kind
+in ``BENCH_engine.json``.
 
 The trace is deliberately *longer* than the figure-bench workloads (count
 scaled up, task sizes scaled down) because the number this bench exists to
@@ -19,9 +18,9 @@ from __future__ import annotations
 import time
 
 from benchmarks.conftest import bench_scale, bench_scale_name, record_benchmark
-from repro.experiments.cli import metrics_digest
-from repro.experiments.runner import replay, replay_stream
-from repro.workload.trace_replay import TraceReplayConfig, synthesize_trace
+from repro.experiments.plan import ReplayPlan
+from repro.experiments.runner import execute
+from repro.workload.trace_replay import synthesize_trace
 from repro.workload.traces import save_trace
 
 #: Trace-length multiplier over the bench scale's job count (see module docs).
@@ -41,50 +40,37 @@ def test_stream_specs_wall_clock(benchmark, tmp_path):
     )
     path = tmp_path / "bench_trace.jsonl"
     save_trace(trace, path)
-    replay_config = TraceReplayConfig(seed=17)
+    plan = ReplayPlan(
+        trace=str(path),
+        policies=("gs",),
+        scale=bench_scale_name(),
+        workers=scale.workers,
+        seed=17,
+    ).validate()
 
     started = time.perf_counter()
-    batch = replay(
-        ["gs"], trace, replay_config=replay_config, scale=scale,
-        shards=1, workers=scale.workers,
-    )
-    batch_seconds = time.perf_counter() - started
-
-    def run_stream():
-        return replay_stream(
-            ["gs"], path, replay_config=replay_config, scale=scale,
-            shards=1, workers=scale.workers, stream_specs=True,
-        )
-
-    started = time.perf_counter()
-    streamed = benchmark.pedantic(run_stream, rounds=1, iterations=1)
+    executed = benchmark.pedantic(execute, args=(plan,), rounds=1, iterations=1)
     stream_seconds = time.perf_counter() - started
 
-    digests_match = metrics_digest(streamed.comparison) == metrics_digest(batch)
-    residency_ratio = streamed.peak_resident_jobs / num_jobs
+    residency_ratio = executed.peak_resident_jobs / num_jobs
     record_benchmark(
         "stream-specs",
         "gs",
         wall_time_seconds=round(stream_seconds, 3),
-        wall_time_batch_seconds=round(batch_seconds, 3),
         trace_jobs=num_jobs,
-        peak_resident_jobs=streamed.peak_resident_jobs,
+        peak_resident_jobs=executed.peak_resident_jobs,
         residency_ratio=round(residency_ratio, 4),
-        digests_match=digests_match,
         scale=bench_scale_name(),
         workers=scale.workers,
     )
     print(
-        f"\nstream-specs/gs: batch {batch_seconds:.2f}s, "
-        f"stream {stream_seconds:.2f}s, peak resident jobs "
-        f"{streamed.peak_resident_jobs}/{num_jobs} "
-        f"({residency_ratio:.1%}), digests "
-        f"{'match' if digests_match else 'DIFFER'}"
+        f"\nstream-specs/gs: {stream_seconds:.2f}s, peak resident jobs "
+        f"{executed.peak_resident_jobs}/{num_jobs} ({residency_ratio:.1%})"
     )
-    assert digests_match, "spec streaming changed the metrics digest"
-    assert streamed.peak_resident_jobs >= 1
+    assert executed.num_jobs == num_jobs
+    assert executed.peak_resident_jobs >= 1
     # The load-bearing bound: resident jobs track concurrency, not length.
     assert residency_ratio < 0.10, (
-        f"peak resident jobs {streamed.peak_resident_jobs} is "
+        f"peak resident jobs {executed.peak_resident_jobs} is "
         f"{residency_ratio:.1%} of the {num_jobs}-job trace"
     )

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Repo check harness:
-#   ./scripts/check.sh [test|coverage|bench-smoke|bench-gate|replay-determinism|ingest-smoke|service-smoke|cache-smoke|cluster-replay|analyze|lint|all]
+#   ./scripts/check.sh [test|coverage|bench-smoke|bench-gate|replay-determinism|ingest-smoke|service-smoke|cache-smoke|cluster-replay|perfbench|analyze|lint|all]
 #
 # * test        — the tier-1 suite (PYTHONPATH=src python -m pytest -x -q)
 # * coverage    — the tier-1 suite under pytest-cov with the line-coverage
@@ -9,8 +9,8 @@
 #                 it; locally the subcommand fails fast if it is missing)
 # * bench-smoke — the engine hot-path and trace-replay micro-benchmarks plus
 #                 one cheap figure bench, the warm-up-cache and replay-cache
-#                 benches and the streaming-replay, spec-streaming and
-#                 result-sink benches at quick scale; refreshes
+#                 benches and the spec-streaming, result-sink, cluster-tier
+#                 and service-load benches at quick scale; refreshes
 #                 benchmarks/BENCH_engine.json and fails if the refresh
 #                 produced an unreadable file
 # * bench-gate  — takes the committed BENCH_engine.json (git show HEAD:...)
@@ -23,10 +23,12 @@
 #                 history accumulates instead of keeping only the latest
 #                 snapshot
 # * replay-determinism — replays traces/facebook_like.jsonl at quick scale
-#                 eight ways (batch / --stream / --stream-specs x --workers
-#                 1/4, plus --sink aggregate legs holding zero JobResults)
-#                 and fails unless all eight printed sha256 metrics digests
-#                 agree
+#                 (grass/late/mantri, 2 shards, error bounds) four ways
+#                 (--workers 1/4 x --sink retain/aggregate) and fails unless
+#                 every printed sha256 metrics digest equals the golden
+#                 "facebook_like-shards2-error" entry of
+#                 tests/golden/replay_digests.json — an absolute anchor, not
+#                 mere agreement
 # * ingest-smoke — converts the bundled 20-row Google and Alibaba trace
 #                 samples with `grass-experiments ingest`, replays each
 #                 converted trace at --workers 1 and 4, and fails unless the
@@ -44,11 +46,15 @@
 #                 rerun to survive it (reported miss, digest unchanged) and
 #                 `grass-experiments cache stats|verify` to succeed
 # * cluster-replay — replays the generated cluster tier (CLUSTER_JOBS jobs,
-#                 default 20000) fully streaming at --workers 1 and 4, fails
+#                 default 20000) with --sink aggregate at --workers 1 and 4, fails
 #                 unless the digests agree and peak resident jobs stay under
 #                 RESIDENCY_MAX_PCT% (default 1) of the tier, and writes a
 #                 summary to CLUSTER_SUMMARY if set (the scheduled CI leg's
 #                 artifact)
+# * perfbench   — the repo benchmark's own selftests (python3 -m pytest
+#                 perfbench/tests): its tracer wraps repro functions by name
+#                 and its workloads send ReplayPlan fields over the wire, so
+#                 a src/ refactor that breaks either fails here
 # * analyze     — the repo's own determinism & safety linter
 #                 (repro.analysis): AST rules for unseeded RNGs, wall-clock
 #                 reads, unordered iteration, float equality, pickle-unsafe
@@ -88,36 +94,38 @@ run_coverage() {
 
 run_replay_determinism() {
     local trace="traces/facebook_like.jsonl"
-    local digests=""
-    local variant digest
+    local golden expected variant digest
+    golden="tests/golden/replay_digests.json"
+    expected="$(python -c "
+import json, sys
+print(json.load(open(sys.argv[1]))['digests']['facebook_like-shards2-error'])
+" "$golden")"
+    # The flags mirror the golden entry's plan (tests/test_golden_digests.py).
     for variant in \
-        "--workers 1" \
-        "--workers 4" \
-        "--workers 1 --stream" \
-        "--workers 4 --stream" \
-        "--workers 1 --stream-specs" \
-        "--workers 4 --stream-specs" \
+        "--workers 1 --sink retain" \
+        "--workers 4 --sink retain" \
         "--workers 1 --sink aggregate" \
-        "--workers 4 --stream-specs --sink aggregate"
+        "--workers 4 --sink aggregate"
     do
         echo "replay-determinism: replay $variant"
         # shellcheck disable=SC2086
         digest="$(python -m repro.experiments.cli replay \
-            --trace "$trace" --scale quick --shards 2 --seed 0 $variant \
-            | sed -n 's/^metrics digest: sha256=//p')"
+            --trace "$trace" --scale quick --shards 2 --seed 0 \
+            --policy grass --policy late --policy mantri --bound-kind error \
+            $variant | sed -n 's/^metrics digest: sha256=//p')"
         if [ -z "$digest" ]; then
             echo "replay-determinism: no digest printed for '$variant'" >&2
             return 1
         fi
         echo "  sha256=$digest"
-        digests="$digests$digest"$'\n'
+        if [ "$digest" != "$expected" ]; then
+            echo "replay-determinism: FAILED — '$variant' digest differs from the golden entry:" >&2
+            echo "  got:    $digest" >&2
+            echo "  golden: $expected ($golden)" >&2
+            return 1
+        fi
     done
-    if [ "$(printf '%s' "$digests" | sort -u | wc -l)" -ne 1 ]; then
-        echo "replay-determinism: FAILED — digests differ across worker/stream/sink variants:" >&2
-        printf '%s' "$digests" >&2
-        return 1
-    fi
-    echo "replay-determinism: ok (all eight variants agree)"
+    echo "replay-determinism: ok (workers 1/4 x sink retain/aggregate all equal the golden digest)"
 }
 
 run_ingest_smoke() {
@@ -139,7 +147,7 @@ run_ingest_smoke() {
             | sed -n 's/^metrics digest: sha256=//p')"
         digest4="$(python -m repro.experiments.cli replay \
             --trace "$converted" --scale quick --seed 0 --workers 4 \
-            --stream-specs --sink aggregate \
+            --sink aggregate \
             | sed -n 's/^metrics digest: sha256=//p')"
         if [ -z "$digest1" ] || [ "$digest1" != "$digest4" ]; then
             echo "ingest-smoke: FAILED — $format digests differ or missing" >&2
@@ -265,10 +273,10 @@ run_cluster_replay() {
     echo "cluster-replay: $jobs generated jobs, fully streaming"
     python -m repro.experiments.cli replay \
         --cluster-jobs "$jobs" --scale quick --seed 0 --shards 8 \
-        --workers 1 --stream-specs --sink aggregate | tee "$out1"
+        --workers 1 --sink aggregate | tee "$out1"
     python -m repro.experiments.cli replay \
         --cluster-jobs "$jobs" --scale quick --seed 0 --shards 8 \
-        --workers 4 --stream-specs --sink aggregate | tee "$out4"
+        --workers 4 --sink aggregate | tee "$out4"
     digest1="$(sed -n 's/^metrics digest: sha256=//p' "$out1")"
     digest4="$(sed -n 's/^metrics digest: sha256=//p' "$out4")"
     peak="$(sed -n 's/^peak resident jobs: \([0-9]*\).*/\1/p' "$out4")"
@@ -306,7 +314,6 @@ run_bench_smoke() {
         benchmarks/bench_trace_replay.py \
         benchmarks/bench_warmup_cache.py \
         benchmarks/bench_replay_cache.py \
-        benchmarks/bench_stream_replay.py \
         benchmarks/bench_stream_specs.py \
         benchmarks/bench_result_sink.py \
         benchmarks/bench_cluster_scale.py \
@@ -367,6 +374,12 @@ run_bench_gate() {
     return "$status"
 }
 
+run_perfbench() {
+    # The benchmark's selftests run from the checkout root; their pytest.ini
+    # (perfbench/tests) collects selftest_*.py, which tier-1 never does.
+    python3 -m pytest perfbench/tests
+}
+
 run_analyze() {
     # The repo's own static determinism & safety linter (repro.analysis).
     # Stdlib-only, so unlike `lint` it runs identically everywhere — there
@@ -406,6 +419,7 @@ case "${1:-all}" in
     service-smoke) run_service_smoke ;;
     cache-smoke) run_cache_smoke ;;
     cluster-replay) run_cluster_replay ;;
+    perfbench) run_perfbench ;;
     analyze) run_analyze ;;
     lint) run_lint ;;
     all)
@@ -416,7 +430,7 @@ case "${1:-all}" in
         echo "all: ok (lint backend: $LINT_BACKEND; analyze: repro.analysis)"
         ;;
     *)
-        echo "usage: $0 [test|coverage|bench-smoke|bench-gate|replay-determinism|ingest-smoke|service-smoke|cache-smoke|cluster-replay|analyze|lint|all]" >&2
+        echo "usage: $0 [test|coverage|bench-smoke|bench-gate|replay-determinism|ingest-smoke|service-smoke|cache-smoke|cluster-replay|perfbench|analyze|lint|all]" >&2
         exit 2
         ;;
 esac

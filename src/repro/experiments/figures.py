@@ -20,10 +20,10 @@ from repro.experiments.policies import make_grass_with_perturbation
 from repro.experiments.runner import (
     ComparisonResult,
     ExperimentScale,
+    _replay,
     compare_policies,
     improvement_in_accuracy,
     improvement_in_duration,
-    replay,
     run_policy,
 )
 from repro.model.hill import estimate_tail_index, hill_estimates
@@ -730,7 +730,8 @@ def trace_vs_synthetic(scale: Optional[ExperimentScale] = None) -> FigureResult:
     The paper evaluates against replayed production traces; this repo's
     stand-in synthesizes the same mix.  To validate the replay pipeline, the
     synthetic workload is exported as an observed-duration trace, replayed
-    through :func:`~repro.experiments.runner.replay`, and GRASS's gains over
+    from memory through the same per-shard spec-source path as
+    :func:`~repro.experiments.runner.execute`, and GRASS's gains over
     LATE are reported side by side for both sources.  Close agreement means
     the trace adapter (bound assignment, straggler calibration, wave
     targeting) reproduces the synthetic methodology — the property that
@@ -757,12 +758,8 @@ def trace_vs_synthetic(scale: Optional[ExperimentScale] = None) -> FigureResult:
             max_tasks_per_job=scale.max_tasks_per_job,
             seed=21,
         )
-        replay_comparison = replay(
-            policies,
-            trace,
-            replay_config=TraceReplayConfig(framework="hadoop", seed=21),
-            scale=scale,
-            workers=scale.workers,
+        replay_comparison = _replay(
+            policies, trace, TraceReplayConfig(framework="hadoop", seed=21), scale
         )
         for source, comparison in (
             ("synthetic", synthetic_comparison),

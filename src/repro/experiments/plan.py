@@ -1,18 +1,16 @@
 """The unified replay plan: one object describing one replay, end to end.
 
-Before this module, "replay a trace" was spread over four call shapes —
-``runner.replay()`` (batch), ``runner.replay_stream()`` (bounded-memory),
-its ``stream_specs=`` flavour, and the ``sink=`` knob — plus a trace-vs-
-generated-tier source split, with the exactly-one-of validations duplicated
-between the CLI and the library.  :class:`ReplayPlan` collapses all of that
-into a single declarative dataclass consumed by one entry point,
-:func:`repro.experiments.runner.execute`:
+:class:`ReplayPlan` is a single declarative dataclass consumed by one entry
+point, :func:`repro.experiments.runner.execute`:
 
 * **source** — exactly one of :attr:`trace` (a JSONL path) or
   :attr:`cluster_jobs` (the generated cluster-scale tier);
-* **mode** — :attr:`stream` / :attr:`stream_specs` (both off = batch);
 * **sink spec** — :attr:`sink` (``retain`` / ``aggregate`` / ``jsonl:DIR``);
 * **policies, seeds, workers, shards, scale** — the fan-out shape.
+
+Every plan executes the same way — each shard a lazy spec source — so
+:attr:`stream` and :attr:`stream_specs` select nothing; they stay accepted
+because existing command lines and wire clients still send them.
 
 The plan is *wire-first*: :meth:`to_wire` / :meth:`from_wire` round-trip it
 through plain JSON, which is what lets the replay service accept plan
@@ -67,7 +65,7 @@ def _cli(flag: Optional[str] = None, **kwargs: Any) -> Dict[str, Dict[str, Any]]
 
 @dataclass(frozen=True)
 class ReplayPlan:
-    """One replay, fully described: source, mode, sink, policies and shape.
+    """One replay, fully described: source, sink, policies and shape.
 
     Construct it directly, from CLI args (:func:`plan_from_args`) or from
     JSON (:meth:`from_wire` / :meth:`from_json`); then hand it to
@@ -97,7 +95,7 @@ class ReplayPlan:
             help="replay the generated cluster-scale tier at N jobs instead of "
             "a trace file: jobs are generated lazily (seeded by --seed, "
             "byte-reproducible, log-normal sizes) — combine with "
-            "--stream-specs --sink aggregate to replay a million jobs with "
+            "--sink aggregate to replay a million jobs with "
             "O(concurrent jobs) resident state",
         ),
     )
@@ -151,40 +149,22 @@ class ReplayPlan:
             "as an independent simulation (default 1)",
         ),
     )
-    #: Bounded-memory streaming pipeline (parse shard k+1 while k simulates).
+    #: Accepted for compatibility; selects nothing (every replay streams).
     stream: bool = field(
         default=False,
         metadata=_cli(
             action="store_true",
-            help="bounded-memory streaming pipeline: parse shard k+1 while "
-            "shard k simulates, never materialising the full trace; the "
-            "metrics digest is identical to the batch path at the same "
-            "--shards count (requires an arrival-sorted trace)",
+            help="accepted for compatibility and has no effect: every replay "
+            "runs shard by shard, feeding job specs lazily into each simulation",
         ),
     )
-    #: Stream job specs lazily *inside* each simulation (implies streaming).
+    #: Accepted for compatibility; selects nothing (every replay streams).
     stream_specs: bool = field(
         default=False,
         metadata=_cli(
             action="store_true",
-            help="stream job specs lazily inside each simulation: requests "
-            "carry a trace window description instead of materialised spec "
-            "lists and the engine evicts finished jobs, bounding resident "
-            "state to the max number of concurrent jobs — even with "
-            "--shards 1; the digest is identical to the batch path at the "
-            "same --shards count (requires an arrival-sorted trace)",
-        ),
-    )
-    #: With :attr:`stream`: resident-shard bound in the submitting process.
-    max_resident_shards: int = field(
-        default=2,
-        metadata=_cli(
-            metavar="N",
-            arg_type=int,
-            help="with --stream: at most N shard workloads resident in the "
-            "main process at once (default 2: parse one shard ahead; 1 "
-            "disables pipelining; larger N admits more cross-shard "
-            "parallelism)",
+            help="accepted for compatibility and has no effect: every replay "
+            "runs shard by shard, feeding job specs lazily into each simulation",
         ),
     )
     #: Result sink spec: ``retain``, ``aggregate`` or ``jsonl:DIR``.
@@ -240,19 +220,6 @@ class ReplayPlan:
     # -- derived ---------------------------------------------------------------
 
     @property
-    def mode(self) -> str:
-        """The execution mode: ``batch``, ``stream`` or ``stream-specs``."""
-        if self.stream_specs:
-            return "stream-specs"
-        if self.stream:
-            return "stream"
-        return "batch"
-
-    @property
-    def streaming(self) -> bool:
-        return self.stream or self.stream_specs
-
-    @property
     def source_label(self) -> str:
         """Human-readable source description for tables and logs."""
         if self.trace is not None:
@@ -276,18 +243,10 @@ class ReplayPlan:
             )
         if self.cluster_jobs is not None and self.cluster_jobs < 1:
             raise PlanError("--cluster-jobs must be >= 1")
-        if self.stream and self.stream_specs:
-            raise PlanError(
-                "give at most one of --stream / --stream-specs (plan fields: "
-                "stream / stream_specs) — spec streaming already parses "
-                "shards lazily"
-            )
         if self.workers < 0:
             raise PlanError("--workers must be >= 0 (0 means auto)")
         if self.shards < 1:
             raise PlanError("--shards must be >= 1")
-        if self.max_resident_shards < 1:
-            raise PlanError("--max-resident-shards must be >= 1")
         if not self.policies:
             raise PlanError("a plan needs at least one policy")
         unknown = [name for name in self.policies if name not in available_policies()]

@@ -9,16 +9,13 @@ per error bin.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from pathlib import Path
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.bounds import BoundType
 from repro.core.job import JobResult
 from repro.core.policies.base import SpeculationPolicy
-from pathlib import Path
-from typing import Union
-
 from repro.experiments.cache import (
     CacheCounters,
     CachedSlice,
@@ -47,27 +44,41 @@ from repro.simulator.sinks import (
     parse_sink_spec,
     results_with_bound,
 )
-from repro.workload.synthetic import GeneratedWorkload, WorkloadConfig, generate_workload
+from repro.workload.synthetic import (
+    GeneratedWorkload,
+    JobMetadata,
+    WorkloadConfig,
+    generate_workload,
+)
 from repro.workload.trace_replay import (
     ClusterSpecSource,
     ClusterTierConfig,
+    InMemorySpecSource,
     TraceReplayConfig,
     TraceSpecSource,
-    TraceWorkload,
     iter_cluster_trace,
-    iter_job_specs,
-    iter_trace_shards,
+    job_metadata,
     slice_trace,
     straggler_cap_from_ratio,
-    trace_to_workload,
 )
-from repro.workload.traces import TraceJob, iter_trace, load_trace, scan_jobs, scan_trace
+from repro.workload.traces import (
+    TraceFormatError,
+    TraceJob,
+    TraceScan,
+    iter_trace,
+    load_trace,
+    scan_jobs,
+    scan_trace,
+)
 from repro.utils.stats import mean
 
-#: Hook invoked as each (policy, seed, shard) simulation's metrics land, in
-#: the deterministic merge order: ``(policy_name, seed, shard_index, metrics)``.
-#: The replay service uses it to stream per-tenant aggregate deltas while the
-#: plan is still executing.
+#: One simulation of a replay: ``(policy_name, seed, shard_index)``.
+Coordinate = Tuple[str, int, int]
+
+#: Hook invoked as each (policy, seed, shard) simulation's metrics land:
+#: ``(policy_name, seed, shard_index, metrics)``, shard-major (cache hits
+#: first, then fresh slices as they complete).  The replay service uses it
+#: to stream per-tenant aggregate deltas while the plan is still executing.
 MetricsHook = Callable[[str, int, int, MetricsCollector], None]
 
 #: Offset added to a workload's seed to derive its warm-up seed.  The
@@ -349,14 +360,50 @@ class ComparisonResult:
         return improvements
 
 
+#: A replay source: a JSONL trace path, a generated trace tier, or trace jobs
+#: already in memory (the ``trace-replay`` figure's synthesized trace).
+TraceSource = Union[str, Path, ClusterTierConfig, Sequence[TraceJob]]
+
+
+def _source_jobs(source: TraceSource) -> Iterable[TraceJob]:
+    """The job stream of a replay source, in its input order."""
+    if isinstance(source, ClusterTierConfig):
+        return iter_cluster_trace(source)
+    if isinstance(source, (str, Path)):
+        return iter_trace(source)
+    return source
+
+
+def _scan_source(source: TraceSource) -> TraceScan:
+    """The calibration scan of a replay source, folded in input order.
+
+    Files go through :func:`scan_trace` (which also enforces the parse's
+    format and duplicate-id guards) and an empty one is a
+    :class:`~repro.experiments.plan.PlanError`; generated tiers and job lists
+    fold the same statistics directly.  The straggler cap is the mean
+    slowest/median ratio in *input* order — for a trace whose lines are not
+    arrival-sorted that differs in the last bit from the sorted-order mean,
+    and the digest follows the input-order value.
+    """
+    if not isinstance(source, (str, Path)):
+        label = str(source) if isinstance(source, ClusterTierConfig) else "job list"
+        return scan_jobs(_source_jobs(source), source=label)
+    try:
+        return scan_trace(source)
+    except TraceFormatError:
+        raise
+    except ValueError:  # the scan's only other failure: no jobs at all
+        raise PlanError(f"trace is empty: {source}") from None
+
+
 #: Calibration scans memoized by source content fingerprint.  The replay
 #: service probes the same source for every repeated tenant plan; after the
 #: first sight, the scan is O(1) and the cache fast path answers in
 #: milliseconds.  Bounded: a process sees a handful of sources, not many.
-_SCAN_MEMO: Dict[str, object] = {}
+_SCAN_MEMO: Dict[str, TraceScan] = {}
 
 
-def _scan_source_fingerprinted(source: "TraceSource", fingerprint: str):
+def _scan_source_fingerprinted(source: TraceSource, fingerprint: str) -> TraceScan:
     scan = _SCAN_MEMO.get(fingerprint)
     if scan is None:
         scan = _scan_source(source)
@@ -366,57 +413,230 @@ def _scan_source_fingerprinted(source: "TraceSource", fingerprint: str):
     return scan
 
 
+def _shard_sources(
+    source: TraceSource,
+    scan: TraceScan,
+    replay_config: TraceReplayConfig,
+    num_shards: int,
+) -> List[object]:
+    """One lazy spec source per arrival-window shard of ``source``.
+
+    An arrival-sorted file is windowed lazily (:class:`TraceSpecSource`) and
+    the cluster tier regenerates each window (:class:`ClusterSpecSource`), so
+    no process holds more than O(concurrent jobs).  A file whose lines are
+    not in arrival order, and a job list, are sorted once in memory and cut
+    into :class:`InMemorySpecSource` windows — O(trace) resident, with the
+    same shard boundaries and byte-identical specs.
+    """
+    if isinstance(source, ClusterTierConfig):
+        return [
+            ClusterSpecSource(
+                tier=source,
+                replay_config=replay_config,
+                shard_index=index,
+                num_shards=num_shards,
+            )
+            for index in range(num_shards)
+        ]
+    if isinstance(source, (str, Path)) and scan.arrival_sorted:
+        return [
+            TraceSpecSource(
+                trace_path=str(source),
+                replay_config=replay_config,
+                shard_index=index,
+                num_shards=num_shards,
+                total_jobs=scan.num_jobs,
+            )
+            for index in range(num_shards)
+        ]
+    jobs = load_trace(source) if isinstance(source, (str, Path)) else source
+    return [
+        InMemorySpecSource(
+            jobs=tuple(shard),
+            replay_config=replay_config,
+            shard_index=index,
+            num_shards=num_shards,
+        )
+        for index, shard in enumerate(slice_trace(jobs, num_shards))
+    ]
+
+
+def _replay_simulation_config(
+    replay_config: TraceReplayConfig,
+    scan: TraceScan,
+    num_machines: int,
+    seed: int,
+    policy_name: str,
+) -> SimulationConfig:
+    """The engine config of one replayed (policy, seed) simulation.
+
+    Every shard replays under the *full* source's observed straggler
+    severity (the scan's mean slowest/median ratio), never its own slice's.
+    """
+    framework = framework_profile(replay_config.framework)
+    return SimulationConfig(
+        cluster=ClusterConfig(num_machines=num_machines, seed=seed),
+        stragglers=replace(
+            framework.stragglers,
+            cap=straggler_cap_from_ratio(scan.mean_slowest_to_median),
+        ),
+        estimator=framework.estimator,
+        seed=seed,
+        oracle_estimates=needs_oracle_estimates(policy_name),
+    )
+
+
+def _simulate(
+    coords: Sequence[Coordinate],
+    sources: Sequence[object],
+    replay_config: TraceReplayConfig,
+    scan: TraceScan,
+    num_machines: int,
+    sink: SinkFactory,
+    workers: int,
+) -> Iterator[MetricsCollector]:
+    """Simulate each (policy, seed, shard) coordinate; metrics in order.
+
+    Requests carry the shard's spec source — a picklable description, not a
+    spec list — and stream through :meth:`ParallelExecutor.run_stream`, so
+    completions arrive in ``coords`` order for any ``workers``.
+    """
+    requests = (
+        RunRequest(
+            spec_source=sources[shard_index],
+            config=_replay_simulation_config(
+                replay_config, scan, num_machines, seed, name
+            ),
+            policy_name=name,
+            sink_factory=sink.with_tag(f"{name}-seed{seed}-shard{shard_index}"),
+        )
+        for name, seed, shard_index in coords
+    )
+    return ParallelExecutor(workers=workers).run_stream(requests)
+
+
+def _replay(
+    policy_names: Sequence[str],
+    source: TraceSource,
+    replay_config: TraceReplayConfig,
+    scale: ExperimentScale,
+    shards: int = 1,
+    *,
+    scan: Optional[TraceScan] = None,
+    sink: Optional[SinkFactory] = None,
+    on_metrics: Optional[MetricsHook] = None,
+    session: Optional["_CacheSession"] = None,
+) -> ComparisonResult:
+    """Replay ``source`` under the named policies: the one replay path.
+
+    The (policy, seed, shard) grid is partitioned into slices the cache
+    ``session`` already restored and slices to simulate.  Restored slices
+    are reported to ``on_metrics`` first; the rest run shard-major through
+    :func:`_simulate` (shard ``k``'s requests before shard ``k+1``'s) and
+    are reported and stored as they complete.  Both fold into the
+    comparison in (policy, seed, shard) order, so the digest is the same
+    for any ``workers``, any sink and any mix of cached and fresh slices.
+
+    ``scale`` contributes the cluster size, seeds and worker count; its
+    workload-synthesis knobs are ignored because the source decides the
+    workload.  The comparison's workload is a stand-in carrying per-job
+    metadata but no specs.  The metadata — which only consumers slicing raw
+    results by job need — is collected with one extra pass over the source,
+    and only when the sink retains results and at least one slice is
+    simulated: an all-hits replay never reads the trace body.  ``scan`` is
+    the source's calibration scan when the caller already holds it.
+    """
+    if shards < 1:
+        raise ValueError("shards must be at least 1")
+    scan = scan or _scan_source(source)
+    sink = sink or SinkFactory()
+    num_shards = min(shards, scan.num_jobs)
+    coords = [
+        (name, seed, shard_index)
+        for shard_index in range(num_shards)
+        for name in policy_names
+        for seed in scale.seeds
+    ]
+    collected: Dict[Coordinate, MetricsCollector] = (
+        dict(session.restored) if session is not None else {}
+    )
+    misses = [coord for coord in coords if coord not in collected]
+    if on_metrics is not None:
+        for coord in coords:
+            if coord in collected:
+                on_metrics(*coord, collected[coord])
+    metadata: Dict[int, JobMetadata] = {}
+    if misses:
+        sources = _shard_sources(source, scan, replay_config, num_shards)
+        completed = _simulate(
+            misses, sources, replay_config, scan, scale.num_machines, sink,
+            scale.workers,
+        )
+        for coord, metrics in zip(misses, completed):
+            collected[coord] = metrics
+            if session is not None:
+                session.store(coord, metrics)
+            if on_metrics is not None:
+                on_metrics(*coord, metrics)
+        if sink.retains_results:
+            metadata = {
+                job.job_id: job_metadata(job, replay_config)
+                for job in _source_jobs(source)
+            }
+
+    workload = GeneratedWorkload(config=replay_config.workload_config(scan.num_jobs))
+    workload.metadata.update(metadata)
+    comparison = ComparisonResult(workload=workload)
+    for name in policy_names:
+        run = PolicyRun(policy_name=name)
+        for seed in scale.seeds:
+            for shard_index in range(num_shards):
+                metrics = collected[(name, seed, shard_index)]
+                if metrics.retains_results:
+                    run.results.extend(metrics.results)
+                run.metrics.append(metrics)
+        comparison.runs[name] = run
+    return comparison
+
+
 @dataclass
 class _CacheSession:
     """One plan execution's view of the replay cache.
 
     Carries the slice-key fields shared by every (policy, seed, shard)
     coordinate of the plan plus the coordinates already restored from the
-    cache, so the batch and streaming paths can partition the request grid
-    into hits and misses without re-deriving keys.  The restored collectors
-    are sealed around their cached chunks — byte-identical digest parts,
-    no raw per-job results (aggregate consumers only).
+    cache.  The restored collectors are sealed around their cached chunks —
+    byte-identical digest parts, no raw per-job results (aggregate
+    consumers only).
     """
 
     cache: ReplayCache
     base: Dict[str, object]
     descriptor: Dict[str, object]
-    restored: Dict[tuple, MetricsCollector] = field(default_factory=dict)
+    restored: Dict[Coordinate, MetricsCollector] = field(default_factory=dict)
 
-    def slice_wire(
-        self, policy: str, seed: int, shard_index: int
-    ) -> Dict[str, object]:
+    def slice_wire(self, coord: Coordinate) -> Dict[str, object]:
+        name, seed, shard_index = coord
         wire = dict(self.base)
-        wire.update({"policy": policy, "sim_seed": seed, "shard": shard_index})
+        wire.update({"policy": name, "sim_seed": seed, "shard": shard_index})
         return wire
 
-    def probe(
-        self, policy_names: Sequence[str], seeds: Sequence[int], num_shards: int
-    ) -> None:
+    def probe(self, policy_names: Sequence[str], seeds: Sequence[int]) -> bool:
+        """Restore every cached coordinate; True when the whole grid hit."""
         for name in policy_names:
             for seed in seeds:
-                for shard_index in range(num_shards):
-                    cached = self.cache.lookup(
-                        self.slice_wire(name, seed, shard_index)
-                    )
+                for shard_index in range(self.base["num_shards"]):
+                    coord = (name, seed, shard_index)
+                    cached = self.cache.lookup(self.slice_wire(coord))
                     if cached is not None:
-                        self.restored[(name, seed, shard_index)] = cached.restore()
+                        self.restored[coord] = cached.restore()
+        return len(self.restored) == (
+            len(policy_names) * len(seeds) * self.base["num_shards"]
+        )
 
-    def hit(
-        self, name: str, seed: int, shard_index: int
-    ) -> Optional[MetricsCollector]:
-        return self.restored.get((name, seed, shard_index))
-
-    def complete(
-        self, policy_names: Sequence[str], seeds: Sequence[int], num_shards: int
-    ) -> bool:
-        return len(self.restored) == len(policy_names) * len(seeds) * num_shards
-
-    def store(
-        self, name: str, seed: int, shard_index: int, metrics: MetricsCollector
-    ) -> None:
+    def store(self, coord: Coordinate, metrics: MetricsCollector) -> None:
         self.cache.store(
-            self.slice_wire(name, seed, shard_index),
+            self.slice_wire(coord),
             CachedSlice.from_metrics(metrics),
             self.descriptor,
         )
@@ -425,17 +645,16 @@ class _CacheSession:
 def _open_cache_session(
     plan: ReplayPlan,
     scale: ExperimentScale,
-    source: "TraceSource",
+    source: TraceSource,
     cache: Optional[ReplayCache] = None,
-):
+) -> Tuple[_CacheSession, TraceScan]:
     """Build a plan's cache session: ``(session, calibration scan)``.
 
     The slice key holds exactly the plan fields that can change a slice's
-    digest — and none that cannot (``workers``, streaming mode, sink and
-    ``max_resident_shards`` are wall-clock/memory knobs whose
-    digest-invariance the replay-determinism matrix locks), so one cached
-    execution serves every mode/worker/sink combination of the same
-    experiment.
+    digest — and none that cannot (``workers`` and the sink are
+    wall-clock/memory knobs whose digest-invariance the determinism tests
+    lock), so one cached execution serves every worker/sink combination of
+    the same experiment.
     """
     if cache is None:
         try:
@@ -446,8 +665,6 @@ def _open_cache_session(
             ) from None
     fingerprint = source_fingerprint(source)
     scan = _scan_source_fingerprinted(source, fingerprint)
-    if scan.num_jobs < 1:
-        raise PlanError(f"trace is empty: {plan.source_label}")
     base = {
         "source": fingerprint,
         "num_shards": min(plan.shards, scan.num_jobs),
@@ -463,555 +680,6 @@ def _open_cache_session(
     return session, scan
 
 
-def _execute_replay(
-    policy_names: Sequence[str],
-    trace: Sequence[TraceJob],
-    replay_config: Optional[TraceReplayConfig] = None,
-    scale: Optional[ExperimentScale] = None,
-    shards: int = 1,
-    workers: Optional[int] = None,
-    sink: Optional[SinkFactory] = None,
-    on_metrics: Optional[MetricsHook] = None,
-    cache: Optional[_CacheSession] = None,
-) -> ComparisonResult:
-    """Replay a trace under the named policies and collect their results.
-
-    The engine-facing twin of :func:`compare_policies` for trace-driven
-    evaluation (§5/§6 methodology): the trace is adapted into the same
-    ``JobSpec`` stream the synthetic generator emits, split into ``shards``
-    arrival-window shards, and every (policy, seed, shard) triple fans out
-    over the :class:`ParallelExecutor` as an independent simulation.
-
-    Determinism mirrors ``compare_policies``: per-job bounds are seeded from
-    ``(replay_config.seed, job_id)`` alone, every shard replays under the
-    *full* trace's observed straggler severity, requests carry explicit
-    seeds, and the merge happens in fixed (policy, seed, shard) order — so
-    the result is byte-identical for any ``workers`` value.
-
-    ``scale`` contributes the cluster size, seeds and default worker count;
-    its workload-synthesis knobs (``num_jobs``, ``size_scale``, ...) are
-    ignored because the trace decides the workload.
-
-    ``sink`` picks where each simulation's per-job results go (default:
-    retain them all).  With a non-retaining sink the merged comparison
-    carries aggregates only — ``runs[name].aggregates`` — and its
-    ``results`` lists stay empty; the digest and the summary statistics are
-    identical either way.
-    """
-    scale = scale or ExperimentScale()
-    if shards < 1:
-        raise ValueError("shards must be at least 1")
-    if workers is None:
-        workers = scale.workers
-    replay_config = replay_config or TraceReplayConfig()
-    sink = sink or SinkFactory()
-
-    full = trace_to_workload(trace, replay_config)
-    if shards == 1:
-        shard_workloads: List[TraceWorkload] = [full]
-    else:
-        shard_traces = slice_trace(trace, shards)
-        shard_workloads = [
-            trace_to_workload(
-                shard,
-                replay_config,
-                shard_index=index,
-                num_shards=len(shard_traces),
-                stragglers=full.stragglers,
-            )
-            for index, shard in enumerate(shard_traces)
-        ]
-
-    def shard_config(seed: int, oracle: bool) -> SimulationConfig:
-        base = build_simulation_config(full.workload, scale, seed, oracle)
-        return replace(base, stragglers=full.stragglers)
-
-    # Cache partition: coordinates already restored by the session's probe
-    # never become requests; everything else fans out exactly as before, and
-    # the merge below interleaves restored and fresh metrics back into the
-    # same deterministic (policy, seed, shard) order — so the digest is
-    # byte-identical whether 0%, some or 100% of the grid was cached.
-    requests = [
-        RunRequest(
-            workload=shard_workloads[shard_index].workload,
-            config=shard_config(seed, needs_oracle_estimates(name)),
-            policy_name=name,
-            sink_factory=sink.with_tag(f"{name}-seed{seed}-shard{shard_index}"),
-        )
-        for name in policy_names
-        for seed in scale.seeds
-        for shard_index in range(len(shard_workloads))
-        if cache is None or cache.hit(name, seed, shard_index) is None
-    ]
-    fresh = iter(ParallelExecutor(workers=workers).run(requests))
-
-    comparison = ComparisonResult(workload=full.workload)
-    for name in policy_names:
-        run = PolicyRun(policy_name=name)
-        for seed in scale.seeds:
-            for shard_index in range(len(shard_workloads)):
-                metrics = (
-                    cache.hit(name, seed, shard_index) if cache is not None else None
-                )
-                if metrics is None:
-                    metrics = next(fresh)
-                    if cache is not None:
-                        cache.store(name, seed, shard_index, metrics)
-                if metrics.retains_results:
-                    run.results.extend(metrics.results)
-                run.metrics.append(metrics)
-                if on_metrics is not None:
-                    on_metrics(name, seed, shard_index, metrics)
-        comparison.runs[name] = run
-    return comparison
-
-
-def replay(
-    policy_names: Sequence[str],
-    trace: Sequence[TraceJob],
-    replay_config: Optional[TraceReplayConfig] = None,
-    scale: Optional[ExperimentScale] = None,
-    shards: int = 1,
-    workers: Optional[int] = None,
-    sink: Optional[SinkFactory] = None,
-) -> ComparisonResult:
-    """Deprecated: build a :class:`ReplayPlan` and call :func:`execute`.
-
-    Thin shim over the batch replay internals, kept for one release so
-    existing callers keep working; it is byte-identical to
-    ``execute(plan)`` with ``stream=stream_specs=False`` over the same
-    trace.  See :mod:`repro.experiments.plan` for the replacement API.
-    """
-    warnings.warn(
-        "runner.replay() is deprecated and will be removed in the next "
-        "release; build a ReplayPlan and call runner.execute(plan)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _execute_replay(
-        policy_names,
-        trace,
-        replay_config=replay_config,
-        scale=scale,
-        shards=shards,
-        workers=workers,
-        sink=sink,
-    )
-
-
-class _ResidencyTracker:
-    """Counts trace shards alive in this process (built, not yet merged).
-
-    Streaming replay's request generator calls :meth:`built` when it
-    materialises a shard's workload and the merge loop calls :meth:`freed`
-    when the shard's last result lands; both run on the same thread (the
-    executor pulls requests from the merge loop's thread), so plain counters
-    suffice.  ``peak`` is the number the ``--max-resident-shards`` contract
-    is checked against.
-    """
-
-    def __init__(self) -> None:
-        self.current = 0
-        self.peak = 0
-
-    def built(self) -> None:
-        self.current += 1
-        self.peak = max(self.peak, self.current)
-
-    def freed(self) -> None:
-        self.current -= 1
-
-
-@dataclass
-class StreamedReplay:
-    """Result of :func:`replay_stream`, with its pipeline provenance."""
-
-    comparison: ComparisonResult
-    num_jobs: int
-    num_shards: int
-    max_resident_shards: int
-    peak_resident_shards: int
-    #: With ``stream_specs``: True — requests carried lazy spec sources, not
-    #: materialised shard workloads.
-    stream_specs: bool = False
-    #: Engine high-water mark of concurrently resident jobs, maximised over
-    #: every (policy, seed, shard) simulation.  The bounded-memory gauge of
-    #: spec streaming: O(max concurrent jobs), not O(trace).
-    peak_resident_jobs: int = 0
-
-
-#: A streaming replay source: a JSONL trace path, or a generated trace tier
-#: whose jobs are produced lazily (no file involved).
-TraceSource = Union[str, Path, ClusterTierConfig]
-
-
-def _source_jobs(source: TraceSource):
-    """The lazy job stream of a replay source (file parse or generation)."""
-    if isinstance(source, ClusterTierConfig):
-        return iter_cluster_trace(source)
-    return iter_trace(source)
-
-
-def _scan_source(source: TraceSource):
-    """The calibration scan of a replay source.
-
-    Files go through :func:`scan_trace` (which also enforces the streaming
-    parse's format and duplicate-id guards); generated tiers fold the same
-    statistics over the generator — identical semantics, no file.
-    """
-    if isinstance(source, ClusterTierConfig):
-        return scan_jobs(iter_cluster_trace(source), source=str(source))
-    return scan_trace(source)
-
-
-def _execute_replay_stream(
-    policy_names: Sequence[str],
-    trace_path: TraceSource,
-    replay_config: Optional[TraceReplayConfig] = None,
-    scale: Optional[ExperimentScale] = None,
-    shards: int = 1,
-    workers: Optional[int] = None,
-    max_resident_shards: int = 2,
-    stream_specs: bool = False,
-    sink: Optional[SinkFactory] = None,
-    on_metrics: Optional[MetricsHook] = None,
-    cache: Optional[_CacheSession] = None,
-    scan=None,
-) -> StreamedReplay:
-    """Replay a JSONL trace as a bounded-memory streaming pipeline.
-
-    The streaming twin of :func:`replay` for traces too large to hold in
-    memory.  ``trace_path`` may also be a
-    :class:`~repro.workload.trace_replay.ClusterTierConfig` — the generated
-    million-job tier — in which case every pass below runs over the lazy
-    generator instead of a file (with ``stream_specs`` the requests carry a
-    :class:`~repro.workload.trace_replay.ClusterSpecSource` and each worker
-    regenerates exactly its shard's window, random-access, so no process
-    ever holds any slice of the trace).  Two passes over the file:
-
-    1. **Calibration scan** (``traces.scan_trace``): bounded memory (it
-       retains job *ids* for duplicate detection, never task payloads);
-       yields the job count (shard boundaries need it) and the mean
-       slowest-to-median ratio (every shard replays under the *full*
-       trace's observed straggler severity — the same pinning the batch
-       path does).
-    2. **Streamed replay**: shards are parsed lazily
-       (:func:`~repro.workload.trace_replay.iter_trace_shards`), adapted to
-       workloads one at a time, and their (policy, seed) requests fed to
-       :meth:`ParallelExecutor.run_stream` — shard ``k+1`` parses while
-       shard ``k`` simulates.
-
-    At most ``max_resident_shards`` shard workloads exist in this process at
-    once (the executor's in-flight window is sized to
-    ``(max_resident_shards - 1) * requests_per_shard + 1``, which provably
-    bounds the span of unmerged requests to that many shards).
-    ``max_resident_shards=1`` disables pipelining entirely; 2 (the default)
-    overlaps parsing with simulation; larger values admit more parallelism
-    across shards at proportional memory cost.  Worker processes briefly
-    hold a pickled copy of the shard they are simulating on top of this
-    parent-side bound.
-
-    ``stream_specs`` pushes the bound *inside* each simulation: requests
-    carry a lazy :class:`~repro.workload.trace_replay.TraceSpecSource`
-    (a path plus shard coordinates) instead of a materialised shard
-    workload, and the executing process feeds specs one at a time into the
-    engine's lazy ingestion — no process ever holds a shard's spec list, so
-    even an *unsharded* million-job replay runs with O(max concurrent jobs)
-    resident state.  ``peak_resident_jobs`` on the result reports the
-    engine's high-water mark; ``peak_resident_shards`` stays 0 because the
-    parent never materialises a shard at all, and ``max_resident_shards``
-    is accordingly ignored (with nothing to bound, the executor's default
-    in-flight window keeps every worker busy instead).  (The parent still collects
-    the per-job metadata the figure breakdowns need with one extra
-    spec-construction pass — small records only, never task payloads.)
-
-    Determinism: the requests are value-identical to :func:`replay`'s for
-    the same ``shards`` count and the merge is reassembled in the batch
-    path's (policy, seed, shard) order, so the metrics digest is identical
-    to batch replay at the same shard split for any ``workers``, any
-    ``max_resident_shards`` and either ``stream_specs`` setting —
-    spec-streaming produces byte-identical specs (same per-job RNG streams)
-    and a byte-identical engine event order (``tests/test_stream_specs.py``
-    locks this in).  (Different shard *counts* are different experiments —
-    jobs sharing a simulation contend for the cluster — which is exactly as
-    true of the batch path.)
-
-    The returned comparison's ``workload`` carries the merged per-job
-    metadata but no job specs: materialising them is what this function
-    exists to avoid.  With a non-retaining sink even the metadata merge is
-    skipped (its only consumers slice raw results by job), leaving nothing
-    in the parent that grows with the trace.
-
-    ``sink`` picks the per-simulation result sink (see :func:`replay`).
-    ``stream_specs`` + a non-retaining sink is the fully streaming
-    configuration: O(1) in specs, shards *and* results — no process ever
-    holds a spec list, a shard workload or a JobResult, so resident memory
-    is independent of trace length end to end.
-
-    Streaming requires the trace file to be sorted by
-    ``(arrival_time, job_id)`` — the order batch replay sorts into — and
-    raises ``ValueError`` otherwise.
-    """
-    scale = scale or ExperimentScale()
-    if shards < 1:
-        raise ValueError("shards must be at least 1")
-    if max_resident_shards < 1:
-        raise ValueError("max_resident_shards must be at least 1")
-    if workers is None:
-        workers = scale.workers
-    replay_config = replay_config or TraceReplayConfig()
-    sink = sink or SinkFactory()
-
-    if scan is None:
-        scan = _scan_source(trace_path)
-    if not scan.arrival_sorted:
-        raise ValueError(
-            f"streaming replay requires a trace sorted by (arrival_time, job_id); "
-            f"{trace_path} is not — sort it or use batch replay"
-        )
-    num_shards = min(shards, scan.num_jobs)
-    framework = framework_profile(replay_config.framework)
-    stragglers = replace(
-        framework.stragglers,
-        cap=straggler_cap_from_ratio(scan.mean_slowest_to_median),
-    )
-    configs = {
-        (name, seed): SimulationConfig(
-            cluster=ClusterConfig(num_machines=scale.num_machines, seed=seed),
-            stragglers=stragglers,
-            estimator=framework.estimator,
-            seed=seed,
-            oracle_estimates=needs_oracle_estimates(name),
-        )
-        for name in policy_names
-        for seed in scale.seeds
-    }
-
-    residency = _ResidencyTracker()
-    # Per-job metadata only serves consumers that slice *raw results* by job
-    # (the figure breakdowns); with a non-retaining sink there is nothing to
-    # slice, and skipping the merge removes the last parent-side O(trace)
-    # structure — resident memory becomes independent of trace length.
-    collect_metadata = sink.retains_results
-    merged_metadata: Dict[int, object] = {}
-
-    # Cache partition in the exact shard-major order the request generator
-    # yields: the merge loop maps completion index -> miss_coords[index], so
-    # the pipeline never assumes a full (policy, seed, shard) grid.  Without
-    # a cache session every coordinate is a miss and behaviour is unchanged.
-    miss_coords: List[tuple] = []
-    shard_misses: Dict[int, int] = {}
-    for shard_index in range(num_shards):
-        for name in policy_names:
-            for seed in scale.seeds:
-                if cache is not None and cache.hit(name, seed, shard_index) is not None:
-                    continue
-                miss_coords.append((name, seed, shard_index))
-                shard_misses[shard_index] = shard_misses.get(shard_index, 0) + 1
-    miss_lookup = dict.fromkeys(miss_coords)
-
-    if cache is not None and on_metrics is not None and cache.restored:
-        # Restored chunks stream out before any simulation completes, in the
-        # same shard-major order fresh completions use; delta consumers (the
-        # service's clients) refold chunks by coordinate, so early hits never
-        # perturb the reassembled digest.
-        for shard_index in range(num_shards):
-            for name in policy_names:
-                for seed in scale.seeds:
-                    metrics = cache.hit(name, seed, shard_index)
-                    if metrics is not None:
-                        on_metrics(name, seed, shard_index, metrics)
-
-    def request_stream():
-        if stream_specs:
-            # Lazy-spec requests: a picklable description per shard, nothing
-            # materialised in this process; the executing side streams the
-            # shard's specs straight into the engine.
-            for shard_index in range(num_shards):
-                if shard_misses.get(shard_index, 0) == 0:
-                    continue  # every coordinate of this shard was cached
-                if isinstance(trace_path, ClusterTierConfig):
-                    source = ClusterSpecSource(
-                        tier=trace_path,
-                        replay_config=replay_config,
-                        shard_index=shard_index,
-                        num_shards=num_shards,
-                    )
-                else:
-                    source = TraceSpecSource(
-                        trace_path=str(trace_path),
-                        replay_config=replay_config,
-                        shard_index=shard_index,
-                        num_shards=num_shards,
-                        total_jobs=scan.num_jobs,
-                    )
-                for name in policy_names:
-                    for seed in scale.seeds:
-                        if (name, seed, shard_index) not in miss_lookup:
-                            continue
-                        yield RunRequest(
-                            spec_source=source,
-                            config=configs[(name, seed)],
-                            policy_name=name,
-                            sink_factory=sink.with_tag(
-                                f"{name}-seed{seed}-shard{shard_index}"
-                            ),
-                        )
-            return
-        shard_stream = iter_trace_shards(
-            _source_jobs(trace_path), num_shards, scan.num_jobs
-        )
-        for shard_index in range(num_shards):
-            shard_jobs = next(shard_stream)
-            if shard_misses.get(shard_index, 0) == 0:
-                # Every coordinate of this shard was restored from the cache:
-                # parse past its jobs without adapting them into a workload
-                # (the expensive per-job spec/bound derivation).
-                del shard_jobs
-                continue
-            shard = trace_to_workload(
-                shard_jobs,
-                replay_config,
-                shard_index=shard_index,
-                num_shards=num_shards,
-                stragglers=stragglers,
-            )
-            del shard_jobs
-            residency.built()
-            if collect_metadata:
-                merged_metadata.update(shard.workload.metadata)
-            for name in policy_names:
-                for seed in scale.seeds:
-                    if (name, seed, shard_index) not in miss_lookup:
-                        continue
-                    yield RunRequest(
-                        workload=shard.workload,
-                        config=configs[(name, seed)],
-                        policy_name=name,
-                        sink_factory=sink.with_tag(
-                            f"{name}-seed{seed}-shard{shard_index}"
-                        ),
-                    )
-            # Drop our reference before the consumer pulls the next shard's
-            # first request, so "resident" counts real objects, not leaks.
-            del shard
-
-    per_shard = len(policy_names) * len(scale.seeds)
-    if stream_specs:
-        # No shard workload is ever resident here, so the residency window
-        # has nothing to bound — spec-source requests are tiny descriptions;
-        # let the executor keep every worker busy (its 2*workers default).
-        window = None
-    else:
-        window = max(1, (max_resident_shards - 1) * per_shard + 1)
-    executor = ParallelExecutor(workers=workers)
-    collected: Dict[tuple, MetricsCollector] = {}
-    peak_resident_jobs = 0
-    remaining_misses = dict(shard_misses)
-    for index, metrics in enumerate(
-        executor.run_stream(request_stream(), max_in_flight=window)
-    ):
-        name, seed, shard_index = miss_coords[index]
-        collected[(name, seed, shard_index)] = metrics
-        if cache is not None:
-            cache.store(name, seed, shard_index, metrics)
-        if on_metrics is not None:
-            # Completion order here is request order — shard-major — so a
-            # streaming consumer (the replay service's delta emitter) sees
-            # shard k's chunks before any of shard k+1's.
-            on_metrics(name, seed, shard_index, metrics)
-        if not stream_specs:
-            remaining_misses[shard_index] -= 1
-            if remaining_misses[shard_index] == 0:
-                residency.freed()
-    if stream_specs and collect_metadata:
-        # The workers never ship metadata home, so collect it here with one
-        # streaming spec-construction pass: O(#jobs) small metadata records,
-        # never a spec list (each constructed spec is discarded immediately).
-        for _ in iter_job_specs(
-            _source_jobs(trace_path), replay_config, metadata=merged_metadata
-        ):
-            pass
-
-    # Reassemble in the batch path's (policy, seed, shard) order so the
-    # merged results — and hence the metrics digest — are byte-identical.
-    stand_in = WorkloadConfig(
-        workload="trace",
-        framework=replay_config.framework,
-        num_jobs=scan.num_jobs,
-        bound_kind=replay_config.bound_kind,
-        seed=replay_config.seed,
-        dag_length=replay_config.dag_length,
-        intermediate_task_fraction=replay_config.intermediate_task_fraction,
-        deadline_slack_range=replay_config.deadline_slack_range,
-        error_range=replay_config.error_range,
-    )
-    workload = GeneratedWorkload(config=stand_in)
-    workload.metadata.update(merged_metadata)
-    comparison = ComparisonResult(workload=workload)
-    for name in policy_names:
-        run = PolicyRun(policy_name=name)
-        for seed in scale.seeds:
-            for shard_index in range(num_shards):
-                metrics = collected.get((name, seed, shard_index))
-                if metrics is None:
-                    assert cache is not None
-                    metrics = cache.hit(name, seed, shard_index)
-                peak_resident_jobs = max(
-                    peak_resident_jobs, metrics.peak_resident_jobs
-                )
-                if metrics.retains_results:
-                    run.results.extend(metrics.results)
-                run.metrics.append(metrics)
-        comparison.runs[name] = run
-    return StreamedReplay(
-        comparison=comparison,
-        num_jobs=scan.num_jobs,
-        num_shards=num_shards,
-        max_resident_shards=max_resident_shards,
-        peak_resident_shards=residency.peak,
-        stream_specs=stream_specs,
-        peak_resident_jobs=peak_resident_jobs,
-    )
-
-
-def replay_stream(
-    policy_names: Sequence[str],
-    trace_path: TraceSource,
-    replay_config: Optional[TraceReplayConfig] = None,
-    scale: Optional[ExperimentScale] = None,
-    shards: int = 1,
-    workers: Optional[int] = None,
-    max_resident_shards: int = 2,
-    stream_specs: bool = False,
-    sink: Optional[SinkFactory] = None,
-) -> StreamedReplay:
-    """Deprecated: build a :class:`ReplayPlan` and call :func:`execute`.
-
-    Thin shim over the streaming replay internals, kept for one release so
-    existing callers keep working; ``execute(plan)`` with ``stream=True``
-    (or ``stream_specs=True``) is byte-identical.  See
-    :mod:`repro.experiments.plan` for the replacement API.
-    """
-    warnings.warn(
-        "runner.replay_stream() is deprecated and will be removed in the "
-        "next release; build a ReplayPlan and call runner.execute(plan)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _execute_replay_stream(
-        policy_names,
-        trace_path,
-        replay_config=replay_config,
-        scale=scale,
-        shards=shards,
-        workers=workers,
-        max_resident_shards=max_resident_shards,
-        stream_specs=stream_specs,
-        sink=sink,
-    )
-
-
 def metrics_digest(comparison: ComparisonResult) -> str:
     """SHA-256 over the merged per-job results, canonically serialised.
 
@@ -1022,8 +690,7 @@ def metrics_digest(comparison: ComparisonResult) -> str:
     digests in the deterministic (policy, seed, shard) merge order
     (:func:`repro.simulator.sinks.fold_run_digests`); every sink maintains
     those chunk digests identically, so the value is byte-identical across
-    ``--sink``, ``--stream``/``--stream-specs`` and ``--workers`` at the
-    same shard count.
+    ``--sink`` and ``--workers`` at the same shard count.
     """
     return fold_run_digests(
         (name, run.aggregates.digest_parts()) for name, run in comparison.runs.items()
@@ -1040,8 +707,6 @@ class ExecutedPlan:
     num_jobs: int
     #: Arrival-window shards the source was actually split into.
     num_shards: int
-    #: Streaming pipeline gauges; ``None`` when the plan ran in batch mode.
-    streamed: Optional[StreamedReplay] = None
     #: Replay-cache session counters (hits/misses/stores/bytes/evictions);
     #: ``None`` when the plan executed without a cache.
     cache_stats: Optional[CacheCounters] = None
@@ -1051,14 +716,24 @@ class ExecutedPlan:
         """The policy-tagged metrics digest (see :func:`metrics_digest`)."""
         return metrics_digest(self.comparison)
 
+    def _all_metrics(self) -> Iterator[MetricsCollector]:
+        for run in self.comparison.runs.values():
+            yield from run.metrics
+
     @property
     def truncated_jobs(self) -> int:
         """Job runs cut off by ``max_simulated_time``, summed over all runs."""
-        return sum(
-            metrics.truncated_jobs
-            for run in self.comparison.runs.values()
-            for metrics in run.metrics
-        )
+        return sum(metrics.truncated_jobs for metrics in self._all_metrics())
+
+    @property
+    def peak_resident_jobs(self) -> int:
+        """Engine high-water mark of concurrently resident jobs.
+
+        Maximised over every (policy, seed, shard) simulation, cached ones
+        included: O(max concurrent jobs) for a lazily windowed source, not
+        O(trace).
+        """
+        return max(metrics.peak_resident_jobs for metrics in self._all_metrics())
 
 
 def plan_scale(plan: ReplayPlan) -> ExperimentScale:
@@ -1081,84 +756,34 @@ def plan_source(plan: ReplayPlan) -> TraceSource:
     return plan.trace
 
 
-def _executed_from_cache(
+def _execute_plan(
     plan: ReplayPlan,
     scale: ExperimentScale,
-    replay_config: TraceReplayConfig,
-    scan,
-    num_shards: int,
-    session: _CacheSession,
-    on_metrics: Optional[MetricsHook] = None,
+    source: TraceSource,
+    scan: TraceScan,
+    session: Optional[_CacheSession],
+    on_metrics: Optional[MetricsHook],
 ) -> ExecutedPlan:
-    """Assemble an :class:`ExecutedPlan` entirely from restored chunks.
-
-    The all-hits fast path: no simulation runs and the trace body is never
-    loaded — the restored collectors fold in the deterministic (policy,
-    seed, shard) merge order, so the digest is byte-identical to a real
-    execution.  The comparison's workload is a stand-in (the streaming
-    path's convention): cache-restored executions carry aggregates only,
-    never raw per-job results or metadata.
-    """
-    if on_metrics is not None:
-        # Mirror each mode's live emission order: shard-major under
-        # streaming (completion order), merge order in batch.
-        if plan.streaming:
-            for shard_index in range(num_shards):
-                for name in plan.policies:
-                    for seed in scale.seeds:
-                        on_metrics(
-                            name, seed, shard_index,
-                            session.hit(name, seed, shard_index),
-                        )
-        else:
-            for name in plan.policies:
-                for seed in scale.seeds:
-                    for shard_index in range(num_shards):
-                        on_metrics(
-                            name, seed, shard_index,
-                            session.hit(name, seed, shard_index),
-                        )
-    stand_in = WorkloadConfig(
-        workload="trace",
-        framework=replay_config.framework,
-        num_jobs=scan.num_jobs,
-        bound_kind=replay_config.bound_kind,
-        seed=replay_config.seed,
-        dag_length=replay_config.dag_length,
-        intermediate_task_fraction=replay_config.intermediate_task_fraction,
-        deadline_slack_range=replay_config.deadline_slack_range,
-        error_range=replay_config.error_range,
+    """Replay a validated plan through :func:`_replay`, with its provenance."""
+    comparison = _replay(
+        plan.policies,
+        source,
+        TraceReplayConfig(
+            framework=plan.framework, bound_kind=plan.bound_kind, seed=plan.seed
+        ),
+        scale,
+        plan.shards,
+        scan=scan,
+        sink=parse_sink_spec(plan.sink),
+        on_metrics=on_metrics,
+        session=session,
     )
-    comparison = ComparisonResult(workload=GeneratedWorkload(config=stand_in))
-    peak_resident_jobs = 0
-    for name in plan.policies:
-        run = PolicyRun(policy_name=name)
-        for seed in scale.seeds:
-            for shard_index in range(num_shards):
-                metrics = session.hit(name, seed, shard_index)
-                peak_resident_jobs = max(
-                    peak_resident_jobs, metrics.peak_resident_jobs
-                )
-                run.metrics.append(metrics)
-        comparison.runs[name] = run
-    streamed = None
-    if plan.streaming:
-        streamed = StreamedReplay(
-            comparison=comparison,
-            num_jobs=scan.num_jobs,
-            num_shards=num_shards,
-            max_resident_shards=plan.max_resident_shards,
-            peak_resident_shards=0,
-            stream_specs=plan.stream_specs,
-            peak_resident_jobs=peak_resident_jobs,
-        )
     return ExecutedPlan(
         plan=plan,
         comparison=comparison,
         num_jobs=scan.num_jobs,
-        num_shards=num_shards,
-        streamed=streamed,
-        cache_stats=session.cache.counters,
+        num_shards=min(plan.shards, scan.num_jobs),
+        cache_stats=session.cache.counters if session is not None else None,
     )
 
 
@@ -1182,16 +807,9 @@ def probe_plan_cache(
     scale = plan_scale(plan)
     source = plan_source(plan)
     session, scan = _open_cache_session(plan, scale, source, cache)
-    num_shards = min(plan.shards, scan.num_jobs)
-    session.probe(plan.policies, scale.seeds, num_shards)
-    if not session.complete(plan.policies, scale.seeds, num_shards):
+    if not session.probe(plan.policies, scale.seeds):
         return None
-    replay_config = TraceReplayConfig(
-        framework=plan.framework, bound_kind=plan.bound_kind, seed=plan.seed
-    )
-    return _executed_from_cache(
-        plan, scale, replay_config, scan, num_shards, session, on_metrics
-    )
+    return _execute_plan(plan, scale, source, scan, session, on_metrics)
 
 
 def resimulate_cached_entry(payload: Dict[str, object]) -> str:
@@ -1200,8 +818,8 @@ def resimulate_cached_entry(payload: Dict[str, object]) -> str:
     The ``cache verify`` backend: an entry's slice fields plus its source
     descriptor fully determine one (policy, seed, shard) simulation, so a
     digest mismatch against the stored chunk means the cache lied.  The
-    re-run uses the lazy spec-source path — byte-identical specs and engine
-    event order to every other mode (the stream-specs determinism contract).
+    re-run builds the same spec source and engine config every replay
+    builds for that slice.
 
     Raises :class:`~repro.experiments.cache.StaleEntryError` when the
     recorded source has moved or its content changed since the entry was
@@ -1222,9 +840,11 @@ def resimulate_cached_entry(payload: Dict[str, object]) -> str:
         raise StaleEntryError("source content changed since the entry was written")
     scan = _scan_source_fingerprinted(source, fingerprint)
     try:
-        policy = str(slice_wire["policy"])
-        sim_seed = int(slice_wire["sim_seed"])
-        shard_index = int(slice_wire["shard"])
+        coord = (
+            str(slice_wire["policy"]),
+            int(slice_wire["sim_seed"]),
+            int(slice_wire["shard"]),
+        )
         num_shards = int(slice_wire["num_shards"])
         num_machines = int(slice_wire["num_machines"])
         replay_config = TraceReplayConfig(
@@ -1234,42 +854,11 @@ def resimulate_cached_entry(payload: Dict[str, object]) -> str:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise StaleEntryError(f"unreadable slice fields: {exc}") from None
-    framework = framework_profile(replay_config.framework)
-    stragglers = replace(
-        framework.stragglers,
-        cap=straggler_cap_from_ratio(scan.mean_slowest_to_median),
+    sources = _shard_sources(source, scan, replay_config, num_shards)
+    (metrics,) = _simulate(
+        [coord], sources, replay_config, scan, num_machines,
+        SinkFactory(kind="aggregate"), workers=1,
     )
-    config = SimulationConfig(
-        cluster=ClusterConfig(num_machines=num_machines, seed=sim_seed),
-        stragglers=stragglers,
-        estimator=framework.estimator,
-        seed=sim_seed,
-        oracle_estimates=needs_oracle_estimates(policy),
-    )
-    if isinstance(source, ClusterTierConfig):
-        spec_source = ClusterSpecSource(
-            tier=source,
-            replay_config=replay_config,
-            shard_index=shard_index,
-            num_shards=num_shards,
-        )
-    else:
-        spec_source = TraceSpecSource(
-            trace_path=str(source),
-            replay_config=replay_config,
-            shard_index=shard_index,
-            num_shards=num_shards,
-            total_jobs=scan.num_jobs,
-        )
-    request = RunRequest(
-        spec_source=spec_source,
-        config=config,
-        policy_name=policy,
-        sink_factory=SinkFactory(kind="aggregate").with_tag(
-            f"{policy}-seed{sim_seed}-shard{shard_index}"
-        ),
-    )
-    metrics = ParallelExecutor(workers=1).run([request])[0]
     return metrics.aggregates.chunks[0].digest.hex()
 
 
@@ -1280,29 +869,31 @@ def execute(
 ) -> ExecutedPlan:
     """Execute a :class:`ReplayPlan` — the single entry point for replay.
 
-    Everything the deprecated ``replay()`` / ``replay_stream()`` pair (and
-    their ``stream_specs=`` / ``sink=`` knobs) could express is one plan
-    field here, and the plan round-trips through JSON, so the offline CLI,
-    the test matrix and the always-on replay service all execute the *same*
-    object.  Determinism carries over unchanged: for a given plan the
-    metrics digest is byte-identical across ``workers``, modes and sinks at
-    the same shard count.
+    The plan round-trips through JSON, so the offline CLI, the test matrix
+    and the always-on replay service all execute the *same* object.  For a
+    given plan the metrics digest is byte-identical across ``workers`` and
+    sinks at the same shard count.  Every plan runs one path: each shard is
+    a lazy spec source — a window of an arrival-sorted trace file, a
+    regenerated cluster-tier window, or a slice of a trace sorted in memory
+    when its lines are not in arrival order — simulated once per (policy,
+    seed).  ``stream`` / ``stream_specs`` are accepted and change nothing.
 
     With ``plan.cache`` set (or an explicit ``cache`` instance), every
     (policy, seed, shard) coordinate is looked up before simulating: hits
     restore their chunks from disk and fold into the same deterministic
-    merge order, misses fan out to the executor as usual and are stored on
-    completion.  An all-hits plan skips simulation *and* the trace load
-    entirely.  The digest is byte-identical with and without the cache;
-    ``cache_stats`` on the result reports the session's counters.  (With a
-    retaining sink, raw per-job results are only present for recomputed
-    slices — cached entries carry aggregates only; every aggregate/digest
-    surface is complete and exact either way.)
+    merge order, misses are simulated and stored on completion.  An
+    all-hits plan skips simulation *and* the trace body entirely.  The
+    digest is byte-identical with and without the cache; ``cache_stats`` on
+    the result reports the session's counters.  (With a retaining sink, raw
+    per-job results are only present for recomputed slices — cached entries
+    carry aggregates only; every aggregate/digest surface is complete and
+    exact either way.)
 
-    ``on_metrics`` is invoked as each (policy, seed, shard) simulation's
-    metrics land — shard-major completion order under streaming modes, merge
-    order in batch mode; cache hits are emitted up front in the same order —
-    which is the hook the service's per-tenant delta streaming builds on.
+    ``on_metrics`` is invoked once per (policy, seed, shard) simulation:
+    cache hits first, then fresh slices as they complete, both shard-major.
+    That is the hook the service's per-tenant delta streaming builds on;
+    its clients refold deltas by coordinate, so the order never reaches a
+    digest.
 
     Raises :class:`~repro.experiments.plan.PlanError` on an invalid plan,
     ``FileNotFoundError`` / ``OSError`` when a trace path cannot be read and
@@ -1310,80 +901,14 @@ def execute(
     """
     plan.validate()
     scale = plan_scale(plan)
-    replay_config = TraceReplayConfig(
-        framework=plan.framework, bound_kind=plan.bound_kind, seed=plan.seed
-    )
-    sink = parse_sink_spec(plan.sink)
     source = plan_source(plan)
-
     session: Optional[_CacheSession] = None
-    scan = None
     if cache is not None or plan.cache is not None:
         session, scan = _open_cache_session(plan, scale, source, cache)
-        if plan.streaming and not scan.arrival_sorted:
-            raise ValueError(
-                f"streaming replay requires a trace sorted by "
-                f"(arrival_time, job_id); {source} is not — sort it or use "
-                "batch replay"
-            )
-        num_shards = min(plan.shards, scan.num_jobs)
-        session.probe(plan.policies, scale.seeds, num_shards)
-        if session.complete(plan.policies, scale.seeds, num_shards):
-            return _executed_from_cache(
-                plan, scale, replay_config, scan, num_shards, session, on_metrics
-            )
-
-    if plan.streaming:
-        streamed = _execute_replay_stream(
-            plan.policies,
-            source,
-            replay_config=replay_config,
-            scale=scale,
-            shards=plan.shards,
-            workers=plan.workers,
-            max_resident_shards=plan.max_resident_shards,
-            stream_specs=plan.stream_specs,
-            sink=sink,
-            on_metrics=on_metrics,
-            cache=session,
-            scan=scan,
-        )
-        return ExecutedPlan(
-            plan=plan,
-            comparison=streamed.comparison,
-            num_jobs=streamed.num_jobs,
-            num_shards=streamed.num_shards,
-            streamed=streamed,
-            cache_stats=session.cache.counters if session is not None else None,
-        )
-    if isinstance(source, ClusterTierConfig):
-        # Batch replay of the generated tier materialises it — fine for
-        # digest-parity checks at small N; million-job runs belong on
-        # ``stream_specs``.
-        trace = list(iter_cluster_trace(source))
+        session.probe(plan.policies, scale.seeds)
     else:
-        trace = load_trace(source)
-    if not trace:
-        raise PlanError(f"trace is empty: {plan.source_label}")
-    comparison = _execute_replay(
-        plan.policies,
-        trace,
-        replay_config=replay_config,
-        scale=scale,
-        shards=plan.shards,
-        workers=plan.workers,
-        sink=sink,
-        on_metrics=on_metrics,
-        cache=session,
-    )
-    return ExecutedPlan(
-        plan=plan,
-        comparison=comparison,
-        num_jobs=len(trace),
-        num_shards=min(plan.shards, len(trace)),
-        streamed=None,
-        cache_stats=session.cache.counters if session is not None else None,
-    )
+        scan = _scan_source(source)
+    return _execute_plan(plan, scale, source, scan, session, on_metrics)
 
 
 def compare_policies(
@@ -1417,8 +942,9 @@ def compare_policies(
     the cache is purely a wall-clock optimisation.  Stateless policies are
     never warmed: warm-up cannot affect a policy without cross-job state.
 
-    ``sink`` picks the per-simulation result sink (see :func:`replay`);
-    figure producers that slice raw results by workload metadata need the
+    ``sink`` picks the per-simulation result sink (the ``sink`` field of
+    :class:`~repro.experiments.plan.ReplayPlan` describes the kinds); figure
+    producers that slice raw results by workload metadata need the
     retaining default.
     """
     scale = scale or ExperimentScale()

@@ -17,8 +17,9 @@ answers by construction:
   trace's observed mean slowest-to-median ratio (the §2.2 statistic), so the
   replayed severity matches the trace rather than the profile's default.
 * **Scale-out** — a full-length trace is split into arrival-window shards
-  (:func:`slice_trace`); each (policy, shard) pair is an independent
-  simulation that :func:`repro.experiments.runner.replay` fans over the
+  (:func:`shard_sizes`); each (policy, seed, shard) triple is an independent
+  simulation that :func:`repro.experiments.runner.execute` feeds, as a lazy
+  per-shard spec source, through the
   :class:`~repro.experiments.executor.ParallelExecutor`.
 
 Because per-job seeding depends only on the job id, a job gets the same
@@ -90,6 +91,26 @@ class TraceReplayConfig:
             self.error_range,
         )
 
+    def workload_config(self, num_jobs: int, name: str = "trace") -> WorkloadConfig:
+        """Provenance stand-in for a replayed workload of ``num_jobs`` jobs.
+
+        ``workload`` records the trace name, which is not a profile name —
+        ``framework_profile`` (the only profile downstream code reads for
+        replay) stays valid, but ``workload_profile`` would not resolve,
+        which is correct: a replayed trace has no synthetic profile.
+        """
+        return WorkloadConfig(
+            workload=name,
+            framework=self.framework,
+            num_jobs=num_jobs,
+            bound_kind=self.bound_kind,
+            seed=self.seed,
+            dag_length=self.dag_length,
+            intermediate_task_fraction=self.intermediate_task_fraction,
+            deadline_slack_range=self.deadline_slack_range,
+            error_range=self.error_range,
+        )
+
 
 @dataclass
 class TraceWorkload:
@@ -116,9 +137,9 @@ def straggler_cap_from_ratio(mean_ratio: float) -> float:
 
     The cap must exceed the multiplier's median (1.0), so traces with no
     observed straggling still yield a valid — nearly degenerate — model.
-    Shared by the batch path (:func:`observed_straggler_cap`) and the
-    streaming calibration pre-pass (``TraceScan``), so both derive the same
-    cap from the same statistic.
+    Shared by :func:`observed_straggler_cap` and the replay runner's
+    calibration scan (``TraceScan``), so both derive the same cap from the
+    same statistic.
     """
     return max(1.05, mean_ratio)
 
@@ -205,6 +226,15 @@ def _job_spec_from_trace(
     return replace(spec, bound=bound), metadata
 
 
+def job_metadata(job: TraceJob, config: TraceReplayConfig) -> JobMetadata:
+    """One job's figure-breakdown metadata, as :func:`iter_job_specs` records it.
+
+    Metadata does not depend on the job's arrival time or position, so it
+    can be collected from a source in any order.
+    """
+    return _job_spec_from_trace(job, config, arrival_time=0.0)[1]
+
+
 def trace_to_workload(
     trace: Sequence[TraceJob],
     config: Optional[TraceReplayConfig] = None,
@@ -232,21 +262,7 @@ def trace_to_workload(
         seen_ids.add(job.job_id)
 
     ordered = sorted(trace, key=lambda job: (job.arrival_time, job.job_id))
-    # Provenance stand-in: ``workload`` records the trace name, which is not
-    # a profile name — ``framework_profile`` (the only profile downstream
-    # code reads for replay) stays valid, but ``workload_profile`` would not
-    # resolve, which is correct: a replayed trace has no synthetic profile.
-    stand_in = WorkloadConfig(
-        workload=name,
-        framework=config.framework,
-        num_jobs=len(ordered),
-        bound_kind=config.bound_kind,
-        seed=config.seed,
-        dag_length=config.dag_length,
-        intermediate_task_fraction=config.intermediate_task_fraction,
-        deadline_slack_range=config.deadline_slack_range,
-        error_range=config.error_range,
-    )
+    stand_in = config.workload_config(len(ordered), name=name)
     workload = GeneratedWorkload(config=stand_in)
     # Materialise through the streaming adapter so the batch and lazy paths
     # cannot drift: byte-identical specs are structural, not a convention.
@@ -313,8 +329,9 @@ class TraceSpecSource:
 
     ``num_shards == 1`` describes the whole trace (the unsharded million-job
     replay this source exists for).  The trace file must be sorted by
-    ``(arrival_time, job_id)`` — the caller (``runner.replay_stream``)
-    verifies that with the calibration scan before building sources.
+    ``(arrival_time, job_id)`` — the caller (``runner.execute``) checks that
+    with the calibration scan and uses :class:`InMemorySpecSource` instead
+    for a trace that is not.
     """
 
     trace_path: str
@@ -351,12 +368,11 @@ class TraceSpecSource:
 def shard_sizes(total_jobs: int, num_shards: int) -> List[int]:
     """Job counts of each arrival-window shard for a trace of ``total_jobs``.
 
-    The single definition of shard boundaries: :func:`slice_trace` (batch)
-    and :func:`iter_trace_shards` (streaming) both cut windows of these
-    sizes, which is what makes a streamed replay's shard split — and hence
-    its metrics digest — identical to the batch path's at the same shard
-    count.  Shard counts larger than the trace collapse to one job per
-    shard; no shard is ever empty.
+    The single definition of shard boundaries: :func:`slice_trace` and every
+    spec source cut windows of these sizes, so a shard holds the same jobs
+    whether it is read lazily from a file, regenerated from the cluster tier
+    or sliced from memory.  Shard counts larger than the trace collapse to
+    one job per shard; no shard is ever empty.
     """
     if num_shards < 1:
         raise ValueError("num_shards must be at least 1")
@@ -384,45 +400,30 @@ def slice_trace(trace: Sequence[TraceJob], num_shards: int) -> List[List[TraceJo
     return shards
 
 
-def iter_trace_shards(
-    jobs: Iterable[TraceJob], num_shards: int, total_jobs: int
-) -> Iterator[List[TraceJob]]:
-    """Lazily cut an arrival-ordered job stream into batch-identical shards.
+@dataclass(frozen=True)
+class InMemorySpecSource:
+    """One arrival-window shard held in memory: its sorted trace jobs.
 
-    The streaming twin of :func:`slice_trace`: given the trace's total job
-    count (from the calibration pre-pass, ``traces.scan_trace``) the shard
-    boundaries are known up front, so shards can be materialised one at a
-    time — shard ``k+1`` is only parsed once the consumer asks for it, which
-    is what lets shard ``k`` simulate while ``k+1`` is still on disk.
-
-    The stream must be sorted by ``(arrival_time, job_id)`` — the order
-    :func:`slice_trace` sorts into — or the cut windows would differ from
-    the batch path's; an out-of-order record raises ``ValueError``.  The
-    stream must also contain exactly ``total_jobs`` jobs.
+    The spec source for traces that cannot be windowed lazily — a trace file
+    whose lines are not in arrival order (sorted once, in memory) and job
+    lists that never were a file.  Its specs are byte-identical to a
+    :class:`TraceSpecSource` over the same window: same jobs, same order,
+    same per-job RNG streams.
     """
-    iterator = iter(jobs)
-    previous_key = None
-    produced = 0
-    for size in shard_sizes(total_jobs, num_shards):
-        shard: List[TraceJob] = []
-        for _ in range(size):
-            job = next(iterator, None)
-            if job is None:
-                raise ValueError(
-                    f"trace stream ended after {produced} jobs; expected {total_jobs}"
-                )
-            key = (job.arrival_time, job.job_id)
-            if previous_key is not None and key < previous_key:
-                raise ValueError(
-                    "streaming shards require an arrival-sorted trace "
-                    f"(job {job.job_id} arrives at {job.arrival_time} after a later key)"
-                )
-            previous_key = key
-            shard.append(job)
-            produced += 1
-        yield shard
-    if next(iterator, None) is not None:
-        raise ValueError(f"trace stream has more than the expected {total_jobs} jobs")
+
+    jobs: Tuple[TraceJob, ...]
+    replay_config: TraceReplayConfig
+    shard_index: int = 0
+    num_shards: int = 1
+
+    def iter_specs(self) -> Iterator[JobSpec]:
+        return iter_job_specs(self.jobs, self.replay_config)
+
+    def __str__(self) -> str:
+        return (
+            f"memory-shard[{self.shard_index + 1}/{self.num_shards}] "
+            f"({len(self.jobs)} jobs)"
+        )
 
 
 # ---------------------------------------------------------- cluster-scale tier
@@ -436,9 +437,8 @@ class ClusterTierConfig:
     575K/500K (§Table 1).  This tier closes the *scale* gap: a seeded
     generator that yields :class:`~repro.workload.traces.TraceJob` records
     one at a time, byte-reproducible for a given config, so an
-    ``iter_trace``-shaped source can feed ``--stream-specs --sink aggregate``
-    replay at six orders of magnitude without any file or list ever holding
-    the trace.
+    ``iter_trace``-shaped source can feed a ``--sink aggregate`` replay at
+    six orders of magnitude without any file or list ever holding the trace.
 
     Every job is generated **independently** from ``(seed, job index)``
     (:func:`cluster_trace_job` is random-access), which is what lets a shard

@@ -148,9 +148,9 @@ def iter_trace(path: Union[str, Path]) -> Iterator[TraceJob]:
 
     The streaming twin of :func:`load_trace`: jobs are yielded as their lines
     are read, so a trace never has to fit in memory at once.  The streaming
-    parse enforces the same duplicate-job-id guard ``load_trace`` enforces —
-    ``--stream``/``--stream-specs`` replay must reject the same malformed
-    traces batch replay rejects.  The guard's seen-id set is the only state
+    parse enforces the same duplicate-job-id guard ``load_trace`` enforces,
+    so a lazily windowed replay rejects the same malformed traces an
+    in-memory one does.  The guard's seen-id set is the only state
     that grows with the file: O(#jobs) integers, never task payloads (a
     1M-job trace costs ~30 MB of ids — bounded-by-ids, not O(1); generated
     sources whose ids are sequential by construction skip it entirely).
@@ -207,32 +207,33 @@ def load_trace(path: Union[str, Path]) -> List[TraceJob]:
 class TraceScan:
     """Bounded-memory statistics from one streaming pass over a trace file.
 
-    This is the calibration pre-pass of streaming replay: sharded replay
-    needs the trace's *total* job count (to cut the same arrival windows the
-    batch path cuts) and its *mean* slowest-to-median ratio (every shard
-    replays under the full trace's observed straggler severity) before the
-    first shard simulates.  The statistics themselves accumulate in O(1)
-    memory; the pass as a whole retains only the duplicate-id check's set of
-    job ids (O(#jobs) ints — never task payloads).  The ratio sum folds
-    left-to-right exactly like ``stats.mean`` over the full list, so the
-    derived straggler cap is float-identical to the batch path's.
+    This is the calibration pre-pass of replay: sharded replay needs the
+    trace's *total* job count (to cut its arrival windows) and its *mean*
+    slowest-to-median ratio (every shard replays under the full trace's
+    observed straggler severity) before the first shard simulates.  The
+    statistics themselves accumulate in O(1) memory; the pass as a whole
+    retains only the duplicate-id check's set of job ids (O(#jobs) ints —
+    never task payloads).  The ratio sum folds
+    left-to-right exactly like ``stats.mean`` over the full list in input
+    order, so the derived straggler cap is float-identical to
+    ``observed_straggler_cap`` over the same list.
     """
 
     num_jobs: int
     mean_slowest_to_median: float
     #: True when (arrival_time, job_id) is non-decreasing in file order —
-    #: the precondition for lazily cutting the same shards batch replay cuts
-    #: after sorting.
+    #: the precondition for cutting shard windows lazily, without sorting the
+    #: trace in memory first.
     arrival_sorted: bool
 
 
 def scan_jobs(jobs: Iterable[TraceJob], source: str = "trace") -> TraceScan:
     """Fold the calibration statistics over any stream of trace jobs.
 
-    The single definition of the streaming calibration pass: O(1) memory, the
-    ratio sum folds left-to-right exactly like ``stats.mean`` over a full
-    list.  :func:`scan_trace` applies it to a JSONL file; streaming replay of
-    a *generated* trace (the cluster tier) applies it to the generator
+    The single definition of the calibration pass: O(1) memory, the ratio
+    sum folds left-to-right exactly like ``stats.mean`` over a full list.
+    :func:`scan_trace` applies it to a JSONL file; replay of a *generated*
+    trace (the cluster tier) or of a job list applies it to the jobs
     directly — same statistics, same floats, no file required.  ``source``
     only names the stream in the empty-input error.
     """
@@ -261,8 +262,7 @@ def scan_trace(path: Union[str, Path]) -> TraceScan:
 
     Raises :class:`TraceFormatError` for malformed records (the pass shares
     :func:`iter_trace`'s validation — including the duplicate-id guard, so
-    ``--stream``/``--stream-specs`` replay rejects the same malformed traces
-    batch replay rejects before any simulation starts) and ``ValueError``
-    for an empty trace.
+    replay rejects a malformed trace before any simulation starts) and
+    ``ValueError`` for an empty trace.
     """
     return scan_jobs(iter_trace(path), source=str(path))

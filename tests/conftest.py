@@ -60,6 +60,22 @@ def run_single_job(spec, policy, config: Optional[SimulationConfig] = None):
     return metrics, metrics.results[0]
 
 
+def replay_source(policies, source, scale, shards=1, config=None, **kwargs):
+    """Replay a trace path or an in-memory job list under ``policies``.
+
+    Calls the runner's single replay path directly — the one ``execute(plan)``
+    runs — so tests can use scales and job lists a plan cannot name.  A path
+    to an arrival-sorted file is windowed lazily; a job list is sorted and
+    sliced in memory.
+    """
+    from repro.experiments.runner import _replay
+    from repro.workload.trace_replay import TraceReplayConfig
+
+    return _replay(
+        list(policies), source, config or TraceReplayConfig(), scale, shards, **kwargs
+    )
+
+
 @pytest.fixture
 def deadline_bound() -> ApproximationBound:
     return ApproximationBound.with_deadline(30.0)

@@ -6,6 +6,10 @@ Mode-vs-mode and worker-vs-worker parity only prove that replay is
 fixed set of plans instead, and this module recomputes each one at
 ``workers`` 1 and 2.
 
+The digests were computed under CPython 3.11.  They also pin the
+interpreter's float arithmetic: CPython 3.12 made ``sum()`` over floats
+compensated, which moves six of the eight entries.
+
 A change that moves a digest changes replay results.  If that is intended,
 regenerate the corpus with::
 

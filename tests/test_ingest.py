@@ -9,6 +9,7 @@ and byte-stability of the generated ``cluster`` tier.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.cli import main, metrics_digest
-from repro.experiments.runner import ExperimentScale, replay, replay_stream
+from repro.experiments.runner import ExperimentScale
 from repro.simulator.sinks import parse_sink_spec
 from repro.workload import (
     ClusterTierConfig,
@@ -32,6 +33,8 @@ from repro.workload import (
     save_trace,
     scan_trace,
 )
+
+from tests.conftest import replay_source
 
 SAMPLES = Path(__file__).parents[1] / "traces" / "samples"
 GOOGLE_SAMPLE = SAMPLES / "google_task_events.sample.csv"
@@ -172,15 +175,14 @@ class TestRoundTripReplay:
         out = tmp_path / "converted.jsonl"
         ingest_trace(source_format, sample, out)
         replay_config = TraceReplayConfig(seed=0)
-        batch = replay(
-            ["late"], load_trace(out), replay_config=replay_config,
-            scale=TINY, workers=1,
+        in_memory = replay_source(
+            ["late"], load_trace(out), TINY, config=replay_config
         )
-        streamed = replay_stream(
-            ["late"], out, replay_config=replay_config, scale=TINY,
-            workers=4, stream_specs=True, sink=parse_sink_spec("aggregate"),
+        streamed = replay_source(
+            ["late"], str(out), replace(TINY, workers=4), config=replay_config,
+            sink=parse_sink_spec("aggregate"),
         )
-        assert metrics_digest(batch) == metrics_digest(streamed.comparison)
+        assert metrics_digest(in_memory) == metrics_digest(streamed)
 
 
 # ------------------------------------------------------------- cluster tier
@@ -223,20 +225,21 @@ class TestClusterTier:
         assert [encode(j) for j in first] == [encode(j) for j in second]
 
     def test_batch_and_stream_specs_digests_match(self):
+        """The regenerated tier == the same jobs materialised into a list."""
         tier = ClusterTierConfig(num_jobs=120, seed=0)
         replay_config = TraceReplayConfig(seed=0)
-        batch = replay(
-            ["late"], list(iter_cluster_trace(tier)),
-            replay_config=replay_config, scale=TINY, shards=3, workers=1,
+        in_memory = replay_source(
+            ["late"], list(iter_cluster_trace(tier)), TINY, shards=3,
+            config=replay_config,
         )
-        streamed = replay_stream(
-            ["late"], tier, replay_config=replay_config, scale=TINY,
-            shards=3, workers=2, stream_specs=True,
-            sink=parse_sink_spec("aggregate"),
+        streamed = replay_source(
+            ["late"], tier, replace(TINY, workers=2), shards=3,
+            config=replay_config, sink=parse_sink_spec("aggregate"),
         )
-        assert metrics_digest(batch) == metrics_digest(streamed.comparison)
-        assert streamed.num_jobs == 120
-        assert 1 <= streamed.peak_resident_jobs < 120
+        assert metrics_digest(in_memory) == metrics_digest(streamed)
+        assert streamed.workload.config.num_jobs == 120
+        peak = max(m.peak_resident_jobs for m in streamed.runs["late"].metrics)
+        assert 1 <= peak < 120
 
 
 # ----------------------------------------------------- duplicate-id guarding

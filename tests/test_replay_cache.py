@@ -9,9 +9,11 @@ Four layers, tested bottom-up:
 * concurrency — two real processes storing the same content-addressed key
   race to a single valid entry (atomic tmp + ``os.replace``);
 * the runner — a warm cache reproduces the cold run's digest byte-for-byte
-  across every (workers, mode, sink) combination with zero misses, for both
-  trace files and generated cluster tiers, and ``probe_plan_cache`` answers
-  fully cached plans without simulating;
+  across every (workers, sink) combination with zero misses — also when the
+  warm plan carries the inert ``stream`` / ``stream_specs`` flags the cold
+  plan lacked, since the slice key ignores them — for both trace files and
+  generated cluster tiers, and ``probe_plan_cache`` answers fully cached
+  plans without simulating;
 * the ``grass-experiments cache`` verb — stats, verify (including a tampered
   entry drawing a non-zero exit) and clear.
 """
@@ -314,6 +316,23 @@ class TestCacheVerb:
         assert "0 mismatch(es)" in capsys.readouterr().out
         assert cli_main(["cache", "clear", "--cache", str(cache_dir)]) == 0
         assert not list(cache_dir.glob("??/*.json"))
+
+    def test_verify_resimulates_entries_of_an_unsorted_trace(
+        self, trace_path, tmp_path, capsys
+    ):
+        # Entries of a trace whose lines are not in arrival order are
+        # re-simulated from the same in-memory windows the replay used.
+        lines = trace_path.read_text().splitlines()
+        unsorted = tmp_path / "unsorted.jsonl"
+        unsorted.write_text("\n".join(reversed(lines)) + "\n")
+        cache_dir = tmp_path / "cache"
+        execute(make_plan(unsorted, cache_dir))
+        assert cli_main(
+            ["cache", "verify", "--cache", str(cache_dir), "--sample", "16"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert f"verified {len(POLICIES) * SHARDS}/" in out
+        assert "0 mismatch(es)" in out
 
     def test_verify_catches_a_tampered_entry(self, trace_path, tmp_path, capsys):
         cache_dir = tmp_path / "cache"

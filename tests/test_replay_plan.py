@@ -1,8 +1,7 @@
 """The unified ReplayPlan API: round-trip, validation, CLI generation, parity.
 
-The plan is the PR-8 API collapse: one dataclass replaces the
-``replay()`` / ``replay_stream()`` / ``stream_specs=`` / ``sink=`` call
-zoo.  These tests pin its three contracts:
+The plan is the one description of a replay.  These tests pin its
+contracts:
 
 * a plan survives the JSON wire format byte-for-byte (the service depends
   on this — a submitted plan must be *the same experiment* offline);
@@ -10,12 +9,12 @@ zoo.  These tests pin its three contracts:
   message names both the CLI flags and the plan fields;
 * the ``replay`` CLI flags are generated from the plan's field metadata,
   so the parser's surface and defaults cannot drift from the dataclass;
-* ``execute(plan)`` is digest-identical to the deprecated entry points it
-  replaced, across the mode × workers × sink matrix.
+* ``execute(plan)`` is digest-identical to the same jobs replayed from an
+  in-memory list, across workers × sink, and the ``stream`` /
+  ``stream_specs`` fields old clients still send change nothing.
 """
 
 import dataclasses
-import warnings
 
 import pytest
 
@@ -27,18 +26,14 @@ from repro.experiments.plan import (
     plan_cli_fields,
     plan_from_args,
 )
-from repro.experiments.runner import (
-    ExperimentScale,
-    execute,
-    plan_scale,
-    replay,
-    replay_stream,
-)
+from repro.experiments.runner import execute, metrics_digest, plan_scale
 from repro.simulator.sinks import parse_sink_spec
 from repro.workload.trace_replay import TraceReplayConfig, export_trace
+from repro.workload.traces import load_trace
+
+from tests.conftest import replay_source
 
 import argparse
-from dataclasses import replace
 
 
 @pytest.fixture(scope="module")
@@ -62,7 +57,6 @@ class TestWireRoundTrip:
             workers=0,
             shards=16,
             stream_specs=True,
-            max_resident_shards=5,
             sink="jsonl:out/rows",
             framework="spark",
             bound_kind="deadline",
@@ -82,6 +76,9 @@ class TestWireRoundTrip:
     def test_unknown_wire_field_is_rejected(self):
         with pytest.raises(PlanError, match="unknown plan field: bogus"):
             ReplayPlan.from_wire({"trace": "t.jsonl", "bogus": 1})
+        # The removed residency knob is named, not silently dropped.
+        with pytest.raises(PlanError, match="unknown plan field: max_resident_shards"):
+            ReplayPlan.from_wire({"trace": "t.jsonl", "max_resident_shards": 2})
 
     def test_non_object_payloads_are_rejected(self):
         with pytest.raises(PlanError, match="JSON object"):
@@ -102,15 +99,12 @@ class TestValidation:
             ({"trace": "t", "cluster_jobs": 5}, "exactly one of --trace"),
             ({"cluster_jobs": 0}, "--cluster-jobs must be >= 1"),
             (
-                {"trace": "t", "stream": True, "stream_specs": True},
-                "at most one of --stream / --stream-specs",
+                {"trace": "t", "policies": ("nope", "nada")},
+                "unknown policies nope, nada",
             ),
             ({"trace": "t", "workers": -1}, "--workers must be >= 0"),
             ({"trace": "t", "shards": 0}, "--shards must be >= 1"),
-            (
-                {"trace": "t", "max_resident_shards": 0},
-                "--max-resident-shards must be >= 1",
-            ),
+            ({"trace": "t", "sink": "jsonl:"}, "--sink jsonl needs a directory"),
             ({"trace": "t", "policies": ()}, "at least one policy"),
             ({"trace": "t", "policies": ("nope",)}, "unknown policy nope"),
             ({"trace": "t", "scale": "galactic"}, "unknown scale 'galactic'"),
@@ -124,12 +118,9 @@ class TestValidation:
         with pytest.raises(PlanError, match=message):
             ReplayPlan(**fields).validate()
 
-    def test_mode_property_tracks_stream_flags(self):
-        assert ReplayPlan(trace="t").mode == "batch"
-        assert ReplayPlan(trace="t", stream=True).mode == "stream"
-        assert ReplayPlan(trace="t", stream_specs=True).mode == "stream-specs"
-        assert not ReplayPlan(trace="t").streaming
-        assert ReplayPlan(trace="t", stream=True).streaming
+    def test_stream_flags_are_accepted_together(self):
+        plan = ReplayPlan(trace="t", stream=True, stream_specs=True)
+        assert plan.validate() is plan
 
 
 class TestGeneratedCli:
@@ -179,46 +170,26 @@ class TestGeneratedCli:
 
 
 def _legacy_digest(trace_path, plan):
-    """The digest the deprecated entry points produce for the same shape."""
-    scale = plan_scale(plan)
-    config = TraceReplayConfig(
-        framework=plan.framework, bound_kind=plan.bound_kind, seed=plan.seed
+    """The digest of the plan's jobs replayed from an in-memory list."""
+    comparison = replay_source(
+        plan.policies,
+        load_trace(trace_path),
+        plan_scale(plan),
+        shards=plan.shards,
+        config=TraceReplayConfig(
+            framework=plan.framework, bound_kind=plan.bound_kind, seed=plan.seed
+        ),
+        sink=parse_sink_spec(plan.sink),
     )
-    sink = parse_sink_spec(plan.sink)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        if plan.streaming:
-            streamed = replay_stream(
-                plan.policies,
-                trace_path,
-                replay_config=config,
-                scale=scale,
-                shards=plan.shards,
-                workers=plan.workers,
-                max_resident_shards=plan.max_resident_shards,
-                stream_specs=plan.stream_specs,
-                sink=sink,
-            )
-            comparison = streamed.comparison
-        else:
-            from repro.workload.traces import load_trace
-
-            comparison = replay(
-                plan.policies,
-                load_trace(trace_path),
-                replay_config=config,
-                scale=scale,
-                shards=plan.shards,
-                workers=plan.workers,
-                sink=sink,
-            )
-    from repro.experiments.runner import metrics_digest
-
     return metrics_digest(comparison)
 
 
 class TestExecuteParity:
-    """execute(plan) == the deprecated API it replaced, digest for digest."""
+    """execute(plan) == the same jobs replayed from a list, digest for digest.
+
+    The ``batch`` / ``stream`` / ``stream-specs`` cases carry the flag sets
+    old command lines and wire clients still send; they must change nothing.
+    """
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
@@ -245,7 +216,7 @@ class TestExecuteParity:
         assert executed.digest == _legacy_digest(trace_path, plan)
         assert executed.num_jobs == 18
         assert executed.num_shards == 3
-        assert (executed.streamed is not None) == plan.streaming
+        assert 1 <= executed.peak_resident_jobs <= 6
 
     def test_all_modes_agree_with_each_other(self, trace_path):
         base = dict(
@@ -262,10 +233,13 @@ class TestExecuteParity:
         base = dict(
             cluster_jobs=30, policies=("late",), scale="quick", seeds=(1,), shards=2
         )
-        batch = execute(ReplayPlan(**base))
-        streamed = execute(ReplayPlan(stream_specs=True, sink="aggregate", **base))
-        assert batch.digest == streamed.digest
-        assert batch.num_jobs == 30
+        retained = execute(ReplayPlan(**base))
+        streamed = execute(
+            ReplayPlan(stream_specs=True, sink="aggregate", workers=2, **base)
+        )
+        assert retained.digest == streamed.digest
+        assert retained.num_jobs == 30
+        assert sorted(retained.comparison.workload.metadata) == list(range(30))
 
     def test_on_metrics_hook_sees_every_simulation(self, trace_path):
         plan = ReplayPlan(
@@ -274,104 +248,13 @@ class TestExecuteParity:
         )
         seen = []
         execute(plan, on_metrics=lambda *coords: seen.append(coords[:3]))
-        assert sorted(seen) == sorted(
-            (policy, 1, shard) for policy in ("late", "gs") for shard in range(2)
-        )
+        # Shard-major: every policy's shard 0 lands before any shard 1.
+        assert seen == [
+            (policy, 1, shard) for shard in range(2) for policy in ("late", "gs")
+        ]
 
     def test_empty_trace_is_a_plan_error(self, tmp_path):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
         with pytest.raises(PlanError, match="trace is empty"):
             execute(ReplayPlan(trace=str(empty)))
-
-
-class TestDeprecationShims:
-    def test_replay_warns_once_per_call(self, trace_path):
-        from repro.workload.traces import load_trace
-
-        tiny = replace(ExperimentScale.quick(), seeds=(1,))
-        with pytest.warns(DeprecationWarning, match="ReplayPlan"):
-            replay(["late"], load_trace(trace_path), scale=tiny)
-
-    def test_replay_stream_warns_once_per_call(self, trace_path):
-        tiny = replace(ExperimentScale.quick(), seeds=(1,))
-        with pytest.warns(DeprecationWarning, match="ReplayPlan"):
-            replay_stream(["late"], trace_path, scale=tiny)
-
-
-class TestDeprecationWindow:
-    """Locks PR 8's deprecation window until the announced removal release.
-
-    The shims survive exactly one release, but "survive" means more than
-    "importable": until they are dropped, ``replay()``/``replay_stream()``
-    must BOTH still emit :class:`DeprecationWarning` (so callers keep
-    getting told to migrate) AND forward to byte-identical digests (so a
-    not-yet-migrated pipeline cannot silently change results).  Breaking
-    either half without touching this test is impossible.
-    """
-
-    def _plan(self, trace_path, **overrides):
-        fields = dict(
-            trace=trace_path, policies=("late",), scale="quick",
-            seeds=(1,), shards=2,
-        )
-        fields.update(overrides)
-        return ReplayPlan(**fields)
-
-    def test_replay_shim_warns_and_forwards_byte_identical(self, trace_path):
-        from repro.workload.traces import load_trace
-
-        plan = self._plan(trace_path)
-        expected = execute(plan).digest
-        with pytest.warns(DeprecationWarning, match="ReplayPlan"):
-            comparison = replay(
-                list(plan.policies),
-                load_trace(trace_path),
-                replay_config=TraceReplayConfig(
-                    framework=plan.framework,
-                    bound_kind=plan.bound_kind,
-                    seed=plan.seed,
-                ),
-                scale=plan_scale(plan),
-                shards=plan.shards,
-            )
-        from repro.experiments.runner import metrics_digest
-
-        assert metrics_digest(comparison) == expected
-
-    def test_replay_stream_shim_warns_and_forwards_byte_identical(
-        self, trace_path
-    ):
-        plan = self._plan(trace_path, stream=True)
-        expected = execute(plan).digest
-        with pytest.warns(DeprecationWarning, match="ReplayPlan"):
-            streamed = replay_stream(
-                list(plan.policies),
-                trace_path,
-                replay_config=TraceReplayConfig(
-                    framework=plan.framework,
-                    bound_kind=plan.bound_kind,
-                    seed=plan.seed,
-                ),
-                scale=plan_scale(plan),
-                shards=plan.shards,
-            )
-        from repro.experiments.runner import metrics_digest
-
-        assert metrics_digest(streamed.comparison) == expected
-
-    def test_warning_is_deprecation_not_future(self, trace_path):
-        # The category matters: DeprecationWarning is silenced for end
-        # users but loud under pytest, exactly the window's contract.
-        from repro.workload.traces import load_trace
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            replay(
-                ["late"],
-                load_trace(trace_path),
-                scale=replace(ExperimentScale.quick(), seeds=(1,)),
-            )
-        categories = {type(w.message) for w in caught
-                      if issubclass(type(w.message), DeprecationWarning)}
-        assert categories == {DeprecationWarning}

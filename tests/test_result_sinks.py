@@ -4,7 +4,7 @@ The load-bearing properties:
 
 * **Sink transparency** — an ``AggregateSink`` replay produces aggregates
   and a metrics digest *equal* to the ``RetainAllSink`` path for any shard
-  split, worker count and streaming mode, while retaining zero
+  split, worker count and source kind (file or job list), while retaining zero
   ``JobResult`` objects.
 * **Exact mergeability** — ``StreamingAggregates.merge`` is chunk-list
   concatenation, hence exactly associative over shard orderings.
@@ -14,6 +14,7 @@ The load-bearing properties:
 
 import json
 import pickle
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -23,7 +24,7 @@ from repro.baselines import NoSpeculationPolicy
 from repro.core.bounds import ApproximationBound
 from repro.core.job import JobResult
 from repro.experiments.cli import main, metrics_digest
-from repro.experiments.runner import ExperimentScale, compare_policies, replay, replay_stream
+from repro.experiments.runner import ExperimentScale, compare_policies
 from repro.simulator.engine import Simulation
 from repro.simulator.metrics import MetricsCollector
 from repro.simulator.sinks import (
@@ -40,7 +41,7 @@ from repro.workload.synthetic import WorkloadConfig, generate_workload
 from repro.workload.trace_replay import TraceReplayConfig, synthesize_trace
 from repro.workload.traces import TraceJob, save_trace
 
-from tests.conftest import make_simulation_config
+from tests.conftest import make_simulation_config, replay_source
 
 TINY = ExperimentScale(
     num_jobs=8, size_scale=0.1, max_tasks_per_job=60, num_machines=40,
@@ -188,13 +189,12 @@ class TestJsonlSpill:
         )
         spill_dir = tmp_path / "spill"
         factory = SinkFactory(kind="jsonl", jsonl_dir=str(spill_dir))
-        spilled = replay(
-            ["late"], trace, replay_config=TraceReplayConfig(seed=11),
-            scale=TINY, shards=2, sink=factory,
+        spilled = replay_source(
+            ["late"], trace, TINY, shards=2, config=TraceReplayConfig(seed=11),
+            sink=factory,
         )
-        retained = replay(
-            ["late"], trace, replay_config=TraceReplayConfig(seed=11),
-            scale=TINY, shards=2,
+        retained = replay_source(
+            ["late"], trace, TINY, shards=2, config=TraceReplayConfig(seed=11)
         )
         assert metrics_digest(spilled) == metrics_digest(retained)
         names = sorted(p.name for p in spill_dir.iterdir())
@@ -309,12 +309,12 @@ class TestSinkEquivalenceProperty:
         jobs=_jobs_strategy,
         num_shards=st.integers(min_value=1, max_value=4),
         workers=st.sampled_from([1, 4]),
-        mode=st.sampled_from(["batch", "stream", "stream-specs"]),
+        from_file=st.booleans(),
     )
     def test_aggregate_sink_equals_retain_for_any_pipeline(
-        self, tmp_path_factory, jobs, num_shards, workers, mode
+        self, tmp_path_factory, jobs, num_shards, workers, from_file
     ):
-        """AggregateSink == RetainAllSink for any shard split / workers / mode.
+        """AggregateSink == RetainAllSink for any shard split / workers / source.
 
         The aggregates are *equal* (strict dataclass equality — same chunk
         partition, same counts, stats and rolling digests) and the printed
@@ -341,16 +341,11 @@ class TestSinkEquivalenceProperty:
         )
 
         def run(sink_factory):
-            if mode == "batch":
-                return replay(
-                    ["late"], trace, replay_config=config, scale=scale,
-                    shards=num_shards, workers=workers, sink=sink_factory,
-                )
-            return replay_stream(
-                ["late"], path, replay_config=config, scale=scale,
-                shards=num_shards, workers=workers,
-                stream_specs=(mode == "stream-specs"), sink=sink_factory,
-            ).comparison
+            return replay_source(
+                ["late"], str(path) if from_file else trace,
+                replace(scale, workers=workers), shards=num_shards,
+                config=config, sink=sink_factory,
+            )
 
         retained = run(SinkFactory(kind="retain"))
         folded = run(SinkFactory(kind="aggregate"))
@@ -422,14 +417,14 @@ class TestCompareAndCli:
         )
         path = tmp_path / "trace.jsonl"
         save_trace(trace, path)
-        batch = self._cli_replay(capsys, path)
+        retained = self._cli_replay(capsys, path)
         streamed = self._cli_replay(
             capsys, path, "--stream-specs", "--sink", "aggregate"
         )
         digest = lambda out: next(  # noqa: E731
             line for line in out.splitlines() if line.startswith("metrics digest")
         )
-        assert digest(batch) == digest(streamed)
+        assert digest(retained) == digest(streamed)
 
     def test_cli_rejects_unknown_sink(self, tmp_path, capsys):
         path = tmp_path / "trace.jsonl"

@@ -1,24 +1,32 @@
-"""Tests for the bounded-memory streaming replay pipeline.
+"""Tests for trace parsing, the calibration scan and lazy shard windows.
 
-The load-bearing property mirrors the executor's: streaming is a *memory*
-knob, never a correctness knob.  For any shard split, any worker count and
-any residency limit, `replay_stream` must produce byte-identical merged
-metrics — the CLI's sha256 digest — to the batch `replay` path at the same
-shard count, while never holding more than `max_resident_shards` shard
-workloads in the process.
+The load-bearing property: how a shard's jobs reach the engine is a
+*memory* choice, never a correctness one.  A lazily windowed trace file
+(``TraceSpecSource``) and the same jobs sliced from an in-memory list
+(``InMemorySpecSource``) must produce byte-identical merged metrics — the
+CLI's sha256 digest — for any shard split and any worker count, and the
+lazy window keeps the engine's resident jobs bounded by the window.
 """
 
 import pickle
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.cli import metrics_digest
-from repro.experiments.runner import ExperimentScale, replay, replay_stream
+from repro.experiments.plan import PlanError, ReplayPlan
+from repro.experiments.runner import (
+    ExperimentScale,
+    _scan_source,
+    _shard_sources,
+    execute,
+)
 from repro.workload.trace_replay import (
+    InMemorySpecSource,
     TraceReplayConfig,
-    iter_trace_shards,
+    TraceSpecSource,
     shard_sizes,
     slice_trace,
     synthesize_trace,
@@ -30,6 +38,8 @@ from repro.workload.traces import (
     save_trace,
     scan_trace,
 )
+
+from tests.conftest import replay_source
 
 TINY = ExperimentScale(
     num_jobs=8, size_scale=0.1, max_tasks_per_job=60, num_machines=40,
@@ -104,15 +114,20 @@ class TestScanTrace:
 
 
 class TestLazyShards:
-    def test_boundaries_match_slice_trace(self):
+    def test_boundaries_match_slice_trace(self, tmp_path):
+        """File windows and in-memory windows cut exactly slice_trace's shards."""
         trace = small_trace(num_jobs=11)
-        ordered = sorted(trace, key=lambda j: (j.arrival_time, j.job_id))
-        for num_shards in (1, 2, 3, 5, 11, 20):
-            eager = slice_trace(trace, num_shards)
-            lazy = list(iter_trace_shards(ordered, num_shards, len(ordered)))
-            assert [[j.job_id for j in s] for s in lazy] == [
-                [j.job_id for j in s] for s in eager
-            ]
+        path = tmp_path / "trace.jsonl"
+        save_trace(sorted(trace, key=lambda j: (j.arrival_time, j.job_id)), path)
+        config = TraceReplayConfig()
+        for num_shards in (1, 2, 3, 5, 11):
+            eager = [[j.job_id for j in s] for s in slice_trace(trace, num_shards)]
+            lazy = _shard_sources(str(path), scan_trace(path), config, num_shards)
+            assert all(isinstance(source, TraceSpecSource) for source in lazy)
+            assert [[s.job_id for s in source.iter_specs()] for source in lazy] == eager
+            memory = _shard_sources(trace, _scan_source(trace), config, num_shards)
+            assert all(isinstance(source, InMemorySpecSource) for source in memory)
+            assert [[j.job_id for j in source.jobs] for source in memory] == eager
 
     def test_shard_sizes_never_empty(self):
         for total in (1, 2, 7, 100):
@@ -121,118 +136,116 @@ class TestLazyShards:
                 assert sum(sizes) == total
                 assert all(size >= 1 for size in sizes)
 
-    def test_unsorted_stream_rejected(self):
-        jobs = [
-            TraceJob(job_id=1, arrival_time=5.0, task_durations=[1.0]),
-            TraceJob(job_id=2, arrival_time=1.0, task_durations=[1.0]),
-        ]
-        with pytest.raises(ValueError, match="arrival-sorted"):
-            list(iter_trace_shards(jobs, 2, 2))
-
-    def test_wrong_total_rejected(self):
-        jobs = [TraceJob(job_id=1, arrival_time=0.0, task_durations=[1.0])]
-        with pytest.raises(ValueError, match="ended after"):
-            list(iter_trace_shards(jobs, 1, 2))
-        with pytest.raises(ValueError, match="more than"):
-            list(iter_trace_shards(jobs + [
-                TraceJob(job_id=2, arrival_time=1.0, task_durations=[1.0])
-            ], 1, 1))
-
 
 class TestStreamedReplayDeterminism:
     @pytest.mark.parametrize("shards", [1, 3])
     @pytest.mark.parametrize("workers", [1, 4])
     def test_digest_matches_batch_at_same_split(self, trace_file, shards, workers):
+        """A lazily windowed file == the same jobs replayed from a list."""
         path, trace = trace_file
         config = TraceReplayConfig(seed=0)
-        batch = replay(
-            ["late", "grass"], trace, replay_config=config, scale=TINY, shards=shards
+        in_memory = replay_source(
+            ["late", "grass"], trace, TINY, shards=shards, config=config
         )
-        streamed = replay_stream(
-            ["late", "grass"],
-            path,
-            replay_config=config,
-            scale=TINY,
-            shards=shards,
-            workers=workers,
-            max_resident_shards=2,
+        streamed = replay_source(
+            ["late", "grass"], str(path), replace(TINY, workers=workers),
+            shards=shards, config=config,
         )
-        assert metrics_digest(streamed.comparison) == metrics_digest(batch)
-        for name in batch.runs:
+        assert metrics_digest(streamed) == metrics_digest(in_memory)
+        for name in in_memory.runs:
             for ms, mb in zip(
-                streamed.comparison.runs[name].metrics, batch.runs[name].metrics
+                streamed.runs[name].metrics, in_memory.runs[name].metrics
             ):
                 assert pickle.dumps(ms) == pickle.dumps(mb)
 
     def test_peak_residency_respects_limit(self, trace_file):
-        path, _ = trace_file
-        for limit in (1, 2, 3):
-            streamed = replay_stream(
-                ["late"],
-                path,
-                scale=TINY,
-                shards=6,
-                workers=4,
-                max_resident_shards=limit,
+        """The engine never holds more jobs than one lazy shard window."""
+        path, trace = trace_file
+        for shards in (1, 3, 6):
+            executed = execute(
+                ReplayPlan(
+                    trace=str(path), policies=("late",), scale="quick",
+                    shards=shards, workers=4,
+                )
             )
-            assert streamed.peak_resident_shards <= limit
-            assert streamed.num_shards == 6
+            assert executed.num_shards == shards
+            assert 1 <= executed.peak_resident_jobs <= max(shard_sizes(len(trace), shards))
 
     def test_metadata_survives_streaming(self, trace_file):
         path, trace = trace_file
-        streamed = replay_stream(["late"], path, scale=TINY, shards=3)
-        workload = streamed.comparison.workload
+        comparison = replay_source(["late"], str(path), TINY, shards=3)
+        workload = comparison.workload
         assert sorted(workload.metadata) == sorted(j.job_id for j in trace)
-        # Streaming never materialises the merged spec list — that is the point.
+        # The merged spec list is never materialised — that is the point.
         assert workload.job_specs == []
 
     def test_unsorted_trace_rejected(self, tmp_path):
+        """A lazy file window needs arrival order; unsorted files go to memory."""
+        from repro.experiments.executor import RunRequest
+        from repro.experiments.runner import _replay_simulation_config
+
         path = tmp_path / "unsorted.jsonl"
         path.write_text(
             '{"job_id": 1, "arrival_time": 5.0, "task_durations": [1.0]}\n'
             '{"job_id": 2, "arrival_time": 1.0, "task_durations": [1.0]}\n'
         )
-        with pytest.raises(ValueError, match="sorted"):
-            replay_stream(["late"], path, scale=TINY)
+        scan = scan_trace(path)
+        assert not scan.arrival_sorted
+        config = TraceReplayConfig()
+        lazy = TraceSpecSource(str(path), config, 0, 1, scan.num_jobs)
+        request = RunRequest(
+            spec_source=lazy,
+            config=_replay_simulation_config(config, scan, 4, 1, "late"),
+            policy_name="late",
+        )
+        with pytest.raises(ValueError):  # job 2 would arrive before time zero
+            request.execute()
+        # The runner never builds that window: it sorts the trace in memory.
+        (source,) = _shard_sources(str(path), scan, config, 1)
+        assert [job.job_id for job in source.jobs] == [2, 1]
+        comparison = replay_source(["late"], str(path), TINY)
+        assert comparison.runs["late"].aggregates.num_results == 2
 
     def test_bad_arguments_rejected(self, trace_file):
         path, _ = trace_file
-        with pytest.raises(ValueError):
-            replay_stream(["late"], path, scale=TINY, shards=0)
-        with pytest.raises(ValueError):
-            replay_stream(["late"], path, scale=TINY, max_resident_shards=0)
+        with pytest.raises(PlanError, match="--shards must be >= 1"):
+            execute(ReplayPlan(trace=str(path), shards=0))
+        with pytest.raises(PlanError, match="max_resident_shards"):
+            ReplayPlan.from_wire({"trace": str(path), "max_resident_shards": 2})
 
 
 class TestStreamCli:
     def test_stream_digest_matches_batch_digest(self, trace_file, capsys):
+        """``--stream`` is accepted and changes nothing."""
         from repro.experiments.cli import main
 
         path, _ = trace_file
         base = ["replay", "--trace", str(path), "--policy", "late", "--scale", "quick",
                 "--shards", "2", "--seed", "3"]
         assert main(base) == 0
-        batch_out = capsys.readouterr().out
+        plain_out = capsys.readouterr().out
         assert main(base + ["--stream", "--workers", "4"]) == 0
         stream_out = capsys.readouterr().out
 
-        def digest(text):
-            for line in text.splitlines():
-                if line.startswith("metrics digest:"):
-                    return line
-            raise AssertionError(f"no digest in {text!r}")
+        def line(text, prefix):
+            for candidate in text.splitlines():
+                if candidate.startswith(prefix):
+                    return candidate
+            raise AssertionError(f"no {prefix!r} line in {text!r}")
 
-        assert digest(batch_out) == digest(stream_out)
-        assert "(streaming)" in stream_out
-        assert "peak resident shards:" in stream_out
+        assert line(plain_out, "metrics digest:") == line(stream_out, "metrics digest:")
+        assert line(plain_out, "peak resident jobs:") == line(
+            stream_out, "peak resident jobs:"
+        )
 
-    def test_bad_max_resident_shards_rejected(self, trace_file):
+    def test_bad_max_resident_shards_rejected(self, trace_file, capsys):
         from repro.experiments.cli import main
 
         path, _ = trace_file
-        assert (
-            main(["replay", "--trace", str(path), "--stream", "--max-resident-shards", "0"])
-            == 2
-        )
+        with pytest.raises(SystemExit) as exit_info:
+            main(["replay", "--trace", str(path), "--max-resident-shards", "2"])
+        assert exit_info.value.code == 2
+        assert "--max-resident-shards" in capsys.readouterr().err
 
     def test_stream_missing_file(self, tmp_path):
         from repro.experiments.cli import main
@@ -249,8 +262,10 @@ class TestStreamCli:
             '{"job_id": 1, "arrival_time": 5.0, "task_durations": [1.0]}\n'
             '{"job_id": 2, "arrival_time": 1.0, "task_durations": [1.0]}\n'
         )
-        assert main(["replay", "--trace", str(path), "--stream"]) == 2
-        assert "sorted" in capsys.readouterr().err
+        assert main(["replay", "--trace", str(path), "--stream"]) == 0
+        captured = capsys.readouterr()
+        assert "metrics digest: sha256=" in captured.out
+        assert captured.err == ""
 
 
 #: Hypothesis strategy for a tiny arrival-sorted trace: a few jobs with a
@@ -277,14 +292,12 @@ class TestStreamingReplayProperty:
     def test_any_shard_split_streams_to_the_batch_digest(
         self, tmp_path_factory, jobs, num_shards
     ):
-        """Streaming a synthesized trace == batch replay, for any shard split.
+        """A lazily windowed file == its in-memory job list, for any split.
 
-        For every generated trace and shard count: the streamed digest equals
-        the batch digest at that split, and the split-of-one equals the
-        unsharded batch digest — i.e. the streaming machinery (lazy parse,
-        lazy shards, windowed merge) never changes the numbers; only the
-        shard count itself (a simulation-decomposition knob shared with the
-        batch path) does.
+        For every generated trace and shard count the file replay's digest
+        equals the job-list replay's at that split — the lazy parse and
+        windowing never change the numbers; only the shard count itself (a
+        simulation-decomposition knob) does.
         """
         trace = []
         arrival = 0.0
@@ -304,19 +317,11 @@ class TestStreamingReplayProperty:
             num_jobs=len(trace), size_scale=1.0, max_tasks_per_job=None,
             num_machines=20, seeds=(1,), warmup_jobs=0,
         )
-
-        streamed = replay_stream(
-            ["late"], path, replay_config=config, scale=scale,
-            shards=num_shards, max_resident_shards=1,
-        )
-        batch_same_split = replay(
-            ["late"], trace, replay_config=config, scale=scale, shards=num_shards
-        )
-        assert metrics_digest(streamed.comparison) == metrics_digest(batch_same_split)
-        assert streamed.peak_resident_shards <= 1
-
-        unsharded = replay(["late"], trace, replay_config=config, scale=scale, shards=1)
-        streamed_unsharded = replay_stream(
-            ["late"], path, replay_config=config, scale=scale, shards=1
-        )
-        assert metrics_digest(streamed_unsharded.comparison) == metrics_digest(unsharded)
+        for shards in {1, num_shards}:
+            streamed = replay_source(
+                ["late"], str(path), scale, shards=shards, config=config
+            )
+            in_memory = replay_source(
+                ["late"], trace, scale, shards=shards, config=config
+            )
+            assert metrics_digest(streamed) == metrics_digest(in_memory)

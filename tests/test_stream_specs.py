@@ -4,8 +4,9 @@ The load-bearing properties:
 
 * **Lazy == materialised** — feeding the engine an arrival-ordered spec
   *iterator* produces byte-identical metrics to handing it the full list,
-  for arbitrary arrival orders; ``replay_stream(stream_specs=True)`` prints
-  the batch path's digest for any shard split and worker count.
+  for arbitrary arrival orders; a lazily windowed trace replayed into an
+  aggregate sink prints the digest of the same jobs replayed from memory
+  into a retaining sink, for any shard split and worker count.
 * **Eviction** — ``_finish_job`` drops the job's ``Job``, estimator and
   spec the moment its result is recorded, so resident state tracks
   *concurrency*, never trace length.
@@ -14,6 +15,7 @@ The load-bearing properties:
 """
 
 import pickle
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -27,14 +29,14 @@ from repro.experiments.runner import (
     WARMUP_SEED_OFFSET,
     ExperimentScale,
     compare_policies,
-    replay,
-    replay_stream,
 )
 from repro.experiments.warmup import WarmupCache, check_warmup_seed_collision
 from repro.simulator.engine import Simulation, SimulationConfig
 from repro.simulator.stragglers import StragglerConfig
 from repro.workload.synthetic import WorkloadConfig, generate_workload
+from repro.simulator.sinks import SinkFactory
 from repro.workload.trace_replay import (
+    InMemorySpecSource,
     TraceReplayConfig,
     TraceSpecSource,
     iter_job_specs,
@@ -46,7 +48,7 @@ from repro.workload.trace_replay import (
 )
 from repro.workload.traces import save_trace
 
-from tests.conftest import make_job_spec, make_simulation_config
+from tests.conftest import make_job_spec, make_simulation_config, replay_source
 
 TINY = ExperimentScale(
     num_jobs=8, size_scale=0.1, max_tasks_per_job=60, num_machines=40,
@@ -212,6 +214,10 @@ class TestSpecSource:
                 )
                 assert pickle.dumps(list(source.iter_specs())) == pickle.dumps(expected)
                 assert source.num_jobs == len(shard)
+                in_memory = InMemorySpecSource(tuple(shard), config, index, num_shards)
+                assert pickle.dumps(list(in_memory.iter_specs())) == pickle.dumps(
+                    expected
+                )
 
     def test_source_is_picklable_and_lazy(self, tmp_path):
         path = tmp_path / "missing.jsonl"
@@ -260,42 +266,43 @@ class TestStreamSpecsReplay:
     @pytest.mark.parametrize("shards", [1, 3])
     @pytest.mark.parametrize("workers", [1, 4])
     def test_digest_matches_batch(self, tmp_path, shards, workers):
+        """Lazy file windows + aggregate sink == in-memory list + retain sink."""
         trace = small_trace()
         path = tmp_path / "trace.jsonl"
         save_trace(sorted(trace, key=lambda j: (j.arrival_time, j.job_id)), path)
         config = TraceReplayConfig(seed=0)
-        batch = replay(
-            ["late", "grass"], trace, replay_config=config, scale=TINY, shards=shards
+        in_memory = replay_source(
+            ["late", "grass"], trace, TINY, shards=shards, config=config
         )
-        streamed = replay_stream(
-            ["late", "grass"], path, replay_config=config, scale=TINY,
-            shards=shards, workers=workers, stream_specs=True,
+        streamed = replay_source(
+            ["late", "grass"], str(path), replace(TINY, workers=workers),
+            shards=shards, config=config, sink=SinkFactory(kind="aggregate"),
         )
-        assert metrics_digest(streamed.comparison) == metrics_digest(batch)
-        for name in batch.runs:
-            for ms, mb in zip(
-                streamed.comparison.runs[name].metrics, batch.runs[name].metrics
-            ):
-                assert pickle.dumps(ms) == pickle.dumps(mb)
-        # The parent never materialises a shard; the engine gauge is bounded.
-        assert streamed.stream_specs
-        assert streamed.peak_resident_shards == 0
-        assert 1 <= streamed.peak_resident_jobs <= len(trace)
+        assert metrics_digest(streamed) == metrics_digest(in_memory)
+        for name in in_memory.runs:
+            assert streamed.runs[name].results == []
+            lazy, eager = streamed.runs[name].aggregates, in_memory.runs[name].aggregates
+            for stat in ("num_results", "average_accuracy", "average_duration",
+                         "bound_met_jobs", "speculative_copies"):
+                assert getattr(lazy, stat) == getattr(eager, stat)
+        # The engine gauge is bounded by the window, not the trace.
+        peak = max(m.peak_resident_jobs for m in streamed.runs["late"].metrics)
+        assert 1 <= peak <= len(trace)
 
     def test_metadata_survives_spec_streaming(self, tmp_path):
         trace = small_trace()
         path = tmp_path / "trace.jsonl"
         save_trace(sorted(trace, key=lambda j: (j.arrival_time, j.job_id)), path)
-        batch = replay(["late"], trace, scale=TINY)
-        streamed = replay_stream(["late"], path, scale=TINY, stream_specs=True)
-        assert pickle.dumps(streamed.comparison.workload.metadata) == pickle.dumps(
-            batch.workload.metadata
+        streamed = replay_source(["late"], str(path), TINY)
+        assert pickle.dumps(streamed.workload.metadata) == pickle.dumps(
+            trace_to_workload(trace).workload.metadata
         )
-        assert streamed.comparison.workload.job_specs == []
+        assert streamed.workload.job_specs == []
 
 
 class TestStreamSpecsCli:
     def test_cli_digest_matches_batch(self, tmp_path, capsys):
+        """``--stream-specs`` is accepted and changes nothing."""
         from repro.experiments.cli import main
 
         trace = small_trace()
@@ -304,7 +311,7 @@ class TestStreamSpecsCli:
         base = ["replay", "--trace", str(path), "--policy", "late",
                 "--scale", "quick", "--seed", "3"]
         assert main(base) == 0
-        batch_out = capsys.readouterr().out
+        plain_out = capsys.readouterr().out
         assert main(base + ["--stream-specs", "--workers", "4"]) == 0
         stream_out = capsys.readouterr().out
 
@@ -314,8 +321,7 @@ class TestStreamSpecsCli:
                     return line
             raise AssertionError(f"no digest in {text!r}")
 
-        assert digest(batch_out) == digest(stream_out)
-        assert "(streaming specs)" in stream_out
+        assert digest(plain_out) == digest(stream_out)
         assert "peak resident jobs:" in stream_out
 
     def test_cli_unsorted_trace_exits_cleanly(self, tmp_path, capsys):
@@ -326,8 +332,10 @@ class TestStreamSpecsCli:
             '{"job_id": 1, "arrival_time": 5.0, "task_durations": [1.0]}\n'
             '{"job_id": 2, "arrival_time": 1.0, "task_durations": [1.0]}\n'
         )
-        assert main(["replay", "--trace", str(path), "--stream-specs"]) == 2
-        assert "sorted" in capsys.readouterr().err
+        assert main(["replay", "--trace", str(path), "--stream-specs"]) == 0
+        captured = capsys.readouterr()
+        assert "Replayed" in captured.out
+        assert captured.err == ""
 
 
 class TestEmptyTraceErrors:
@@ -438,7 +446,7 @@ class TestStreamSpecsProperty:
     def test_any_shard_split_streams_to_the_batch_digest(
         self, tmp_path_factory, jobs, num_shards
     ):
-        """Replay property: spec streaming == batch replay for any split."""
+        """Replay property: lazy windows + aggregate sink == in-memory + retain."""
         from repro.workload.traces import TraceJob
 
         trace = []
@@ -459,12 +467,11 @@ class TestStreamSpecsProperty:
             num_jobs=len(trace), size_scale=1.0, max_tasks_per_job=None,
             num_machines=20, seeds=(1,), warmup_jobs=0,
         )
-        batch = replay(
-            ["late"], trace, replay_config=config, scale=scale, shards=num_shards
+        in_memory = replay_source(
+            ["late"], trace, scale, shards=num_shards, config=config
         )
-        streamed = replay_stream(
-            ["late"], path, replay_config=config, scale=scale,
-            shards=num_shards, stream_specs=True,
+        streamed = replay_source(
+            ["late"], str(path), scale, shards=num_shards, config=config,
+            sink=SinkFactory(kind="aggregate"),
         )
-        assert metrics_digest(streamed.comparison) == metrics_digest(batch)
-        assert streamed.peak_resident_shards == 0
+        assert metrics_digest(streamed) == metrics_digest(in_memory)

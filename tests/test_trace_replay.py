@@ -7,12 +7,13 @@ counts, and (c) malformed JSONL traces fail loudly with the file and line.
 """
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
 from repro.experiments.cli import main, metrics_digest
 from repro.experiments.figures import FIGURES
-from repro.experiments.runner import ExperimentScale, replay
+from repro.experiments.runner import ExperimentScale
 from repro.workload.trace_replay import (
     TraceReplayConfig,
     export_trace,
@@ -27,6 +28,8 @@ from repro.workload.traces import (
     load_trace,
     save_trace,
 )
+
+from tests.conftest import replay_source
 
 #: Small cluster scale so replay tests stay fast; the trace supplies the jobs.
 TINY = ExperimentScale(
@@ -225,8 +228,8 @@ class TestReplayDeterminism:
         path = tmp_path / "trace.jsonl"
         save_trace(tiny_trace(), path)
         trace = load_trace(path)
-        serial = replay(["late", "gs"], trace, scale=TINY, workers=1)
-        fanned = replay(["late", "gs"], trace, scale=TINY, workers=4)
+        serial = replay_source(["late", "gs"], trace, TINY)
+        fanned = replay_source(["late", "gs"], trace, replace(TINY, workers=4))
         for name in ("late", "gs"):
             serial_metrics = serial.runs[name].metrics
             fanned_metrics = fanned.runs[name].metrics
@@ -237,24 +240,24 @@ class TestReplayDeterminism:
 
     def test_sharded_replay_covers_every_job(self):
         trace = tiny_trace()
-        sharded = replay(["late"], trace, scale=TINY, shards=3, workers=2)
+        sharded = replay_source(["late"], trace, replace(TINY, workers=2), shards=3)
         assert sorted(r.job_id for r in sharded.runs["late"].results) == sorted(
             job.job_id for job in trace
         )
 
     def test_sharded_replay_deterministic_across_workers(self):
         trace = tiny_trace()
-        serial = replay(["late"], trace, scale=TINY, shards=3, workers=1)
-        fanned = replay(["late"], trace, scale=TINY, shards=3, workers=4)
+        serial = replay_source(["late"], trace, TINY, shards=3)
+        fanned = replay_source(["late"], trace, replace(TINY, workers=4), shards=3)
         assert metrics_digest(serial) == metrics_digest(fanned)
 
     def test_replay_rejects_bad_shards(self):
         with pytest.raises(ValueError):
-            replay(["late"], tiny_trace(num_jobs=2), scale=TINY, shards=0)
+            replay_source(["late"], tiny_trace(num_jobs=2), TINY, shards=0)
 
     def test_comparison_supports_bin_breakdowns(self):
         trace = tiny_trace()
-        comparison = replay(["late", "gs"], trace, scale=TINY)
+        comparison = replay_source(["late", "gs"], trace, TINY)
         # Metadata for every replayed job is available for figure groupings.
         for result in comparison.runs["late"].results:
             metadata = comparison.workload.metadata_for(result.job_id)
@@ -299,6 +302,23 @@ class TestReplayCli:
                 )
             )
         assert digests[0] == digests[1]
+
+    def test_header_reports_the_executed_shard_count(self, tmp_path, capsys):
+        path = self.fixture_path(tmp_path)
+        num_jobs = len(load_trace(path))
+        exit_code, captured = self.run_cli(
+            capsys, "replay", "--trace", str(path), "--policy", "late",
+            "--scale", "quick", "--shards", str(num_jobs + 24),
+        )
+        assert exit_code == 0
+        # More shards than jobs collapse to one job per shard; the header
+        # reports what ran, not what was asked for.
+        assert f": {num_jobs} jobs, {num_jobs} shard(s)," in captured.out
+        peak = next(
+            line for line in captured.out.splitlines()
+            if line.startswith("peak resident jobs: ")
+        )
+        assert peak == f"peak resident jobs: 1 (of {num_jobs} in the trace)"
 
     def test_missing_trace_file_is_a_usage_error(self, capsys):
         exit_code, captured = self.run_cli(
