@@ -25,7 +25,8 @@ ingest-smoke:
 	./scripts/check.sh ingest-smoke
 
 # End-to-end smoke of the always-on replay service: real server process,
-# SERVICE_TENANTS concurrent tenants, digest parity, overload rejections.
+# SERVICE_TENANTS concurrent tenants, digest parity, overload rejections,
+# and no server child process left 10s after a SIGTERM.
 service-smoke:
 	./scripts/check.sh service-smoke
 

@@ -100,7 +100,7 @@ def test_replay_cache_cold_vs_warm(benchmark, tmp_path):
     plain_digest, events, plain_seconds, _stats = min(plain, key=lambda r: r[2])
     cold_digest, _events, cold_seconds, cold_stats = min(cold, key=lambda r: r[2])
     cold_overhead = min(
-        c[2] / p[2] for p, c in zip(plain, cold) if p[2] > 0
+        c[2] / p[2] for p, c in zip(plain, cold, strict=True) if p[2] > 0
     ) - 1.0
 
     # Warm: one store populated by a discarded priming run, then best-of

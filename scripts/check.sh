@@ -38,7 +38,10 @@
 #                 (default 6) concurrent tenants through streamed replay
 #                 plans plus a SERVICE_BURST (default 24) overload burst,
 #                 and fails unless every streamed digest matches the offline
-#                 execute(plan) and the burst drew explicit 429 rejections
+#                 execute(plan) and the burst drew explicit 429 rejections;
+#                 then stops the server with SIGTERM and fails if any of its
+#                 child processes (pool workers, resource tracker) is still
+#                 alive 10s later
 # * cache-smoke — replays traces/facebook_like.jsonl twice against a fresh
 #                 content-addressed replay cache (cold then warm), fails
 #                 unless the digests agree and the warm run reports zero
@@ -194,10 +197,34 @@ run_service_smoke() {
         --host 127.0.0.1 --port "$port" \
         --tenants "$tenants" --cluster-jobs 8 --distinct-plans 2 \
         --overload-burst "$burst" || status=1
+    # The server must take its process pool down with it: record its
+    # children before the SIGTERM, then require every one gone (a zombie
+    # awaiting its reaper counts as gone).
+    local children survivors="" pid
+    children="$(pgrep -P "$serve_pid" || true)"
+    if [ -z "$children" ]; then
+        echo "service-smoke: FAILED — the server started no pool workers" >&2
+        status=1
+    fi
     kill "$serve_pid" 2>/dev/null || true
     wait "$serve_pid" 2>/dev/null || true
+    for _ in $(seq 100); do
+        survivors=""
+        for pid in $children; do
+            if kill -0 "$pid" 2>/dev/null && [ "$(ps -o stat= -p "$pid" | cut -c1)" != "Z" ]; then
+                survivors="$survivors $pid"
+            fi
+        done
+        [ -z "$survivors" ] && break
+        sleep 0.1
+    done
+    if [ -n "$survivors" ]; then
+        echo "service-smoke: FAILED — server children still alive 10s after SIGTERM:$survivors" >&2
+        ps -o pid,ppid,stat,args -p "${survivors# }" >&2 || true
+        status=1
+    fi
     rm -f "$serve_out"
-    [ "$status" -eq 0 ] && echo "service-smoke: ok (streamed digests match offline; overload rejected explicitly)"
+    [ "$status" -eq 0 ] && echo "service-smoke: ok (streamed digests match offline; overload rejected explicitly; $(echo $children | wc -w) server children gone after SIGTERM)"
     return "$status"
 }
 

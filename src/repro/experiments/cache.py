@@ -46,7 +46,8 @@ the entry file's mtime).
 
 Corrupt, truncated or wrong-version entries are treated as misses with a
 one-line :class:`CacheIntegrityWarning` and are deleted (the next store
-rewrites them); they never crash a replay.
+rewrites them); they never crash a replay.  Neither does a store that fails
+on a full or read-only disk: it is warned, counted and skipped.
 """
 
 from __future__ import annotations
@@ -85,7 +86,8 @@ ENGINE_PACKAGES = ("core", "simulator", "workload")
 
 
 class CacheIntegrityWarning(UserWarning):
-    """A cache entry was corrupt/truncated/wrong-version; treated as a miss."""
+    """A cache entry was corrupt/truncated/wrong-version (treated as a miss)
+    or could not be written (the slice stays uncached)."""
 
 
 class StaleEntryError(RuntimeError):
@@ -303,6 +305,9 @@ class CacheCounters:
     memory_evictions: int = 0
     bytes_read: int = 0
     bytes_written: int = 0
+    #: Stores that failed with an OSError (full or read-only disk); the
+    #: slice's result still reached the replay, just not the cache.
+    store_failures: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return dataclasses.asdict(self)
@@ -317,6 +322,8 @@ class CacheCounters:
             parts.append(f"{self.invalid} invalid")
         if self.evictions:
             parts.append(f"{self.evictions} evicted")
+        if self.store_failures:
+            parts.append(f"{self.store_failures} failed to store")
         parts.append(f"{self.bytes_read}B read, {self.bytes_written}B written")
         return ", ".join(parts)
 
@@ -469,6 +476,11 @@ class ReplayCache:
         Concurrent writers of the same key write byte-identical payloads
         (the key is content-addressed over everything that determines them),
         so whichever ``os.replace`` lands last changes nothing.
+
+        A write that fails with ``OSError`` (a full or read-only disk) only
+        costs the cache its entry: the temp file is removed, a
+        :class:`CacheIntegrityWarning` is issued, ``store_failures`` counts
+        it and the replay carries on uncached.
         """
         key = self.key_for(slice_wire)
         payload = {
@@ -482,10 +494,24 @@ class ReplayCache:
         }
         raw = canonical_json_bytes(payload)
         path = self.entry_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.parent / f".{key}.{os.getpid()}.{next(self._tmp_sequence)}.tmp"
-        tmp.write_bytes(raw)
-        os.replace(tmp, path)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_bytes(raw)
+            os.replace(tmp, path)
+        except OSError as exc:
+            try:
+                tmp.unlink()
+            except OSError:
+                pass
+            self.counters.store_failures += 1
+            warnings.warn(
+                f"replay cache: cannot store {path} ({exc}); "
+                "continuing without caching this slice",
+                CacheIntegrityWarning,
+                stacklevel=2,
+            )
+            return
         self.counters.stores += 1
         self.counters.bytes_written += len(raw)
         self._remember(key, cached)

@@ -3,8 +3,8 @@
 ``compare_policies`` at the paper scale is 300 jobs x 3 seeds x ~7 policies
 of strictly independent simulations — an embarrassingly parallel workload
 that the serial harness turned into an overnight job.  This module provides
-:class:`ParallelExecutor`, which fans :class:`RunRequest` batches out over a
-``multiprocessing`` pool and merges the resulting
+:class:`ParallelExecutor`, which fans :class:`RunRequest` batches out over
+worker processes and merges the resulting
 :class:`~repro.simulator.metrics.MetricsCollector` objects back **in request
 order**, so the output is bit-identical to the serial path no matter how the
 OS schedules the workers.
@@ -19,6 +19,12 @@ Two entry points share that contract:
   they complete.  This is what lets trace replay build arrival-window shards
   while earlier shards are still simulating, keeping memory bounded for
   traces that do not fit in RAM.
+
+Both start a ``multiprocessing`` pool per call.  A long-lived caller — the
+replay service — instead hands the executor a persistent
+``concurrent.futures`` process pool; ``run_stream`` then submits every
+request there, and a worker that dies fails only the requests that were on
+that pool, as a :class:`RequestExecutionError` naming one of them.
 
 Determinism contract
 --------------------
@@ -35,20 +41,22 @@ Determinism contract
   byte-identical payloads (``tests/test_executor.py`` locks this in with a
   pickle comparison for both paths).
 
-The serial path (``workers=1``) does not touch ``multiprocessing`` at all,
-which keeps unit tests and platforms without ``fork`` happy.
+The serial path (``workers=1``, no pool given) does not touch
+``multiprocessing`` at all, which keeps unit tests and platforms without
+``fork`` happy.
 """
 
 from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import contextlib
 import multiprocessing
 import os
 import traceback
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence
 
 from repro.core.policies.base import SpeculationPolicy
 from repro.experiments.policies import make_policy
@@ -56,6 +64,7 @@ from repro.simulator.engine import Simulation, SimulationConfig
 from repro.simulator.metrics import MetricsCollector
 from repro.simulator.sinks import SinkFactory
 from repro.workload.synthetic import GeneratedWorkload
+from repro.workload.traces import TraceFormatError
 
 
 class RequestExecutionError(RuntimeError):
@@ -193,11 +202,16 @@ def _execute_request(request: RunRequest) -> MetricsCollector:
 
     Failures are re-raised as :class:`RequestExecutionError` naming the
     request, because the bare exception's traceback dies at the pool
-    boundary.  The in-process path calls ``request.execute()`` directly and
-    keeps its native (fully informative) traceback.
+    boundary.  ``TraceFormatError`` and ``OSError`` cross unwrapped: they
+    already name the trace file (and line), and callers answer them as input
+    errors, not engine failures.  The in-process path calls
+    ``request.execute()`` directly and keeps its native (fully informative)
+    traceback.
     """
     try:
         return request.execute()
+    except (TraceFormatError, OSError):
+        raise
     except Exception as exc:
         raise RequestExecutionError(
             f"worker failed on {request!r}: {type(exc).__name__}: {exc}\n"
@@ -210,23 +224,28 @@ def default_worker_count() -> int:
     return max(1, (os.cpu_count() or 2) - 1)
 
 
-#: In-flight entry of the streaming merge: a pool ticket for a parallel-safe
-#: request, or the request itself when it is pinned to in-process execution.
-_InFlight = Tuple[str, Union["multiprocessing.pool.AsyncResult", RunRequest]]
-
-
 class ParallelExecutor:
     """Runs batches of :class:`RunRequest` serially or over worker processes.
 
     ``workers=1`` (the default) executes in-process; ``workers>1`` uses a
     ``multiprocessing`` pool of that size; ``workers=0`` auto-sizes to the
     machine (``cpu_count - 1``).  Results always come back in request order.
+
+    ``pool`` — a persistent ``concurrent.futures`` process pool — makes
+    :meth:`run_stream` submit every parallel-safe request to it, whatever
+    ``workers`` is, instead of starting a pool of its own; ``workers`` then
+    only sizes the in-flight window.
     """
 
-    def __init__(self, workers: int = 1) -> None:
+    def __init__(
+        self,
+        workers: int = 1,
+        pool: Optional[concurrent.futures.Executor] = None,
+    ) -> None:
         if workers < 0:
             raise ValueError("workers must be >= 0 (0 means auto)")
         self.workers = workers if workers > 0 else default_worker_count()
+        self.pool = pool
 
     def run(self, requests: Sequence[RunRequest]) -> List[MetricsCollector]:
         """Execute every request and return metrics in request order.
@@ -252,7 +271,7 @@ class ParallelExecutor:
                 fanned_out = pool.map(
                     _execute_request, [requests[index] for index in safe_indices]
                 )
-            for index, metrics in zip(safe_indices, fanned_out):
+            for index, metrics in zip(safe_indices, fanned_out, strict=True):
                 results[index] = metrics
         for index, request in enumerate(requests):
             if results[index] is None:
@@ -277,14 +296,16 @@ class ParallelExecutor:
 
         ``max_in_flight`` defaults to ``2 * workers`` (enough to keep every
         worker busy while the next requests are being built).  With
-        ``workers=1`` no pool is created and the stream is fully lazy: pull
-        one, execute, yield.
+        ``workers=1`` and no ``pool``, no pool is created and the stream is
+        fully lazy: pull one, execute, yield.  With a ``pool``, a dead
+        worker raises :class:`RequestExecutionError` naming the request that
+        was waiting on it.
 
         Determinism matches :meth:`run`: the same requests yield
         byte-identical metrics in the same order for any worker count.
         """
         iterator = iter(requests)
-        if self.workers <= 1:
+        if self.workers <= 1 and self.pool is None:
             for request in iterator:
                 yield request.execute()
             return
@@ -293,41 +314,65 @@ class ParallelExecutor:
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be at least 1")
 
-        def resolve(entry: _InFlight) -> MetricsCollector:
-            kind, payload = entry
-            if kind == "pool":
-                return payload.get()
-            return payload.execute()
-
+        # (request, ticket) pairs in request order: the ticket is the pool's
+        # handle on the result, or None for a pinned request that runs here
+        # when its turn comes.
         in_flight: deque = deque()
-        with multiprocessing.Pool(processes=self.workers) as pool:
+
+        def resolve() -> MetricsCollector:
+            request, ticket = in_flight.popleft()
+            if ticket is None:
+                return request.execute()
+            if self.pool is None:
+                return ticket.get()
+            try:
+                return ticket.result()
+            except concurrent.futures.BrokenExecutor as exc:
+                raise _worker_died(request) from exc
+
+        with (
+            multiprocessing.Pool(processes=self.workers)
+            if self.pool is None
+            else contextlib.nullcontext()
+        ) as own_pool:
             while True:
                 # Drain before pulling: the request generator is only
                 # advanced when the new request fits in the window, which is
                 # what bounds how many of its payloads exist at once.
                 if len(in_flight) >= max_in_flight:
-                    yield resolve(in_flight.popleft())
+                    yield resolve()
                     continue
                 request = next(iterator, None)
                 if request is None:
                     break
-                if request.parallel_safe:
-                    ticket = pool.apply_async(_execute_request, (request,))
-                    in_flight.append(("pool", ticket))
+                if not request.parallel_safe:
+                    ticket = None
+                elif self.pool is None:
+                    ticket = own_pool.apply_async(_execute_request, (request,))
                 else:
-                    in_flight.append(("local", request))
+                    try:
+                        ticket = self.pool.submit(_execute_request, request)
+                    except concurrent.futures.BrokenExecutor as exc:
+                        raise _worker_died(request) from exc
+                in_flight.append((request, ticket))
             while in_flight:
-                yield resolve(in_flight.popleft())
+                yield resolve()
+
+
+def _worker_died(request: RunRequest) -> RequestExecutionError:
+    return RequestExecutionError(
+        f"a pool worker process died before {request!r} completed"
+    )
 
 
 class AsyncBridge:
     """Asyncio-facing bridge over the blocking simulation machinery.
 
-    The replay service's front end is a single-threaded event loop;
-    simulations are CPU-bound blocking calls that may themselves fan out
-    over a :class:`ParallelExecutor` multiprocessing pool.  The bridge owns
-    a *bounded* thread pool — the service's in-flight plan capacity — and
-    provides the two primitives an always-on server needs:
+    The replay service's front end is a single-threaded event loop; plan
+    execution is blocking work — calibration scan, cache I/O, and waiting on
+    the simulations, which run on the service's persistent process pool.
+    The bridge owns a *bounded* thread pool — the service's in-flight plan
+    capacity — and provides the two primitives an always-on server needs:
 
     * :meth:`submit` — run a blocking callable (typically
       ``runner.execute(plan, on_metrics=...)``) off-loop and await its

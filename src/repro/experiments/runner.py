@@ -9,6 +9,7 @@ per error bin.
 
 from __future__ import annotations
 
+from concurrent.futures import Executor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -494,12 +495,14 @@ def _simulate(
     num_machines: int,
     sink: SinkFactory,
     workers: int,
+    pool: Optional[Executor] = None,
 ) -> Iterator[MetricsCollector]:
     """Simulate each (policy, seed, shard) coordinate; metrics in order.
 
     Requests carry the shard's spec source — a picklable description, not a
     spec list — and stream through :meth:`ParallelExecutor.run_stream`, so
-    completions arrive in ``coords`` order for any ``workers``.
+    completions arrive in ``coords`` order for any ``workers``.  With a
+    persistent process ``pool`` every request runs there.
     """
     requests = (
         RunRequest(
@@ -512,7 +515,7 @@ def _simulate(
         )
         for name, seed, shard_index in coords
     )
-    return ParallelExecutor(workers=workers).run_stream(requests)
+    return ParallelExecutor(workers=workers, pool=pool).run_stream(requests)
 
 
 def _replay(
@@ -526,6 +529,7 @@ def _replay(
     sink: Optional[SinkFactory] = None,
     on_metrics: Optional[MetricsHook] = None,
     session: Optional["_CacheSession"] = None,
+    pool: Optional[Executor] = None,
 ) -> ComparisonResult:
     """Replay ``source`` under the named policies: the one replay path.
 
@@ -544,7 +548,9 @@ def _replay(
     results by job need — is collected with one extra pass over the source,
     and only when the sink retains results and at least one slice is
     simulated: an all-hits replay never reads the trace body.  ``scan`` is
-    the source's calibration scan when the caller already holds it.
+    the source's calibration scan when the caller already holds it, and a
+    persistent process ``pool`` runs every simulation in place of a
+    per-call pool (see :class:`ParallelExecutor`).
     """
     if shards < 1:
         raise ValueError("shards must be at least 1")
@@ -570,9 +576,9 @@ def _replay(
         sources = _shard_sources(source, scan, replay_config, num_shards)
         completed = _simulate(
             misses, sources, replay_config, scan, scale.num_machines, sink,
-            scale.workers,
+            scale.workers, pool,
         )
-        for coord, metrics in zip(misses, completed):
+        for coord, metrics in zip(misses, completed, strict=True):
             collected[coord] = metrics
             if session is not None:
                 session.store(coord, metrics)
@@ -763,6 +769,7 @@ def _execute_plan(
     scan: TraceScan,
     session: Optional[_CacheSession],
     on_metrics: Optional[MetricsHook],
+    pool: Optional[Executor] = None,
 ) -> ExecutedPlan:
     """Replay a validated plan through :func:`_replay`, with its provenance."""
     comparison = _replay(
@@ -777,6 +784,7 @@ def _execute_plan(
         sink=parse_sink_spec(plan.sink),
         on_metrics=on_metrics,
         session=session,
+        pool=pool,
     )
     return ExecutedPlan(
         plan=plan,
@@ -866,6 +874,7 @@ def execute(
     plan: ReplayPlan,
     on_metrics: Optional[MetricsHook] = None,
     cache: Optional[ReplayCache] = None,
+    pool: Optional[Executor] = None,
 ) -> ExecutedPlan:
     """Execute a :class:`ReplayPlan` — the single entry point for replay.
 
@@ -895,6 +904,10 @@ def execute(
     its clients refold deltas by coordinate, so the order never reaches a
     digest.
 
+    ``pool`` is a persistent ``concurrent.futures`` process pool that runs
+    every simulation in place of the per-call pool ``workers`` would start;
+    the replay service passes its own.  The digest does not depend on it.
+
     Raises :class:`~repro.experiments.plan.PlanError` on an invalid plan,
     ``FileNotFoundError`` / ``OSError`` when a trace path cannot be read and
     ``TraceFormatError`` on malformed traces.
@@ -908,7 +921,7 @@ def execute(
         session.probe(plan.policies, scale.seeds)
     else:
         scan = _scan_source(source)
-    return _execute_plan(plan, scale, source, scan, session, on_metrics)
+    return _execute_plan(plan, scale, source, scan, session, on_metrics, pool)
 
 
 def compare_policies(

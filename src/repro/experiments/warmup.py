@@ -140,7 +140,7 @@ class WarmupCache:
                     _warm_one,
                     [(name, self.warmup, self.warmup_config) for name in missing],
                 )
-            for name, snapshot in zip(missing, snapshots):
+            for name, snapshot in zip(missing, snapshots, strict=True):
                 self._snapshots[self._key(name)] = snapshot
                 self.misses += 1
         else:

@@ -258,7 +258,7 @@ def run_load(
     distinct_plans = max(1, min(distinct_plans, tenants * plans_per_tenant))
     plans = build_plans(distinct_plans, cluster_jobs, shards, policies)
     digests = offline_digests(plans)
-    plan_table = list(zip(plans, digests))
+    plan_table = list(zip(plans, digests, strict=True))
     return asyncio.run(
         _drive(
             host,

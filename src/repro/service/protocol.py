@@ -40,9 +40,10 @@ Responses (server → client)
         malformed rows, ...); terminal for this submission.
     ``{"event": "pong"}``
 
-Deltas for one submission arrive in simulation *completion* order, which
-under ``workers > 1`` is not the merge order — each delta therefore carries
-its full (policy, seed, shard) coordinates and reassembly is
+Deltas for one submission arrive shard-major: slices restored from the
+replay cache first, then simulated slices in request order as the service's
+process pool completes them.  That is not the (policy, seed, shard) merge
+order, so each delta carries its full coordinates and reassembly is
 order-independent.
 """
 

@@ -2,10 +2,14 @@
 
 One event-loop thread owns every socket, the admission scheduler and the
 dispatcher; plan execution happens on the bounded
-:class:`~repro.experiments.executor.AsyncBridge` thread pool (which may
-itself fan out over a ``ParallelExecutor`` process pool, per the plan's
-``workers``).  The loop never blocks on a simulation, so fifty tenants can
-hold open streaming sessions against a two-slot execution pool.
+:class:`~repro.experiments.executor.AsyncBridge` thread pool, and every
+simulation a plan needs runs on one persistent spawn-context process pool
+with ``max_inflight_plans`` workers.  Bridge threads only scan, look up and
+store cache entries, and wait; the engine runs in the workers, so
+concurrent plans use every core instead of sharing one GIL.  A plan's
+``workers`` field does not apply here.  The loop never blocks on a
+simulation, so fifty tenants can hold open streaming sessions against a
+two-slot execution pool.
 
 Life of a submission:
 
@@ -19,11 +23,11 @@ Life of a submission:
    learns a submission's fate immediately.
 3. The dispatcher task pops submissions in weighted fair-share order
    whenever an execution slot is free and runs
-   :func:`repro.experiments.runner.execute` on the bridge pool.  The
-   ``on_metrics`` hook fires in the worker thread as each (policy, seed,
-   shard) simulation lands; its chunk is serialised there and marshalled to
-   the loop with ``call_soon_threadsafe``, which preserves per-submission
-   delta order and makes the outbox queue safe.
+   :func:`repro.experiments.runner.execute` on the bridge pool, handing it
+   the process pool.  The ``on_metrics`` hook fires in the bridge thread as
+   each (policy, seed, shard) simulation lands; its chunk is serialised
+   there and marshalled to the loop with ``call_soon_threadsafe``, which
+   preserves per-submission delta order and makes the outbox queue safe.
 4. ``done`` carries the policy-tagged digest plus the merge-order metadata
    (policies, seeds, shard count) a client needs to refold its deltas and
    verify the digest independently.
@@ -38,19 +42,31 @@ admission: the reader probes the cache synchronously on the loop thread
 (pure disk reads, no simulation), streams the restored deltas and the
 ``done`` frame, and never debits the tenant's fair share — repeated plans
 cost milliseconds instead of an execution slot.
+
+The process pool is built when the first plan is dispatched, so a server
+that only answers pings and cache hits never starts a worker.  A worker
+that dies breaks the pool: the plans with requests on it get ``error``
+frames naming a lost (policy, seed, shard) request, the service drops that
+pool, and the next dispatch builds a fresh one.  :meth:`ReplayService.stop`
+cancels queued requests and reaps the workers; ``serve`` does that on
+SIGINT and SIGTERM alike.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
+import concurrent.futures
+import functools
 import logging
+import multiprocessing
+import signal
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.experiments.cache import ReplayCache
-from repro.experiments.executor import AsyncBridge
+from repro.experiments.executor import AsyncBridge, RequestExecutionError
 from repro.experiments.plan import PlanError, ReplayPlan
 from repro.experiments.runner import execute, plan_scale, probe_plan_cache
 from repro.service import protocol
@@ -79,7 +95,8 @@ class ServiceConfig:
     host: str = "127.0.0.1"
     #: TCP port; 0 binds an ephemeral port (``start`` returns the real one).
     port: int = 0
-    #: Plans executing concurrently — the bridge pool's thread count.
+    #: Plans executing concurrently — the bridge pool's thread count — and
+    #: the worker count of the process pool their simulations share.
     max_inflight_plans: int = 2
     #: Per-tenant pending-submission bound (beyond in-flight ones).
     max_pending_per_tenant: int = 4
@@ -131,6 +148,8 @@ class ReplayService:
             default_weight=self.config.default_weight,
         )
         self._bridge: Optional[AsyncBridge] = None
+        #: The simulation process pool; built at the first dispatch.
+        self._pool: Optional[concurrent.futures.ProcessPoolExecutor] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._dispatcher: Optional[asyncio.Task] = None
         # Created in start(): binding an Event outside the serving loop
@@ -178,10 +197,11 @@ class ReplayService:
         await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Stop accepting, cancel the dispatcher and release the bridge.
+        """Stop accepting, cancel the dispatcher and shut both pools down.
 
-        In-flight simulations on bridge threads are not interrupted (Python
-        threads cannot be); their results are simply dropped.
+        Queued simulation requests are cancelled; running ones finish in
+        their workers (a simulation has no cancellation point) and their
+        results are dropped.  Returns once every worker has exited.
         """
         if self._server is not None:
             self._server.close()
@@ -194,6 +214,11 @@ class ReplayService:
                 pass
         for task in list(self._tasks):
             task.cancel()
+        if self._pool is not None:
+            pool, self._pool = self._pool, None
+            await asyncio.get_running_loop().run_in_executor(
+                None, functools.partial(pool.shutdown, wait=True, cancel_futures=True)
+            )
         if self._bridge is not None:
             self._bridge.shutdown(wait=False)
 
@@ -382,6 +407,31 @@ class ReplayService:
 
     # -- dispatch and execution ------------------------------------------------
 
+    def _simulation_pool(self) -> concurrent.futures.ProcessPoolExecutor:
+        """The process pool plans simulate on, built on first use.
+
+        Its workers are spawned, not forked: this process runs bridge
+        threads, and a fork copies whatever locks they hold.  Building it
+        lazily keeps the process-pool machinery (and multiprocessing's
+        resource tracker process) out of servers that never simulate.
+        """
+        if self._pool is None:
+            self._pool = concurrent.futures.ProcessPoolExecutor(
+                max_workers=self.config.max_inflight_plans,
+                mp_context=multiprocessing.get_context("spawn"),
+            )
+        return self._pool
+
+    def _drop_broken_pool(self, pool: concurrent.futures.ProcessPoolExecutor) -> None:
+        """Forget a pool a dead worker broke; the next dispatch builds anew.
+
+        Every plan that had requests on ``pool`` reports here; the identity
+        check makes sure only the first replaces it.
+        """
+        if self._pool is pool:
+            self._pool = None
+            pool.shutdown(wait=False, cancel_futures=True)
+
     async def _dispatch_loop(self) -> None:
         assert self._wakeup is not None
         while True:
@@ -412,32 +462,32 @@ class ReplayService:
         request_id = submission.request_id
 
         def on_metrics(policy: str, seed: int, shard: int, metrics: Any) -> None:
-            # Worker thread: serialise here (cheap, constant-size), marshal
+            # Bridge thread: serialise here (cheap, constant-size), marshal
             # the finished frame fields to the loop.
             chunk_wire = chunk_to_wire(metrics.aggregates.chunks[-1])
             emit(connection, request_id, policy, seed, shard, chunk_wire)
 
         assert self._bridge is not None
+        pool = self._simulation_pool()
         started = time.perf_counter()
         try:
             executed = await self._bridge.submit(
-                execute, submission.plan, on_metrics=on_metrics
+                execute, submission.plan, on_metrics=on_metrics, pool=pool
             )
-        except (PlanError, TraceFormatError, OSError) as exc:
-            self.failed_plans += 1
-            connection.send(
-                protocol.error_message(
-                    request_id, f"{type(exc).__name__}: {exc}"
-                )
-            )
-            return
         except asyncio.CancelledError:
             raise
-        except Exception as exc:  # execution bug: report, keep serving
+        except Exception as exc:
+            if isinstance(exc, (PlanError, TraceFormatError, OSError)):
+                reason = f"{type(exc).__name__}: {exc}"
+            elif isinstance(exc, RequestExecutionError) and isinstance(
+                exc.__cause__, concurrent.futures.BrokenExecutor
+            ):
+                self._drop_broken_pool(pool)
+                reason = f"{type(exc).__name__}: {exc}"
+            else:  # execution bug: report, keep serving
+                reason = f"internal error: {exc!r}"
             self.failed_plans += 1
-            connection.send(
-                protocol.error_message(request_id, f"internal error: {exc!r}")
-            )
+            connection.send(protocol.error_message(request_id, reason))
             return
         finally:
             self._live.discard(submission)
@@ -529,6 +579,13 @@ def serve_main(args: argparse.Namespace) -> int:
     async def _serve() -> None:
         service = ReplayService(config)
         host, port = await service.start()
+        # Either signal cancels this task, so stop() reaps the pool before
+        # exit.  Registering SIGINT here also covers a server launched with
+        # SIGINT ignored (a shell's `serve &`), which would otherwise only
+        # ever stop by being killed, orphaning its workers.
+        loop, serving = asyncio.get_running_loop(), asyncio.current_task()
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            loop.add_signal_handler(signum, serving.cancel)
         print(f"listening on {host}:{port}", flush=True)
         try:
             await service.serve_forever()
@@ -537,7 +594,7 @@ def serve_main(args: argparse.Namespace) -> int:
 
     try:
         asyncio.run(_serve())
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, asyncio.CancelledError):
         pass
     return 0
 

@@ -28,7 +28,7 @@ def weighted_mean(values: Sequence[float], weights: Sequence[float]) -> float:
     total_weight = sum(weights)
     if total_weight <= 0:
         raise ValueError("total weight must be positive")
-    return sum(v * w for v, w in zip(values, weights)) / total_weight
+    return sum(v * w for v, w in zip(values, weights, strict=True)) / total_weight
 
 
 def median(values: Sequence[float]) -> float:

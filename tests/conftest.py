@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import errno
+import os
+from pathlib import Path
 from typing import Optional, Sequence
 
 import pytest
@@ -93,3 +96,20 @@ def started_job(deadline_bound) -> Job:
     job = Job(spec)
     job.start(0.0)
     return job
+
+
+@pytest.fixture
+def full_disk(monkeypatch):
+    """Every ``Path.write_bytes`` fails half-way with ENOSPC, as on a full disk.
+
+    The replay cache writes its entries this way; the half-written temp file
+    is what a real full disk leaves behind.  (Permission bits cannot fake
+    this: they do not stop root.)
+    """
+
+    def write_bytes(self, data):
+        with open(self, "wb") as handle:
+            handle.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self))
+
+    monkeypatch.setattr(Path, "write_bytes", write_bytes)

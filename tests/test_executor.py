@@ -6,7 +6,12 @@ serial path, so ``--workers`` is purely a wall-clock knob and never a
 correctness knob.
 """
 
+import multiprocessing
+import os
 import pickle
+import signal
+import threading
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -23,6 +28,7 @@ from repro.experiments.runner import (
     compare_policies,
 )
 from repro.workload.synthetic import WorkloadConfig, generate_workload
+from repro.workload.traces import TraceFormatError
 
 TINY = ExperimentScale(
     num_jobs=8, size_scale=0.1, max_tasks_per_job=60, num_machines=40,
@@ -96,7 +102,7 @@ class TestParallelExecutor:
         serial = ParallelExecutor(workers=1).run(requests)
         mixed = ParallelExecutor(workers=4).run(requests)
         assert len(mixed) == 3
-        for serial_metrics, mixed_metrics in zip(serial, mixed):
+        for serial_metrics, mixed_metrics in zip(serial, mixed, strict=True):
             assert pickle.dumps(serial_metrics) == pickle.dumps(mixed_metrics)
 
     def test_results_come_back_in_request_order(self):
@@ -113,7 +119,7 @@ class TestParallelExecutor:
         serial = ParallelExecutor(workers=1).run(requests)
         parallel = ParallelExecutor(workers=4).run(requests)
         assert len(serial) == len(parallel) == 4
-        for serial_metrics, parallel_metrics in zip(serial, parallel):
+        for serial_metrics, parallel_metrics in zip(serial, parallel, strict=True):
             assert pickle.dumps(serial_metrics) == pickle.dumps(parallel_metrics)
 
 
@@ -134,7 +140,7 @@ class TestSingleSafeRequestFallback:
         serial = ParallelExecutor(workers=1).run(requests)
         mixed = ParallelExecutor(workers=4).run(requests)
         assert len(mixed) == 2
-        for serial_metrics, mixed_metrics in zip(serial, mixed):
+        for serial_metrics, mixed_metrics in zip(serial, mixed, strict=True):
             assert pickle.dumps(serial_metrics) == pickle.dumps(mixed_metrics)
 
 
@@ -176,33 +182,34 @@ class TestWorkerErrorSurfacing:
         assert text == f"RunRequest(policy=late, jobs={len(workload.job_specs)}, seed=3, warm=none)"
 
 
-class TestRunStream:
-    def _requests(self, count: int = 6):
-        workload = _tiny_workload()
-        return [
-            RunRequest(
-                workload=workload,
-                config=build_simulation_config(workload, TINY, seed, False),
-                policy_name=name,
-            )
-            for name in ("late", "no-spec", "gs")
-            for seed in range(1, 1 + count // 3)
-        ]
+def _named_requests(count: int = 6):
+    workload = _tiny_workload()
+    return [
+        RunRequest(
+            workload=workload,
+            config=build_simulation_config(workload, TINY, seed, False),
+            policy_name=name,
+        )
+        for name in ("late", "no-spec", "gs")
+        for seed in range(1, 1 + count // 3)
+    ]
 
+
+class TestRunStream:
     def test_stream_matches_batch_bytes_for_any_workers(self):
-        requests = self._requests()
+        requests = _named_requests()
         batch = ParallelExecutor(workers=1).run(requests)
         for workers in (1, 4):
             streamed = list(
                 ParallelExecutor(workers=workers).run_stream(iter(requests))
             )
             assert len(streamed) == len(batch)
-            for stream_metrics, batch_metrics in zip(streamed, batch):
+            for stream_metrics, batch_metrics in zip(streamed, batch, strict=True):
                 assert pickle.dumps(stream_metrics) == pickle.dumps(batch_metrics)
 
     def test_stream_bounds_materialised_requests(self):
         """The request generator is never pulled past the in-flight window."""
-        requests = self._requests()
+        requests = _named_requests()
         pulled = []
 
         def generator():
@@ -228,7 +235,7 @@ class TestRunStream:
         ]
         serial = ParallelExecutor(workers=1).run(requests)
         streamed = list(ParallelExecutor(workers=4).run_stream(iter(requests)))
-        for serial_metrics, stream_metrics in zip(serial, streamed):
+        for serial_metrics, stream_metrics in zip(serial, streamed, strict=True):
             assert pickle.dumps(serial_metrics) == pickle.dumps(stream_metrics)
 
     def test_stream_empty_iterator(self):
@@ -238,9 +245,103 @@ class TestRunStream:
         with pytest.raises(ValueError):
             list(
                 ParallelExecutor(workers=2).run_stream(
-                    iter(self._requests()), max_in_flight=0
+                    iter(_named_requests()), max_in_flight=0
                 )
             )
+
+
+class KillOwnWorker:
+    """A spec source whose first read SIGKILLs the process reading it."""
+
+    def iter_specs(self):
+        os.kill(os.getpid(), signal.SIGKILL)
+        return iter(())
+
+    def __str__(self):
+        return "kill-own-worker"
+
+
+class MalformedRows:
+    """A spec source that fails the way a trace edited after its scan does."""
+
+    def iter_specs(self):
+        raise TraceFormatError("trace.jsonl:3: invalid JSON")
+
+
+def _within(seconds, func):
+    """``func()`` run on a daemon thread: its result, or a failed test."""
+    outcome = {}
+
+    def run():
+        try:
+            outcome["value"] = func()
+        except BaseException as exc:  # handed back to the test thread
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    if thread.is_alive():
+        pytest.fail(f"no result within {seconds}s")
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+def spawn_pool(workers):
+    """The replay service's kind of pool: persistent, spawn-context."""
+    return ProcessPoolExecutor(
+        max_workers=workers, mp_context=multiprocessing.get_context("spawn")
+    )
+
+
+@pytest.fixture(scope="class")
+def pool():
+    pool = spawn_pool(2)
+    yield pool
+    pool.shutdown(wait=True, cancel_futures=True)
+
+
+class TestPersistentPool:
+    def _request(self, spec_source):
+        workload = _tiny_workload()
+        config = build_simulation_config(workload, TINY, seed=1, oracle_estimates=False)
+        return RunRequest(spec_source=spec_source, config=config, policy_name="late")
+
+    def test_pool_stream_matches_serial_bytes(self, pool):
+        requests = _named_requests()
+        serial = ParallelExecutor(workers=1).run(requests)
+        streamed = _within(
+            60, lambda: list(ParallelExecutor(workers=1, pool=pool).run_stream(requests))
+        )
+        for serial_metrics, stream_metrics in zip(serial, streamed, strict=True):
+            assert pickle.dumps(serial_metrics) == pickle.dumps(stream_metrics)
+
+    @pytest.mark.parametrize("persistent", [True, False], ids=["pool", "per-call"])
+    def test_worker_input_errors_keep_their_type(self, pool, persistent):
+        executor = (
+            ParallelExecutor(workers=1, pool=pool)
+            if persistent
+            else ParallelExecutor(workers=2)
+        )
+        stream = executor.run_stream([self._request(MalformedRows())] * 2)
+        with pytest.raises(TraceFormatError, match="trace.jsonl:3"):
+            _within(60, lambda: list(stream))
+
+    def test_dead_worker_raises_naming_the_request(self):
+        pool = spawn_pool(1)
+        try:
+            stream = ParallelExecutor(workers=1, pool=pool).run_stream(
+                [self._request(KillOwnWorker())]
+            )
+            with pytest.raises(RequestExecutionError) as excinfo:
+                _within(60, lambda: list(stream))
+            assert "worker process died" in str(excinfo.value)
+            assert "RunRequest(policy=late, specs=kill-own-worker, seed=1" in str(
+                excinfo.value
+            )
+        finally:
+            pool.shutdown(wait=False, cancel_futures=True)
 
 
 class TestWarmFieldValidation:
@@ -273,7 +374,7 @@ class TestCompareDeterminism:
             serial_run = serial.runs[name]
             parallel_run = parallel.runs[name]
             assert len(serial_run.metrics) == len(TINY.seeds)
-            for ms, mp in zip(serial_run.metrics, parallel_run.metrics):
+            for ms, mp in zip(serial_run.metrics, parallel_run.metrics, strict=True):
                 assert pickle.dumps(ms) == pickle.dumps(mp)
             assert serial_run.results == parallel_run.results
 

@@ -198,7 +198,7 @@ class TestClusterTier:
     def test_arrivals_strictly_increase(self):
         tier = ClusterTierConfig(num_jobs=200, seed=3)
         arrivals = [job.arrival_time for job in iter_cluster_trace(tier)]
-        assert all(a < b for a, b in zip(arrivals, arrivals[1:]))
+        assert all(a < b for a, b in zip(arrivals, arrivals[1:], strict=False))
 
     def test_random_access_matches_iteration(self):
         tier = ClusterTierConfig(num_jobs=50, seed=7)

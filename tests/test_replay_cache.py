@@ -25,7 +25,6 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -302,6 +301,23 @@ class TestInvalidation:
             handle.write("\n")
         rerun = execute(make_plan(edited, cache_dir))
         assert rerun.cache_stats.hits == 0
+
+
+class TestStoreFailures:
+    def test_full_disk_degrades_to_an_uncached_replay(
+        self, trace_path, tmp_path, cold, full_disk
+    ):
+        cache_dir = tmp_path / "cache"
+        uncached = execute(make_plan(trace_path, cache_dir, cache=None))
+        with pytest.warns(CacheIntegrityWarning, match="cannot store"):
+            executed = execute(make_plan(trace_path, cache_dir))
+        assert executed.digest == uncached.digest
+        stats = executed.cache_stats
+        assert stats.store_failures == stats.misses == cold["slices"]
+        assert stats.stores == 0
+        assert f"{cold['slices']} failed to store" in stats.summary()
+        assert list(cache_dir.rglob("*.tmp")) == []
+        assert list(cache_dir.rglob("*.json")) == []
 
 
 class TestCacheVerb:

@@ -1,6 +1,6 @@
 """The always-on replay service: admission, protocol, streaming and parity.
 
-Three layers, tested bottom-up:
+Four layers, tested bottom-up:
 
 * :class:`FairShareAdmission` — pure scheduling unit tests (weighted share,
   idle-clamp, bounded queues with explicit 429 rejections), deterministic
@@ -11,13 +11,27 @@ Three layers, tested bottom-up:
   client connections, and the PR's headline contract: the streamed deltas a
   tenant receives refold into the *same* policy-tagged digest an offline
   ``execute(plan)`` of the identical plan produces, while overload draws
-  explicit rejections instead of unbounded buffering.
+  explicit rejections instead of unbounded buffering;
+* the simulation process pool and the ``serve`` process — a golden-corpus
+  digest served through the pool, a pool that starts only when a plan needs
+  it, killed workers that fail at most one submission, a cache that cannot
+  write, and SIGINT/SIGTERM shutdowns that leave no child process behind.
+  Every wait has its own timeout, so a hang fails instead of stalling.
 """
 
 import asyncio
+import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+from repro.experiments.cache import CacheIntegrityWarning
 from repro.experiments.plan import ReplayPlan
 from repro.experiments.runner import execute
 from repro.service import protocol
@@ -36,6 +50,9 @@ from repro.simulator.sinks import (
     chunk_to_wire,
 )
 from repro.utils.stats import OnlineStats
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden" / "replay_digests.json"
 
 
 def tiny_plan(**overrides):
@@ -417,6 +434,189 @@ class TestCacheAndRelease:
             assert service._admission._tenants["drop"].virtual_time < 1e-9
 
         run_service(scenario)
+
+
+def _new_children(before):
+    """Live ``multiprocessing`` children that were not in ``before``."""
+    return [child for child in multiprocessing.active_children() if child not in before]
+
+
+def _wait_until(predicate, seconds):
+    deadline = time.monotonic() + seconds
+    while not predicate() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return predicate()
+
+
+class TestGoldenAnchor:
+    def test_service_reproduces_the_golden_cluster_digest(self):
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))["digests"]
+        plan = ReplayPlan(
+            cluster_jobs=200,
+            shards=4,
+            policies=("grass", "late", "mantri"),
+            scale="quick",
+        )
+
+        async def scenario(service, host, port):
+            async with ReplayServiceClient(host, port) as client:
+                return await asyncio.wait_for(client.run_plan(plan, tenant="t0"), 120)
+
+        outcome = run_service(scenario)
+        assert outcome.verify() == golden["cluster-200x4"]
+        assert outcome.digest == golden["cluster-200x4"]
+
+
+class TestProcessPool:
+    """The persistent simulation pool: lazy start, failure, shutdown."""
+
+    def test_pings_and_cache_hits_start_no_worker(self, tmp_path):
+        plan = tiny_plan()
+        cache_dir = str(tmp_path / "cache")
+        execute(tiny_plan(cache=cache_dir))
+        before = set(multiprocessing.active_children())
+
+        async def scenario(service, host, port):
+            async with ReplayServiceClient(host, port) as client:
+                await client.ping()
+                outcome = await asyncio.wait_for(client.run_plan(plan, tenant="t0"), 60)
+            return outcome, service.cached_plans, _new_children(before)
+
+        outcome, cached_plans, children = run_service(
+            scenario, ServiceConfig(cache_dir=cache_dir)
+        )
+        assert cached_plans == 1
+        assert outcome.verify() == execute(plan).digest
+        assert children == []
+
+    def test_killed_workers_fail_at_most_one_submission(self):
+        warm, hit, after = tiny_plan(seed=1), tiny_plan(seed=2), tiny_plan(seed=3)
+        offline = {plan.seed: execute(plan).digest for plan in (hit, after)}
+        before = set(multiprocessing.active_children())
+
+        async def scenario(service, host, port):
+            async with ReplayServiceClient(host, port) as client:
+                await asyncio.wait_for(client.run_plan(warm, tenant="t0"), 60)
+                workers = _new_children(before)
+                assert len(workers) == service.config.max_inflight_plans
+                for worker in workers:
+                    os.kill(worker.pid, signal.SIGKILL)
+                try:
+                    outcome = await asyncio.wait_for(client.run_plan(hit, tenant="t0"), 60)
+                    first = ("done", outcome.verify())
+                except ServiceError as exc:
+                    first = ("error", str(exc))
+                second = await asyncio.wait_for(client.run_plan(after, tenant="t0"), 60)
+            return first, second
+
+        (kind, detail), second = run_service(scenario)
+        if kind == "error":
+            assert "worker process died" in detail
+            assert "RunRequest(policy=grass" in detail and "cluster-shard[" in detail
+        else:
+            assert detail == offline[hit.seed]
+        assert second.verify() == offline[after.seed]
+
+    def test_stop_reaps_every_worker(self):
+        before = set(multiprocessing.active_children())
+
+        async def scenario(service, host, port):
+            async with ReplayServiceClient(host, port) as client:
+                await asyncio.wait_for(client.run_plan(tiny_plan(), tenant="t0"), 60)
+            return _new_children(before)
+
+        assert run_service(scenario) != []
+        assert _wait_until(lambda: _new_children(before) == [], 10), _new_children(before)
+
+    def test_failed_cache_writes_still_end_in_done(self, tmp_path, full_disk):
+        plan = tiny_plan()
+
+        async def scenario(service, host, port):
+            async with ReplayServiceClient(host, port) as client:
+                return await asyncio.wait_for(client.run_plan(plan, tenant="t0"), 60)
+
+        with pytest.warns(CacheIntegrityWarning, match="cannot store"):
+            outcome = run_service(
+                scenario, ServiceConfig(cache_dir=str(tmp_path / "cache"))
+            )
+        assert outcome.verify() == execute(plan).digest
+        assert outcome.cache["store_failures"] == len(outcome.deltas) > 0
+        assert outcome.cache["stores"] == 0
+
+
+def _child_pids(pid):
+    """Direct children of ``pid`` (Linux ``/proc``)."""
+    pids = set()
+    for children in Path(f"/proc/{pid}/task").glob("*/children"):
+        pids.update(int(field) for field in children.read_text().split())
+    return pids
+
+
+def _alive(pid):
+    """True while ``pid`` runs; a zombie awaiting its reaper counts as gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs Linux /proc")
+class TestServeProcess:
+    @pytest.mark.parametrize(
+        "stop_signal, whole_group, launched_ignoring_sigint",
+        [
+            (signal.SIGINT, False, False),
+            (signal.SIGTERM, False, False),
+            (signal.SIGINT, True, False),
+            (signal.SIGINT, False, True),
+        ],
+        ids=["sigint", "sigterm", "sigint-to-group", "sigint-ignored-at-launch"],
+    )
+    def test_signal_stops_the_server_and_its_workers(
+        self, stop_signal, whole_group, launched_ignoring_sigint
+    ):
+        # The group case is a terminal's Ctrl-C: the workers die of it
+        # first, and the server must still shut down cleanly.  A shell's
+        # `serve &` starts the server with SIGINT ignored.
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro.experiments.cli", "serve", "--port", "0"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            stdin=subprocess.DEVNULL,
+            env=env,
+            start_new_session=True,
+            preexec_fn=(
+                (lambda: signal.signal(signal.SIGINT, signal.SIG_IGN))
+                if launched_ignoring_sigint
+                else None
+            ),
+        )
+        children = set()
+        try:
+            line = server.stdout.readline().decode()
+            assert line.startswith("listening on "), line
+            host, _, port = line[len("listening on "):].strip().rpartition(":")
+            outcome = run_plan_sync(host, int(port), tiny_plan(), tenant="t0")
+            assert outcome.verify() == outcome.digest
+            children = _child_pids(server.pid)
+            assert children, "the plan should have started the pool"
+            if whole_group:
+                os.killpg(server.pid, stop_signal)
+            else:
+                server.send_signal(stop_signal)
+            assert server.wait(timeout=30) == 0
+            assert _wait_until(lambda: not any(map(_alive, children)), 10), [
+                pid for pid in children if _alive(pid)
+            ]
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait()
+            server.stdout.close()
+            for pid in filter(_alive, children):  # only after a failure
+                os.kill(pid, signal.SIGKILL)
 
 
 class TestLoadDriver:

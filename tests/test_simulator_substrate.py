@@ -175,9 +175,9 @@ class TestFairShare:
     def test_fair_share_never_exceeds_capacity_or_demand(self, slots, demands):
         cluster = Cluster(ClusterConfig(num_machines=slots, heterogeneity=0.0))
         job_ids = list(range(len(demands)))
-        allocations = cluster.fair_share(job_ids, dict(zip(job_ids, demands)))
+        allocations = cluster.fair_share(job_ids, dict(zip(job_ids, demands, strict=True)))
         assert sum(allocations.values()) <= cluster.total_slots
-        for job_id, demand in zip(job_ids, demands):
+        for job_id, demand in zip(job_ids, demands, strict=True):
             assert 0 <= allocations[job_id] <= demand
 
 

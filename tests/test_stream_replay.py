@@ -154,7 +154,7 @@ class TestStreamedReplayDeterminism:
         assert metrics_digest(streamed) == metrics_digest(in_memory)
         for name in in_memory.runs:
             for ms, mb in zip(
-                streamed.runs[name].metrics, in_memory.runs[name].metrics
+                streamed.runs[name].metrics, in_memory.runs[name].metrics, strict=True
             ):
                 assert pickle.dumps(ms) == pickle.dumps(mb)
 

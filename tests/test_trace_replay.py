@@ -234,7 +234,7 @@ class TestReplayDeterminism:
             serial_metrics = serial.runs[name].metrics
             fanned_metrics = fanned.runs[name].metrics
             assert len(serial_metrics) == len(fanned_metrics)
-            for left, right in zip(serial_metrics, fanned_metrics):
+            for left, right in zip(serial_metrics, fanned_metrics, strict=True):
                 assert pickle.dumps(left) == pickle.dumps(right)
         assert metrics_digest(serial) == metrics_digest(fanned)
 

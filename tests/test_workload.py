@@ -202,7 +202,7 @@ class TestSyntheticWorkload:
             WorkloadConfig(num_jobs=5, seed=10, arrival_mode="sequential", size_scale=0.2)
         )
         arrivals = [spec.arrival_time for spec in workload.specs()]
-        assert all(b - a > 1.0 for a, b in zip(arrivals, arrivals[1:]))
+        assert all(b - a > 1.0 for a, b in zip(arrivals, arrivals[1:], strict=False))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
