@@ -18,9 +18,11 @@ from repro.experiments.runner import build_simulation_config
 from repro.simulator.engine import Simulation
 from repro.workload.synthetic import WorkloadConfig, generate_workload
 
-#: One cheap greedy policy and the full learning policy: together they cover
-#: the speculative-copy churn (kills, cancellations) and the estimator path.
-POLICIES = ("gs", "grass")
+#: One cheap greedy policy and the full learning policy cover the
+#: speculative-copy churn (kills, cancellations) and the estimator path; the
+#: two deployed baselines every result is compared against cover the
+#: index-served ``first_pending``/``running`` accessors and their skip path.
+POLICIES = ("gs", "grass", "late", "mantri")
 
 
 def _build_workload_and_config(scale):

@@ -37,6 +37,7 @@ class LatePolicy(SpeculationPolicy):
     """The LATE baseline."""
 
     name = "late"
+    stateless_choose = True
 
     def __init__(
         self,
@@ -69,17 +70,19 @@ class LatePolicy(SpeculationPolicy):
         running = [snap for snap in view.running() if snap.copies == 1]
         if not running:
             return []
+        now = view.now
         rates = []
         eligible = []
         for snap in running:
             copies = snap.task.running_copies
             if not copies:
                 continue
-            best = min(copies, key=lambda c: c.remaining(view.now))
-            if best.elapsed(view.now) < self.min_runtime_before_speculation:
+            best = min(copies, key=lambda c: c.remaining(now))
+            if best.elapsed(now) < self.min_runtime_before_speculation:
                 continue
-            rates.append(best.progress_rate(view.now))
-            eligible.append((snap, best.progress_rate(view.now)))
+            rate = best.progress_rate(now)
+            rates.append(rate)
+            eligible.append((snap, rate))
         if not eligible:
             return []
         threshold = percentile(rates, self.slow_task_percentile)
@@ -88,10 +91,10 @@ class LatePolicy(SpeculationPolicy):
     # -- policy ------------------------------------------------------------------
 
     def choose_task(self, view: SchedulingView) -> Optional[SchedulingDecision]:
-        pending = view.pending()
-        if pending:
+        first = view.first_pending()
+        if first is not None:
             # Bound-oblivious: plain input order, no pruning, no SJF/LJF.
-            return make_decision(min(pending, key=lambda snap: snap.task_id))
+            return make_decision(first)
         if self._running_speculative_copies(view) >= self._speculative_budget(view):
             return None
         slow = self._slow_candidates(view)

@@ -34,6 +34,7 @@ class MantriPolicy(SpeculationPolicy):
     """The Mantri baseline."""
 
     name = "mantri"
+    stateless_choose = True
 
     def __init__(
         self,
@@ -52,18 +53,22 @@ class MantriPolicy(SpeculationPolicy):
         self.min_runtime_before_speculation = min_runtime_before_speculation
 
     def _duplicate_candidates(self, view: SchedulingView) -> List[TaskSnapshot]:
+        # The conditions are pure and conjunctive, so the cheap estimate test
+        # runs before the scan over the task's copies.
+        now = view.now
         candidates = []
         for snap in view.running():
             if snap.copies >= self.max_copies_per_task:
                 continue
+            if not snap.trem > self.duplicate_threshold * snap.tnew:
+                continue
             copies = snap.task.running_copies
             if not copies:
                 continue
-            best = min(copies, key=lambda c: c.remaining(view.now))
-            if best.elapsed(view.now) < self.min_runtime_before_speculation:
+            best = min(copies, key=lambda c: c.remaining(now))
+            if best.elapsed(now) < self.min_runtime_before_speculation:
                 continue
-            if snap.trem > self.duplicate_threshold * snap.tnew:
-                candidates.append(snap)
+            candidates.append(snap)
         return candidates
 
     def choose_task(self, view: SchedulingView) -> Optional[SchedulingDecision]:
@@ -73,7 +78,4 @@ class MantriPolicy(SpeculationPolicy):
             return make_decision(
                 min(duplicates, key=lambda snap: (-snap.trem, snap.task_id))
             )
-        pending = view.pending()
-        if pending:
-            return make_decision(min(pending, key=lambda snap: snap.task_id))
-        return None
+        return make_decision(view.first_pending())

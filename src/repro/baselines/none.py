@@ -21,9 +21,7 @@ class NoSpeculationPolicy(SpeculationPolicy):
     """Launch each task exactly once, in task-id (input) order."""
 
     name = "no-spec"
+    stateless_choose = True
 
     def choose_task(self, view: SchedulingView) -> Optional[SchedulingDecision]:
-        pending = view.pending()
-        if not pending:
-            return None
-        return make_decision(min(pending, key=lambda snap: snap.task_id))
+        return make_decision(view.first_pending())

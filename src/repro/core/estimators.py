@@ -379,6 +379,7 @@ class TaskEstimator:
         trem_cache_get = trem_cache.get
         draw_noise = self._noise
         tracker_mean = self.trem_tracker._accuracy
+        inf = float("inf")
         for task_id in running_ids:
             snap = snaps[task_id]
             task = snap.task
@@ -387,7 +388,7 @@ class TaskEstimator:
             if tnew < 1e-6:
                 tnew = 1e-6
             best = None
-            best_remaining = float("inf")
+            best_remaining = inf
             for copy in task._running:
                 remaining = copy.start_time + copy.duration - now
                 if remaining < 0.0:

@@ -174,9 +174,12 @@ class Job(TaskObserver):
         self.allocation: int = 0
         self.input_deadline: Optional[float] = None
         self.speculative_copies_launched: int = 0
+        # A plain int, not a property over ``spec.phases``: ``current_phase``
+        # and the engine's per-round paths read it on every scheduling query.
+        self.dag_length: int = spec.dag_length
         self.tasks: Dict[int, Task] = {}
         self._tasks_by_phase: List[List[Task]] = []
-        self._completed_by_phase: List[int] = [0] * spec.dag_length
+        self._completed_by_phase: List[int] = [0] * self.dag_length
         self._pending_by_phase: List[int] = [
             phase.task_count for phase in spec.phases
         ]
@@ -245,10 +248,6 @@ class Job(TaskObserver):
     @property
     def bound(self) -> ApproximationBound:
         return self.spec.bound
-
-    @property
-    def dag_length(self) -> int:
-        return self.spec.dag_length
 
     # -- lifecycle --------------------------------------------------------------
 
@@ -322,7 +321,7 @@ class Job(TaskObserver):
         bound-determined fraction for the input phase).
         """
         cursor = self._phase_cursor
-        dag_length = self.spec.dag_length
+        dag_length = self.dag_length
         completed = self._completed_by_phase
         required = self._required_by_phase
         while cursor < dag_length and completed[cursor] >= required[cursor]:

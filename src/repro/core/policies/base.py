@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.core.bounds import ApproximationBound
 from repro.core.estimators import TaskEstimator
 from repro.core.job import Job, JobResult
-from repro.core.task import Task
+from repro.core.task import Task, TaskState
 
 
 class TaskSnapshot:
@@ -98,6 +98,13 @@ class SchedulingIndex:
     what lets GS/RAS pick a task in O(running + log pending) instead of
     rescanning and re-sorting every snapshot per launched copy.
 
+    The baselines (LATE, Mantri, no-spec) want the *lowest-id* pending task
+    instead, which :meth:`first_pending` serves from a per-phase cursor into
+    the phase's task list: within a phase a task never returns to
+    ``PENDING``, so every task before the cursor has left the pending set
+    for good and the cursor only moves forward (amortised O(1) per ask).
+    ``_rebuild`` resets it when the phase changes.
+
     Exactness contract: the unbatched engine rebuilt every snapshot on every
     scheduling round, and each rebuild had side effects — noise draws keyed
     by ``(task_id, copies, progress bucket)`` and one
@@ -148,6 +155,7 @@ class SchedulingIndex:
         "p_rate",
         "p_noise",
         "p_stale",
+        "p_cursor",
         "choice_void",
     )
 
@@ -173,11 +181,15 @@ class SchedulingIndex:
         # (p_rate * work) * p_noise)``).  ``p_stale`` marks pending *snapshots*
         # whose ``tnew``/``trem`` fields lag the sorted list: the per-epoch
         # re-estimate refreshes only the list (what the fast selection paths
-        # read) and defers the snapshot writes to :meth:`materialize`, the one
-        # consumer that reads pending snapshot fields.
+        # read) and defers the snapshot writes to the two consumers that read
+        # pending snapshot fields: :meth:`materialize` flushes them all and
+        # :meth:`first_pending` refreshes the one snapshot it returns.
         self.p_rate = 0.0
         self.p_noise = 1.0
         self.p_stale = False
+        # Position in ``job._tasks_by_phase[phase]`` before which no task is
+        # pending any more (see ``first_pending``).
+        self.p_cursor = 0
         # True while the last ``choose_task`` on this exact index state
         # returned None.  A *stateless* policy (see
         # ``SpeculationPolicy.stateless_choose``) is a pure function of that
@@ -193,7 +205,7 @@ class SchedulingIndex:
         """
         job = self.job
         phase = job.current_phase()
-        if phase >= job.spec.dag_length:
+        if phase >= job.dag_length:
             return False
         estimator = self.estimator
         if phase != self.phase:
@@ -248,6 +260,7 @@ class SchedulingIndex:
         self.p_rate = rate
         self.p_noise = noise
         self.p_stale = False
+        self.p_cursor = 0
         self.choice_void = False
         self.dirty.clear()
 
@@ -269,8 +282,9 @@ class SchedulingIndex:
         # ~linear (float rounding can still create fresh ties whose id
         # tie-break lands out of order, hence the sort stays).  Pending
         # *snapshots* are left stale on purpose: the fast selection paths
-        # read only the sorted list, and ``materialize`` refreshes the
-        # snapshot fields on demand for the policies that do read them.
+        # read only the sorted list, and ``materialize``/``first_pending``
+        # refresh the snapshot fields on demand for the policies that do
+        # read them.
         pending = [
             ((tnew if (tnew := (rate * work) * noise) >= 1e-6 else 1e-6), task_id, work)
             for _, task_id, work in self.pending_sorted
@@ -389,6 +403,32 @@ class SchedulingIndex:
                 if entry[0] == tnew and entry[1] == task_id:
                     del pending[index]
 
+    def first_pending(self) -> Optional[TaskSnapshot]:
+        """The lowest-id pending snapshot of the current phase, or None.
+
+        While ``p_stale`` is set the returned snapshot's ``tnew``/``trem``
+        are refreshed from the epoch factor first (the same expression the
+        sorted list was built with), so no stale fields are handed out.
+        """
+        tasks = self.job._tasks_by_phase[self.phase]
+        end = len(tasks)
+        cursor = self.p_cursor
+        pending = TaskState.PENDING
+        while cursor < end and tasks[cursor].state is not pending:
+            cursor += 1
+        self.p_cursor = cursor
+        if cursor == end:
+            return None
+        spec = tasks[cursor].spec
+        snap = self.snaps[spec.task_id]
+        if self.p_stale:
+            tnew = (self.p_rate * spec.work) * self.p_noise
+            if tnew < 1e-6:
+                tnew = 1e-6
+            snap.tnew = tnew
+            snap.trem = tnew
+        return snap
+
     def materialize(self) -> List[TaskSnapshot]:
         """The snapshot list in walk (task id) order, for generic policies."""
         snaps = self.snaps
@@ -407,10 +447,13 @@ class SchedulingView:
     """Everything a policy may look at when choosing the next task to launch.
 
     ``tasks`` is materialised lazily when the view was built from a
-    :class:`SchedulingIndex` (``sched``): GS/RAS/GRASS pick straight from
-    the index's flat structures and never touch the snapshot list, while
-    baseline policies and the switch deciders still see the exact list the
-    eager builder produced.
+    :class:`SchedulingIndex` (``sched``).  GS/RAS/GRASS pick straight from
+    the index's flat structures, and the baselines read it through
+    :meth:`running` and :meth:`first_pending`, so none of them touch the
+    snapshot list on their own; only the switch deciders (and any policy
+    reading ``tasks`` or :meth:`pending`) materialise it, and they see the
+    exact list the eager builder produced.  Oracle-estimate views carry the
+    eager list and no index, and every accessor reads that list.
     """
 
     __slots__ = (
@@ -467,7 +510,22 @@ class SchedulingView:
         return [snap for snap in self.tasks if not snap.running]
 
     def running(self) -> List[TaskSnapshot]:
+        """Running snapshots in task-id order (the index's ``running_ids``)."""
+        sched = self.sched
+        if sched is not None:
+            snaps = sched.snaps
+            return [snaps[task_id] for task_id in sched.running_ids]
         return [snap for snap in self.tasks if snap.running]
+
+    def first_pending(self) -> Optional[TaskSnapshot]:
+        """The pending snapshot with the lowest task id, or None."""
+        sched = self.sched
+        if sched is not None:
+            return sched.first_pending()
+        pending = self.pending()
+        if not pending:
+            return None
+        return min(pending, key=lambda snap: snap.task_id)
 
     def elapsed(self) -> float:
         return self.job.elapsed(self.now)
@@ -514,14 +572,21 @@ class SpeculationPolicy(abc.ABC):
     #: policy object, so skipping it cannot change their results.
     learns_across_jobs: bool = False
 
-    #: True when ``choose_task`` is a pure function of the scheduling index
-    #: state and the bound/deadline/required view fields — no policy-side
-    #: mutation, no dependence on cluster utilisation or accuracy.  The
-    #: engine then caches a None decision for the current index state
-    #: (``SchedulingIndex.choice_void``) and skips the repeat ask, emitting
-    #: only the replay fold the estimation walk is required to produce.
-    #: GRASS must stay False: its ``choose_task`` updates per-job switching
-    #: state from the view's utilisation on every call.
+    #: True when ``choose_task`` is a pure function of three things: the
+    #: scheduling index state (snapshots, pending/running structures and the
+    #: tasks' running copies), ``now``, and the view fields that stay fixed
+    #: within one engine dispatch — the bound, the remaining deadline, the
+    #: required tasks and the wave width (the allocation, recomputed only
+    #: between dispatches).  It must never read cluster utilisation or
+    #: estimator accuracy, which move between asks, nor mutate policy-side
+    #: state.  The engine then caches a None decision for the current index
+    #: state (``SchedulingIndex.choice_void``) and skips the repeat ask,
+    #: emitting only the replay fold the estimation walk is required to
+    #: produce; the cache is dropped when the index mutates, the clock moves
+    #: or the job's allocation changes.  GS, RAS, LATE, Mantri and no-spec
+    #: qualify.  GRASS must stay
+    #: False: its ``choose_task`` raises per-job ``start_utilization`` from
+    #: the view's utilisation on every call, which grows within a dispatch.
     stateless_choose: bool = False
 
     def on_job_start(self, job: Job, now: float) -> None:

@@ -125,6 +125,23 @@ class JobSample:
         return self.completion_times[needed - 1]
 
 
+def mean_fraction_completed(samples: Sequence[JobSample], elapsed: float) -> float:
+    """Mean fraction of tasks the (non-empty) ``samples`` completed in ``elapsed``."""
+    fractions = [sample.fraction_completed_by(elapsed) for sample in samples]
+    return sum(fractions) / len(fractions)
+
+
+def mean_time_for_fraction(
+    samples: Sequence[JobSample], fraction: float
+) -> Optional[float]:
+    """Mean time ``samples`` took to reach ``fraction``; None if none did."""
+    times = [sample.time_to_complete_fraction(fraction) for sample in samples]
+    usable = [time for time in times if time is not None]
+    if not usable:
+        return None
+    return sum(usable) / len(usable)
+
+
 class SampleStore:
     """Bucketed collection of :class:`JobSample` records with fallback lookup."""
 
@@ -227,8 +244,7 @@ class SampleStore:
         )
         if not samples:
             return None
-        fractions = [sample.fraction_completed_by(elapsed) for sample in samples]
-        return sum(fractions) / len(fractions)
+        return mean_fraction_completed(samples, elapsed)
 
     def expected_time_for_fraction(
         self,
@@ -244,11 +260,7 @@ class SampleStore:
         )
         if not samples:
             return None
-        times = [sample.time_to_complete_fraction(fraction) for sample in samples]
-        usable = [time for time in times if time is not None]
-        if not usable:
-            return None
-        return sum(usable) / len(usable)
+        return mean_time_for_fraction(samples, fraction)
 
     def sample_counts(self) -> Dict[Tuple, int]:
         """Diagnostic view: how many samples each full key currently holds."""

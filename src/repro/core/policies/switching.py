@@ -18,11 +18,14 @@ import abc
 from dataclasses import dataclass, field
 from typing import FrozenSet, Optional
 
+from repro.core.bounds import BoundType
 from repro.core.job import job_bin_label
 from repro.core.policies.base import SchedulingView
 from repro.core.policies.samples import (
     SampleStore,
     accuracy_bucket,
+    mean_fraction_completed,
+    mean_time_for_fraction,
     utilization_bucket,
 )
 from repro.utils.stats import median
@@ -94,6 +97,10 @@ class LearnedSwitchDecider(SwitchDecider):
     ``k - j`` tasks.  The job switches only when "switch immediately" is the
     best-scoring point.  When the store cannot answer (cold start) we fall
     back to the strawman so behaviour stays sensible.
+
+    The store cannot change mid-decision, so each decision looks up the RAS
+    and GS sample lists once and scores every grid point from them — the
+    same means ``SampleStore.expected_*`` would return per point.
     """
 
     store: SampleStore
@@ -133,20 +140,19 @@ class LearnedSwitchDecider(SwitchDecider):
         if remaining <= 0:
             return True
         size, util, acc = self._buckets(view)
+        kind = BoundType.DEADLINE.value
+        ras_samples = self.store.samples_for("ras", kind, size, util, acc)
+        gs_samples = self.store.samples_for("gs", kind, size, util, acc)
+        if not ras_samples or not gs_samples:
+            return None
         step = remaining / self.grid_points
         best_value = None
         best_delay = None
         for index in range(self.grid_points + 1):
             delay = index * step
-            ras_fraction = self.store.expected_fraction_completed(
-                "ras", delay, size, util, acc
+            value = mean_fraction_completed(ras_samples, delay) + mean_fraction_completed(
+                gs_samples, remaining - delay
             )
-            gs_fraction = self.store.expected_fraction_completed(
-                "gs", remaining - delay, size, util, acc
-            )
-            if ras_fraction is None or gs_fraction is None:
-                return None
-            value = ras_fraction + gs_fraction
             if best_value is None or value > best_value + 1e-12:
                 best_value = value
                 best_delay = delay
@@ -162,16 +168,19 @@ class LearnedSwitchDecider(SwitchDecider):
             return True
         total = max(1, view.job.spec.num_input_tasks)
         size, util, acc = self._buckets(view)
+        kind = BoundType.ERROR.value
+        ras_samples = self.store.samples_for("ras", kind, size, util, acc)
+        gs_samples = self.store.samples_for("gs", kind, size, util, acc)
+        if not ras_samples or not gs_samples:
+            return None
         points = min(self.grid_points, needed)
         best_cost = None
         best_tasks_under_ras = None
         for index in range(points + 1):
             tasks_under_ras = round(index * needed / points)
-            ras_time = self.store.expected_time_for_fraction(
-                "ras", tasks_under_ras / total, size, util, acc
-            )
-            gs_time = self.store.expected_time_for_fraction(
-                "gs", (needed - tasks_under_ras) / total, size, util, acc
+            ras_time = mean_time_for_fraction(ras_samples, tasks_under_ras / total)
+            gs_time = mean_time_for_fraction(
+                gs_samples, (needed - tasks_under_ras) / total
             )
             if ras_time is None or gs_time is None:
                 return None

@@ -48,7 +48,6 @@ The serial path (``workers=1``, no pool given) does not touch
 
 from __future__ import annotations
 
-import asyncio
 import concurrent.futures
 import contextlib
 import multiprocessing
@@ -401,6 +400,11 @@ class AsyncBridge:
 
     async def submit(self, func: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
         """Run ``func(*args, **kwargs)`` on the bridge pool and await it."""
+        # Imported here, not at module level: only the service's event loop
+        # reaches the bridge, and every CLI process and pool worker imports
+        # this module.
+        import asyncio
+
         loop = asyncio.get_running_loop()
         if kwargs:
             call = lambda: func(*args, **kwargs)  # noqa: E731
@@ -420,6 +424,8 @@ class AsyncBridge:
         loop in call order, which preserves the deterministic shard-major
         delta order of ``runner.execute``'s ``on_metrics`` hook.
         """
+        import asyncio
+
         loop = asyncio.get_running_loop()
 
         def schedule(*args: Any) -> None:

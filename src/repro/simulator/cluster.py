@@ -204,9 +204,17 @@ class Cluster:
         (``min(cap, demand)``) and would otherwise rebuild the demand and
         cap dicts on every recompute.  Iteration order of ``limits`` is the
         sharing order, exactly as ``job_ids`` ordered the wrapper.
+
+        When the positive limits fit in the capacity the rounds below grant
+        every job exactly its limit, so that answer is returned directly —
+        the common, uncontended case.
         """
-        allocations = {job_id: 0 for job_id in limits}
         remaining = self.total_slots if capacity is None else max(0, capacity)
+        if sum(limit for limit in limits.values() if limit > 0) <= remaining:
+            return {
+                job_id: (limit if limit > 0 else 0) for job_id, limit in limits.items()
+            }
+        allocations = {job_id: 0 for job_id in limits}
         # Insertion-ordered dict as the active set: O(1) removal of converged
         # jobs (the old list paid an O(n) ``list.remove`` per convergence)
         # with the same deterministic iteration order.

@@ -25,7 +25,10 @@ state), never O(cluster) or O(workload):
   incrementally (see :class:`~repro.core.task.TaskObserver`), so scheduling
   queries never rescan every task;
 * fair-share allocations are recomputed only when a *dirty flag* says the
-  running-job set or some job's schedulable counts actually changed;
+  running-job set or some job's schedulable counts actually changed, and
+  when the jobs' positive limits fit in the free capacity — the common,
+  uncontended case — every job gets exactly its limit without running the
+  max-min rounds;
 * ``COPY_FINISH`` events of killed copies and ``JOB_DEADLINE`` events of
   early-finishing jobs are cancelled via :meth:`EventQueue.cancel` rather
   than popped and discarded, keeping the heap small and the simulated
@@ -49,10 +52,16 @@ enforce this):
   against estimator feedback instead of rebuilt per scheduling round;
   re-estimates refresh the sorted list lazily and defer snapshot writes
   until a policy actually materialises the view;
+* every benchmarked policy picks in O(running tasks) without materialising
+  the snapshot list: GS/RAS/GRASS read the sorted structures, and the
+  baselines (LATE, Mantri, no-spec) read ``SchedulingView.running()`` (the
+  index's running ids) and ``first_pending()`` (a per-phase cursor to the
+  lowest-id pending task);
 * policies whose choice is a pure function of the index state declare
-  ``stateless_choose``, letting the engine skip the re-ask after a ``None``
-  decision when nothing it reads has changed (the mandated estimator folds
-  still run);
+  ``stateless_choose`` (GS, RAS and the three baselines), letting the engine
+  skip the re-ask after a ``None`` decision when nothing it reads has
+  changed — a new allocation drops the cached answer too, since LATE reads
+  the wave width — while the mandated estimator folds still run;
 * the straggler model reseeds one scratch generator per copy through the
   C-level ``seed`` with a pre-encoded digest prefix, instead of spawning a
   fresh RNG stream per multiplier.
@@ -65,7 +74,18 @@ original 10x target proved out of reach in pure CPython once every remaining
 cost — Mersenne-Twister reseeds, estimator folds, per-epoch re-sorts — was
 shown to be mandated by digest equivalence).  ``BENCH_engine.json`` tracks
 the numbers and ``scripts/check.sh bench-gate`` holds both quick- and
-default-scale throughput to a 30% regression budget.
+default-scale throughput to a 30% regression budget; it records gs, grass,
+late and mantri.
+
+Serving the baselines from the index and skipping their repeat asks cut a
+traced ``perfbench`` ``replay-cold`` run (grass + late over a 1,000-job
+trace, 2-vCPU host) from 89,815 to 77,117 policy asks and from 1.51 s to
+0.77 s of time inside ``choose_task``, with the simulated work unchanged
+(25,264 events, 42,800 estimator walks and 34,519 straggler draws on both
+sides).  Over twenty alternating parent/change pairs of the untraced run
+the median ``jobs_per_s`` went from 503 to 570 (median per-pair ratio 1.15;
+the change won 19, the twentieth was a 0.1% tie).  What remains is mostly
+those walks and draws, which the digests require.
 
 Memory
 ------
@@ -202,8 +222,9 @@ class Simulation:
         # Fair-share allocations are recomputed lazily: any mutation that can
         # change a job's demand (or the running-job set) raises this flag.
         self._alloc_dirty = True
-        # Stateless-choice policies (GS/RAS) let the dispatch loop cache a
-        # None decision per index state instead of re-asking; see
+        # Stateless-choice policies (GS, RAS and the baselines) let the
+        # dispatch loop cache a None decision per index state instead of
+        # re-asking; see
         # ``SpeculationPolicy.stateless_choose``.  Oracle runs bypass the
         # scheduling index entirely, so the cache never applies there.
         self._stateless_choice = (
@@ -456,7 +477,7 @@ class Simulation:
             # ``schedulable_counts`` inlined: pending tasks plus one extra
             # speculative copy per running task is the job's demand.
             phase = job.current_phase()
-            if phase >= job.spec.dag_length:
+            if phase >= job.dag_length:
                 demand = 1
             else:
                 pending = job._pending_by_phase[phase]
@@ -469,8 +490,19 @@ class Simulation:
         allocations = self.cluster.fair_share_limits(
             limits, capacity=self._total_slots - self._reserved_slots
         )
+        sched_index = self._sched_index
         for job_id, allocation in allocations.items():
-            jobs[job_id].allocation = allocation
+            job = jobs[job_id]
+            if job.allocation != allocation:
+                job.allocation = allocation
+                # A cached None answer may have read the old wave width
+                # (LATE's speculative budget does).  The clock has usually
+                # moved on by the next dispatch, but a copy shorter than the
+                # clock's float resolution finishes at the same instant, and
+                # the next dispatch then runs at the same ``now``.
+                index = sched_index.get(job_id)
+                if index is not None:
+                    index.choice_void = False
 
     # ------------------------------------------------------------------ dispatch
 

@@ -10,8 +10,11 @@ import multiprocessing
 import os
 import pickle
 import signal
+import subprocess
+import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -388,3 +391,24 @@ class TestCompareDeterminism:
         serial = compare_policies(["late"], config, scale=TINY)
         assert via_scale.runs["late"].results == serial.runs["late"].results
         assert via_arg.runs["late"].results == serial.runs["late"].results
+
+
+def test_cli_import_does_not_load_asyncio():
+    """Only the service's ``AsyncBridge`` needs asyncio; it imports it lazily,
+    so CLI processes and pool workers never pay for the import."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.experiments.cli; print('asyncio' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -10,37 +10,52 @@ The digests were computed under CPython 3.11.  They also pin the
 interpreter's float arithmetic: CPython 3.12 made ``sum()`` over floats
 compensated, which moves six of the eight entries.
 
-A change that moves a digest changes replay results.  If that is intended,
+Two cases pin the figures path instead of a replay plan: the digest of a
+``compare_policies`` run over one synthetic figure cell, with the three
+policies the paper compares plus no-speculation.
+
+A change that moves a digest changes results.  If that is intended,
 regenerate the corpus with::
 
-    PYTHONPATH=src python tests/test_golden_digests.py > tests/golden/replay_digests.json
+    PYTHONPATH=src python tests/test_golden_digests.py --reason "why the digests move"
 
-and record the reason in CHANGES.md.
+It refuses to run without a non-empty reason, rewrites
+``tests/golden/replay_digests.json`` itself and reports every entry as
+added, changed, unchanged or removed.  Quote the reason in CHANGES.md.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import random
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Dict
+from typing import Callable, Dict, List, Optional
 
 import pytest
 
 from repro.experiments.figures import trace_vs_synthetic
 from repro.experiments.plan import ReplayPlan
-from repro.experiments.runner import ExperimentScale, execute
+from repro.experiments.runner import (
+    ExperimentScale,
+    compare_policies,
+    execute,
+    metrics_digest,
+)
 from repro.utils.stats import mean
 from repro.workload.ingest import ingest_trace
+from repro.workload.synthetic import WorkloadConfig
 from repro.workload.traces import load_trace
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden" / "replay_digests.json"
 TRACES = ROOT / "traces"
 POLICIES = ("grass", "late", "mantri")
+#: Policies of the figure-cell cases: the paper's comparison plus no-spec.
+FIGURE_POLICIES = ("late", "mantri", "grass", "no-spec")
 #: Seed of the shuffle that turns facebook_like.jsonl into an unsorted trace.
 #: Chosen so the file-order mean slowest/median ratio differs in its last bit
 #: from the arrival-order mean: the case pins which order calibrates.
@@ -112,6 +127,28 @@ def _trace_case(make_trace, **fields) -> Callable[[Path, int], str]:
     return run
 
 
+def _figure_cell_case(
+    workload: str, framework: str, bound_kind: str, seed: int
+) -> Callable[[Path, int], str]:
+    """Digest of ``compare_policies`` over one synthetic figure cell."""
+
+    def run(workdir: Path, workers: int) -> str:
+        comparison = compare_policies(
+            list(FIGURE_POLICIES),
+            WorkloadConfig(
+                workload=workload,
+                framework=framework,
+                bound_kind=bound_kind,
+                seed=seed,
+            ),
+            scale=ExperimentScale.quick(),
+            workers=workers,
+        )
+        return metrics_digest(comparison)
+
+    return run
+
+
 #: Golden case name -> ``compute(workdir, workers) -> sha256 hex``.
 CASES: Dict[str, Callable[[Path, int], str]] = {
     "facebook_like-shards1-deadline": _plan_case(
@@ -131,6 +168,12 @@ CASES: Dict[str, Callable[[Path, int], str]] = {
     "ingested-google-sample-shards2": _trace_case(_ingested_google, shards=2),
     "trace-replay-figure-rows": lambda workdir, workers: _figure_rows_digest(workers),
     "cache-restored-bing_like-shards3-deadline": _cache_restored_digest,
+    "compare_policies-facebook-hadoop-deadline-seed11": _figure_cell_case(
+        "facebook", "hadoop", "deadline", 11
+    ),
+    "compare_policies-bing-spark-error-seed22": _figure_cell_case(
+        "bing", "spark", "error", 22
+    ),
 }
 
 
@@ -155,18 +198,42 @@ def test_digest_matches_golden(name, workers, tmp_path):
     assert CASES[name](tmp_path, workers) == _golden()[name]
 
 
-def main() -> int:
-    """Print the current corpus as JSON (the regeneration path)."""
+def main(argv: Optional[List[str]] = None) -> int:
+    """Recompute the corpus and rewrite the golden file (the regeneration path)."""
     import tempfile
 
+    parser = argparse.ArgumentParser(
+        description="Regenerate tests/golden/replay_digests.json."
+    )
+    parser.add_argument(
+        "--reason",
+        default="",
+        help="why the digests are being regenerated (required; quote it in CHANGES.md)",
+    )
+    args = parser.parse_args(argv)
+    reason = args.reason.strip()
+    if not reason:
+        parser.error("refusing to regenerate the golden corpus without a non-empty --reason")
+    old = _golden() if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as workdir:
         digests = {name: CASES[name](Path(workdir), 1) for name in sorted(CASES)}
+    for name, digest in digests.items():
+        if name not in old:
+            status = "added"
+        elif old[name] != digest:
+            status = "changed"
+        else:
+            status = "unchanged"
+        print(f"{status:9}  {name}  {digest}")
+    for name in sorted(set(old) - set(digests)):
+        print(f"{'removed':9}  {name}  {old[name]}")
     corpus = {
         "note": "sha256 metrics digests pinned by tests/test_golden_digests.py; "
         "regenerate only on purpose and record why in CHANGES.md",
         "digests": digests,
     }
-    print(json.dumps(corpus, indent=2, sort_keys=True))
+    GOLDEN.write_text(json.dumps(corpus, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(digests)} digests to {GOLDEN.relative_to(ROOT)}; reason: {reason}")
     return 0
 
 
