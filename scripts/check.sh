@@ -2,7 +2,13 @@
 # Repo check harness:
 #   ./scripts/check.sh [test|coverage|bench-smoke|bench-gate|replay-determinism|ingest-smoke|service-smoke|cache-smoke|cluster-replay|perfbench|analyze|lint|all]
 #
-# * test        — the tier-1 suite (PYTHONPATH=src python -m pytest -x -q)
+# * test        — the tier-1 suite (PYTHONPATH=src python -m pytest -x -q),
+#                 then the pool tests (tests/test_executor.py,
+#                 tests/test_warmup_cache.py) again under `python -X dev
+#                 -W error::ResourceWarning` with pytest's
+#                 `-W error::pytest.PytestUnraisableExceptionWarning`, so a
+#                 multiprocessing.Pool left unclosed fails the run (its
+#                 __del__ warning is otherwise only reported)
 # * coverage    — the tier-1 suite under pytest-cov with the line-coverage
 #                 floor (COVERAGE_FLOOR, default 84 — measured 86.8% at the
 #                 time the floor was set); requires pytest-cov (CI installs
@@ -83,6 +89,9 @@ COVERAGE_FLOOR="${COVERAGE_FLOOR:-84}"
 
 run_test() {
     python -m pytest -x -q
+    python -X dev -W error::ResourceWarning -m pytest -q \
+        -W error::pytest.PytestUnraisableExceptionWarning \
+        tests/test_executor.py tests/test_warmup_cache.py
 }
 
 run_coverage() {

@@ -12,7 +12,12 @@ OS schedules the workers.
 Two entry points share that contract:
 
 * :meth:`ParallelExecutor.run` — the batch path: materialise every request,
-  fan out, return a list.
+  fan out, return a list.  A learning policy's requests may name the
+  :class:`~repro.experiments.warmup.WarmupCache` their warm state comes
+  from; on the pool, the policy's first request (its *chain head*) warms it
+  and runs in one worker task, submitted ahead of everything else, while
+  the stateless requests fill the other workers, and the policy's remaining
+  requests are submitted restored from the snapshot the head returns.
 * :meth:`ParallelExecutor.run_stream` — the streaming path: consume an
   *iterator* of requests lazily (at most ``max_in_flight`` requests are ever
   materialised and unmerged at once) and yield metrics in request order as
@@ -35,7 +40,8 @@ Determinism contract
 * Every simulation is seeded explicitly; a ``(policy, seed)`` run therefore
   produces the same ``MetricsCollector`` whether it executes in this process,
   a worker process, or a different worker count.
-* Results are merged strictly in request order — ``run`` never reorders and
+* Results are merged strictly in request order — ``run`` never reorders its
+  results (only its dispatch) and
   ``run_stream`` yields position ``i`` before pulling request ``i + k`` past
   its in-flight window — so ``workers=N`` and ``workers=1`` return
   byte-identical payloads (``tests/test_executor.py`` locks this in with a
@@ -54,11 +60,12 @@ import multiprocessing
 import os
 import traceback
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.policies.base import SpeculationPolicy
 from repro.experiments.policies import make_policy
+from repro.experiments.warmup import WarmupCache
 from repro.simulator.engine import Simulation, SimulationConfig
 from repro.simulator.metrics import MetricsCollector
 from repro.simulator.sinks import SinkFactory
@@ -107,7 +114,12 @@ class RunRequest:
     * ``warm_state`` — restore a pre-computed state snapshot (see
       ``repro.experiments.warmup``) instead of re-simulating that history.
       Snapshots are plain data, so snapshot-carrying named requests remain
-      parallel-safe.
+      parallel-safe.  ``warm_state`` may instead name the
+      :class:`~repro.experiments.warmup.WarmupCache` that produces the
+      snapshot: the request then resolves ``cache.snapshot_for(policy_name)``
+      wherever it runs, and :meth:`ParallelExecutor.run` chains a pool
+      worker's warm-up with the policy's first request.  Only named requests
+      may carry a cache.
     """
 
     workload: Optional[GeneratedWorkload] = None
@@ -119,7 +131,8 @@ class RunRequest:
     #: The warm-up cache keys warmed state on this config's seed, so callers
     #: that share warm-ups across run seeds pass a dedicated warm-up config.
     warmup_config: Optional[SimulationConfig] = None
-    #: Pre-warmed policy state (from ``SpeculationPolicy.state_snapshot``).
+    #: Pre-warmed policy state (from ``SpeculationPolicy.state_snapshot``),
+    #: or the ``WarmupCache`` that produces it.
     warm_state: Optional[object] = None
     #: Lazy spec source (duck-typed: ``iter_specs()``); see the class docs.
     spec_source: Optional[object] = None
@@ -140,6 +153,11 @@ class RunRequest:
             raise ValueError("give exactly one of policy_name or policy")
         if self.warm_state is not None and self.warmup is not None:
             raise ValueError("give at most one of warmup or warm_state")
+        if self.policy is not None and isinstance(self.warm_state, WarmupCache):
+            raise ValueError(
+                "a warm-up cache warms a policy by name; give policy_name, "
+                "not a policy instance"
+            )
 
     def __repr__(self) -> str:
         """Concise identity (the dataclass default would dump the workload)."""
@@ -148,7 +166,9 @@ class RunRequest:
             if self.policy_name is not None
             else f"<instance {type(self.policy).__name__}>"
         )
-        if self.warm_state is not None:
+        if isinstance(self.warm_state, WarmupCache):
+            warm = "cache"
+        elif self.warm_state is not None:
             warm = "snapshot"
         elif self.warmup is not None:
             warm = f"workload[{len(self.warmup.job_specs)}]"
@@ -177,11 +197,15 @@ class RunRequest:
         scheduler would.  Warm-up results are discarded.  A ``warm_state``
         snapshot replaces that pass with a state restore, which is
         byte-equivalent as long as the snapshot was taken after warming an
-        identically-configured policy under ``warmup_config``.
+        identically-configured policy under ``warmup_config``.  A cache in
+        ``warm_state`` is resolved here, through its memo.
         """
         policy = self.policy if self.policy is not None else make_policy(self.policy_name)
-        if self.warm_state is not None:
-            policy.restore_state(self.warm_state)
+        warm_state = self.warm_state
+        if isinstance(warm_state, WarmupCache):
+            warm_state = warm_state.snapshot_for(self.policy_name)
+        if warm_state is not None:
+            policy.restore_state(warm_state)
         elif self.warmup is not None and self.warmup.job_specs:
             warm_config = self.warmup_config or self.config
             Simulation(warm_config, policy, self.warmup.specs()).run()
@@ -207,8 +231,30 @@ def _execute_request(request: RunRequest) -> MetricsCollector:
     ``request.execute()`` directly and keeps its native (fully informative)
     traceback.
     """
+    return _named_failures(request, request.execute)
+
+
+def _warm_and_execute(request: RunRequest) -> Tuple[object, MetricsCollector]:
+    """Pool task of a chain head: warm its policy, then run it restored.
+
+    ``request.warm_state`` is a :class:`WarmupCache`; the worker warms
+    through ``snapshot_for`` and returns ``(snapshot, metrics)`` so the
+    parent can restore the policy's remaining requests from the snapshot.
+    Failures, the warm-up's included, are wrapped like
+    :func:`_execute_request`'s.
+    """
+
+    def chain() -> Tuple[object, MetricsCollector]:
+        snapshot = request.warm_state.snapshot_for(request.policy_name)
+        return snapshot, replace(request, warm_state=snapshot).execute()
+
+    return _named_failures(request, chain)
+
+
+def _named_failures(request: RunRequest, work: Callable[[], Any]) -> Any:
+    """``work()``, with failures wrapped as described in :func:`_execute_request`."""
     try:
-        return request.execute()
+        return work()
     except (TraceFormatError, OSError):
         raise
     except Exception as exc:
@@ -256,6 +302,22 @@ class ParallelExecutor:
         executes it in-process too.  Spawning a pool to run a single
         simulation costs more than the simulation (fork + pickle + teardown),
         so the serial fallback is intentional, not an accident of the guard.
+
+        On the pool, a request whose ``warm_state`` is a
+        :class:`~repro.experiments.warmup.WarmupCache` without its policy's
+        snapshot joins that (cache, policy) pair's *chain*.  Dispatch order:
+
+        1. each chain's first request, as one task that warms the policy and
+           then runs the request from the fresh snapshot — submitted before
+           anything else, because each is the batch's longest path;
+        2. every other request, in request order (a cache that already holds
+           its policy's snapshot is swapped for the snapshot);
+        3. as each head returns, in submission order, its snapshot is
+           recorded in the parent's cache and the chain's remaining requests
+           are submitted restored from it.
+
+        Each pair is warmed exactly once per batch, as on the serial path,
+        and the results do not depend on the dispatch order.
         """
         requests = list(requests)
         if not requests:
@@ -267,10 +329,8 @@ class ParallelExecutor:
         if self.workers > 1 and len(safe_indices) > 1:
             pool_size = min(self.workers, len(safe_indices))
             with multiprocessing.Pool(processes=pool_size) as pool:
-                fanned_out = pool.map(
-                    _execute_request, [requests[index] for index in safe_indices]
-                )
-            for index, metrics in zip(safe_indices, fanned_out, strict=True):
+                fanned_out = _fan_out(pool, requests, safe_indices)
+            for index, metrics in fanned_out.items():
                 results[index] = metrics
         for index, request in enumerate(requests):
             if results[index] is None:
@@ -356,6 +416,52 @@ class ParallelExecutor:
                 in_flight.append((request, ticket))
             while in_flight:
                 yield resolve()
+
+
+def _fan_out(
+    pool: multiprocessing.pool.Pool,
+    requests: List[RunRequest],
+    safe_indices: List[int],
+) -> Dict[int, MetricsCollector]:
+    """Run ``requests[safe_indices]`` on ``pool``; their metrics by request index.
+
+    Dispatch follows :meth:`ParallelExecutor.run`: chain heads, then the
+    rest in request order, then each chain's dependents as its head returns.
+    """
+    # (cache, policy name) -> request indices, the chain head first.
+    chains: Dict[Tuple[WarmupCache, str], List[int]] = {}
+    rest: List[int] = []
+    for index in safe_indices:
+        request = requests[index]
+        cache = request.warm_state
+        if isinstance(cache, WarmupCache) and not cache.holds(request.policy_name):
+            chains.setdefault((cache, request.policy_name), []).append(index)
+        else:
+            rest.append(index)
+    tickets: Dict[int, multiprocessing.pool.AsyncResult] = {}
+    results: Dict[int, MetricsCollector] = {}
+
+    def submit(index: int) -> None:
+        request = requests[index]
+        cache = request.warm_state
+        if isinstance(cache, WarmupCache):
+            request = replace(request, warm_state=cache.snapshot_for(request.policy_name))
+        tickets[index] = pool.apply_async(_execute_request, (request,))
+
+    heads = [
+        (key, indices, pool.apply_async(_warm_and_execute, (requests[indices[0]],)))
+        for key, indices in chains.items()
+    ]
+    for index in rest:
+        submit(index)
+    for (cache, name), (head, *dependents), ticket in heads:
+        snapshot, results[head] = ticket.get()
+        cache.record(name, snapshot)
+        for index in dependents:
+            submit(index)
+    for index, ticket in sorted(tickets.items()):
+        results[index] = ticket.get()
+    return results
 
 
 def _worker_died(request: RunRequest) -> RequestExecutionError:

@@ -949,11 +949,17 @@ def compare_policies(
     warm-up workload whose generation *and* simulation are seeded by
     ``workload seed + WARMUP_SEED_OFFSET`` — independent of the run seed, so
     one warmed state serves every seed.  With ``warm_cache`` (the default)
-    each learning policy is warmed exactly once and its state snapshot is
-    shipped to the workers; with ``warm_cache=False`` every request
-    re-simulates the warm-up.  Both paths produce byte-identical metrics —
-    the cache is purely a wall-clock optimisation.  Stateless policies are
-    never warmed: warm-up cannot affect a policy without cross-job state.
+    every request of a learning policy carries one shared
+    :class:`~repro.experiments.warmup.WarmupCache`, so each learning policy
+    is warmed exactly once: in-process by its first request, or on a pool by
+    a worker that then runs that request too, while the stateless policies
+    fill the other workers (see :meth:`ParallelExecutor.run`).  With
+    ``warm_cache=False`` every request re-simulates the warm-up.  Both paths
+    produce byte-identical metrics — the cache is purely a wall-clock
+    optimisation.  Stateless policies are never warmed: warm-up cannot
+    affect a policy without cross-job state, so a comparison without a
+    learning policy neither generates a warm-up workload nor checks its
+    seed.
 
     ``sink`` picks the per-simulation result sink (the ``sink`` field of
     :class:`~repro.experiments.plan.ReplayPlan` describes the kinds); figure
@@ -974,7 +980,8 @@ def compare_policies(
     warmup_workload: Optional[GeneratedWorkload] = None
     warmup_sim_config: Optional[SimulationConfig] = None
     cache: Optional[WarmupCache] = None
-    if warmup and scale.warmup_jobs > 0:
+    learning = {name for name in policy_names if policy_learns(name)}
+    if warmup and scale.warmup_jobs > 0 and learning:
         warm_seed = generator_config.seed + WARMUP_SEED_OFFSET
         # A measured seed equal to the warm-up seed would silently measure
         # the very simulation the policy warmed up on; refuse it whether or
@@ -993,15 +1000,12 @@ def compare_policies(
             cache = WarmupCache(
                 warmup_workload, warmup_sim_config, measured_seeds=scale.seeds
             )
-            cache.prewarm(
-                policy_names, workers=ParallelExecutor(workers=workers).workers
-            )
 
     def warm_fields(name: str) -> dict:
-        if warmup_workload is None or not policy_learns(name):
+        if warmup_workload is None or name not in learning:
             return {}
         if cache is not None:
-            return {"warm_state": cache.snapshot_for(name)}
+            return {"warm_state": cache}
         return {"warmup": warmup_workload, "warmup_config": warmup_sim_config}
 
     requests = [

@@ -10,6 +10,21 @@ measured workload.  The cache runs each warm-up exactly once per
 (:meth:`~repro.core.policies.base.SpeculationPolicy.state_snapshot`) and
 ships the snapshot to workers, which restore it instead of re-simulating.
 
+Where the warm-up runs
+----------------------
+
+A request names the cache itself as its ``warm_state``, and the cache is
+resolved wherever the request runs.  In-process, ``RunRequest.execute``
+asks :meth:`WarmupCache.snapshot_for`, so the first request of a learning
+policy warms it and the rest hit the memo.  On a pool,
+``ParallelExecutor.run`` sends each policy's first request as a *chain
+head* — warm-up, then that request, as one worker task — and the head hands
+its snapshot back to the parent's cache for the policy's remaining
+requests.  A pickled cache carries only its recipe (the warm-up workload
+and config), so the copy a head takes to a worker starts empty.
+:meth:`WarmupCache.prewarm` is a plain serial loop that nothing in the
+package calls; the benchmark's tracer wraps it by name.
+
 Cache semantics
 ---------------
 
@@ -35,8 +50,7 @@ object, so for a policy without cross-job state it is pure waste.
 
 from __future__ import annotations
 
-import multiprocessing
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.experiments.policies import make_policy
 from repro.simulator.engine import Simulation, SimulationConfig
@@ -78,11 +92,6 @@ def warm_policy_snapshot(
     return policy.state_snapshot()
 
 
-def _warm_one(args: Tuple[str, GeneratedWorkload, SimulationConfig]) -> object:
-    """Pool trampoline for :func:`warm_policy_snapshot`."""
-    return warm_policy_snapshot(*args)
-
-
 class WarmupCache:
     """Memoised warm-up snapshots for one (warm-up workload, config) pair.
 
@@ -104,8 +113,25 @@ class WarmupCache:
         self.hits = 0
         self.misses = 0
 
+    def __reduce__(self) -> tuple:
+        # A cache pickles as its recipe: the copy a worker unpickles starts
+        # empty, and pickling never reads the memo while this process fills it.
+        return (WarmupCache, (self.warmup, self.warmup_config))
+
     def _key(self, policy_name: str) -> Tuple[str, int]:
         return (policy_name, self.warmup_config.seed)
+
+    def holds(self, policy_name: str) -> bool:
+        """True if the policy's snapshot is memoised (a lookup would hit)."""
+        return self._key(policy_name) in self._snapshots
+
+    def record(self, policy_name: str, snapshot: object) -> None:
+        """Memoise a freshly warmed snapshot, counted as the miss that made it.
+
+        ``ParallelExecutor.run`` records the snapshots its pool workers warm.
+        """
+        self._snapshots[self._key(policy_name)] = snapshot
+        self.misses += 1
 
     def snapshot_for(self, policy_name: str) -> object:
         """The warmed state snapshot for one learning policy (memoised)."""
@@ -113,38 +139,19 @@ class WarmupCache:
         if key in self._snapshots:
             self.hits += 1
             return self._snapshots[key]
-        self.misses += 1
         snapshot = warm_policy_snapshot(policy_name, self.warmup, self.warmup_config)
-        self._snapshots[key] = snapshot
+        self.record(policy_name, snapshot)
         return snapshot
 
-    def prewarm(self, policy_names: Sequence[str], workers: int = 1) -> None:
-        """Warm every *learning* policy in ``policy_names``, possibly in parallel.
+    def prewarm(self, policy_names: Sequence[str]) -> None:
+        """Warm every *learning* policy in ``policy_names`` not yet memoised.
 
-        With ``workers > 1`` the independent warm-up simulations fan out over
-        a pool (snapshots are plain data, so they pickle home cleanly); the
-        pool is sized to the number of cache misses, never larger.  Results
-        land in the memo, so later :meth:`snapshot_for` calls are hits.
+        A serial loop over :meth:`snapshot_for`.  Nothing in the package
+        calls it; the benchmark's tracer (``perfbench/tracer.py``) wraps it
+        by name, so it stays until that tracer changes.
         """
-        missing = [
-            name
-            for name in dict.fromkeys(policy_names)  # preserve order, dedupe
-            if policy_learns(name) and self._key(name) not in self._snapshots
-        ]
-        if not missing:
-            return
-        if workers > 1 and len(missing) > 1:
-            pool_size = min(workers, len(missing))
-            with multiprocessing.Pool(processes=pool_size) as pool:
-                snapshots: List[object] = pool.map(
-                    _warm_one,
-                    [(name, self.warmup, self.warmup_config) for name in missing],
-                )
-            for name, snapshot in zip(missing, snapshots, strict=True):
-                self._snapshots[self._key(name)] = snapshot
-                self.misses += 1
-        else:
-            for name in missing:
+        for name in dict.fromkeys(policy_names):  # preserve order, dedupe
+            if policy_learns(name) and not self.holds(name):
                 self.snapshot_for(name)
 
     def snapshot_if_learning(self, policy_name: str) -> Optional[object]:

@@ -13,6 +13,7 @@ import signal
 import subprocess
 import sys
 import threading
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -30,7 +31,8 @@ from repro.experiments.runner import (
     build_simulation_config,
     compare_policies,
 )
-from repro.workload.synthetic import WorkloadConfig, generate_workload
+from repro.experiments.warmup import WarmupCache, warm_policy_snapshot
+from repro.workload.synthetic import GeneratedWorkload, WorkloadConfig, generate_workload
 from repro.workload.traces import TraceFormatError
 
 TINY = ExperimentScale(
@@ -347,7 +349,131 @@ class TestPersistentPool:
             pool.shutdown(wait=False, cancel_futures=True)
 
 
+def _warmup_cache(warmup=None):
+    """A cache warming on a tiny workload distinct from ``_tiny_workload()``."""
+    warmup = warmup if warmup is not None else _tiny_workload(seed=5)
+    config = build_simulation_config(warmup, TINY, seed=9, oracle_estimates=False)
+    return WarmupCache(warmup, config)
+
+
+def _chained_batch(cache, learners, seeds):
+    """Learning requests warmed from ``cache`` among the other request kinds.
+
+    A stateless named request leads, so the chain heads are not first in
+    request order; a pinned instance request and a standalone ``warmup=``
+    request of GRASS under run seed 1 follow the learning requests.
+    """
+    workload = _tiny_workload()
+    config = build_simulation_config(workload, TINY, seed=1, oracle_estimates=False)
+    return (
+        [RunRequest(workload=workload, config=config, policy_name="late")]
+        + [
+            RunRequest(
+                workload=workload,
+                config=build_simulation_config(workload, TINY, seed, False),
+                policy_name=name,
+                warm_state=cache,
+            )
+            for name in learners
+            for seed in seeds
+        ]
+        + [
+            RunRequest(workload=workload, config=config, policy=NoSpeculationPolicy()),
+            RunRequest(
+                workload=workload,
+                config=config,
+                policy_name="grass",
+                warmup=cache.warmup,
+                warmup_config=cache.warmup_config,
+            ),
+        ]
+    )
+
+
+class TestChainedWarmups:
+    @pytest.mark.parametrize(
+        "learners, seeds",
+        [
+            (("grass",), (1,)),
+            (("grass",), (1, 2, 3)),
+            (("grass", "grass-strawman"), (1, 2)),
+        ],
+        ids=["one-learner-1-seed", "one-learner-3-seeds", "two-learners-2-seeds"],
+    )
+    def test_pool_matches_serial_bytes(self, learners, seeds):
+        serial = ParallelExecutor(workers=1).run(
+            _chained_batch(_warmup_cache(), learners, seeds)
+        )
+        pooled = _within(
+            120,
+            lambda: ParallelExecutor(workers=4).run(
+                _chained_batch(_warmup_cache(), learners, seeds)
+            ),
+        )
+        assert [pickle.dumps(m) for m in pooled] == [pickle.dumps(m) for m in serial]
+        # The cache-restored GRASS run at seed 1 equals the one that
+        # re-simulated its warm-up (the batch's last request).
+        assert pickle.dumps(pooled[1]) == pickle.dumps(pooled[-1])
+
+    def test_each_pair_warms_once_per_batch(self, tmp_path, monkeypatch):
+        log = tmp_path / "warmups.log"
+
+        def logged(policy_name, warmup, warmup_config):
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{policy_name} {os.getpid()}\n")
+            return warm_policy_snapshot(policy_name, warmup, warmup_config)
+
+        # Patched before the pool forks, so the workers inherit the wrapper.
+        monkeypatch.setattr("repro.experiments.warmup.warm_policy_snapshot", logged)
+        shared, other = _warmup_cache(), _warmup_cache(_tiny_workload(seed=7))
+        requests = _chained_batch(shared, ("grass", "grass-strawman"), (1, 2, 3))
+        requests += _chained_batch(other, ("grass",), (1, 2))
+        _within(120, lambda: ParallelExecutor(workers=4).run(requests))
+        lines = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+        assert Counter(name for name, _pid in lines) == {"grass": 2, "grass-strawman": 1}
+        # Every warm-up ran in a pool worker, chained with its first run.
+        assert str(os.getpid()) not in {pid for _name, pid in lines}
+        assert (shared.misses, shared.hits) == (2, 4)
+        assert (other.misses, other.hits) == (1, 1)
+
+    def test_warmup_failure_names_the_request(self):
+        broken = _warmup_cache(GeneratedWorkload(config=WorkloadConfig()))
+        workload = _tiny_workload()
+        config = build_simulation_config(workload, TINY, seed=1, oracle_estimates=False)
+        requests = [
+            RunRequest(workload=workload, config=config, policy_name="late"),
+            RunRequest(
+                workload=workload, config=config, policy_name="grass", warm_state=broken
+            ),
+        ]
+        with pytest.raises(RequestExecutionError) as excinfo:
+            _within(60, lambda: ParallelExecutor(workers=2).run(requests))
+        message = str(excinfo.value)
+        assert "RunRequest(policy=grass" in message
+        assert "warm=cache" in message
+        assert "at least one job" in message
+
+
 class TestWarmFieldValidation:
+    def test_cache_needs_a_named_policy(self):
+        workload = _tiny_workload()
+        config = build_simulation_config(workload, TINY, seed=1, oracle_estimates=False)
+        with pytest.raises(ValueError, match="policy_name"):
+            RunRequest(
+                workload=workload,
+                config=config,
+                policy=NoSpeculationPolicy(),
+                warm_state=_warmup_cache(),
+            )
+
+    def test_repr_names_a_cache(self):
+        workload = _tiny_workload()
+        config = build_simulation_config(workload, TINY, seed=1, oracle_estimates=False)
+        request = RunRequest(
+            workload=workload, config=config, policy_name="grass", warm_state=_warmup_cache()
+        )
+        assert repr(request).endswith("seed=1, warm=cache)")
+
     def test_warm_state_and_warmup_are_exclusive(self):
         workload = _tiny_workload()
         config = build_simulation_config(workload, TINY, seed=1, oracle_estimates=False)

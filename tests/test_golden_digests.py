@@ -10,9 +10,11 @@ The digests were computed under CPython 3.11.  They also pin the
 interpreter's float arithmetic: CPython 3.12 made ``sum()`` over floats
 compensated, which moves six of the eight entries.
 
-Two cases pin the figures path instead of a replay plan: the digest of a
-``compare_policies`` run over one synthetic figure cell, with the three
-policies the paper compares plus no-speculation.
+Three cases pin the figures path instead of a replay plan: the digest of a
+``compare_policies`` run over one synthetic figure cell.  Two run the three
+policies the paper compares plus no-speculation over one seed; the third
+runs two learning policies over two seeds, so a pool warms both at once and
+restores each policy's second run from its snapshot.
 
 A change that moves a digest changes results.  If that is intended,
 regenerate the corpus with::
@@ -33,7 +35,7 @@ import random
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 import pytest
 
@@ -74,12 +76,15 @@ def _shuffled_facebook(workdir: Path) -> str:
     return str(path)
 
 
-def _ingested_google(workdir: Path) -> str:
-    path = workdir / "google.jsonl"
-    ingest_trace(
-        "google", TRACES / "samples" / "google_task_events.sample.csv", path
-    )
-    return str(path)
+def _ingested(source_format: str, sample: str) -> Callable[[Path], str]:
+    """A trace maker converting one bundled cluster-trace sample to JSONL."""
+
+    def make(workdir: Path) -> str:
+        path = workdir / f"{source_format}.jsonl"
+        ingest_trace(source_format, TRACES / "samples" / sample, path)
+        return str(path)
+
+    return make
 
 
 def _figure_rows_digest(workers: int) -> str:
@@ -128,20 +133,25 @@ def _trace_case(make_trace, **fields) -> Callable[[Path, int], str]:
 
 
 def _figure_cell_case(
-    workload: str, framework: str, bound_kind: str, seed: int
+    workload: str,
+    framework: str,
+    bound_kind: str,
+    seed: int,
+    policies: Sequence[str] = FIGURE_POLICIES,
+    seeds: Sequence[int] = (1,),
 ) -> Callable[[Path, int], str]:
     """Digest of ``compare_policies`` over one synthetic figure cell."""
 
     def run(workdir: Path, workers: int) -> str:
         comparison = compare_policies(
-            list(FIGURE_POLICIES),
+            list(policies),
             WorkloadConfig(
                 workload=workload,
                 framework=framework,
                 bound_kind=bound_kind,
                 seed=seed,
             ),
-            scale=ExperimentScale.quick(),
+            scale=replace(ExperimentScale.quick(), seeds=tuple(seeds)),
             workers=workers,
         )
         return metrics_digest(comparison)
@@ -165,7 +175,12 @@ CASES: Dict[str, Callable[[Path, int], str]] = {
     ),
     "facebook_like-shuffled-shards2": _trace_case(_shuffled_facebook, shards=2),
     "cluster-200x4": _plan_case(cluster_jobs=200, shards=4),
-    "ingested-google-sample-shards2": _trace_case(_ingested_google, shards=2),
+    "ingested-google-sample-shards2": _trace_case(
+        _ingested("google", "google_task_events.sample.csv"), shards=2
+    ),
+    "ingested-alibaba-sample-shards2": _trace_case(
+        _ingested("alibaba", "alibaba_batch_task.sample.csv"), shards=2
+    ),
     "trace-replay-figure-rows": lambda workdir, workers: _figure_rows_digest(workers),
     "cache-restored-bing_like-shards3-deadline": _cache_restored_digest,
     "compare_policies-facebook-hadoop-deadline-seed11": _figure_cell_case(
@@ -173,6 +188,16 @@ CASES: Dict[str, Callable[[Path, int], str]] = {
     ),
     "compare_policies-bing-spark-error-seed22": _figure_cell_case(
         "bing", "spark", "error", 22
+    ),
+    # Two learning policies over two seeds: both warm-ups in flight at once
+    # on a pool, and each policy's second seed restored from its snapshot.
+    "compare_policies-facebook-spark-mixed-seed33-two-learners": _figure_cell_case(
+        "facebook",
+        "spark",
+        "mixed",
+        33,
+        policies=("grass", "grass-strawman", "late"),
+        seeds=(1, 2),
     ),
 }
 

@@ -366,6 +366,16 @@ class TestWarmupSeedCollision:
             ["grass"], WorkloadConfig(seed=0), scale=scale, warmup=False
         )
 
+    def test_comparison_without_learning_policy_ignores_warmup_seed(self):
+        """Nothing warms up, so a run seed equal to the warm-up seed is fine."""
+        scale = replace(ExperimentScale.quick(), seeds=(WARMUP_SEED_OFFSET,))
+        comparison = compare_policies(
+            ["late", "mantri"], WorkloadConfig(seed=0), scale=scale
+        )
+        assert sorted(comparison.runs) == ["late", "mantri"]
+        with pytest.raises(ValueError, match="warm-up seed collision"):
+            compare_policies(["grass"], WorkloadConfig(seed=0), scale=scale)
+
     def test_warmup_cache_refuses_colliding_seed(self):
         workload = generate_workload(
             WorkloadConfig(num_jobs=2, seed=0, size_scale=0.1)

@@ -13,6 +13,7 @@ import pytest
 
 from repro.baselines import LatePolicy
 from repro.core.policies import Grass
+from repro.experiments.executor import ParallelExecutor, RunRequest
 from repro.experiments.policies import make_policy
 from repro.experiments.runner import (
     ExperimentScale,
@@ -126,19 +127,50 @@ class TestWarmupCache:
         assert cache.snapshot_if_learning("grass") is not None
 
     def test_prewarm_parallel_matches_serial(self):
+        """Snapshots a pool's chain heads warm equal serial ``prewarm``'s."""
         warmup = _tiny_workload(seed=5)
         config = build_simulation_config(warmup, TINY, seed=9, oracle_estimates=False)
         serial = WarmupCache(warmup, config)
-        serial.prewarm(["grass", "grass-strawman", "late"], workers=1)
-        parallel = WarmupCache(warmup, config)
-        parallel.prewarm(["grass", "grass-strawman", "late"], workers=4)
+        serial.prewarm(["grass", "grass-strawman", "late"])
         # Stateless policies are never warmed; prewarm itself never re-warms.
         assert serial.misses == 2
-        assert parallel.misses == 2
+        serial.prewarm(["grass", "grass-strawman", "late"])
+        assert (serial.misses, serial.hits) == (2, 0)
+
+        parallel = WarmupCache(warmup, config)
+        measured = _tiny_workload(seed=6)
+        requests = [
+            RunRequest(
+                workload=measured,
+                config=build_simulation_config(measured, TINY, seed, False),
+                policy_name=name,
+                warm_state=parallel,
+            )
+            for name in ("grass", "grass-strawman")
+            for seed in TINY.seeds
+        ]
+        ParallelExecutor(workers=4).run(requests)
+        # One miss per policy, recorded from its chain head; one hit per
+        # restored second seed.
+        assert (parallel.misses, parallel.hits) == (2, 2)
         for name in ("grass", "grass-strawman"):
+            assert parallel.holds(name)
             assert pickle.dumps(serial.snapshot_for(name)) == pickle.dumps(
                 parallel.snapshot_for(name)
             )
+
+    def test_pickles_as_its_recipe(self):
+        """A shipped cache carries the warm-up, never the parent's memo."""
+        warmup = _tiny_workload(seed=5)
+        config = build_simulation_config(warmup, TINY, seed=9, oracle_estimates=False)
+        cache = WarmupCache(warmup, config)
+        cache.snapshot_for("grass")
+        copy = pickle.loads(pickle.dumps(cache))
+        assert not copy.holds("grass")
+        assert (copy.hits, copy.misses) == (0, 0)
+        assert pickle.dumps(copy.snapshot_for("grass")) == pickle.dumps(
+            cache.snapshot_for("grass")
+        )
 
 
 class TestComparePoliciesTransparency:
