@@ -35,7 +35,7 @@ def _run_ablation():
         )
     )
     rows = []
-    base_config = build_simulation_config(workload, scale, seed=1, oracle_estimates=False)
+    base_config = build_simulation_config(workload, scale, seed=1)
     late = Simulation(base_config, LatePolicy(), workload.specs()).run()
     late_duration = mean([r.duration for r in late.error_results()])
     for label, estimator in ESTIMATORS.items():

@@ -33,7 +33,7 @@ def _run_ablation():
             seed=32,
         )
     )
-    base = build_simulation_config(workload, scale, seed=2, oracle_estimates=False)
+    base = build_simulation_config(workload, scale, seed=2)
     rows = []
     for label, stragglers in TAILS.items():
         config = SimulationConfig(

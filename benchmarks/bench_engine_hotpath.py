@@ -33,7 +33,7 @@ def _build_workload_and_config(scale):
         seed=7,
     )
     workload = generate_workload(config)
-    return workload, build_simulation_config(workload, scale, seed=1, oracle_estimates=False)
+    return workload, build_simulation_config(workload, scale, seed=1)
 
 
 @pytest.mark.parametrize("policy_name", POLICIES)

@@ -41,9 +41,7 @@ def _build_trace_workload(scale):
     )
     trace_workload = trace_to_workload(trace, TraceReplayConfig(seed=13))
     sim_config = replace(
-        build_simulation_config(
-            trace_workload.workload, scale, seed=1, oracle_estimates=False
-        ),
+        build_simulation_config(trace_workload.workload, scale, seed=1),
         stragglers=trace_workload.stragglers,
     )
     return trace_workload, sim_config

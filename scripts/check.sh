@@ -29,12 +29,13 @@
 #                 history accumulates instead of keeping only the latest
 #                 snapshot
 # * replay-determinism — replays traces/facebook_like.jsonl at quick scale
-#                 (grass/late/mantri, 2 shards, error bounds) four ways
-#                 (--workers 1/4 x --sink retain/aggregate) and fails unless
-#                 every printed sha256 metrics digest equals the golden
-#                 "facebook_like-shards2-error" entry of
+#                 (2 shards) as two plans, each four ways (--workers 1/4 x
+#                 --sink retain/aggregate), and fails unless every printed
+#                 sha256 metrics digest equals the plan's golden entry of
 #                 tests/golden/replay_digests.json — an absolute anchor, not
-#                 mere agreement
+#                 mere agreement: grass/late/mantri under error bounds
+#                 ("facebook_like-shards2-error") and the oracle, gs and ras
+#                 under mixed bounds ("facebook_like-shards2-mixed-oracle-gs-ras")
 # * ingest-smoke — converts the bundled 20-row Google and Alibaba trace
 #                 samples with `grass-experiments ingest`, replays each
 #                 converted trace at --workers 1 and 4, and fails unless the
@@ -106,38 +107,45 @@ run_coverage() {
 
 run_replay_determinism() {
     local trace="traces/facebook_like.jsonl"
-    local golden expected variant digest
+    local golden plan key flags expected variant digest
     golden="tests/golden/replay_digests.json"
-    expected="$(python -c "
-import json, sys
-print(json.load(open(sys.argv[1]))['digests']['facebook_like-shards2-error'])
-" "$golden")"
-    # The flags mirror the golden entry's plan (tests/test_golden_digests.py).
-    for variant in \
-        "--workers 1 --sink retain" \
-        "--workers 4 --sink retain" \
-        "--workers 1 --sink aggregate" \
-        "--workers 4 --sink aggregate"
+    # Each plan is "golden key|policy and bound flags"; the flags mirror the
+    # golden entry's plan (tests/test_golden_digests.py).
+    for plan in \
+        "facebook_like-shards2-error|--policy grass --policy late --policy mantri --bound-kind error" \
+        "facebook_like-shards2-mixed-oracle-gs-ras|--policy oracle --policy gs --policy ras --bound-kind mixed"
     do
-        echo "replay-determinism: replay $variant"
-        # shellcheck disable=SC2086
-        digest="$(python -m repro.experiments.cli replay \
-            --trace "$trace" --scale quick --shards 2 --seed 0 \
-            --policy grass --policy late --policy mantri --bound-kind error \
-            $variant | sed -n 's/^metrics digest: sha256=//p')"
-        if [ -z "$digest" ]; then
-            echo "replay-determinism: no digest printed for '$variant'" >&2
-            return 1
-        fi
-        echo "  sha256=$digest"
-        if [ "$digest" != "$expected" ]; then
-            echo "replay-determinism: FAILED — '$variant' digest differs from the golden entry:" >&2
-            echo "  got:    $digest" >&2
-            echo "  golden: $expected ($golden)" >&2
-            return 1
-        fi
+        key="${plan%%|*}"
+        flags="${plan#*|}"
+        expected="$(python -c "
+import json, sys
+print(json.load(open(sys.argv[1]))['digests'][sys.argv[2]])
+" "$golden" "$key")"
+        for variant in \
+            "--workers 1 --sink retain" \
+            "--workers 4 --sink retain" \
+            "--workers 1 --sink aggregate" \
+            "--workers 4 --sink aggregate"
+        do
+            echo "replay-determinism: replay $key $variant"
+            # shellcheck disable=SC2086
+            digest="$(python -m repro.experiments.cli replay \
+                --trace "$trace" --scale quick --shards 2 --seed 0 \
+                $flags $variant | sed -n 's/^metrics digest: sha256=//p')"
+            if [ -z "$digest" ]; then
+                echo "replay-determinism: no digest printed for '$key $variant'" >&2
+                return 1
+            fi
+            echo "  sha256=$digest"
+            if [ "$digest" != "$expected" ]; then
+                echo "replay-determinism: FAILED — '$key $variant' digest differs from the golden entry:" >&2
+                echo "  got:    $digest" >&2
+                echo "  golden: $expected ($golden)" >&2
+                return 1
+            fi
+        done
     done
-    echo "replay-determinism: ok (workers 1/4 x sink retain/aggregate all equal the golden digest)"
+    echo "replay-determinism: ok (both plans: workers 1/4 x sink retain/aggregate all equal their golden digests)"
 }
 
 run_ingest_smoke() {

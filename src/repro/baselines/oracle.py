@@ -5,10 +5,11 @@ durations and slot availabilities in advance".  Exact optimality is NP-hard
 (§2.2), and the paper's own optimal is a simulator-level bound; we provide an
 informed greedy oracle with the same spirit:
 
-* It is run with ``SimulationConfig.oracle_estimates = True`` so every
-  ``trem`` / ``tnew`` it sees is the *true* value (the straggler model derives
-  copy durations deterministically, so the duration a not-yet-launched copy
-  would have is knowable).
+* It declares ``exact_estimates``, so the engine serves its views from an
+  :class:`~repro.core.policies.base.ExactIndex` and every ``trem`` /
+  ``tnew`` it sees is the *true* value (the straggler model derives copy
+  durations deterministically, so the duration a not-yet-launched copy would
+  have is knowable).
 * With perfect information the RAS-vs-GS trade-off collapses to the wave
   guideline of §3.2, which the oracle applies exactly: resource-aware
   speculation while more than ``switch_waves`` waves of required work remain,
@@ -20,7 +21,6 @@ without claiming provable optimality — the same caveat the paper carries.
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 from repro.core.policies.base import (
@@ -36,6 +36,7 @@ class OraclePolicy(SpeculationPolicy):
     """Near-optimal reference scheduler with perfect duration knowledge."""
 
     name = "oracle"
+    exact_estimates = True
 
     def __init__(self, switch_waves: float = 2.0, max_copies_per_task: int = 4) -> None:
         if switch_waves <= 0:
@@ -67,17 +68,3 @@ class OraclePolicy(SpeculationPolicy):
         if self._remaining_waves(view) > self.switch_waves:
             return self._ras.choose_task(view)
         return self._gs.choose_task(view)
-
-
-def oracle_remaining_waves(view: SchedulingView, switch_waves: float = 2.0) -> float:
-    """Expose the oracle's wave computation for tests and ablations."""
-    return OraclePolicy(switch_waves=switch_waves)._remaining_waves(view)
-
-
-def ceil_waves(task_count: int, wave_width: int) -> int:
-    """Integral number of waves needed to run ``task_count`` tasks."""
-    if wave_width <= 0:
-        raise ValueError("wave_width must be positive")
-    if task_count <= 0:
-        return 0
-    return math.ceil(task_count / wave_width)

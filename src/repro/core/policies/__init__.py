@@ -1,7 +1,9 @@
 """Speculation policies: the paper's primary contribution.
 
-* :mod:`repro.core.policies.base` — the policy interface and the scheduling
-  view (estimated ``trem`` / ``tnew`` / resource savings per task).
+* :mod:`repro.core.policies.base` — the policy interface, the scheduling
+  view (``trem`` / ``tnew`` and running copies per task) and the per-job
+  scheduling indexes that serve it: over estimates, or over true durations
+  for the oracle.
 * :mod:`repro.core.policies.gs` — Greedy Speculative scheduling (Pseudocode 1
   and 2 with ``OC = 0``).
 * :mod:`repro.core.policies.ras` — Resource Aware Speculative scheduling

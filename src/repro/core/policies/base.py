@@ -4,8 +4,10 @@ The simulator asks the job's policy for a decision each time the job has a
 free slot.  The policy only sees a :class:`SchedulingView`: estimated
 ``trem`` / ``tnew`` per unfinished task of the current phase, the remaining
 approximation bound, the job's wave width, cluster utilisation and the
-realised estimator accuracy.  It never sees true durations — only the oracle
-baseline is given those, via a separate view builder.
+realised estimator accuracy.  It never sees true durations — only a policy
+that declares ``exact_estimates`` (the oracle baseline) is given those, and
+its view is served from an :class:`ExactIndex` instead of the
+estimator-backed :class:`SchedulingIndex`.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import abc
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.bounds import ApproximationBound
 from repro.core.estimators import TaskEstimator
@@ -24,10 +26,8 @@ from repro.core.task import Task, TaskState
 class TaskSnapshot:
     """A policy-facing view of one unfinished task.
 
-    ``saving`` is RAS's resource-savings criterion from Pseudocode 1:
-    ``c * trem - (c + 1) * tnew`` where ``c`` is the number of running
-    copies.  For a pending task (``c == 0``) speculation is meaningless and
-    ``saving`` is defined as 0 so pending tasks act as the neutral default.
+    ``copies`` is the number of running copies (the ``c`` of Pseudocode 1);
+    a pending task has none, and its ``trem`` equals its ``tnew``.
 
     A ``__slots__`` class rather than a dataclass: the engine's scheduling
     index (:class:`SchedulingIndex`) keeps one snapshot per unfinished task
@@ -67,33 +67,17 @@ class TaskSnapshot:
     def task_id(self) -> int:
         return self.task.task_id
 
-    @property
-    def saving(self) -> float:
-        """Resource savings of launching one more copy (0 for pending tasks)."""
-        if not self.running:
-            return 0.0
-        return self.copies * self.trem - (self.copies + 1) * self.tnew
-
-    @property
-    def effective_duration(self) -> float:
-        """min(trem, tnew): the soonest this task could plausibly finish."""
-        if not self.running:
-            return self.tnew
-        return min(self.trem, self.tnew)
-
-    @property
-    def speculation_beneficial(self) -> bool:
-        """GS's speculation test: a new copy is expected to beat the running one."""
-        return self.running and self.tnew < self.trem
-
 
 class SchedulingIndex:
     """Incrementally maintained scheduling state for one job.
 
-    The engine keeps one index per running job and calls :meth:`prepare`
-    before every ``choose_task`` round.  The index holds a live
-    :class:`TaskSnapshot` per unfinished task of the current phase plus two
-    flat selection structures — the pending tasks sorted by
+    Every :class:`SchedulingView` is served from an index: the engine keeps
+    one per running job and calls :meth:`prepare` before every
+    ``choose_task`` round.  This class reads the job's
+    :class:`TaskEstimator`; :class:`ExactIndex` serves policies that see
+    true durations (the oracle) from the same structures.  The index holds a
+    live :class:`TaskSnapshot` per unfinished task of the current phase plus
+    two flat selection structures — the pending tasks sorted by
     ``(tnew, task_id)`` and the running task ids sorted ascending — which is
     what lets GS/RAS pick a task in O(running + log pending) instead of
     rescanning and re-sorting every snapshot per launched copy.
@@ -159,7 +143,7 @@ class SchedulingIndex:
         "choice_void",
     )
 
-    def __init__(self, job: Job, estimator: TaskEstimator) -> None:
+    def __init__(self, job: Job, estimator: Optional[TaskEstimator]) -> None:
         self.job = job
         self.estimator = estimator
         self.phase = -1
@@ -366,12 +350,7 @@ class SchedulingIndex:
         self.dirty.add(task_id)
         self.choice_void = False
         if not snap.running:
-            # The list key is recomputed from the stored epoch factor (the
-            # snapshot's ``tnew`` may be stale while ``p_stale`` is set).
-            tnew = (self.p_rate * task.spec.work) * self.p_noise
-            if tnew < 1e-6:
-                tnew = 1e-6
-            index = bisect_left(self.pending_sorted, (tnew, task_id))
+            index = bisect_left(self.pending_sorted, (self._pending_key(snap), task_id))
             del self.pending_sorted[index]
             insort(self.running_ids, task_id)
 
@@ -394,14 +373,20 @@ class SchedulingIndex:
             self.dirty.discard(task_id)
         else:
             pending = self.pending_sorted
-            tnew = (self.p_rate * task.spec.work) * self.p_noise
-            if tnew < 1e-6:
-                tnew = 1e-6
+            tnew = self._pending_key(snap)
             index = bisect_left(pending, (tnew, task_id))
             if index < len(pending):
                 entry = pending[index]
                 if entry[0] == tnew and entry[1] == task_id:
                     del pending[index]
+
+    def _pending_key(self, snap: TaskSnapshot) -> float:
+        """A pending snapshot's key in ``pending_sorted``: its own ``tnew``,
+        unless ``p_stale`` says it lags the list (then the epoch factor's)."""
+        if not self.p_stale:
+            return snap.tnew
+        tnew = (self.p_rate * snap.task.spec.work) * self.p_noise
+        return tnew if tnew >= 1e-6 else 1e-6
 
     def first_pending(self) -> Optional[TaskSnapshot]:
         """The lowest-id pending snapshot of the current phase, or None.
@@ -443,17 +428,88 @@ class SchedulingIndex:
         return [snaps[task.task_id] for task in self.job.schedulable_tasks(self.now)]
 
 
+class ExactIndex(SchedulingIndex):
+    """A scheduling index over true durations, for ``exact_estimates`` policies.
+
+    ``tnew_of(task)`` is the true duration of the task's next copy and
+    ``trem_of(task, now)`` the true remaining time of its soonest-finishing
+    copy.  Only :meth:`prepare` differs from the parent; it never touches the
+    job's :class:`TaskEstimator` (no noise draws, no tracker folds).  A pending
+    task has no copies, so its ``tnew`` is fixed within a phase: a phase
+    change walks the tasks in id order, and every other round refreshes the
+    running snapshots in place.  ``epoch`` stays -1, so the engine's
+    stateless-choice skip never fires.
+    """
+
+    __slots__ = ("tnew_of", "trem_of")
+
+    def __init__(
+        self,
+        job: Job,
+        tnew_of: Callable[[Task], float],
+        trem_of: Callable[[Task, float], float],
+    ) -> None:
+        super().__init__(job, None)
+        self.tnew_of = tnew_of
+        self.trem_of = trem_of
+
+    def prepare(self, now: float) -> bool:
+        job = self.job
+        phase = job.current_phase()
+        if phase >= job.dag_length:
+            return False
+        tnew_of = self.tnew_of
+        trem_of = self.trem_of
+        if phase != self.phase:
+            snaps: Dict[int, TaskSnapshot] = {}
+            pending: List[Tuple[float, int, float]] = []
+            running_ids: List[int] = []
+            for task in job.schedulable_tasks(now):
+                task_id = task.task_id
+                if task.is_running:
+                    snaps[task_id] = TaskSnapshot(
+                        task, True, task.running_copy_count, trem_of(task, now), tnew_of(task)
+                    )
+                    running_ids.append(task_id)
+                else:
+                    tnew = tnew_of(task)
+                    snaps[task_id] = TaskSnapshot(task, False, 0, tnew, tnew)
+                    pending.append((tnew, task_id, task.spec.work))
+            pending.sort()
+            self.phase = phase
+            self.snaps = snaps
+            self.pending_sorted = pending
+            self.running_ids = running_ids
+            self.p_cursor = 0
+        else:
+            snaps = self.snaps
+            for task_id in self.running_ids:
+                snap = snaps[task_id]
+                task = snap.task
+                trem = trem_of(task, now)
+                if trem <= 0:
+                    trem = 1e-6
+                snap.running = True
+                snap.copies = task.running_copy_count
+                snap.trem = trem
+                snap.tnew = tnew_of(task)
+        self.now = now
+        self.choice_void = False
+        self.dirty.clear()
+        return True
+
+
 class SchedulingView:
     """Everything a policy may look at when choosing the next task to launch.
 
-    ``tasks`` is materialised lazily when the view was built from a
-    :class:`SchedulingIndex` (``sched``).  GS/RAS/GRASS pick straight from
-    the index's flat structures, and the baselines read it through
-    :meth:`running` and :meth:`first_pending`, so none of them touch the
-    snapshot list on their own; only the switch deciders (and any policy
-    reading ``tasks`` or :meth:`pending`) materialise it, and they see the
-    exact list the eager builder produced.  Oracle-estimate views carry the
-    eager list and no index, and every accessor reads that list.
+    Every view is served from a scheduling index (``sched``): a
+    :class:`SchedulingIndex` over the job's estimates, or an
+    :class:`ExactIndex` over true durations for the oracle.  GS/RAS/GRASS
+    pick straight from the index's flat structures, and the baselines read
+    it through :meth:`running` and :meth:`first_pending`, so none of them
+    touch the snapshot list on their own.  ``tasks`` is materialised lazily
+    from the index; only the switch deciders and the oracle (and any policy
+    reading ``tasks`` or :meth:`pending`) do that.
     """
 
     __slots__ = (
@@ -475,7 +531,7 @@ class SchedulingView:
         self,
         now: float,
         job: Job,
-        tasks: Optional[List[TaskSnapshot]],
+        sched: SchedulingIndex,
         bound: ApproximationBound,
         remaining_deadline: Optional[float],
         remaining_required_tasks: int,
@@ -484,11 +540,11 @@ class SchedulingView:
         estimator_accuracy: float,
         phase_index: int = 0,
         is_input_phase: bool = True,
-        sched: Optional[SchedulingIndex] = None,
     ) -> None:
         self.now = now
         self.job = job
-        self._tasks = tasks
+        self.sched = sched
+        self._tasks: Optional[List[TaskSnapshot]] = None
         self.bound = bound
         self.remaining_deadline = remaining_deadline
         self.remaining_required_tasks = remaining_required_tasks
@@ -497,7 +553,6 @@ class SchedulingView:
         self.estimator_accuracy = estimator_accuracy
         self.phase_index = phase_index
         self.is_input_phase = is_input_phase
-        self.sched = sched
 
     @property
     def tasks(self) -> List[TaskSnapshot]:
@@ -512,20 +567,12 @@ class SchedulingView:
     def running(self) -> List[TaskSnapshot]:
         """Running snapshots in task-id order (the index's ``running_ids``)."""
         sched = self.sched
-        if sched is not None:
-            snaps = sched.snaps
-            return [snaps[task_id] for task_id in sched.running_ids]
-        return [snap for snap in self.tasks if snap.running]
+        snaps = sched.snaps
+        return [snaps[task_id] for task_id in sched.running_ids]
 
     def first_pending(self) -> Optional[TaskSnapshot]:
         """The pending snapshot with the lowest task id, or None."""
-        sched = self.sched
-        if sched is not None:
-            return sched.first_pending()
-        pending = self.pending()
-        if not pending:
-            return None
-        return min(pending, key=lambda snap: snap.task_id)
+        return self.sched.first_pending()
 
     def elapsed(self) -> float:
         return self.job.elapsed(self.now)
@@ -565,6 +612,12 @@ class SpeculationPolicy(abc.ABC):
     """
 
     name: str = "policy"
+
+    #: True for policies that see true durations instead of estimates (the
+    #: oracle baseline).  The engine then serves their views from an
+    #: :class:`ExactIndex` — every ``tnew``/``trem`` is the true value — in
+    #: place of the estimator-backed :class:`SchedulingIndex`.
+    exact_estimates: bool = False
 
     #: True for policies whose decisions depend on state accumulated from
     #: previously finished jobs.  Stateless policies never need a warm-up
@@ -639,97 +692,16 @@ def make_decision(snapshot: Optional[TaskSnapshot]) -> Optional[SchedulingDecisi
     return SchedulingDecision(snapshot=snapshot)
 
 
-def deadline_candidates(
-    view: SchedulingView, resource_aware: bool
-) -> List[TaskSnapshot]:
-    """Pruning stage of Pseudocode 1 (deadline-bound jobs).
-
-    Tasks whose fresh copy cannot finish within the remaining deadline are
-    dropped.  Running tasks are kept only when speculation passes the
-    policy's test: ``tnew < trem`` for GS, positive resource savings for RAS.
-    Pending tasks are always kept (they do not involve speculation).
-    """
-    remaining = view.remaining_deadline
-    candidates: List[TaskSnapshot] = []
-    for snap in view.tasks:
-        if remaining is not None and snap.tnew > remaining:
-            continue
-        if snap.running:
-            if resource_aware:
-                if snap.saving > 0:
-                    candidates.append(snap)
-            else:
-                if snap.speculation_beneficial:
-                    candidates.append(snap)
-        else:
-            candidates.append(snap)
-    return candidates
-
-
-def deadline_fallback(
-    view: SchedulingView, max_copies_per_task: int = 4
-) -> Optional[TaskSnapshot]:
-    """Last-resort choice when every task is pruned by the deadline filter.
-
-    The pruning stage drops tasks whose *expected* fresh-copy duration
-    exceeds the remaining deadline, but durations are stochastic: leaving the
-    slot idle guarantees zero completions from it, whereas launching the
-    shortest pending task still has a chance of beating the deadline.  Both
-    GS and RAS therefore fall back to the pending task with the lowest
-    ``tnew`` (and, failing that, to a beneficial duplicate) rather than
-    idling — the slot has nothing better to do.
-    """
-    pending = view.pending()
-    if pending:
-        return min(pending, key=lambda snap: (snap.tnew, snap.task_id))
-    beneficial = [
-        snap
-        for snap in view.running()
-        if snap.speculation_beneficial and snap.copies < max_copies_per_task
-    ]
-    if beneficial:
-        return min(beneficial, key=lambda snap: (snap.tnew, snap.task_id))
-    return None
-
-
-def error_candidates(
-    view: SchedulingView, resource_aware: bool
-) -> List[TaskSnapshot]:
-    """Pruning stage of Pseudocode 2 (error-bound jobs).
-
-    Only the tasks that are the earliest to contribute to the error bound are
-    considered: tasks are sorted by effective duration (min of ``trem`` and
-    ``tnew``) and the first ``(1 - error) * count`` are kept, counting tasks
-    that already completed towards the requirement.
-    """
-    needed = view.remaining_required_tasks
-    if needed <= 0:
-        # The input-phase bound is met (or this is an intermediate phase where
-        # every remaining task is required): all unfinished tasks qualify.
-        needed = len(view.tasks)
-    ordered = sorted(view.tasks, key=lambda snap: (snap.effective_duration, snap.task_id))
-    earliest = ordered[:needed]
-    candidates: List[TaskSnapshot] = []
-    for snap in earliest:
-        if snap.running:
-            if resource_aware:
-                if snap.saving > 0:
-                    candidates.append(snap)
-            else:
-                if snap.speculation_beneficial:
-                    candidates.append(snap)
-        else:
-            candidates.append(snap)
-    return candidates
-
-
 def index_error_window(
     sched: SchedulingIndex, needed: int
 ) -> Tuple[int, List[int]]:
-    """The earliest-``needed`` window of :func:`error_candidates`, from the index.
+    """The pruning window of Pseudocode 2 (error-bound jobs), from the index.
 
-    Returns ``(k_p, included_running_ids)``: how many pending tasks fall in
-    the window (always its ``k_p`` cheapest, i.e. a prefix of
+    Only the earliest tasks to contribute to the error bound are considered:
+    ordered by effective duration (``min(trem, tnew)``, ``tnew`` for a
+    pending task), then task id, the first ``needed`` are kept.  Returns
+    ``(k_p, included_running_ids)``: how many pending tasks fall in the
+    window (always its ``k_p`` cheapest, i.e. a prefix of
     ``pending_sorted``) and which running tasks do.  A running task with
     effective-duration key ``k`` has merged rank ``#pending keys < k`` (one
     bisect) plus ``#running keys < k``; ranks are strictly increasing along
@@ -780,10 +752,17 @@ def index_pending_tail(
     return pending[bisect_left(pending, (longest,))]
 
 
-def index_deadline_fallback(
+def index_fallback(
     sched: SchedulingIndex, max_copies_per_task: int
 ) -> Optional[TaskSnapshot]:
-    """:func:`deadline_fallback`, served from the index structures."""
+    """Last-resort choice when the deadline filter prunes every task.
+
+    Durations are stochastic: an idle slot guarantees zero completions,
+    while the shortest pending task may still beat the deadline.  So GS and
+    RAS take the lowest-``(tnew, task_id)`` pending task, else the lowest
+    running one under the copy cap whose fresh copy beats it (``tnew <
+    trem``), rather than idling.
+    """
     pending = sched.pending_sorted
     snaps = sched.snaps
     if pending:

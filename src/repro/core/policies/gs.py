@@ -16,19 +16,15 @@ duplicate is ignored, which is exactly what RAS fixes.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.core.policies.base import (
     SchedulingDecision,
-    SchedulingIndex,
     SchedulingView,
     SpeculationPolicy,
     TaskSnapshot,
-    deadline_candidates,
-    deadline_fallback,
-    error_candidates,
-    index_deadline_fallback,
     index_error_window,
+    index_fallback,
     index_pending_tail,
     make_decision,
 )
@@ -46,50 +42,19 @@ class GreedySpeculative(SpeculationPolicy):
         self.max_copies_per_task = max_copies_per_task
 
     # -- selection ----------------------------------------------------------------
-
-    def _admissible(self, candidates: List[TaskSnapshot]) -> List[TaskSnapshot]:
-        """Drop running tasks that already hit the per-task copy cap."""
-        return [
-            snap
-            for snap in candidates
-            if not snap.running or snap.copies < self.max_copies_per_task
-        ]
+    #
+    # Pseudocode 1-2, served from the view's scheduling index.  Pruning keeps
+    # pending tasks and the running tasks under the copy cap whose fresh copy
+    # would beat the running one (``tnew < trem``); deadline jobs also drop
+    # tasks that cannot finish in time, error jobs keep only the window of
+    # earliest contributors (``index_error_window``).  Selection ties favour
+    # originals over duplicates (a duplicate never beats an equally fast
+    # original), then the lower id.  Pending tasks come pre-sorted, so only
+    # the running tasks — bounded by the allocation — are scanned.
 
     def _choose_deadline(self, view: SchedulingView) -> Optional[TaskSnapshot]:
-        candidates = self._admissible(deadline_candidates(view, resource_aware=False))
-        if not candidates:
-            # Nothing is expected to fit in the remaining time: fill the slot
-            # anyway rather than idling (durations are stochastic).
-            return deadline_fallback(view, self.max_copies_per_task)
-        # Selection stage: lowest tnew first.  Ties favour originals over
-        # speculative duplicates (a duplicate can never beat an equally fast
-        # original), then break deterministically on task id.
-        return min(candidates, key=lambda snap: (snap.tnew, snap.running, snap.task_id))
-
-    def _choose_error(self, view: SchedulingView) -> Optional[TaskSnapshot]:
-        candidates = self._admissible(error_candidates(view, resource_aware=False))
-        if not candidates:
-            return None
-        # Selection stage: highest trem first (pending tasks use tnew as trem);
-        # ties favour originals over speculative duplicates.
-        def sort_key(snap: TaskSnapshot):
-            remaining = snap.trem if snap.running else snap.tnew
-            return (-remaining, snap.running, snap.task_id)
-
-        return min(candidates, key=sort_key)
-
-    # -- index-backed selection ---------------------------------------------------
-    #
-    # The fast paths below compute the same minima as the list-based stages
-    # above without materialising or sorting snapshots: pending tasks come
-    # pre-sorted by ``(tnew, task_id)`` in the index, so the pending minimum
-    # (or the error window's pending maximum) is a list head (or a bisect),
-    # and only the running tasks — bounded by the job's allocation — are
-    # scanned.  Tie-breaking keys are identical to the legacy stages.
-
-    def _fast_deadline(
-        self, view: SchedulingView, sched: SchedulingIndex
-    ) -> Optional[TaskSnapshot]:
+        # Shortest job first: the lowest ``(tnew, running, task_id)``.
+        sched = view.sched
         remaining = view.remaining_deadline
         cap = self.max_copies_per_task
         snaps = sched.snaps
@@ -114,13 +79,18 @@ class GreedySpeculative(SpeculationPolicy):
                 best_key = key
         if best is not None:
             return best
-        return index_deadline_fallback(sched, cap)
+        # Nothing is expected to fit in the remaining time: fill the slot
+        # anyway rather than idling (durations are stochastic).
+        return index_fallback(sched, cap)
 
-    def _fast_error(
-        self, view: SchedulingView, sched: SchedulingIndex
-    ) -> Optional[TaskSnapshot]:
+    def _choose_error(self, view: SchedulingView) -> Optional[TaskSnapshot]:
+        # Longest job first: the lowest ``(-remaining, running, task_id)``,
+        # where a pending task's remaining time is its ``tnew``.
+        sched = view.sched
         needed = view.remaining_required_tasks
         if needed <= 0:
+            # The input-phase bound is met (or this is an intermediate phase
+            # where every remaining task is required): every task qualifies.
             needed = len(sched.snaps)
         k_p, included = index_error_window(sched, needed)
         snaps = sched.snaps
@@ -143,11 +113,6 @@ class GreedySpeculative(SpeculationPolicy):
         return best
 
     def choose_task(self, view: SchedulingView) -> Optional[SchedulingDecision]:
-        sched = view.sched
-        if sched is not None:
-            if view.bound.is_deadline:
-                return make_decision(self._fast_deadline(view, sched))
-            return make_decision(self._fast_error(view, sched))
         if view.bound.is_deadline:
             return make_decision(self._choose_deadline(view))
         return make_decision(self._choose_error(view))

@@ -15,19 +15,15 @@ highest expected duration for error-bound jobs.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 from repro.core.policies.base import (
     SchedulingDecision,
-    SchedulingIndex,
     SchedulingView,
     SpeculationPolicy,
     TaskSnapshot,
-    deadline_candidates,
-    deadline_fallback,
-    error_candidates,
-    index_deadline_fallback,
     index_error_window,
+    index_fallback,
     index_pending_tail,
     make_decision,
 )
@@ -44,52 +40,18 @@ class ResourceAwareSpeculative(SpeculationPolicy):
             raise ValueError("max_copies_per_task must be at least 1")
         self.max_copies_per_task = max_copies_per_task
 
-    def _admissible(self, candidates: List[TaskSnapshot]) -> List[TaskSnapshot]:
-        return [
-            snap
-            for snap in candidates
-            if not snap.running or snap.copies < self.max_copies_per_task
-        ]
-
-    @staticmethod
-    def _split(candidates: List[TaskSnapshot]):
-        speculative = [snap for snap in candidates if snap.running]
-        pending = [snap for snap in candidates if not snap.running]
-        return speculative, pending
+    # -- selection ----------------------------------------------------------------
+    #
+    # Pseudocode 1-2, served from the view's scheduling index.  Pruning keeps
+    # the running tasks under the copy cap whose duplicate saves resources
+    # (``saving > 0``); deadline jobs also drop tasks that cannot finish in
+    # time, error jobs keep only the window of earliest contributors
+    # (``index_error_window``).  Selection takes the highest saving (ties to
+    # the lower id), else the pending default: the sorted list's head
+    # (deadline) or the window's bisected tail (error).
 
     def _choose_deadline(self, view: SchedulingView) -> Optional[TaskSnapshot]:
-        candidates = self._admissible(deadline_candidates(view, resource_aware=True))
-        if not candidates:
-            # Nothing is expected to fit in the remaining time: fill the slot
-            # anyway rather than idling (durations are stochastic).
-            return deadline_fallback(view, self.max_copies_per_task)
-        speculative, pending = self._split(candidates)
-        if speculative:
-            # Selection stage: highest resource saving first.
-            return min(speculative, key=lambda snap: (-snap.saving, snap.task_id))
-        # Default: lowest tnew within the deadline, same as GS.
-        return min(pending, key=lambda snap: (snap.tnew, snap.task_id))
-
-    def _choose_error(self, view: SchedulingView) -> Optional[TaskSnapshot]:
-        candidates = self._admissible(error_candidates(view, resource_aware=True))
-        if not candidates:
-            return None
-        speculative, pending = self._split(candidates)
-        if speculative:
-            return min(speculative, key=lambda snap: (-snap.saving, snap.task_id))
-        # Default: highest expected duration among the earliest contributors.
-        return min(pending, key=lambda snap: (-snap.tnew, snap.task_id))
-
-    # -- index-backed selection ---------------------------------------------------
-    #
-    # Same minima as the list-based stages, served from the index: the
-    # savings scan touches only running tasks (bounded by the allocation)
-    # and the pending default is the sorted list's head (deadline) or the
-    # error window's bisected tail.
-
-    def _fast_deadline(
-        self, view: SchedulingView, sched: SchedulingIndex
-    ) -> Optional[TaskSnapshot]:
+        sched = view.sched
         remaining = view.remaining_deadline
         cap = self.max_copies_per_task
         snaps = sched.snaps
@@ -110,18 +72,22 @@ class ResourceAwareSpeculative(SpeculationPolicy):
                 best_key = key
         if best is not None:
             return best
+        # Default: lowest tnew within the deadline, same as GS.
         pending = sched.pending_sorted
         if pending:
             tnew, task_id = pending[0][:2]
             if remaining is None or tnew <= remaining:
                 return snaps[task_id]
-        return index_deadline_fallback(sched, cap)
+        # Nothing is expected to fit in the remaining time: fill the slot
+        # anyway rather than idling (durations are stochastic).
+        return index_fallback(sched, cap)
 
-    def _fast_error(
-        self, view: SchedulingView, sched: SchedulingIndex
-    ) -> Optional[TaskSnapshot]:
+    def _choose_error(self, view: SchedulingView) -> Optional[TaskSnapshot]:
+        sched = view.sched
         needed = view.remaining_required_tasks
         if needed <= 0:
+            # The input-phase bound is met (or this is an intermediate phase
+            # where every remaining task is required): every task qualifies.
             needed = len(sched.snaps)
         k_p, included = index_error_window(sched, needed)
         snaps = sched.snaps
@@ -141,17 +107,13 @@ class ResourceAwareSpeculative(SpeculationPolicy):
                 best_key = key
         if best is not None:
             return best
+        # Default: highest expected duration among the earliest contributors.
         tail = index_pending_tail(sched, k_p)
         if tail is None:
             return None
         return snaps[tail[1]]
 
     def choose_task(self, view: SchedulingView) -> Optional[SchedulingDecision]:
-        sched = view.sched
-        if sched is not None:
-            if view.bound.is_deadline:
-                return make_decision(self._fast_deadline(view, sched))
-            return make_decision(self._fast_error(view, sched))
         if view.bound.is_deadline:
             return make_decision(self._choose_deadline(view))
         return make_decision(self._choose_error(view))

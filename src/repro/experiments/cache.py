@@ -22,10 +22,13 @@ An entry's key is the sha256 over the canonical JSON of:
 * the **source fingerprint**: sha256 of the trace file's bytes, or the
   canonical dict of a generated tier's config — edit one row of a trace and
   every key under it changes;
-* the **engine fingerprint**: sha256 over the digest-relevant
-  ``repro.{core,simulator,workload}`` sources, so editing the simulator
-  silently invalidates every entry computed by the old engine (the entries
-  become unreachable keys, reclaimed by eviction or ``cache clear``).
+* the **engine fingerprint**: sha256 over every ``*.py`` source of the
+  ``repro`` package — the engine, the policies and baselines, the utilities
+  and the experiment registry and config builders alike — so any edit under
+  ``repro`` silently invalidates every entry computed before it (the
+  entries become unreachable keys, reclaimed by eviction or ``cache
+  clear``).  Entries are not scoped per policy yet, so an edit to one
+  policy also invalidates every other policy's entries.
 
 The value is the slice's sealed :class:`~repro.simulator.sinks.AggregateChunk`
 in its existing wire encoding plus the collector's scalar counters — enough
@@ -78,12 +81,6 @@ from repro.workload.trace_replay import ClusterTierConfig
 #: misses (satellite contract: never crash, never silently misread).
 CACHE_FORMAT_VERSION = 1
 
-#: ``repro`` subpackages whose sources can change a replay digest.  The
-#: experiments package itself is deliberately absent: it decides *what* to
-#: simulate (already keyed by the plan slice) and how to cache, not how a
-#: simulation behaves.
-ENGINE_PACKAGES = ("core", "simulator", "workload")
-
 
 class CacheIntegrityWarning(UserWarning):
     """A cache entry was corrupt/truncated/wrong-version (treated as a miss)
@@ -111,13 +108,18 @@ _SOURCE_FINGERPRINTS: Dict[Tuple[str, int, int, int], str] = {}
 
 
 def engine_fingerprint(root: Optional[Union[str, Path]] = None) -> str:
-    """sha256 over the digest-relevant engine sources (see module docs).
+    """sha256 over every ``*.py`` source of the ``repro`` package.
 
-    ``root`` is the directory holding the ``repro`` package's subpackages;
-    it defaults to the installed package and exists as a parameter so the
-    invalidation tests can fingerprint an edited copy.  Files are folded in
-    sorted relative-path order with their paths mixed in, so renames — not
-    just edits — change the fingerprint.
+    A digest can move with any of them: the engine, a baseline, a utility
+    such as ``utils/rng.py``, or the experiments package, whose registry and
+    config builders decide how a simulation behaves.  So the whole package
+    is hashed rather than a hand-kept list of subpackages (see module docs).
+
+    ``root`` is the ``repro`` package directory; it defaults to the
+    installed package and exists as a parameter so the invalidation tests
+    can fingerprint an edited copy.  Files are folded in sorted
+    relative-path order with their paths mixed in, so renames — not just
+    edits — change the fingerprint.
     """
     base = Path(root) if root is not None else Path(repro.__file__).resolve().parent
     memo_key = str(base)
@@ -125,12 +127,11 @@ def engine_fingerprint(root: Optional[Union[str, Path]] = None) -> str:
     if cached is not None:
         return cached
     hasher = hashlib.sha256()
-    for package in ENGINE_PACKAGES:
-        for path in sorted((base / package).rglob("*.py")):
-            hasher.update(path.relative_to(base).as_posix().encode("utf-8"))
-            hasher.update(b"\x00")
-            hasher.update(path.read_bytes())
-            hasher.update(b"\x00")
+    for path in sorted(base.rglob("*.py")):
+        hasher.update(path.relative_to(base).as_posix().encode("utf-8"))
+        hasher.update(b"\x00")
+        hasher.update(path.read_bytes())
+        hasher.update(b"\x00")
     digest = hasher.hexdigest()
     _ENGINE_FINGERPRINTS[memo_key] = digest
     return digest

@@ -186,7 +186,6 @@ def _run_worked_example(
         stragglers=StragglerConfig.none(),
         estimator=EstimatorConfig.perfect(),
         seed=0,
-        oracle_estimates=False,
     )
     simulation = Simulation(config, policy, [spec])
     simulation.stragglers = _PlantedStragglerModel(planted)

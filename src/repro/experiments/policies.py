@@ -43,9 +43,6 @@ _REGISTRY: Dict[str, PolicyFactory] = {
     "oracle": OraclePolicy,
 }
 
-#: Policies that must be simulated with perfect (true-duration) estimates.
-ORACLE_POLICIES = frozenset({"oracle"})
-
 
 def available_policies() -> tuple:
     """Names accepted by :func:`make_policy`."""
@@ -66,8 +63,3 @@ def make_policy(name: str) -> SpeculationPolicy:
 def make_grass_with_perturbation(perturbation: float) -> Grass:
     """GRASS with a non-default ξ, for the Figure 15 sensitivity sweep."""
     return _grass(GrassConfig(perturbation=perturbation))
-
-
-def needs_oracle_estimates(name: str) -> bool:
-    """True if the named policy must see true durations instead of estimates."""
-    return name in ORACLE_POLICIES

@@ -27,7 +27,6 @@ from repro.experiments.cache import (
 )
 from repro.experiments.executor import ParallelExecutor, RunRequest
 from repro.experiments.plan import ReplayPlan, PlanError
-from repro.experiments.policies import needs_oracle_estimates
 from repro.experiments.warmup import (
     WarmupCache,
     check_warmup_seed_collision,
@@ -208,7 +207,6 @@ def build_simulation_config(
     workload: GeneratedWorkload,
     scale: ExperimentScale,
     seed: int,
-    oracle_estimates: bool,
 ) -> SimulationConfig:
     """Simulation config matching a generated workload's framework profile."""
     framework = workload.config.framework_profile
@@ -217,7 +215,6 @@ def build_simulation_config(
         stragglers=framework.stragglers,
         estimator=framework.estimator,
         seed=seed,
-        oracle_estimates=oracle_estimates,
     )
 
 
@@ -226,7 +223,6 @@ def run_policy(
     policy: SpeculationPolicy,
     scale: ExperimentScale,
     seed: int,
-    oracle_estimates: bool = False,
     warmup: Optional[GeneratedWorkload] = None,
 ) -> MetricsCollector:
     """Run one policy instance over one workload (optionally warmed up first).
@@ -237,7 +233,7 @@ def run_policy(
     """
     request = RunRequest(
         workload=workload,
-        config=build_simulation_config(workload, scale, seed, oracle_estimates),
+        config=build_simulation_config(workload, scale, seed),
         policy=policy,
         warmup=warmup,
     )
@@ -467,9 +463,8 @@ def _replay_simulation_config(
     scan: TraceScan,
     num_machines: int,
     seed: int,
-    policy_name: str,
 ) -> SimulationConfig:
-    """The engine config of one replayed (policy, seed) simulation.
+    """The engine config of one replayed simulation at ``seed``.
 
     Every shard replays under the *full* source's observed straggler
     severity (the scan's mean slowest/median ratio), never its own slice's.
@@ -483,7 +478,6 @@ def _replay_simulation_config(
         ),
         estimator=framework.estimator,
         seed=seed,
-        oracle_estimates=needs_oracle_estimates(policy_name),
     )
 
 
@@ -507,9 +501,7 @@ def _simulate(
     requests = (
         RunRequest(
             spec_source=sources[shard_index],
-            config=_replay_simulation_config(
-                replay_config, scan, num_machines, seed, name
-            ),
+            config=_replay_simulation_config(replay_config, scan, num_machines, seed),
             policy_name=name,
             sink_factory=sink.with_tag(f"{name}-seed{seed}-shard{shard_index}"),
         )
@@ -993,9 +985,7 @@ def compare_policies(
             seed=warm_seed,
         )
         warmup_workload = generate_workload(warmup_generator_config)
-        warmup_sim_config = build_simulation_config(
-            workload, scale, warm_seed, oracle_estimates=False
-        )
+        warmup_sim_config = build_simulation_config(workload, scale, warm_seed)
         if warm_cache:
             cache = WarmupCache(
                 warmup_workload, warmup_sim_config, measured_seeds=scale.seeds
@@ -1011,9 +1001,7 @@ def compare_policies(
     requests = [
         RunRequest(
             workload=workload,
-            config=build_simulation_config(
-                workload, scale, seed, needs_oracle_estimates(name)
-            ),
+            config=build_simulation_config(workload, scale, seed),
             policy_name=name,
             sink_factory=sink.with_tag(f"{name}-seed{seed}"),
             **warm_fields(name),

@@ -6,7 +6,10 @@ cluster under one speculation policy.  It owns:
 * the event loop (job arrivals, copy completions, deadlines),
 * slot accounting and fair-share allocation across concurrent jobs,
 * the per-job ``trem`` / ``tnew`` estimators and their accuracy tracking,
-* materialising the policy-facing :class:`SchedulingView`,
+* one scheduling index per running job, which serves the policy-facing
+  :class:`SchedulingView` — over the estimators, or over true durations
+  (:class:`~repro.core.policies.base.ExactIndex`) for a policy that declares
+  ``exact_estimates`` (the oracle),
 * job termination semantics for deadline-bound, error-bound and exact jobs.
 
 It deliberately knows nothing about *which* policy it is running; GS, RAS,
@@ -51,12 +54,14 @@ enforce this):
   plus a ``(tnew, task_id)``-sorted pending list — that is *replayed*
   against estimator feedback instead of rebuilt per scheduling round;
   re-estimates refresh the sorted list lazily and defer snapshot writes
-  until a policy actually materialises the view;
-* every benchmarked policy picks in O(running tasks) without materialising
-  the snapshot list: GS/RAS/GRASS read the sorted structures, and the
-  baselines (LATE, Mantri, no-spec) read ``SchedulingView.running()`` (the
-  index's running ids) and ``first_pending()`` (a per-phase cursor to the
-  lowest-id pending task);
+  until a policy actually materialises the view.  Every view is built this
+  one way: oracle runs use an :class:`ExactIndex`, which walks the tasks
+  only on a phase change and otherwise refreshes just the running ones;
+* every policy, the oracle included, picks in O(running tasks) without
+  materialising the snapshot list: GS/RAS/GRASS read the sorted
+  structures, and the baselines (LATE, Mantri, no-spec) read
+  ``SchedulingView.running()`` (the index's running ids) and
+  ``first_pending()`` (a per-phase cursor to the lowest-id pending task);
 * policies whose choice is a pure function of the index state declare
   ``stateless_choose`` (GS, RAS and the three baselines), letting the engine
   skip the re-ask after a ``None`` decision when nothing it reads has
@@ -114,15 +119,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from repro.core.estimators import EstimatorConfig, TaskEstimator
 from repro.core.job import Job, JobSpec, JobState
 from repro.core.policies.base import (
+    ExactIndex,
     SchedulingIndex,
     SchedulingView,
     SpeculationPolicy,
-    TaskSnapshot,
 )
 from repro.core.task import Task, TaskCopy
 from repro.simulator.cluster import Cluster, ClusterConfig
@@ -143,7 +148,6 @@ class SimulationConfig:
     seed: int = 0
     background_utilization: float = 0.0
     max_simulated_time: float = 10_000_000.0
-    oracle_estimates: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.background_utilization < 1.0:
@@ -201,10 +205,12 @@ class Simulation:
         self._spec_by_id: Dict[int, JobSpec] = {}
         self._jobs: Dict[int, Job] = {}
         self._estimators: Dict[int, TaskEstimator] = {}
-        # Per-job incremental scheduling indexes (estimator mode only): live
-        # snapshots plus sorted selection structures, kept consistent with
-        # the estimators' noise caches — see ``SchedulingIndex``.
+        # Per-job incremental scheduling indexes: live snapshots plus sorted
+        # selection structures, kept consistent with the estimators' noise
+        # caches — see ``SchedulingIndex``.  A policy that sees true
+        # durations gets an ``ExactIndex`` per job instead.
         self._sched_index: Dict[int, SchedulingIndex] = {}
+        self._exact_estimates = bool(getattr(policy, "exact_estimates", False))
         # Insertion-ordered job-id set (dict keys): O(1) removal on job
         # finish with the same deterministic iteration order the old list
         # gave the fair-share and dispatch loops.
@@ -224,13 +230,8 @@ class Simulation:
         self._alloc_dirty = True
         # Stateless-choice policies (GS, RAS and the baselines) let the
         # dispatch loop cache a None decision per index state instead of
-        # re-asking; see
-        # ``SpeculationPolicy.stateless_choose``.  Oracle runs bypass the
-        # scheduling index entirely, so the cache never applies there.
-        self._stateless_choice = (
-            bool(getattr(policy, "stateless_choose", False))
-            and not config.oracle_estimates
-        )
+        # re-asking; see ``SpeculationPolicy.stateless_choose``.
+        self._stateless_choice = bool(getattr(policy, "stateless_choose", False))
         self.events_processed = 0
 
     # ------------------------------------------------------------------ lifecycle
@@ -572,18 +573,18 @@ class Simulation:
         return min(1.0, (self.cluster.busy_slots + self._reserved_slots) / total)
 
     def _build_view(self, job: Job) -> Optional[SchedulingView]:
-        if self.config.oracle_estimates:
-            return self._build_view_oracle(job)
         job_id = job.spec.job_id
         estimator = self._estimators[job_id]
         index = self._sched_index.get(job_id)
         if index is None:
-            index = SchedulingIndex(job, estimator)
+            if self._exact_estimates:
+                index = ExactIndex(job, self._oracle_tnew, Task.true_remaining)
+            else:
+                index = SchedulingIndex(job, estimator)
             self._sched_index[job_id] = index
-        # ``prepare`` performs (or replays) the per-task estimation walk the
-        # eager builder used to do, including its accuracy-tracker feedback,
-        # so the view fields below read post-walk estimator state exactly as
-        # before.
+        # ``prepare`` performs (or replays) the per-task estimation walk,
+        # including its accuracy-tracker feedback, so the view fields below
+        # read post-walk estimator state.
         if not index.prepare(self._now):
             return None
         phase_index = index.phase
@@ -613,7 +614,7 @@ class Simulation:
             view = index.view = SchedulingView(
                 now=self._now,
                 job=job,
-                tasks=None,
+                sched=index,
                 bound=job.bound,
                 remaining_deadline=remaining_deadline,
                 remaining_required_tasks=remaining_required,
@@ -622,7 +623,6 @@ class Simulation:
                 estimator_accuracy=accuracy,
                 phase_index=phase_index,
                 is_input_phase=is_input,
-                sched=index,
             )
         else:
             # One view per index, mutated per round: no policy retains views
@@ -639,67 +639,22 @@ class Simulation:
             view.is_input_phase = is_input
         return view
 
-    def _build_view_oracle(self, job: Job) -> Optional[SchedulingView]:
-        """Eager view builder for oracle-estimate runs (no scheduling index)."""
-        estimator = self._estimators[job.job_id]
-        tasks = job.schedulable_tasks(self._now)
-        if not tasks:
-            return None
-        phase_index = tasks[0].phase_index
-        snapshots: List[TaskSnapshot] = []
-        for task in tasks:
-            snapshot = self._snapshot_task(job, task, estimator)
-            snapshots.append(snapshot)
-        is_input = phase_index == 0
-        remaining_deadline = job.remaining_deadline(self._now) if is_input else None
-        if is_input:
-            remaining_required = job.remaining_required_tasks()
-        else:
-            remaining_required = sum(1 for task in tasks if not task.is_finished)
-        return SchedulingView(
-            now=self._now,
-            job=job,
-            tasks=snapshots,
-            bound=job.bound,
-            remaining_deadline=remaining_deadline,
-            remaining_required_tasks=remaining_required,
-            wave_width=max(1, job.allocation),
-            cluster_utilization=self._effective_utilization(),
-            estimator_accuracy=estimator.combined_accuracy,
-            phase_index=phase_index,
-            is_input_phase=is_input,
-        )
+    def _oracle_tnew(self, task: Task) -> float:
+        """True duration the *next* copy of ``task`` would have (exact estimates).
 
-    def _snapshot_task(
-        self, job: Job, task: Task, estimator: TaskEstimator
-    ) -> TaskSnapshot:
-        running = task.is_running
-        if self.config.oracle_estimates:
-            tnew = self._oracle_tnew(job, task)
-            trem = task.true_remaining(self._now) if running else tnew
-        else:
-            tnew = estimator.tnew(task)
-            trem = estimator.trem(task, self._now) if running else tnew
-            if running:
-                # Feed realised accuracy back into the tracker (§5.1): compare
-                # the estimate against the true remaining time of the best copy.
-                estimator.record_trem_outcome(trem, max(1e-6, task.true_remaining(self._now)))
-        return TaskSnapshot(
-            task=task,
-            running=running,
-            copies=task.running_copy_count,
-            trem=trem,
-            tnew=tnew,
-        )
-
-    def _oracle_tnew(self, job: Job, task: Task) -> float:
-        """True duration the *next* copy of ``task`` would have (oracle mode)."""
-        copy_index = task.total_copies_launched
+        The draw is keyed on ``total_copies_launched``, the copy index
+        :meth:`_launch_copy` gives the next copy.
+        """
+        spec = task.spec
         # The oracle cannot know which machine the copy will land on, so it
         # uses the median machine speed — cached at Cluster construction; the
         # straggler multiplier (the part that matters) is exact.
         return self.stragglers.copy_duration(
-            task.work, self.cluster.median_speed, job.job_id, task.task_id, copy_index
+            spec.work,
+            self.cluster.median_speed,
+            spec.job_id,
+            spec.task_id,
+            task.total_copies_launched,
         )
 
     # ------------------------------------------------------------------ copy management

@@ -42,7 +42,6 @@ def make_simulation_config(
     machines: int = 20,
     seed: int = 0,
     stragglers: Optional[StragglerConfig] = None,
-    oracle: bool = False,
     estimator: Optional[EstimatorConfig] = None,
 ) -> SimulationConfig:
     """A small, deterministic simulation config for unit tests."""
@@ -51,7 +50,6 @@ def make_simulation_config(
         stragglers=stragglers or StragglerConfig.none(),
         estimator=estimator or EstimatorConfig.perfect(),
         seed=seed,
-        oracle_estimates=oracle,
     )
 
 

@@ -108,10 +108,13 @@ class TestSpeculationMechanics:
         if metrics.speculative_copies_launched > 0:
             assert metrics.wasted_slot_seconds > 0.0
 
-    def test_oracle_estimates_mode_runs(self):
+    def test_exact_estimates_mode_runs(self):
+        class ExactRas(ResourceAwareSpeculative):
+            exact_estimates = True
+
         spec = make_job_spec([5.0] * 8, ApproximationBound.with_error(0.1), max_slots=4)
-        config = make_simulation_config(machines=8, stragglers=StragglerConfig(), seed=2, oracle=True)
-        _, result = run_single_job(spec, ResourceAwareSpeculative(), config)
+        config = make_simulation_config(machines=8, stragglers=StragglerConfig(), seed=2)
+        _, result = run_single_job(spec, ExactRas(), config)
         assert result.met_bound
 
 

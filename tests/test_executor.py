@@ -55,7 +55,7 @@ def _tiny_workload(seed: int = 42):
 class TestRunRequest:
     def test_requires_exactly_one_policy_source(self):
         workload = _tiny_workload()
-        config = build_simulation_config(workload, TINY, seed=1, oracle_estimates=False)
+        config = build_simulation_config(workload, TINY, seed=1)
         with pytest.raises(ValueError):
             RunRequest(workload=workload, config=config)
         with pytest.raises(ValueError):
@@ -68,7 +68,7 @@ class TestRunRequest:
 
     def test_instance_requests_are_not_parallel_safe(self):
         workload = _tiny_workload()
-        config = build_simulation_config(workload, TINY, seed=1, oracle_estimates=False)
+        config = build_simulation_config(workload, TINY, seed=1)
         named = RunRequest(workload=workload, config=config, policy_name="late")
         pinned = RunRequest(workload=workload, config=config, policy=NoSpeculationPolicy())
         assert named.parallel_safe
@@ -76,7 +76,7 @@ class TestRunRequest:
 
     def test_execute_returns_metrics(self):
         workload = _tiny_workload()
-        config = build_simulation_config(workload, TINY, seed=1, oracle_estimates=False)
+        config = build_simulation_config(workload, TINY, seed=1)
         metrics = RunRequest(workload=workload, config=config, policy_name="late").execute()
         assert len(metrics.results) == TINY.num_jobs
 
@@ -98,7 +98,7 @@ class TestParallelExecutor:
         # requests must still return everything, in order, with the same
         # bytes as the fully serial path.
         workload = _tiny_workload()
-        config = build_simulation_config(workload, TINY, seed=1, oracle_estimates=False)
+        config = build_simulation_config(workload, TINY, seed=1)
         requests = [
             RunRequest(workload=workload, config=config, policy_name="late"),
             RunRequest(workload=workload, config=config, policy=NoSpeculationPolicy()),
@@ -115,7 +115,7 @@ class TestParallelExecutor:
         requests = [
             RunRequest(
                 workload=workload,
-                config=build_simulation_config(workload, TINY, seed, False),
+                config=build_simulation_config(workload, TINY, seed),
                 policy_name=name,
             )
             for name in ("late", "no-spec")
@@ -137,7 +137,7 @@ class TestSingleSafeRequestFallback:
         results identical to the serial path.
         """
         workload = _tiny_workload()
-        config = build_simulation_config(workload, TINY, seed=1, oracle_estimates=False)
+        config = build_simulation_config(workload, TINY, seed=1)
         requests = [
             RunRequest(workload=workload, config=config, policy=NoSpeculationPolicy()),
             RunRequest(workload=workload, config=config, policy_name="late"),
@@ -156,13 +156,13 @@ class TestWorkerErrorSurfacing:
         from repro.workload.synthetic import GeneratedWorkload, WorkloadConfig
 
         workload = _tiny_workload()
-        config = build_simulation_config(workload, TINY, seed=1, oracle_estimates=False)
+        config = build_simulation_config(workload, TINY, seed=1)
         empty = GeneratedWorkload(config=WorkloadConfig())
         return RunRequest(workload=empty, config=config, policy_name="late")
 
     def test_worker_failure_names_the_request(self):
         workload = _tiny_workload()
-        config = build_simulation_config(workload, TINY, seed=1, oracle_estimates=False)
+        config = build_simulation_config(workload, TINY, seed=1)
         good = RunRequest(workload=workload, config=config, policy_name="late")
         with pytest.raises(RequestExecutionError) as excinfo:
             ParallelExecutor(workers=2).run([good, self._failing_request()])
@@ -181,7 +181,7 @@ class TestWorkerErrorSurfacing:
 
     def test_request_repr_is_concise(self):
         workload = _tiny_workload()
-        config = build_simulation_config(workload, TINY, seed=3, oracle_estimates=False)
+        config = build_simulation_config(workload, TINY, seed=3)
         request = RunRequest(workload=workload, config=config, policy_name="late")
         text = repr(request)
         assert text == f"RunRequest(policy=late, jobs={len(workload.job_specs)}, seed=3, warm=none)"
@@ -192,7 +192,7 @@ def _named_requests(count: int = 6):
     return [
         RunRequest(
             workload=workload,
-            config=build_simulation_config(workload, TINY, seed, False),
+            config=build_simulation_config(workload, TINY, seed),
             policy_name=name,
         )
         for name in ("late", "no-spec", "gs")
@@ -232,7 +232,7 @@ class TestRunStream:
 
     def test_stream_handles_pinned_requests_in_order(self):
         workload = _tiny_workload()
-        config = build_simulation_config(workload, TINY, seed=1, oracle_estimates=False)
+        config = build_simulation_config(workload, TINY, seed=1)
         requests = [
             RunRequest(workload=workload, config=config, policy_name="late"),
             RunRequest(workload=workload, config=config, policy=NoSpeculationPolicy()),
@@ -310,7 +310,7 @@ def pool():
 class TestPersistentPool:
     def _request(self, spec_source):
         workload = _tiny_workload()
-        config = build_simulation_config(workload, TINY, seed=1, oracle_estimates=False)
+        config = build_simulation_config(workload, TINY, seed=1)
         return RunRequest(spec_source=spec_source, config=config, policy_name="late")
 
     def test_pool_stream_matches_serial_bytes(self, pool):
@@ -352,7 +352,7 @@ class TestPersistentPool:
 def _warmup_cache(warmup=None):
     """A cache warming on a tiny workload distinct from ``_tiny_workload()``."""
     warmup = warmup if warmup is not None else _tiny_workload(seed=5)
-    config = build_simulation_config(warmup, TINY, seed=9, oracle_estimates=False)
+    config = build_simulation_config(warmup, TINY, seed=9)
     return WarmupCache(warmup, config)
 
 
@@ -364,13 +364,13 @@ def _chained_batch(cache, learners, seeds):
     request of GRASS under run seed 1 follow the learning requests.
     """
     workload = _tiny_workload()
-    config = build_simulation_config(workload, TINY, seed=1, oracle_estimates=False)
+    config = build_simulation_config(workload, TINY, seed=1)
     return (
         [RunRequest(workload=workload, config=config, policy_name="late")]
         + [
             RunRequest(
                 workload=workload,
-                config=build_simulation_config(workload, TINY, seed, False),
+                config=build_simulation_config(workload, TINY, seed),
                 policy_name=name,
                 warm_state=cache,
             )
@@ -439,7 +439,7 @@ class TestChainedWarmups:
     def test_warmup_failure_names_the_request(self):
         broken = _warmup_cache(GeneratedWorkload(config=WorkloadConfig()))
         workload = _tiny_workload()
-        config = build_simulation_config(workload, TINY, seed=1, oracle_estimates=False)
+        config = build_simulation_config(workload, TINY, seed=1)
         requests = [
             RunRequest(workload=workload, config=config, policy_name="late"),
             RunRequest(
@@ -457,7 +457,7 @@ class TestChainedWarmups:
 class TestWarmFieldValidation:
     def test_cache_needs_a_named_policy(self):
         workload = _tiny_workload()
-        config = build_simulation_config(workload, TINY, seed=1, oracle_estimates=False)
+        config = build_simulation_config(workload, TINY, seed=1)
         with pytest.raises(ValueError, match="policy_name"):
             RunRequest(
                 workload=workload,
@@ -468,7 +468,7 @@ class TestWarmFieldValidation:
 
     def test_repr_names_a_cache(self):
         workload = _tiny_workload()
-        config = build_simulation_config(workload, TINY, seed=1, oracle_estimates=False)
+        config = build_simulation_config(workload, TINY, seed=1)
         request = RunRequest(
             workload=workload, config=config, policy_name="grass", warm_state=_warmup_cache()
         )
@@ -476,7 +476,7 @@ class TestWarmFieldValidation:
 
     def test_warm_state_and_warmup_are_exclusive(self):
         workload = _tiny_workload()
-        config = build_simulation_config(workload, TINY, seed=1, oracle_estimates=False)
+        config = build_simulation_config(workload, TINY, seed=1)
         with pytest.raises(ValueError, match="at most one"):
             RunRequest(
                 workload=workload,

@@ -12,11 +12,7 @@ from repro.experiments.figures import (
     run_figure,
     table1_traces,
 )
-from repro.experiments.policies import (
-    available_policies,
-    make_policy,
-    needs_oracle_estimates,
-)
+from repro.experiments.policies import available_policies, make_policy
 from repro.experiments.runner import (
     ExperimentScale,
     compare_policies,
@@ -41,8 +37,9 @@ class TestPolicyRegistry:
             make_policy("definitely-not-a-policy")
 
     def test_oracle_flag(self):
-        assert needs_oracle_estimates("oracle")
-        assert not needs_oracle_estimates("grass")
+        # Only the oracle sees true durations; every other policy estimates.
+        exact = {name for name in available_policies() if make_policy(name).exact_estimates}
+        assert exact == {"oracle"}
 
     def test_fresh_instances_returned(self):
         assert make_policy("grass") is not make_policy("grass")

@@ -10,11 +10,12 @@ The digests were computed under CPython 3.11.  They also pin the
 interpreter's float arithmetic: CPython 3.12 made ``sum()`` over floats
 compensated, which moves six of the eight entries.
 
-Three cases pin the figures path instead of a replay plan: the digest of a
+Four cases pin the figures path instead of a replay plan: the digest of a
 ``compare_policies`` run over one synthetic figure cell.  Two run the three
 policies the paper compares plus no-speculation over one seed; the third
 runs two learning policies over two seeds, so a pool warms both at once and
-restores each policy's second run from its snapshot.
+restores each policy's second run from its snapshot.  The fourth, and one
+trace replay, run the oracle, gs and ras, which no other case reaches.
 
 A change that moves a digest changes results.  If that is intended,
 regenerate the corpus with::
@@ -58,14 +59,16 @@ TRACES = ROOT / "traces"
 POLICIES = ("grass", "late", "mantri")
 #: Policies of the figure-cell cases: the paper's comparison plus no-spec.
 FIGURE_POLICIES = ("late", "mantri", "grass", "no-spec")
+#: Policies of the oracle cases: the oracle plus GRASS's two constituents.
+ORACLE_CASE_POLICIES = ("oracle", "gs", "ras")
 #: Seed of the shuffle that turns facebook_like.jsonl into an unsorted trace.
 #: Chosen so the file-order mean slowest/median ratio differs in its last bit
 #: from the arrival-order mean: the case pins which order calibrates.
 SHUFFLE_SEED = 2
 
 
-def _plan(**fields) -> ReplayPlan:
-    return ReplayPlan(policies=POLICIES, scale="quick", **fields)
+def _plan(policies: Sequence[str] = POLICIES, **fields) -> ReplayPlan:
+    return ReplayPlan(policies=tuple(policies), scale="quick", **fields)
 
 
 def _shuffled_facebook(workdir: Path) -> str:
@@ -198,6 +201,17 @@ CASES: Dict[str, Callable[[Path, int], str]] = {
         33,
         policies=("grass", "grass-strawman", "late"),
         seeds=(1, 2),
+    ),
+    # The oracle and the two policies GRASS switches between, which no other
+    # case runs: one synthetic cell and one trace replay.
+    "compare_policies-facebook-hadoop-mixed-seed44-oracle-gs-ras": _figure_cell_case(
+        "facebook", "hadoop", "mixed", 44, policies=ORACLE_CASE_POLICIES
+    ),
+    "facebook_like-shards2-mixed-oracle-gs-ras": _plan_case(
+        policies=ORACLE_CASE_POLICIES,
+        trace=str(TRACES / "facebook_like.jsonl"),
+        shards=2,
+        bound_kind="mixed",
     ),
 }
 

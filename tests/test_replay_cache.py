@@ -26,12 +26,12 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
 import repro
 from repro.experiments.cache import (
-    ENGINE_PACKAGES,
     CacheIntegrityWarning,
     CachedSlice,
     ReplayCache,
@@ -222,23 +222,43 @@ class TestStoreBounds:
         assert not list(root.glob("??/.*.tmp")), "a temp file leaked"
 
 
+def copy_package(destination: Path, edit: Optional[str] = None) -> Path:
+    """Copy the ``repro`` package's sources, appending one line to ``edit``."""
+    base = Path(repro.__file__).resolve().parent
+    shutil.copytree(base, destination, ignore=shutil.ignore_patterns("__pycache__"))
+    if edit is not None:
+        target = destination / edit
+        target.write_text(target.read_text() + "\n# one edited line\n")
+    return destination
+
+
 class TestInvalidation:
     def test_engine_fingerprint_changes_when_a_source_changes(self, tmp_path):
-        def copy_engine(destination, edit=False):
-            base = Path(repro.__file__).resolve().parent
-            for package in ENGINE_PACKAGES:
-                shutil.copytree(base / package, destination / package)
-            if edit:
-                target = destination / "simulator" / "engine.py"
-                target.write_text(target.read_text() + "\n# one edited line\n")
-            return destination
-
-        pristine_a = copy_engine(tmp_path / "a")
-        pristine_b = copy_engine(tmp_path / "b")
-        edited = copy_engine(tmp_path / "c", edit=True)
+        pristine_a = copy_package(tmp_path / "a")
+        pristine_b = copy_package(tmp_path / "b")
+        edited = copy_package(tmp_path / "c", edit="simulator/engine.py")
         # Content-determined: two pristine copies agree regardless of path.
         assert engine_fingerprint(root=pristine_a) == engine_fingerprint(root=pristine_b)
         assert engine_fingerprint(root=edited) != engine_fingerprint(root=pristine_a)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            # A baseline policy, a digest-relevant utility, the registry that
+            # builds policies and a core policy: each decides how a
+            # simulation behaves.
+            "baselines/late.py",
+            "utils/rng.py",
+            "experiments/policies.py",
+            "core/policies/grass.py",
+        ],
+    )
+    def test_an_edit_anywhere_in_the_package_changes_the_fingerprint(
+        self, tmp_path, edit
+    ):
+        pristine = copy_package(tmp_path / "pristine")
+        edited = copy_package(tmp_path / "edited", edit=edit)
+        assert engine_fingerprint(root=edited) != engine_fingerprint(root=pristine)
 
     def test_entries_from_another_engine_are_silent_misses(self, tmp_path):
         slice_wire = {"policy": "grass", "sim_seed": 1, "shard": 0}

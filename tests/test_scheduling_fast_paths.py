@@ -14,7 +14,8 @@ what the plain path computes:
 Each is checked against its plain counterpart here: the accessors by
 identity on every ask of a bundled-trace replay, the skip by comparing
 pickled metrics with the skip disabled, and fair share against the round
-based reference below.
+based reference below.  The oracle's :class:`ExactIndex` is checked on its
+own: it reads true durations and never the job's estimator.
 """
 
 from __future__ import annotations
@@ -29,14 +30,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.policies.base import SchedulingDecision, SchedulingView
+from repro.baselines import OraclePolicy
+from repro.core.bounds import ApproximationBound
+from repro.core.estimators import TaskEstimator
+from repro.core.job import Job
+from repro.core.policies.base import ExactIndex, SchedulingDecision, SchedulingView
+from repro.core.task import Task, TaskCopy
 from repro.experiments.policies import make_policy
 from repro.experiments.runner import ExperimentScale, build_simulation_config
 from repro.simulator.cluster import Cluster, ClusterConfig
 from repro.simulator.engine import Simulation
 from repro.simulator.metrics import MetricsCollector
+from repro.simulator.stragglers import StragglerConfig
 from repro.workload.trace_replay import TraceReplayConfig, trace_to_workload
 from repro.workload.traces import load_trace
+
+from tests.conftest import make_job_spec, make_simulation_config
 
 TRACES = Path(__file__).resolve().parents[1] / "traces"
 #: A cluster small enough that the 40-job bundled traces contend for slots,
@@ -49,7 +58,7 @@ def _simulate(policy, trace: str = "facebook_like.jsonl", bound_kind: str = "mix
         load_trace(TRACES / trace), TraceReplayConfig(bound_kind=bound_kind, seed=3)
     )
     config = replace(
-        build_simulation_config(replay.workload, SCALE, seed=1, oracle_estimates=False),
+        build_simulation_config(replay.workload, SCALE, seed=1),
         stragglers=replay.stragglers,
     )
     return Simulation(config, policy, replay.workload.job_specs).run()
@@ -66,28 +75,27 @@ def _checked(name: str, seen: Counter):
 
     class Checked(base):
         def choose_task(self, view: SchedulingView) -> Optional[SchedulingDecision]:
-            if view.sched is not None:
-                stale = view.sched.p_stale
-                first = view.first_pending()
-                fields = None if first is None else (first.tnew, first.trem)
-                running = view.running()
-                # ``view.tasks`` materialises the eager list the accessors
-                # replace; the index must hand out the very same objects,
-                # and the fields ``first_pending`` refreshed must be the
-                # ones the materialising flush writes.
-                tasks = view.tasks
-                expected = next((snap for snap in tasks if not snap.running), None)
-                assert first is expected
-                if first is not None:
-                    assert fields == (first.tnew, first.trem)
-                expected_running = [snap for snap in tasks if snap.running]
-                assert len(running) == len(expected_running)
-                assert all(a is b for a, b in zip(running, expected_running, strict=True))
-                seen["asks"] += 1
-                seen["first"] += first is not None
-                seen["no-first"] += first is None
-                seen["running"] += bool(running)
-                seen["stale-first"] += stale and first is not None
+            stale = view.sched.p_stale
+            first = view.first_pending()
+            fields = None if first is None else (first.tnew, first.trem)
+            running = view.running()
+            # ``view.tasks`` materialises the snapshot list the accessors
+            # stand in for; the index must hand out the very same objects,
+            # and the fields ``first_pending`` refreshed must be the ones the
+            # materialising flush writes.
+            tasks = view.tasks
+            expected = next((snap for snap in tasks if not snap.running), None)
+            assert first is expected
+            if first is not None:
+                assert fields == (first.tnew, first.trem)
+            expected_running = [snap for snap in tasks if snap.running]
+            assert len(running) == len(expected_running)
+            assert all(a is b for a, b in zip(running, expected_running, strict=True))
+            seen["asks"] += 1
+            seen["first"] += first is not None
+            seen["no-first"] += first is None
+            seen["running"] += bool(running)
+            seen["stale-first"] += stale and first is not None
             return super().choose_task(view)
 
     return Checked()
@@ -131,6 +139,78 @@ def test_skipping_repeat_asks_is_transparent(name, bound_kind):
     assert pickle.dumps(skipped) == pickle.dumps(registered)
     # The cached None answers were actually used.
     assert counts[True] < counts[False]
+
+
+def test_exact_index_follows_true_durations():
+    job = Job(make_job_spec([4.0, 6.0, 8.0], ApproximationBound.exact()))
+    job.start(0.0)
+
+    def tnew_of(task: Task) -> float:
+        # Distinct per task, and moved by every launched copy.
+        return 10.0 * (task.task_id + 1) + task.total_copies_launched
+
+    index = ExactIndex(job, tnew_of, Task.true_remaining)
+    copy_ids = iter(range(100))
+
+    def launch(task: Task, now: float, duration: float) -> TaskCopy:
+        copy = TaskCopy(next(copy_ids), task.task_id, 0, now, duration)
+        task.add_copy(copy)
+        index.on_copy_launched(task)
+        return copy
+
+    assert index.prepare(0.0)
+    assert index.pending_sorted == [(10.0, 0, 4.0), (20.0, 1, 6.0), (30.0, 2, 8.0)]
+    launch(job.tasks[1], 0.0, 12.0)
+    assert [entry[1] for entry in index.pending_sorted] == [0, 2]
+    assert index.running_ids == [1]
+    assert index.prepare(0.0)
+    snap = index.snaps[1]
+    assert (snap.running, snap.copies, snap.trem, snap.tnew) == (True, 1, 12.0, 21.0)
+    # trem follows the clock; pending snapshots are fixed within the phase.
+    assert index.prepare(5.0)
+    assert snap.trem == 7.0 and snap.tnew == 21.0
+    assert index.snaps[0].tnew == 10.0 and index.snaps[0].trem == 10.0
+    # A second copy moves tnew to the next copy's duration, and trem to the
+    # soonest-finishing copy.
+    fast = launch(job.tasks[1], 5.0, 3.0)
+    assert index.prepare(5.0)
+    assert (snap.copies, snap.trem, snap.tnew) == (2, 3.0, 22.0)
+    job.tasks[1].complete(8.0, fast)
+    index.on_task_finished(job.tasks[1])
+    assert index.prepare(8.0)
+    assert sorted(index.snaps) == [0, 2] and index.running_ids == []
+    # No estimator epoch: the engine's stateless skip never matches.
+    assert index.estimator is None and index.epoch == -1
+
+
+def test_oracle_runs_never_touch_the_estimates(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an oracle run asked the estimator for an estimate")
+
+    # ``tnew`` stays: ``observe_completion`` still scores the estimator on
+    # every finished task, as it does for any policy.
+    for name in ("snapshot_running", "update_running_snaps", "tnew_epoch_factor", "trem"):
+        monkeypatch.setattr(TaskEstimator, name, refuse)
+    specs = [
+        make_job_spec(
+            [3.0, 5.0, 4.0, 6.0, 2.0, 7.0],
+            ApproximationBound.with_error(0.3),
+            job_id=0,
+            intermediate=[[2.0, 3.0], [1.0]],
+        ),
+        make_job_spec(
+            [4.0] * 8,
+            ApproximationBound.with_deadline(30.0),
+            job_id=1,
+            arrival=1.0,
+            intermediate=[[2.0, 2.0]],
+        ),
+        make_job_spec([5.0, 1.0, 9.0], ApproximationBound.exact(), job_id=2, arrival=2.0),
+    ]
+    config = make_simulation_config(machines=3, stragglers=StragglerConfig(), seed=5)
+    metrics = Simulation(config, OraclePolicy(), specs).run()
+    assert sorted(result.job_id for result in metrics.results) == [0, 1, 2]
+    assert metrics.speculative_copies_launched > 0
 
 
 def reference_fair_share(

@@ -195,7 +195,7 @@ class TestStreamedReplayDeterminism:
         lazy = TraceSpecSource(str(path), config, 0, 1, scan.num_jobs)
         request = RunRequest(
             spec_source=lazy,
-            config=_replay_simulation_config(config, scan, 4, 1, "late"),
+            config=_replay_simulation_config(config, scan, 4, 1),
             policy_name="late",
         )
         with pytest.raises(ValueError):  # job 2 would arrive before time zero

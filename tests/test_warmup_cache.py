@@ -66,7 +66,7 @@ class TestPolicySnapshots:
         """
         warmup = _tiny_workload(seed=5)
         measured = _tiny_workload(seed=6)
-        config = build_simulation_config(measured, TINY, seed=1, oracle_estimates=False)
+        config = build_simulation_config(measured, TINY, seed=1)
 
         warmed = make_policy("grass")
         Simulation(config, warmed, warmup.specs()).run()
@@ -82,7 +82,7 @@ class TestPolicySnapshots:
     def test_snapshot_isolated_from_live_policy(self):
         """Mutating the policy after the snapshot must not change the snapshot."""
         warmup = _tiny_workload(seed=5)
-        config = build_simulation_config(warmup, TINY, seed=1, oracle_estimates=False)
+        config = build_simulation_config(warmup, TINY, seed=1)
         policy: Grass = make_policy("grass")
         Simulation(config, policy, warmup.specs()).run()
         snapshot = policy.state_snapshot()
@@ -94,7 +94,7 @@ class TestPolicySnapshots:
         """Two in-process restores from one snapshot must not share state."""
         warmup = _tiny_workload(seed=5)
         measured = _tiny_workload(seed=6)
-        config = build_simulation_config(measured, TINY, seed=1, oracle_estimates=False)
+        config = build_simulation_config(measured, TINY, seed=1)
         snapshot = warm_policy_snapshot("grass", warmup, config)
 
         first = make_policy("grass")
@@ -110,7 +110,7 @@ class TestPolicySnapshots:
 class TestWarmupCache:
     def test_memoises_per_policy(self):
         warmup = _tiny_workload(seed=5)
-        config = build_simulation_config(warmup, TINY, seed=9, oracle_estimates=False)
+        config = build_simulation_config(warmup, TINY, seed=9)
         cache = WarmupCache(warmup, config)
         first = cache.snapshot_for("grass")
         second = cache.snapshot_for("grass")
@@ -120,7 +120,7 @@ class TestWarmupCache:
 
     def test_snapshot_if_learning_skips_stateless(self):
         warmup = _tiny_workload(seed=5)
-        config = build_simulation_config(warmup, TINY, seed=9, oracle_estimates=False)
+        config = build_simulation_config(warmup, TINY, seed=9)
         cache = WarmupCache(warmup, config)
         assert cache.snapshot_if_learning("late") is None
         assert cache.misses == 0
@@ -129,7 +129,7 @@ class TestWarmupCache:
     def test_prewarm_parallel_matches_serial(self):
         """Snapshots a pool's chain heads warm equal serial ``prewarm``'s."""
         warmup = _tiny_workload(seed=5)
-        config = build_simulation_config(warmup, TINY, seed=9, oracle_estimates=False)
+        config = build_simulation_config(warmup, TINY, seed=9)
         serial = WarmupCache(warmup, config)
         serial.prewarm(["grass", "grass-strawman", "late"])
         # Stateless policies are never warmed; prewarm itself never re-warms.
@@ -142,7 +142,7 @@ class TestWarmupCache:
         requests = [
             RunRequest(
                 workload=measured,
-                config=build_simulation_config(measured, TINY, seed, False),
+                config=build_simulation_config(measured, TINY, seed),
                 policy_name=name,
                 warm_state=parallel,
             )
@@ -162,7 +162,7 @@ class TestWarmupCache:
     def test_pickles_as_its_recipe(self):
         """A shipped cache carries the warm-up, never the parent's memo."""
         warmup = _tiny_workload(seed=5)
-        config = build_simulation_config(warmup, TINY, seed=9, oracle_estimates=False)
+        config = build_simulation_config(warmup, TINY, seed=9)
         cache = WarmupCache(warmup, config)
         cache.snapshot_for("grass")
         copy = pickle.loads(pickle.dumps(cache))
@@ -197,7 +197,7 @@ class TestComparePoliciesTransparency:
     def test_warm_state_shared_across_seeds(self):
         """The whole point of the cache: one warm-up serves every seed."""
         warmup = _tiny_workload(seed=5)
-        config = build_simulation_config(warmup, TINY, seed=9, oracle_estimates=False)
+        config = build_simulation_config(warmup, TINY, seed=9)
         cache = WarmupCache(warmup, config)
         cache.prewarm(["grass"])
         cache.snapshot_for("grass")
