@@ -62,7 +62,9 @@
 #                 summary to CLUSTER_SUMMARY if set (the scheduled CI leg's
 #                 artifact)
 # * perfbench   — the repo benchmark's own selftests (python3 -m pytest
-#                 perfbench/tests): its tracer wraps repro functions by name
+#                 perfbench/tests, ~30s): its tracer wraps repro functions
+#                 by name (ParallelExecutor.run and run_stream, the
+#                 multiprocessing.Pool it counts as executor.pool_starts)
 #                 and its workloads send ReplayPlan fields over the wire, so
 #                 a src/ refactor that breaks either fails here
 # * analyze     — the repo's own determinism & safety linter
@@ -77,8 +79,10 @@
 #                 container ships no linter; do NOT pip install one here);
 #                 prints which backend actually ran so CI-vs-local
 #                 discrepancies are visible
-# * all         — lint, analyze, test, bench-smoke, in order (and reports
-#                 which lint backend ran)
+# * all         — lint, analyze, test, bench-smoke, perfbench, in order
+#                 (and reports which lint backend ran), so a full local check
+#                 catches a broken tracer contract before CI's separate
+#                 benchmark-selftest job does
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -471,6 +475,7 @@ case "${1:-all}" in
         run_analyze
         run_test
         run_bench_smoke
+        run_perfbench
         echo "all: ok (lint backend: $LINT_BACKEND; analyze: repro.analysis)"
         ;;
     *)

@@ -9,15 +9,10 @@ worker processes and merges the resulting
 order**, so the output is bit-identical to the serial path no matter how the
 OS schedules the workers.
 
-Two entry points share that contract:
+Two entry points drive one dispatch loop, an in-order window of requests:
 
-* :meth:`ParallelExecutor.run` — the batch path: materialise every request,
-  fan out, return a list.  A learning policy's requests may name the
-  :class:`~repro.experiments.warmup.WarmupCache` their warm state comes
-  from; on the pool, the policy's first request (its *chain head*) warms it
-  and runs in one worker task, submitted ahead of everything else, while
-  the stateless requests fill the other workers, and the policy's remaining
-  requests are submitted restored from the snapshot the head returns.
+* :meth:`ParallelExecutor.run` — the batch path: every parallel-safe
+  request in flight at once, metrics returned as a list.
 * :meth:`ParallelExecutor.run_stream` — the streaming path: consume an
   *iterator* of requests lazily (at most ``max_in_flight`` requests are ever
   materialised and unmerged at once) and yield metrics in request order as
@@ -25,11 +20,20 @@ Two entry points share that contract:
   while earlier shards are still simulating, keeping memory bounded for
   traces that do not fit in RAM.
 
-Both start a ``multiprocessing`` pool per call.  A long-lived caller — the
-replay service — instead hands the executor a persistent
-``concurrent.futures`` process pool; ``run_stream`` then submits every
-request there, and a worker that dies fails only the requests that were on
-that pool, as a :class:`RequestExecutionError` naming one of them.
+The loop submits each parallel-safe request to the pool as it is pulled and
+runs a pinned one in-process when its turn comes.  A learning policy's
+requests may name the :class:`~repro.experiments.warmup.WarmupCache` their
+warm state comes from: the first request of each (cache, policy) pair — its
+*chain head* — warms the policy and runs in one worker task, and the pair's
+later requests wait for the snapshot the head returns, then go to the pool
+restored from it.  Each pair is therefore warmed once per call, in a batch
+or a stream.
+
+The pool is a ``multiprocessing`` pool started per call.  A long-lived
+caller — the replay service — instead hands the executor a persistent
+``concurrent.futures`` process pool, which both entry points then submit
+to, and a worker that dies fails only the requests that were on that pool,
+as a :class:`RequestExecutionError` naming one of them.
 
 Determinism contract
 --------------------
@@ -40,14 +44,13 @@ Determinism contract
 * Every simulation is seeded explicitly; a ``(policy, seed)`` run therefore
   produces the same ``MetricsCollector`` whether it executes in this process,
   a worker process, or a different worker count.
-* Results are merged strictly in request order — ``run`` never reorders its
-  results (only its dispatch) and
-  ``run_stream`` yields position ``i`` before pulling request ``i + k`` past
-  its in-flight window — so ``workers=N`` and ``workers=1`` return
-  byte-identical payloads (``tests/test_executor.py`` locks this in with a
-  pickle comparison for both paths).
+* Results are merged strictly in request order — the loop yields position
+  ``i`` before pulling request ``i + k`` past its in-flight window, and a
+  chain only delays when a request is submitted — so ``workers=N`` and
+  ``workers=1`` return byte-identical payloads (``tests/test_executor.py``
+  locks this in with a pickle comparison for both entry points).
 
-The serial path (``workers=1``, no pool given) does not touch
+The serial path (a window of one process, no pool given) does not touch
 ``multiprocessing`` at all, which keeps unit tests and platforms without
 ``fork`` happy.
 """
@@ -107,30 +110,21 @@ class RunRequest:
       The source's spec stream must be sorted by ``(arrival_time, job_id)``
       (the engine raises otherwise).
 
-    Warm-up comes in two mutually exclusive flavours:
-
-    * ``warmup`` (+ optional ``warmup_config``) — simulate a separate
-      workload first so a learning policy starts with cluster history;
-    * ``warm_state`` — restore a pre-computed state snapshot (see
-      ``repro.experiments.warmup``) instead of re-simulating that history.
-      Snapshots are plain data, so snapshot-carrying named requests remain
-      parallel-safe.  ``warm_state`` may instead name the
-      :class:`~repro.experiments.warmup.WarmupCache` that produces the
-      snapshot: the request then resolves ``cache.snapshot_for(policy_name)``
-      wherever it runs, and :meth:`ParallelExecutor.run` chains a pool
-      worker's warm-up with the policy's first request.  Only named requests
-      may carry a cache.
+    A learning policy starts from cluster history through ``warm_state``: a
+    pre-computed state snapshot (see ``repro.experiments.warmup``) restored
+    before the run.  Snapshots are plain data, so snapshot-carrying named
+    requests remain parallel-safe.  ``warm_state`` may instead name the
+    :class:`~repro.experiments.warmup.WarmupCache` that produces the
+    snapshot: the request then resolves ``cache.snapshot_for(policy_name)``
+    wherever it runs, and :class:`ParallelExecutor` chains a pool worker's
+    warm-up with the first request of each (cache, policy) pair.  Only named
+    requests may carry a cache.
     """
 
     workload: Optional[GeneratedWorkload] = None
     config: SimulationConfig = None  # type: ignore[assignment]
     policy_name: Optional[str] = None
     policy: Optional[SpeculationPolicy] = None
-    warmup: Optional[GeneratedWorkload] = None
-    #: Config the warm-up simulation runs under; defaults to ``config``.
-    #: The warm-up cache keys warmed state on this config's seed, so callers
-    #: that share warm-ups across run seeds pass a dedicated warm-up config.
-    warmup_config: Optional[SimulationConfig] = None
     #: Pre-warmed policy state (from ``SpeculationPolicy.state_snapshot``),
     #: or the ``WarmupCache`` that produces it.
     warm_state: Optional[object] = None
@@ -151,8 +145,6 @@ class RunRequest:
             raise ValueError("give exactly one of workload or spec_source")
         if (self.policy_name is None) == (self.policy is None):
             raise ValueError("give exactly one of policy_name or policy")
-        if self.warm_state is not None and self.warmup is not None:
-            raise ValueError("give at most one of warmup or warm_state")
         if self.policy is not None and isinstance(self.warm_state, WarmupCache):
             raise ValueError(
                 "a warm-up cache warms a policy by name; give policy_name, "
@@ -170,8 +162,6 @@ class RunRequest:
             warm = "cache"
         elif self.warm_state is not None:
             warm = "snapshot"
-        elif self.warmup is not None:
-            warm = f"workload[{len(self.warmup.job_specs)}]"
         else:
             warm = "none"
         if self.workload is not None:
@@ -191,14 +181,12 @@ class RunRequest:
     def execute(self) -> MetricsCollector:
         """Run this request in the current process and return its metrics.
 
-        The warm-up pass exists for learning policies (GRASS): the same
-        policy instance first processes a separate workload so its sample
-        store reflects cluster history, exactly as a long-running production
-        scheduler would.  Warm-up results are discarded.  A ``warm_state``
-        snapshot replaces that pass with a state restore, which is
-        byte-equivalent as long as the snapshot was taken after warming an
-        identically-configured policy under ``warmup_config``.  A cache in
-        ``warm_state`` is resolved here, through its memo.
+        A ``warm_state`` snapshot is restored into the policy first, so a
+        learning policy (GRASS) starts with the sample store a separate
+        warm-up workload gave it, as a long-running production scheduler
+        would.  Restoring is byte-equivalent to having this policy instance
+        simulate that warm-up itself.  A cache in ``warm_state`` is resolved
+        here, through its memo.
         """
         policy = self.policy if self.policy is not None else make_policy(self.policy_name)
         warm_state = self.warm_state
@@ -206,9 +194,6 @@ class RunRequest:
             warm_state = warm_state.snapshot_for(self.policy_name)
         if warm_state is not None:
             policy.restore_state(warm_state)
-        elif self.warmup is not None and self.warmup.job_specs:
-            warm_config = self.warmup_config or self.config
-            Simulation(warm_config, policy, self.warmup.specs()).run()
         sink = self.sink_factory.create() if self.sink_factory is not None else None
         if self.spec_source is not None:
             # Lazy path: the spec-source iterator feeds the engine's
@@ -273,13 +258,14 @@ class ParallelExecutor:
     """Runs batches of :class:`RunRequest` serially or over worker processes.
 
     ``workers=1`` (the default) executes in-process; ``workers>1`` uses a
-    ``multiprocessing`` pool of that size; ``workers=0`` auto-sizes to the
-    machine (``cpu_count - 1``).  Results always come back in request order.
+    ``multiprocessing`` pool of up to that size, started per call;
+    ``workers=0`` auto-sizes to the machine (``cpu_count - 1``).  Results
+    always come back in request order.
 
     ``pool`` — a persistent ``concurrent.futures`` process pool — makes
-    :meth:`run_stream` submit every parallel-safe request to it, whatever
-    ``workers`` is, instead of starting a pool of its own; ``workers`` then
-    only sizes the in-flight window.
+    :meth:`run` and :meth:`run_stream` submit every parallel-safe request to
+    it, whatever ``workers`` is, instead of starting a pool of their own;
+    ``workers`` then only sizes :meth:`run_stream`'s default window.
     """
 
     def __init__(
@@ -295,47 +281,23 @@ class ParallelExecutor:
     def run(self, requests: Sequence[RunRequest]) -> List[MetricsCollector]:
         """Execute every request and return metrics in request order.
 
-        Requests pinned to in-process execution (policy instances) run here;
-        the parallel-safe remainder fans out over the pool.  A mixed batch
-        therefore still parallelises everything it can — with one deliberate
-        exception: a batch containing exactly *one* parallel-safe request
-        executes it in-process too.  Spawning a pool to run a single
-        simulation costs more than the simulation (fork + pickle + teardown),
-        so the serial fallback is intentional, not an accident of the guard.
+        The batch view of the loop behind :meth:`run_stream`, with a window
+        as wide as the batch's parallel-safe requests: a batch of named
+        requests is in flight all at once, on a per-call pool of up to
+        ``workers`` processes, and requests pinned to in-process execution
+        (policy instances) run here in their turn.  A batch with at most one
+        parallel-safe request therefore runs entirely in-process: spawning a
+        pool to run a single simulation costs more than the simulation
+        (fork + pickle + teardown).
 
-        On the pool, a request whose ``warm_state`` is a
-        :class:`~repro.experiments.warmup.WarmupCache` without its policy's
-        snapshot joins that (cache, policy) pair's *chain*.  Dispatch order:
-
-        1. each chain's first request, as one task that warms the policy and
-           then runs the request from the fresh snapshot — submitted before
-           anything else, because each is the batch's longest path;
-        2. every other request, in request order (a cache that already holds
-           its policy's snapshot is swapped for the snapshot);
-        3. as each head returns, in submission order, its snapshot is
-           recorded in the parent's cache and the chain's remaining requests
-           are submitted restored from it.
-
-        Each pair is warmed exactly once per batch, as on the serial path,
-        and the results do not depend on the dispatch order.
+        Each warm-up chain (see the module docs) is warmed exactly once per
+        batch, as on the serial path.  Listing learning requests first gets
+        the chains, each the batch's longest path, onto the pool first; the
+        results do not depend on the dispatch order.
         """
         requests = list(requests)
-        if not requests:
-            return []
-        safe_indices = [
-            index for index, request in enumerate(requests) if request.parallel_safe
-        ]
-        results: List[Optional[MetricsCollector]] = [None] * len(requests)
-        if self.workers > 1 and len(safe_indices) > 1:
-            pool_size = min(self.workers, len(safe_indices))
-            with multiprocessing.Pool(processes=pool_size) as pool:
-                fanned_out = _fan_out(pool, requests, safe_indices)
-            for index, metrics in fanned_out.items():
-                results[index] = metrics
-        for index, request in enumerate(requests):
-            if results[index] is None:
-                results[index] = request.execute()
-        return results
+        window = max(1, sum(request.parallel_safe for request in requests))
+        return list(self._dispatch(requests, window))
 
     def run_stream(
         self,
@@ -344,56 +306,83 @@ class ParallelExecutor:
     ) -> Iterator[MetricsCollector]:
         """Execute a request *stream* lazily, yielding metrics in order.
 
-        The streaming twin of :meth:`run`: requests are pulled from the
-        iterator only when there is room in the in-flight window, so a
-        generator that materialises expensive payloads (trace-replay shard
-        workloads) never gets more than ``max_in_flight`` of them alive in
-        this process at once.  Parallel-safe requests are submitted to the
-        pool as they are pulled; pinned (policy-instance) requests execute
-        in-process when their turn to be yielded comes, which keeps the
-        merge strictly in request order.
+        Requests are pulled from the iterator only when there is room in
+        the in-flight window, so a generator that materialises expensive
+        payloads (trace-replay shard workloads) never gets more than
+        ``max_in_flight`` of them alive in this process at once.
+        Parallel-safe requests are submitted to the pool as they are
+        pulled; pinned (policy-instance) requests execute in-process when
+        their turn to be yielded comes, which keeps the merge strictly in
+        request order.  Warm-up chains work as in :meth:`run`: a request
+        waiting for its head's snapshot holds its place in the window.
 
         ``max_in_flight`` defaults to ``2 * workers`` (enough to keep every
-        worker busy while the next requests are being built).  With
-        ``workers=1`` and no ``pool``, no pool is created and the stream is
-        fully lazy: pull one, execute, yield.  With a ``pool``, a dead
-        worker raises :class:`RequestExecutionError` naming the request that
-        was waiting on it.
+        worker busy while the next requests are being built) and must be at
+        least 1.  The per-call pool has ``min(workers, max_in_flight)``
+        processes; with one and no ``pool``, no pool is created and the
+        stream is fully lazy: pull one, execute, yield.  With a ``pool``, a
+        dead worker raises :class:`RequestExecutionError` naming the request
+        that was waiting on it.
 
         Determinism matches :meth:`run`: the same requests yield
         byte-identical metrics in the same order for any worker count.
         """
-        iterator = iter(requests)
-        if self.workers <= 1 and self.pool is None:
-            for request in iterator:
-                yield request.execute()
-            return
         if max_in_flight is None:
             max_in_flight = 2 * self.workers
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be at least 1")
+        return self._dispatch(requests, max_in_flight)
 
-        # (request, ticket) pairs in request order: the ticket is the pool's
-        # handle on the result, or None for a pinned request that runs here
-        # when its turn comes.
-        in_flight: deque = deque()
+    def _dispatch(
+        self, requests: Iterable[RunRequest], max_in_flight: int
+    ) -> Iterator[MetricsCollector]:
+        """The dispatch loop of :meth:`run` and :meth:`run_stream`.
 
-        def resolve() -> MetricsCollector:
-            request, ticket = in_flight.popleft()
-            if ticket is None:
-                return request.execute()
-            if self.pool is None:
-                return ticket.get()
-            try:
-                return ticket.result()
-            except concurrent.futures.BrokenExecutor as exc:
-                raise _worker_died(request) from exc
-
+        Both public methods call this loop and never each other, so an
+        instrumented entry point sees each request exactly once.
+        """
+        iterator = iter(requests)
+        processes = min(self.workers, max_in_flight)
+        if self.pool is None and processes == 1:
+            for request in iterator:
+                yield request.execute()
+            return
         with (
-            multiprocessing.Pool(processes=self.workers)
+            multiprocessing.Pool(processes=processes)
             if self.pool is None
             else contextlib.nullcontext()
         ) as own_pool:
+
+            def submit(task: Callable[[RunRequest], Any], request: RunRequest) -> Callable[[], Any]:
+                if own_pool is not None:
+                    return own_pool.apply_async(task, (request,)).get
+                try:
+                    return self.pool.submit(task, request).result
+                except concurrent.futures.BrokenExecutor as exc:
+                    raise _worker_died(request) from exc
+
+            in_flight: deque[_Pending] = deque()  # in request order
+            # Each chain whose head is still running: the requests of its
+            # (cache, policy) pair waiting for the head's snapshot.
+            held: Dict[Tuple[WarmupCache, str], List[_Pending]] = {}
+
+            def resolve() -> MetricsCollector:
+                pending = in_flight.popleft()
+                if pending.result is None:
+                    return pending.request.execute()
+                try:
+                    result = pending.result()
+                except concurrent.futures.BrokenExecutor as exc:
+                    raise _worker_died(pending.request) from exc
+                if pending.head_of is None:
+                    return result
+                snapshot, metrics = result
+                cache, name = pending.head_of
+                cache.record(name, snapshot)
+                for dependent in held.pop(pending.head_of):
+                    dependent.result = submit(_execute_request, _restored(dependent.request))
+                return metrics
+
             while True:
                 # Drain before pulling: the request generator is only
                 # advanced when the new request fits in the window, which is
@@ -404,64 +393,42 @@ class ParallelExecutor:
                 request = next(iterator, None)
                 if request is None:
                     break
-                if not request.parallel_safe:
-                    ticket = None
-                elif self.pool is None:
-                    ticket = own_pool.apply_async(_execute_request, (request,))
-                else:
-                    try:
-                        ticket = self.pool.submit(_execute_request, request)
-                    except concurrent.futures.BrokenExecutor as exc:
-                        raise _worker_died(request) from exc
-                in_flight.append((request, ticket))
+                pending = _Pending(request)
+                cache = request.warm_state
+                if isinstance(cache, WarmupCache) and not cache.holds(request.policy_name):
+                    chain = (cache, request.policy_name)
+                    if chain in held:
+                        held[chain].append(pending)
+                    else:
+                        held[chain] = []
+                        pending.head_of = chain
+                        pending.result = submit(_warm_and_execute, request)
+                elif request.parallel_safe:
+                    pending.result = submit(_execute_request, _restored(request))
+                in_flight.append(pending)
             while in_flight:
                 yield resolve()
 
 
-def _fan_out(
-    pool: multiprocessing.pool.Pool,
-    requests: List[RunRequest],
-    safe_indices: List[int],
-) -> Dict[int, MetricsCollector]:
-    """Run ``requests[safe_indices]`` on ``pool``; their metrics by request index.
+@dataclass
+class _Pending:
+    """A request of the dispatch window, from its pull until its yield."""
 
-    Dispatch follows :meth:`ParallelExecutor.run`: chain heads, then the
-    rest in request order, then each chain's dependents as its head returns.
-    """
-    # (cache, policy name) -> request indices, the chain head first.
-    chains: Dict[Tuple[WarmupCache, str], List[int]] = {}
-    rest: List[int] = []
-    for index in safe_indices:
-        request = requests[index]
-        cache = request.warm_state
-        if isinstance(cache, WarmupCache) and not cache.holds(request.policy_name):
-            chains.setdefault((cache, request.policy_name), []).append(index)
-        else:
-            rest.append(index)
-    tickets: Dict[int, multiprocessing.pool.AsyncResult] = {}
-    results: Dict[int, MetricsCollector] = {}
+    request: RunRequest
+    #: Blocks for the pool's result.  None for a pinned request, which runs
+    #: in-process when its turn comes, and for a chain dependent until its
+    #: head resolves — always before the dependent's own turn.
+    result: Optional[Callable[[], Any]] = None
+    #: The (cache, policy name) chain this request heads, if any.
+    head_of: Optional[Tuple[WarmupCache, str]] = None
 
-    def submit(index: int) -> None:
-        request = requests[index]
-        cache = request.warm_state
-        if isinstance(cache, WarmupCache):
-            request = replace(request, warm_state=cache.snapshot_for(request.policy_name))
-        tickets[index] = pool.apply_async(_execute_request, (request,))
 
-    heads = [
-        (key, indices, pool.apply_async(_warm_and_execute, (requests[indices[0]],)))
-        for key, indices in chains.items()
-    ]
-    for index in rest:
-        submit(index)
-    for (cache, name), (head, *dependents), ticket in heads:
-        snapshot, results[head] = ticket.get()
-        cache.record(name, snapshot)
-        for index in dependents:
-            submit(index)
-    for index, ticket in sorted(tickets.items()):
-        results[index] = ticket.get()
-    return results
+def _restored(request: RunRequest) -> RunRequest:
+    """``request`` with a cache in its ``warm_state`` swapped for the snapshot."""
+    cache = request.warm_state
+    if isinstance(cache, WarmupCache):
+        return replace(request, warm_state=cache.snapshot_for(request.policy_name))
+    return request
 
 
 def _worker_died(request: RunRequest) -> RequestExecutionError:

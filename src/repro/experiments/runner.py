@@ -27,11 +27,7 @@ from repro.experiments.cache import (
 )
 from repro.experiments.executor import ParallelExecutor, RunRequest
 from repro.experiments.plan import ReplayPlan, PlanError
-from repro.experiments.warmup import (
-    WarmupCache,
-    check_warmup_seed_collision,
-    policy_learns,
-)
+from repro.experiments.warmup import WarmupCache, policy_learns
 from repro.simulator.cluster import ClusterConfig
 from repro.simulator.engine import SimulationConfig
 from repro.workload.bins import deadline_bin_label, error_bin_label
@@ -223,21 +219,18 @@ def run_policy(
     policy: SpeculationPolicy,
     scale: ExperimentScale,
     seed: int,
-    warmup: Optional[GeneratedWorkload] = None,
 ) -> MetricsCollector:
-    """Run one policy instance over one workload (optionally warmed up first).
+    """Run one policy instance over one workload.
 
     The instance may carry state (a warm-started GRASS learner), so the run
     executes in-process; use :func:`compare_policies` with ``workers`` to fan
     registry-named policies out over processes.
     """
-    request = RunRequest(
+    return RunRequest(
         workload=workload,
         config=build_simulation_config(workload, scale, seed),
         policy=policy,
-        warmup=warmup,
-    )
-    return ParallelExecutor(workers=1).run([request])[0]
+    ).execute()
 
 
 @dataclass
@@ -584,10 +577,26 @@ def _replay(
 
     workload = GeneratedWorkload(config=replay_config.workload_config(scan.num_jobs))
     workload.metadata.update(metadata)
+    return _comparison(workload, policy_names, scale.seeds, num_shards, collected)
+
+
+def _comparison(
+    workload: GeneratedWorkload,
+    policy_names: Sequence[str],
+    seeds: Sequence[int],
+    num_shards: int,
+    collected: Dict[Coordinate, MetricsCollector],
+) -> ComparisonResult:
+    """Fold each coordinate's metrics into a comparison over ``workload``.
+
+    Runs are inserted in ``policy_names`` order, each from its (seed,
+    shard) metrics in order, whatever order they were simulated in:
+    :func:`metrics_digest` folds ``comparison.runs`` in insertion order.
+    """
     comparison = ComparisonResult(workload=workload)
     for name in policy_names:
         run = PolicyRun(policy_name=name)
-        for seed in scale.seeds:
+        for seed in seeds:
             for shard_index in range(num_shards):
                 metrics = collected[(name, seed, shard_index)]
                 if metrics.retains_results:
@@ -940,18 +949,20 @@ def compare_policies(
     Warm-up semantics: learning policies (GRASS) first process a separate
     warm-up workload whose generation *and* simulation are seeded by
     ``workload seed + WARMUP_SEED_OFFSET`` — independent of the run seed, so
-    one warmed state serves every seed.  With ``warm_cache`` (the default)
-    every request of a learning policy carries one shared
-    :class:`~repro.experiments.warmup.WarmupCache`, so each learning policy
-    is warmed exactly once: in-process by its first request, or on a pool by
-    a worker that then runs that request too, while the stateless policies
-    fill the other workers (see :meth:`ParallelExecutor.run`).  With
-    ``warm_cache=False`` every request re-simulates the warm-up.  Both paths
-    produce byte-identical metrics — the cache is purely a wall-clock
-    optimisation.  Stateless policies are never warmed: warm-up cannot
-    affect a policy without cross-job state, so a comparison without a
-    learning policy neither generates a warm-up workload nor checks its
-    seed.
+    one warmed state serves every seed.  Every request of a learning policy
+    carries a :class:`~repro.experiments.warmup.WarmupCache` of that
+    warm-up.  With ``warm_cache`` (the default) they share one, so each
+    learning policy is warmed exactly once: in-process by its first
+    request, or on a pool by a worker that then runs that request too.
+    The learning policies' requests are listed first, so those chains reach
+    the pool ahead of the stateless policies, which fill the other workers
+    (see :meth:`ParallelExecutor.run`).  With ``warm_cache=False`` each
+    request has a cache of its own and warms its policy itself.  Both
+    paths produce byte-identical metrics — sharing is purely a wall-clock
+    optimisation.  A cache refuses a measured seed equal to the warm-up
+    seed.  Stateless policies are never warmed: warm-up cannot affect a
+    policy without cross-job state, so a comparison without a learning
+    policy neither generates a warm-up workload nor checks its seed.
 
     ``sink`` picks the per-simulation result sink (the ``sink`` field of
     :class:`~repro.experiments.plan.ReplayPlan` describes the kinds); figure
@@ -969,57 +980,39 @@ def compare_policies(
         max_tasks_per_job=scale.max_tasks_per_job,
     )
     workload = generate_workload(generator_config)
-    warmup_workload: Optional[GeneratedWorkload] = None
-    warmup_sim_config: Optional[SimulationConfig] = None
-    cache: Optional[WarmupCache] = None
     learning = {name for name in policy_names if policy_learns(name)}
+    cache: Optional[WarmupCache] = None
     if warmup and scale.warmup_jobs > 0 and learning:
         warm_seed = generator_config.seed + WARMUP_SEED_OFFSET
-        # A measured seed equal to the warm-up seed would silently measure
-        # the very simulation the policy warmed up on; refuse it whether or
-        # not the cache path is taken (the cache re-checks defensively).
-        check_warmup_seed_collision(warm_seed, scale.seeds)
-        warmup_generator_config = replace(
-            generator_config,
-            num_jobs=scale.warmup_jobs,
-            seed=warm_seed,
+        cache = WarmupCache(
+            generate_workload(
+                replace(generator_config, num_jobs=scale.warmup_jobs, seed=warm_seed)
+            ),
+            build_simulation_config(workload, scale, warm_seed),
+            measured_seeds=scale.seeds,
         )
-        warmup_workload = generate_workload(warmup_generator_config)
-        warmup_sim_config = build_simulation_config(workload, scale, warm_seed)
+
+    def warm_state(name: str) -> Optional[WarmupCache]:
+        if cache is None or name not in learning:
+            return None
         if warm_cache:
-            cache = WarmupCache(
-                warmup_workload, warmup_sim_config, measured_seeds=scale.seeds
-            )
+            return cache
+        return WarmupCache(cache.warmup, cache.warmup_config, measured_seeds=scale.seeds)
 
-    def warm_fields(name: str) -> dict:
-        if warmup_workload is None or name not in learning:
-            return {}
-        if cache is not None:
-            return {"warm_state": cache}
-        return {"warmup": warmup_workload, "warmup_config": warmup_sim_config}
-
+    # Learning policies first: each chain head is the batch's longest path.
+    coords = sorted(
+        ((name, seed, 0) for name in policy_names for seed in scale.seeds),
+        key=lambda coord: coord[0] not in learning,
+    )
     requests = [
         RunRequest(
             workload=workload,
             config=build_simulation_config(workload, scale, seed),
             policy_name=name,
             sink_factory=sink.with_tag(f"{name}-seed{seed}"),
-            **warm_fields(name),
+            warm_state=warm_state(name),
         )
-        for name in policy_names
-        for seed in scale.seeds
+        for name, seed, _shard in coords
     ]
-    all_metrics = ParallelExecutor(workers=workers).run(requests)
-
-    comparison = ComparisonResult(workload=workload)
-    index = 0
-    for name in policy_names:
-        run = PolicyRun(policy_name=name)
-        for _seed in scale.seeds:
-            metrics = all_metrics[index]
-            index += 1
-            if metrics.retains_results:
-                run.results.extend(metrics.results)
-            run.metrics.append(metrics)
-        comparison.runs[name] = run
-    return comparison
+    collected = dict(zip(coords, ParallelExecutor(workers=workers).run(requests)))
+    return _comparison(workload, policy_names, scale.seeds, 1, collected)

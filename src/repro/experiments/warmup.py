@@ -2,13 +2,14 @@
 
 ``compare_policies`` warms learning policies (GRASS) on a separate workload
 so their sample stores reflect cluster history before the measured run.
-Before this module existed, *every* ``(policy, seed)`` request re-simulated
-that identical warm-up inside ``RunRequest.execute()`` — at ``paper()``
-scale, 21 requests each paying a warm-up roughly a third as large as the
+Re-simulating that warm-up inside every ``(policy, seed)`` request would
+cost, at ``paper()`` scale, 21 warm-ups each roughly a third as large as the
 measured workload.  The cache runs each warm-up exactly once per
 ``(policy, warm-up seed)``, snapshots the policy's cross-job state
 (:meth:`~repro.core.policies.base.SpeculationPolicy.state_snapshot`) and
 ships the snapshot to workers, which restore it instead of re-simulating.
+A cache is also the only way a request is warmed: ``RunRequest.warm_state``
+holds either a cache or a snapshot taken from one.
 
 Where the warm-up runs
 ----------------------
@@ -16,12 +17,13 @@ Where the warm-up runs
 A request names the cache itself as its ``warm_state``, and the cache is
 resolved wherever the request runs.  In-process, ``RunRequest.execute``
 asks :meth:`WarmupCache.snapshot_for`, so the first request of a learning
-policy warms it and the rest hit the memo.  On a pool,
-``ParallelExecutor.run`` sends each policy's first request as a *chain
-head* — warm-up, then that request, as one worker task — and the head hands
-its snapshot back to the parent's cache for the policy's remaining
-requests.  A pickled cache carries only its recipe (the warm-up workload
-and config), so the copy a head takes to a worker starts empty.
+policy warms it and the rest hit the memo.  On a pool, the dispatch loop
+behind ``ParallelExecutor.run`` and ``run_stream`` sends each (cache,
+policy) pair's first request as a *chain head* — warm-up, then that
+request, as one worker task — and the head hands its snapshot back to the
+parent's cache (:meth:`WarmupCache.record`) for the pair's later requests,
+which wait for it.  A pickled cache carries only its recipe (the warm-up
+workload and config), so the copy a head takes to a worker starts empty.
 :meth:`WarmupCache.prewarm` is a plain serial loop that nothing in the
 package calls; the benchmark's tracer wraps it by name.
 
@@ -40,8 +42,9 @@ Cache semantics
   scale, framework or seed produces a different cache, never a stale hit.
 * **Transparency**: restoring a snapshot is byte-equivalent to re-running
   the warm-up under the same config (locked in by
-  ``tests/test_warmup_cache.py``), so caching changes wall-clock only —
-  metrics digests are identical with the cache on or off.
+  ``tests/test_warmup_cache.py``), so sharing changes wall-clock only —
+  metrics digests are identical whether a comparison's requests share one
+  cache or each carry their own (``compare_policies(warm_cache=False)``).
 
 Stateless policies (``learns_across_jobs`` false) are never warmed at all:
 a warm-up simulation shares nothing with the measured one except the policy
@@ -50,7 +53,7 @@ object, so for a policy without cross-job state it is pure waste.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.experiments.policies import make_policy
 from repro.simulator.engine import Simulation, SimulationConfig
@@ -128,7 +131,7 @@ class WarmupCache:
     def record(self, policy_name: str, snapshot: object) -> None:
         """Memoise a freshly warmed snapshot, counted as the miss that made it.
 
-        ``ParallelExecutor.run`` records the snapshots its pool workers warm.
+        ``ParallelExecutor`` records the snapshots its pool workers warm.
         """
         self._snapshots[self._key(policy_name)] = snapshot
         self.misses += 1
@@ -153,9 +156,3 @@ class WarmupCache:
         for name in dict.fromkeys(policy_names):  # preserve order, dedupe
             if policy_learns(name) and not self.holds(name):
                 self.snapshot_for(name)
-
-    def snapshot_if_learning(self, policy_name: str) -> Optional[object]:
-        """Snapshot for a learning policy, None for a stateless one."""
-        if not policy_learns(policy_name):
-            return None
-        return self.snapshot_for(policy_name)

@@ -247,12 +247,30 @@ class TestRunStream:
         assert list(ParallelExecutor(workers=4).run_stream(iter([]))) == []
 
     def test_stream_rejects_bad_window(self):
-        with pytest.raises(ValueError):
-            list(
-                ParallelExecutor(workers=2).run_stream(
-                    iter(_named_requests()), max_in_flight=0
+        # Checked before a path is chosen: the serial path rejects it too.
+        for workers in (1, 2):
+            with pytest.raises(ValueError):
+                list(
+                    ParallelExecutor(workers=workers).run_stream(
+                        iter(_named_requests()), max_in_flight=0
+                    )
                 )
-            )
+
+
+class TestEntryPointsAreIndependent:
+    @pytest.mark.parametrize("entry, other", [("run", "run_stream"), ("run_stream", "run")])
+    def test_entry_point_never_calls_the_other(self, entry, other, monkeypatch):
+        """Both share a private loop, so a wrapper on either counts each request once."""
+        expected = [r.execute() for r in _chained_batch(_warmup_cache(), ("grass",), (1, 2))]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{entry} called {other}")
+
+        monkeypatch.setattr(ParallelExecutor, other, refuse)
+        batch = _chained_batch(_warmup_cache(), ("grass",), (1, 2))
+        call = getattr(ParallelExecutor(workers=2), entry)
+        got = _within(120, lambda: list(call(iter(batch))))
+        assert [pickle.dumps(m) for m in got] == [pickle.dumps(m) for m in expected]
 
 
 class KillOwnWorker:
@@ -264,6 +282,22 @@ class KillOwnWorker:
 
     def __str__(self):
         return "kill-own-worker"
+
+
+class RecordsPid:
+    """A spec source that logs the pid of each process reading it."""
+
+    def __init__(self, log, specs):
+        self.log = log
+        self.specs = specs
+
+    def iter_specs(self):
+        with open(self.log, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return iter(self.specs)
+
+    def __str__(self):
+        return "records-pid"
 
 
 class MalformedRows:
@@ -322,6 +356,14 @@ class TestPersistentPool:
         for serial_metrics, stream_metrics in zip(serial, streamed, strict=True):
             assert pickle.dumps(serial_metrics) == pickle.dumps(stream_metrics)
 
+    def test_run_submits_to_the_pool(self, pool, tmp_path):
+        log = tmp_path / "pids.log"
+        request = self._request(RecordsPid(str(log), _tiny_workload().job_specs))
+        [pooled] = _within(60, lambda: ParallelExecutor(workers=1, pool=pool).run([request]))
+        readers = log.read_text(encoding="utf-8").split()
+        assert len(readers) == 1 and readers[0] != str(os.getpid())
+        assert pickle.dumps(pooled) == pickle.dumps(request.execute())
+
     @pytest.mark.parametrize("persistent", [True, False], ids=["pool", "per-call"])
     def test_worker_input_errors_keep_their_type(self, pool, persistent):
         executor = (
@@ -360,8 +402,9 @@ def _chained_batch(cache, learners, seeds):
     """Learning requests warmed from ``cache`` among the other request kinds.
 
     A stateless named request leads, so the chain heads are not first in
-    request order; a pinned instance request and a standalone ``warmup=``
-    request of GRASS under run seed 1 follow the learning requests.
+    request order; a pinned instance request and a GRASS request under run
+    seed 1 with its own cache of the same warm-up follow the learning
+    requests.
     """
     workload = _tiny_workload()
     config = build_simulation_config(workload, TINY, seed=1)
@@ -383,23 +426,43 @@ def _chained_batch(cache, learners, seeds):
                 workload=workload,
                 config=config,
                 policy_name="grass",
-                warmup=cache.warmup,
-                warmup_config=cache.warmup_config,
+                warm_state=WarmupCache(cache.warmup, cache.warmup_config),
             ),
         ]
     )
 
 
+@pytest.fixture
+def warmup_log(tmp_path, monkeypatch):
+    """Logs every warm-up as ``(policy, pid)``; returns the log's reader.
+
+    Patched before any pool forks, so the workers inherit the wrapper.
+    """
+    log = tmp_path / "warmups.log"
+
+    def logged(policy_name, warmup, warmup_config):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{policy_name} {os.getpid()}\n")
+        return warm_policy_snapshot(policy_name, warmup, warmup_config)
+
+    monkeypatch.setattr("repro.experiments.warmup.warm_policy_snapshot", logged)
+    log.touch()
+    return lambda: [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+
+
+CHAIN_CASES = pytest.mark.parametrize(
+    "learners, seeds",
+    [
+        (("grass",), (1,)),
+        (("grass",), (1, 2, 3)),
+        (("grass", "grass-strawman"), (1, 2)),
+    ],
+    ids=["one-learner-1-seed", "one-learner-3-seeds", "two-learners-2-seeds"],
+)
+
+
 class TestChainedWarmups:
-    @pytest.mark.parametrize(
-        "learners, seeds",
-        [
-            (("grass",), (1,)),
-            (("grass",), (1, 2, 3)),
-            (("grass", "grass-strawman"), (1, 2)),
-        ],
-        ids=["one-learner-1-seed", "one-learner-3-seeds", "two-learners-2-seeds"],
-    )
+    @CHAIN_CASES
     def test_pool_matches_serial_bytes(self, learners, seeds):
         serial = ParallelExecutor(workers=1).run(
             _chained_batch(_warmup_cache(), learners, seeds)
@@ -411,28 +474,43 @@ class TestChainedWarmups:
             ),
         )
         assert [pickle.dumps(m) for m in pooled] == [pickle.dumps(m) for m in serial]
-        # The cache-restored GRASS run at seed 1 equals the one that
-        # re-simulated its warm-up (the batch's last request).
+        # The shared cache's GRASS run at seed 1 equals the one restored
+        # from its own cache (the batch's last request).
         assert pickle.dumps(pooled[1]) == pickle.dumps(pooled[-1])
 
-    def test_each_pair_warms_once_per_batch(self, tmp_path, monkeypatch):
-        log = tmp_path / "warmups.log"
+    @CHAIN_CASES
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_stream_holds_chains(self, learners, seeds, workers, warmup_log):
+        serial = ParallelExecutor(workers=1).run(
+            _chained_batch(_warmup_cache(), learners, seeds)
+        )
+        warmed_serially = len(warmup_log())
+        cache = _warmup_cache()
+        requests = _chained_batch(cache, learners, seeds)
+        streamed = _within(
+            120,
+            lambda: list(
+                ParallelExecutor(workers=workers).run_stream(iter(requests), max_in_flight=2)
+            ),
+        )
+        assert [pickle.dumps(m) for m in streamed] == [pickle.dumps(m) for m in serial]
+        warmups = warmup_log()[warmed_serially:]
+        # One warm-up per (cache, policy) pair: each learner on the shared
+        # cache, and GRASS on the last request's own cache.
+        assert Counter(name for name, _pid in warmups) == Counter(learners + ("grass",))
+        assert str(os.getpid()) not in {pid for _name, pid in warmups}
+        # The batch path's counts: a miss per learner, a hit per later seed.
+        assert (cache.misses, cache.hits) == (len(learners), len(learners) * (len(seeds) - 1))
 
-        def logged(policy_name, warmup, warmup_config):
-            with open(log, "a", encoding="utf-8") as handle:
-                handle.write(f"{policy_name} {os.getpid()}\n")
-            return warm_policy_snapshot(policy_name, warmup, warmup_config)
-
-        # Patched before the pool forks, so the workers inherit the wrapper.
-        monkeypatch.setattr("repro.experiments.warmup.warm_policy_snapshot", logged)
+    def test_each_pair_warms_once_per_batch(self, warmup_log):
         shared, other = _warmup_cache(), _warmup_cache(_tiny_workload(seed=7))
-        requests = _chained_batch(shared, ("grass", "grass-strawman"), (1, 2, 3))
-        requests += _chained_batch(other, ("grass",), (1, 2))
+        requests = _chained_batch(shared, ("grass", "grass-strawman"), (1, 2, 3))[:-1]
+        requests += _chained_batch(other, ("grass",), (1, 2))[:-1]
         _within(120, lambda: ParallelExecutor(workers=4).run(requests))
-        lines = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
-        assert Counter(name for name, _pid in lines) == {"grass": 2, "grass-strawman": 1}
+        warmups = warmup_log()
+        assert Counter(name for name, _pid in warmups) == {"grass": 2, "grass-strawman": 1}
         # Every warm-up ran in a pool worker, chained with its first run.
-        assert str(os.getpid()) not in {pid for _name, pid in lines}
+        assert str(os.getpid()) not in {pid for _name, pid in warmups}
         assert (shared.misses, shared.hits) == (2, 4)
         assert (other.misses, other.hits) == (1, 1)
 
@@ -473,18 +551,6 @@ class TestWarmFieldValidation:
             workload=workload, config=config, policy_name="grass", warm_state=_warmup_cache()
         )
         assert repr(request).endswith("seed=1, warm=cache)")
-
-    def test_warm_state_and_warmup_are_exclusive(self):
-        workload = _tiny_workload()
-        config = build_simulation_config(workload, TINY, seed=1)
-        with pytest.raises(ValueError, match="at most one"):
-            RunRequest(
-                workload=workload,
-                config=config,
-                policy_name="grass",
-                warmup=workload,
-                warm_state={"store": None},
-            )
 
 
 class TestCompareDeterminism:

@@ -118,14 +118,6 @@ class TestWarmupCache:
         assert cache.misses == 1
         assert cache.hits == 1
 
-    def test_snapshot_if_learning_skips_stateless(self):
-        warmup = _tiny_workload(seed=5)
-        config = build_simulation_config(warmup, TINY, seed=9)
-        cache = WarmupCache(warmup, config)
-        assert cache.snapshot_if_learning("late") is None
-        assert cache.misses == 0
-        assert cache.snapshot_if_learning("grass") is not None
-
     def test_prewarm_parallel_matches_serial(self):
         """Snapshots a pool's chain heads warm equal serial ``prewarm``'s."""
         warmup = _tiny_workload(seed=5)
