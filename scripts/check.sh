@@ -8,7 +8,9 @@
 #                 -W error::ResourceWarning` with pytest's
 #                 `-W error::pytest.PytestUnraisableExceptionWarning`, so a
 #                 multiprocessing.Pool left unclosed fails the run (its
-#                 __del__ warning is otherwise only reported)
+#                 __del__ warning is otherwise only reported), then every
+#                 examples/*.py script (a few seconds together), each must
+#                 exit 0, so deleting public API an example uses fails here
 # * coverage    — the tier-1 suite under pytest-cov with the line-coverage
 #                 floor (COVERAGE_FLOOR, default 84 — measured 86.8% at the
 #                 time the floor was set); requires pytest-cov (CI installs
@@ -97,6 +99,11 @@ run_test() {
     python -X dev -W error::ResourceWarning -m pytest -q \
         -W error::pytest.PytestUnraisableExceptionWarning \
         tests/test_executor.py tests/test_warmup_cache.py
+    local example
+    for example in examples/*.py; do
+        echo "test: running $example"
+        python "$example" >/dev/null
+    done
 }
 
 run_coverage() {

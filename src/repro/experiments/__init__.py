@@ -19,7 +19,6 @@ from repro.experiments.runner import (
     compare_policies,
     improvement_in_accuracy,
     improvement_in_duration,
-    run_policy,
 )
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "ExperimentScale",
     "PolicyRun",
     "compare_policies",
-    "run_policy",
     "improvement_in_accuracy",
     "improvement_in_duration",
 ]

@@ -11,8 +11,8 @@ OS schedules the workers.
 
 Two entry points drive one dispatch loop, an in-order window of requests:
 
-* :meth:`ParallelExecutor.run` — the batch path: every parallel-safe
-  request in flight at once, metrics returned as a list.
+* :meth:`ParallelExecutor.run` — the batch path: every request in flight
+  at once, metrics returned as a list.
 * :meth:`ParallelExecutor.run_stream` — the streaming path: consume an
   *iterator* of requests lazily (at most ``max_in_flight`` requests are ever
   materialised and unmerged at once) and yield metrics in request order as
@@ -20,14 +20,13 @@ Two entry points drive one dispatch loop, an in-order window of requests:
   while earlier shards are still simulating, keeping memory bounded for
   traces that do not fit in RAM.
 
-The loop submits each parallel-safe request to the pool as it is pulled and
-runs a pinned one in-process when its turn comes.  A learning policy's
-requests may name the :class:`~repro.experiments.warmup.WarmupCache` their
-warm state comes from: the first request of each (cache, policy) pair — its
-*chain head* — warms the policy and runs in one worker task, and the pair's
-later requests wait for the snapshot the head returns, then go to the pool
-restored from it.  Each pair is therefore warmed once per call, in a batch
-or a stream.
+Every request names its policy, so the loop submits each one to the pool
+as it is pulled.  A learning policy's requests may name the
+:class:`~repro.experiments.warmup.WarmupCache` their warm state comes from:
+the first request of each (cache, policy) pair — its *chain head* — warms
+the policy and runs in one worker task, and the pair's later requests wait
+for the snapshot the head returns, then go to the pool restored from it.
+Each pair is therefore warmed once per call, in a batch or a stream.
 
 The pool is a ``multiprocessing`` pool started per call.  A long-lived
 caller — the replay service — instead hands the executor a persistent
@@ -38,9 +37,9 @@ as a :class:`RequestExecutionError` naming one of them.
 Determinism contract
 --------------------
 
-* Each request is self-contained: the worker constructs its own policy
-  instance (policies are stateful learners) and its own ``Simulation``, so
-  nothing is shared across processes.
+* Each request is self-contained: the process running it constructs its
+  own policy instance (policies are stateful learners) and its own
+  ``Simulation``, so nothing is shared across processes or requests.
 * Every simulation is seeded explicitly; a ``(policy, seed)`` run therefore
   produces the same ``MetricsCollector`` whether it executes in this process,
   a worker process, or a different worker count.
@@ -66,7 +65,6 @@ from collections import deque
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.core.policies.base import SpeculationPolicy
 from repro.experiments.policies import make_policy
 from repro.experiments.warmup import WarmupCache
 from repro.simulator.engine import Simulation, SimulationConfig
@@ -92,11 +90,9 @@ class RequestExecutionError(RuntimeError):
 class RunRequest:
     """One independent simulation: a policy over a workload under one seed.
 
-    The policy is named by registry name (``policy_name``) or passed as a
-    ready instance (``policy``); exactly one must be given.  Named requests
-    are safe to ship to worker processes; instance requests keep their
-    (possibly stateful, pre-warmed) policy object and are therefore pinned to
-    in-process execution.
+    The policy is named by registry name (``policy_name``, required): the
+    process that runs the request builds a fresh instance, so every request
+    is safe to ship to a worker process.
 
     The jobs come from exactly one of two sources:
 
@@ -112,19 +108,17 @@ class RunRequest:
 
     A learning policy starts from cluster history through ``warm_state``: a
     pre-computed state snapshot (see ``repro.experiments.warmup``) restored
-    before the run.  Snapshots are plain data, so snapshot-carrying named
-    requests remain parallel-safe.  ``warm_state`` may instead name the
+    before the run.  Snapshots are plain data, so they pickle to workers
+    with the request.  ``warm_state`` may instead name the
     :class:`~repro.experiments.warmup.WarmupCache` that produces the
     snapshot: the request then resolves ``cache.snapshot_for(policy_name)``
     wherever it runs, and :class:`ParallelExecutor` chains a pool worker's
-    warm-up with the first request of each (cache, policy) pair.  Only named
-    requests may carry a cache.
+    warm-up with the first request of each (cache, policy) pair.
     """
 
     workload: Optional[GeneratedWorkload] = None
     config: SimulationConfig = None  # type: ignore[assignment]
-    policy_name: Optional[str] = None
-    policy: Optional[SpeculationPolicy] = None
+    policy_name: str = None  # type: ignore[assignment]
     #: Pre-warmed policy state (from ``SpeculationPolicy.state_snapshot``),
     #: or the ``WarmupCache`` that produces it.
     warm_state: Optional[object] = None
@@ -143,21 +137,11 @@ class RunRequest:
             raise ValueError("a run request needs a simulation config")
         if (self.workload is None) == (self.spec_source is None):
             raise ValueError("give exactly one of workload or spec_source")
-        if (self.policy_name is None) == (self.policy is None):
-            raise ValueError("give exactly one of policy_name or policy")
-        if self.policy is not None and isinstance(self.warm_state, WarmupCache):
-            raise ValueError(
-                "a warm-up cache warms a policy by name; give policy_name, "
-                "not a policy instance"
-            )
+        if self.policy_name is None:
+            raise ValueError("a run request needs a registry policy_name")
 
     def __repr__(self) -> str:
         """Concise identity (the dataclass default would dump the workload)."""
-        source = (
-            self.policy_name
-            if self.policy_name is not None
-            else f"<instance {type(self.policy).__name__}>"
-        )
         if isinstance(self.warm_state, WarmupCache):
             warm = "cache"
         elif self.warm_state is not None:
@@ -169,14 +153,18 @@ class RunRequest:
         else:
             jobs = f"specs={self.spec_source}"
         return (
-            f"RunRequest(policy={source}, {jobs}, "
+            f"RunRequest(policy={self.policy_name}, {jobs}, "
             f"seed={self.config.seed}, warm={warm})"
         )
 
     @property
     def parallel_safe(self) -> bool:
-        """True if this request may run in a worker process."""
-        return self.policy is None
+        """Always True: every request may run in a worker process.
+
+        Kept only because the benchmark's tracer (``perfbench/tracer.py``)
+        reads it on every request; it goes with that tracer's next change.
+        """
+        return True
 
     def execute(self) -> MetricsCollector:
         """Run this request in the current process and return its metrics.
@@ -188,7 +176,7 @@ class RunRequest:
         simulate that warm-up itself.  A cache in ``warm_state`` is resolved
         here, through its memo.
         """
-        policy = self.policy if self.policy is not None else make_policy(self.policy_name)
+        policy = make_policy(self.policy_name)
         warm_state = self.warm_state
         if isinstance(warm_state, WarmupCache):
             warm_state = warm_state.snapshot_for(self.policy_name)
@@ -212,7 +200,7 @@ def _execute_request(request: RunRequest) -> MetricsCollector:
     request, because the bare exception's traceback dies at the pool
     boundary.  ``TraceFormatError`` and ``OSError`` cross unwrapped: they
     already name the trace file (and line), and callers answer them as input
-    errors, not engine failures.  The in-process path calls
+    errors, not engine failures.  The serial path calls
     ``request.execute()`` directly and keeps its native (fully informative)
     traceback.
     """
@@ -263,9 +251,9 @@ class ParallelExecutor:
     always come back in request order.
 
     ``pool`` — a persistent ``concurrent.futures`` process pool — makes
-    :meth:`run` and :meth:`run_stream` submit every parallel-safe request to
-    it, whatever ``workers`` is, instead of starting a pool of their own;
-    ``workers`` then only sizes :meth:`run_stream`'s default window.
+    :meth:`run` and :meth:`run_stream` submit every request to it, whatever
+    ``workers`` is, instead of starting a pool of their own; ``workers``
+    then only sizes :meth:`run_stream`'s default window.
     """
 
     def __init__(
@@ -282,13 +270,11 @@ class ParallelExecutor:
         """Execute every request and return metrics in request order.
 
         The batch view of the loop behind :meth:`run_stream`, with a window
-        as wide as the batch's parallel-safe requests: a batch of named
-        requests is in flight all at once, on a per-call pool of up to
-        ``workers`` processes, and requests pinned to in-process execution
-        (policy instances) run here in their turn.  A batch with at most one
-        parallel-safe request therefore runs entirely in-process: spawning a
-        pool to run a single simulation costs more than the simulation
-        (fork + pickle + teardown).
+        as wide as the batch: every request is in flight at once, on a
+        per-call pool of up to ``workers`` processes.  A batch of one request
+        therefore runs in-process: spawning a pool to run a single
+        simulation costs more than the simulation (fork + pickle +
+        teardown).
 
         Each warm-up chain (see the module docs) is warmed exactly once per
         batch, as on the serial path.  Listing learning requests first gets
@@ -296,8 +282,7 @@ class ParallelExecutor:
         results do not depend on the dispatch order.
         """
         requests = list(requests)
-        window = max(1, sum(request.parallel_safe for request in requests))
-        return list(self._dispatch(requests, window))
+        return list(self._dispatch(requests, max(1, len(requests))))
 
     def run_stream(
         self,
@@ -309,10 +294,8 @@ class ParallelExecutor:
         Requests are pulled from the iterator only when there is room in
         the in-flight window, so a generator that materialises expensive
         payloads (trace-replay shard workloads) never gets more than
-        ``max_in_flight`` of them alive in this process at once.
-        Parallel-safe requests are submitted to the pool as they are
-        pulled; pinned (policy-instance) requests execute in-process when
-        their turn to be yielded comes, which keeps the merge strictly in
+        ``max_in_flight`` of them alive in this process at once.  Requests
+        are submitted to the pool as they are pulled and yielded strictly in
         request order.  Warm-up chains work as in :meth:`run`: a request
         waiting for its head's snapshot holds its place in the window.
 
@@ -368,8 +351,6 @@ class ParallelExecutor:
 
             def resolve() -> MetricsCollector:
                 pending = in_flight.popleft()
-                if pending.result is None:
-                    return pending.request.execute()
                 try:
                     result = pending.result()
                 except concurrent.futures.BrokenExecutor as exc:
@@ -403,7 +384,7 @@ class ParallelExecutor:
                         held[chain] = []
                         pending.head_of = chain
                         pending.result = submit(_warm_and_execute, request)
-                elif request.parallel_safe:
+                else:
                     pending.result = submit(_execute_request, _restored(request))
                 in_flight.append(pending)
             while in_flight:
@@ -415,8 +396,7 @@ class _Pending:
     """A request of the dispatch window, from its pull until its yield."""
 
     request: RunRequest
-    #: Blocks for the pool's result.  None for a pinned request, which runs
-    #: in-process when its turn comes, and for a chain dependent until its
+    #: Blocks for the pool's result.  None for a chain dependent until its
     #: head resolves — always before the dependent's own turn.
     result: Optional[Callable[[], Any]] = None
     #: The (cache, policy name) chain this request heads, if any.

@@ -16,15 +16,11 @@ from repro.core.bounds import ApproximationBound
 from repro.core.estimators import EstimatorConfig
 from repro.core.job import JobPhaseSpec, JobSpec
 from repro.core.policies import GreedySpeculative, ResourceAwareSpeculative
-from repro.experiments.policies import make_grass_with_perturbation
 from repro.experiments.runner import (
     ComparisonResult,
     ExperimentScale,
     _replay,
     compare_policies,
-    improvement_in_accuracy,
-    improvement_in_duration,
-    run_policy,
 )
 from repro.model.hill import estimate_tail_index, hill_estimates
 from repro.model.reactive import (
@@ -37,7 +33,6 @@ from repro.model.reactive import (
 from repro.simulator.cluster import ClusterConfig
 from repro.simulator.engine import Simulation, SimulationConfig
 from repro.simulator.stragglers import StragglerConfig, StragglerModel
-from repro.utils.stats import mean
 from repro.workload.synthetic import WorkloadConfig, generate_workload
 from repro.workload.trace_replay import TraceReplayConfig, synthesize_trace
 from repro.workload.traces import summarize_trace, trace_from_specs
@@ -636,11 +631,22 @@ def figure13_14_factors(
 # --------------------------------------------------------------------------- Figure 15
 
 
-def figure15_perturbation(
-    scale: Optional[ExperimentScale] = None,
-    perturbations: Sequence[float] = (0.0, 0.05, 0.10, 0.15, 0.20),
-) -> FigureResult:
-    """Figure 15: sensitivity of GRASS to the perturbation probability ξ."""
+#: Figure 15's ξ sweep: the registry name of GRASS at each ξ, in percent.
+PERTURBATION_POLICIES = {
+    0: "grass-xi0",
+    5: "grass-xi5",
+    10: "grass-xi10",
+    15: "grass",
+    20: "grass-xi20",
+}
+
+
+def figure15_perturbation(scale: Optional[ExperimentScale] = None) -> FigureResult:
+    """Figure 15: sensitivity of GRASS to the perturbation probability ξ.
+
+    Each cell is one comparison of LATE and every ξ variant, so each variant
+    is warmed like every other figure's GRASS and its seeds run in parallel.
+    """
     scale = scale or ExperimentScale()
     result = FigureResult(
         figure="Figure 15",
@@ -648,45 +654,23 @@ def figure15_perturbation(
     )
     for bound_kind, metric in (("deadline", "accuracy"), ("error", "duration")):
         for workload in ("facebook", "bing"):
-            workload_config = WorkloadConfig(
-                workload=workload, framework="hadoop", bound_kind=bound_kind, seed=15
+            comparison = compare_policies(
+                ["late", *PERTURBATION_POLICIES.values()],
+                WorkloadConfig(
+                    workload=workload, framework="hadoop", bound_kind=bound_kind, seed=15
+                ),
+                scale=scale,
             )
-            baseline_comparison = compare_policies(
-                ["late"], workload_config, scale=scale
-            )
-            baseline_run = baseline_comparison.runs["late"]
-            workload_generated = baseline_comparison.workload
-            for xi in perturbations:
-                policy = make_grass_with_perturbation(xi)
-                metrics_per_seed = []
-                for seed in scale.seeds:
-                    metrics_per_seed.append(
-                        run_policy(
-                            workload_generated,
-                            policy,
-                            scale,
-                            seed=seed,
-                        )
-                    )
-                results = [r for m in metrics_per_seed for r in m.results]
+            for xi, policy in PERTURBATION_POLICIES.items():
                 if metric == "accuracy":
-                    value = improvement_in_accuracy(
-                        baseline_run.average_accuracy(),
-                        mean([r.accuracy for r in results if r.bound.is_deadline])
-                        if any(r.bound.is_deadline for r in results)
-                        else 0.0,
-                    )
+                    value = comparison.accuracy_improvement(policy, "late")
                 else:
-                    error_results = [r for r in results if r.bound.is_error]
-                    value = improvement_in_duration(
-                        baseline_run.average_duration(),
-                        mean([r.duration for r in error_results]) if error_results else 0.0,
-                    )
+                    value = comparison.duration_improvement(policy, "late")
                 result.rows.append(
                     {
                         "bound": bound_kind,
                         "workload": workload,
-                        "xi (%)": xi * 100.0,
+                        "xi (%)": float(xi),
                         "improvement (%)": value,
                     }
                 )

@@ -256,6 +256,12 @@ class ReplayPlan:
                 f"{', '.join(unknown)}; expected one of "
                 f"{', '.join(available_policies())}"
             )
+        repeated = sorted({name for name in self.policies if self.policies.count(name) > 1})
+        if repeated:
+            raise PlanError(
+                f"--policy names {', '.join(repeated)} more than once "
+                "(plan field: policies)"
+            )
         if self.scale not in PLAN_SCALES:
             raise PlanError(
                 f"unknown scale {self.scale!r}; expected one of "

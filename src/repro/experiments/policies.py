@@ -40,6 +40,11 @@ _REGISTRY: Dict[str, PolicyFactory] = {
     "grass-2factor-accuracy": lambda: _grass(
         GrassConfig(factors=frozenset({FACTOR_BOUND, FACTOR_ACCURACY}))
     ),
+    # Figure 15's sweep of the perturbation probability ξ (``grass`` is 15%).
+    "grass-xi0": lambda: _grass(GrassConfig(perturbation=0.0)),
+    "grass-xi5": lambda: _grass(GrassConfig(perturbation=0.05)),
+    "grass-xi10": lambda: _grass(GrassConfig(perturbation=0.10)),
+    "grass-xi20": lambda: _grass(GrassConfig(perturbation=0.20)),
     "oracle": OraclePolicy,
 }
 
@@ -58,8 +63,3 @@ def make_policy(name: str) -> SpeculationPolicy:
             f"unknown policy {name!r}; expected one of {available_policies()}"
         ) from exc
     return factory()
-
-
-def make_grass_with_perturbation(perturbation: float) -> Grass:
-    """GRASS with a non-default ξ, for the Figure 15 sensitivity sweep."""
-    return _grass(GrassConfig(perturbation=perturbation))

@@ -5,6 +5,14 @@ the *same* workload (same jobs, same straggler draws), from which the paper's
 improvement percentages — accuracy gains for deadline-bound jobs, speedups
 for error-bound jobs — are derived overall, per job bin, per deadline bin and
 per error bin.
+
+Every simulation this module starts is a
+:class:`~repro.experiments.executor.RunRequest` naming a registry policy,
+built by one of two functions: :func:`compare_policies` for a synthetic
+figure cell, which warms its learning policies first, and :func:`execute`
+for a :class:`~repro.experiments.plan.ReplayPlan`.  A policy variant a
+figure sweeps (a factor subset, a perturbation probability ξ) is a registry
+name too.
 """
 
 from __future__ import annotations
@@ -16,7 +24,6 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 from repro.core.bounds import BoundType
 from repro.core.job import JobResult
-from repro.core.policies.base import SpeculationPolicy
 from repro.experiments.cache import (
     CacheCounters,
     CachedSlice,
@@ -214,25 +221,6 @@ def build_simulation_config(
     )
 
 
-def run_policy(
-    workload: GeneratedWorkload,
-    policy: SpeculationPolicy,
-    scale: ExperimentScale,
-    seed: int,
-) -> MetricsCollector:
-    """Run one policy instance over one workload.
-
-    The instance may carry state (a warm-started GRASS learner), so the run
-    executes in-process; use :func:`compare_policies` with ``workers`` to fan
-    registry-named policies out over processes.
-    """
-    return RunRequest(
-        workload=workload,
-        config=build_simulation_config(workload, scale, seed),
-        policy=policy,
-    ).execute()
-
-
 @dataclass
 class ComparisonResult:
     """Per-policy results over the same workload, plus the workload metadata."""
@@ -403,6 +391,13 @@ def _scan_source_fingerprinted(source: TraceSource, fingerprint: str) -> TraceSc
     return scan
 
 
+def _job_count(source: TraceSource, scan: Optional[TraceScan]) -> int:
+    """Jobs in ``source``: a generated tier's config field, else its scan's count."""
+    if isinstance(source, ClusterTierConfig):
+        return source.num_jobs
+    return scan.num_jobs
+
+
 def _shard_sources(
     source: TraceSource,
     scan: TraceScan,
@@ -533,15 +528,18 @@ def _replay(
     results by job need — is collected with one extra pass over the source,
     and only when the sink retains results and at least one slice is
     simulated: an all-hits replay never reads the trace body.  ``scan`` is
-    the source's calibration scan when the caller already holds it, and a
-    persistent process ``pool`` runs every simulation in place of a
-    per-call pool (see :class:`ParallelExecutor`).
+    the source's calibration scan when the caller already holds it; a
+    generated tier is scanned only when a slice is simulated.  A persistent
+    process ``pool`` runs every simulation in place of a per-call pool (see
+    :class:`ParallelExecutor`).
     """
     if shards < 1:
         raise ValueError("shards must be at least 1")
-    scan = scan or _scan_source(source)
+    if scan is None and not isinstance(source, ClusterTierConfig):
+        scan = _scan_source(source)
     sink = sink or SinkFactory()
-    num_shards = min(shards, scan.num_jobs)
+    num_jobs = _job_count(source, scan)
+    num_shards = min(shards, num_jobs)
     coords = [
         (name, seed, shard_index)
         for shard_index in range(num_shards)
@@ -558,6 +556,7 @@ def _replay(
                 on_metrics(*coord, collected[coord])
     metadata: Dict[int, JobMetadata] = {}
     if misses:
+        scan = scan or _scan_source(source)
         sources = _shard_sources(source, scan, replay_config, num_shards)
         completed = _simulate(
             misses, sources, replay_config, scan, scale.num_machines, sink,
@@ -575,7 +574,7 @@ def _replay(
                 for job in _source_jobs(source)
             }
 
-    workload = GeneratedWorkload(config=replay_config.workload_config(scan.num_jobs))
+    workload = GeneratedWorkload(config=replay_config.workload_config(num_jobs))
     workload.metadata.update(metadata)
     return _comparison(workload, policy_names, scale.seeds, num_shards, collected)
 
@@ -654,14 +653,16 @@ def _open_cache_session(
     scale: ExperimentScale,
     source: TraceSource,
     cache: Optional[ReplayCache] = None,
-) -> Tuple[_CacheSession, TraceScan]:
+) -> Tuple[_CacheSession, Optional[TraceScan]]:
     """Build a plan's cache session: ``(session, calibration scan)``.
 
     The slice key holds exactly the plan fields that can change a slice's
     digest — and none that cannot (``workers`` and the sink are
     wall-clock/memory knobs whose digest-invariance the determinism tests
     lock), so one cached execution serves every worker/sink combination of
-    the same experiment.
+    the same experiment.  Of the scan, the key needs only the job count,
+    which a generated tier's config holds: a tier's scan is ``None`` here,
+    and runs only if a slice is simulated.
     """
     if cache is None:
         try:
@@ -671,10 +672,14 @@ def _open_cache_session(
                 f"cannot open replay cache at {plan.cache}: {exc}"
             ) from None
     fingerprint = source_fingerprint(source)
-    scan = _scan_source_fingerprinted(source, fingerprint)
+    scan = (
+        None
+        if isinstance(source, ClusterTierConfig)
+        else _scan_source_fingerprinted(source, fingerprint)
+    )
     base = {
         "source": fingerprint,
-        "num_shards": min(plan.shards, scan.num_jobs),
+        "num_shards": min(plan.shards, _job_count(source, scan)),
         "scale": plan.scale,
         "num_machines": scale.num_machines,
         "framework": plan.framework,
@@ -767,7 +772,7 @@ def _execute_plan(
     plan: ReplayPlan,
     scale: ExperimentScale,
     source: TraceSource,
-    scan: TraceScan,
+    scan: Optional[TraceScan],
     session: Optional[_CacheSession],
     on_metrics: Optional[MetricsHook],
     pool: Optional[Executor] = None,
@@ -787,11 +792,12 @@ def _execute_plan(
         session=session,
         pool=pool,
     )
+    num_jobs = comparison.workload.config.num_jobs
     return ExecutedPlan(
         plan=plan,
         comparison=comparison,
-        num_jobs=scan.num_jobs,
-        num_shards=min(plan.shards, scan.num_jobs),
+        num_jobs=num_jobs,
+        num_shards=min(plan.shards, num_jobs),
         cache_stats=session.cache.counters if session is not None else None,
     )
 
@@ -804,9 +810,11 @@ def probe_plan_cache(
     """Serve a plan entirely from its replay cache, or return ``None``.
 
     Never simulates and never loads the trace body: the only O(trace) work
-    is the first-sight source fingerprint and calibration scan, both
+    is a trace file's first-sight fingerprint and calibration scan, both
     memoized per content fingerprint — which is what lets the replay
-    service answer a repeated tenant plan before any admission debit.
+    service answer a repeated tenant plan before any admission debit.  A
+    generated tier costs neither: its fingerprint hashes its config, and its
+    job count is a config field.
     ``None`` means at least one (policy, seed, shard) coordinate is
     uncached and the plan needs a real execution.
     """
@@ -917,11 +925,10 @@ def execute(
     scale = plan_scale(plan)
     source = plan_source(plan)
     session: Optional[_CacheSession] = None
+    scan: Optional[TraceScan] = None
     if cache is not None or plan.cache is not None:
         session, scan = _open_cache_session(plan, scale, source, cache)
         session.probe(plan.policies, scale.seeds)
-    else:
-        scan = _scan_source(source)
     return _execute_plan(plan, scale, source, scan, session, on_metrics, pool)
 
 
@@ -968,7 +975,13 @@ def compare_policies(
     :class:`~repro.experiments.plan.ReplayPlan` describes the kinds); figure
     producers that slice raw results by workload metadata need the
     retaining default.
+
+    Raises ``ValueError`` when a policy is named twice: both runs would
+    fold into one entry of the comparison.
     """
+    repeated = sorted({name for name in policy_names if policy_names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"policies named more than once: {', '.join(repeated)}")
     scale = scale or ExperimentScale()
     if workers is None:
         workers = scale.workers

@@ -2,6 +2,8 @@
 
 ``compare_policies`` warms learning policies (GRASS) on a separate workload
 so their sample stores reflect cluster history before the measured run.
+Every figure that runs GRASS goes through it, Figure 15's ξ variants
+(``grass-xi*``) included, so no figure measures a cold or carried-over GRASS.
 Re-simulating that warm-up inside every ``(policy, seed)`` request would
 cost, at ``paper()`` scale, 21 warm-ups each roughly a third as large as the
 measured workload.  The cache runs each warm-up exactly once per

@@ -54,25 +54,19 @@ def _tiny_workload(seed: int = 42):
 
 class TestRunRequest:
     def test_requires_exactly_one_policy_source(self):
+        # The registry name is the only policy source: required, and a
+        # ready policy instance is not accepted.
         workload = _tiny_workload()
         config = build_simulation_config(workload, TINY, seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="policy_name"):
             RunRequest(workload=workload, config=config)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             RunRequest(
                 workload=workload,
                 config=config,
                 policy_name="late",
                 policy=NoSpeculationPolicy(),
             )
-
-    def test_instance_requests_are_not_parallel_safe(self):
-        workload = _tiny_workload()
-        config = build_simulation_config(workload, TINY, seed=1)
-        named = RunRequest(workload=workload, config=config, policy_name="late")
-        pinned = RunRequest(workload=workload, config=config, policy=NoSpeculationPolicy())
-        assert named.parallel_safe
-        assert not pinned.parallel_safe
 
     def test_execute_returns_metrics(self):
         workload = _tiny_workload()
@@ -93,22 +87,22 @@ class TestParallelExecutor:
     def test_empty_batch(self):
         assert ParallelExecutor(workers=4).run([]) == []
 
-    def test_mixed_batch_runs_pinned_requests_in_process(self):
-        # A batch mixing named (parallel-safe) and instance (pinned)
-        # requests must still return everything, in order, with the same
-        # bytes as the fully serial path.
+    def test_single_request_batch_runs_in_process(self, monkeypatch):
+        """A pool for one simulation costs more than the simulation."""
         workload = _tiny_workload()
-        config = build_simulation_config(workload, TINY, seed=1)
-        requests = [
-            RunRequest(workload=workload, config=config, policy_name="late"),
-            RunRequest(workload=workload, config=config, policy=NoSpeculationPolicy()),
-            RunRequest(workload=workload, config=config, policy_name="no-spec"),
-        ]
-        serial = ParallelExecutor(workers=1).run(requests)
-        mixed = ParallelExecutor(workers=4).run(requests)
-        assert len(mixed) == 3
-        for serial_metrics, mixed_metrics in zip(serial, mixed, strict=True):
-            assert pickle.dumps(serial_metrics) == pickle.dumps(mixed_metrics)
+        request = RunRequest(
+            workload=workload,
+            config=build_simulation_config(workload, TINY, seed=1),
+            policy_name="late",
+        )
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a one-request batch started a pool")
+
+        expected = pickle.dumps(request.execute())
+        monkeypatch.setattr(multiprocessing, "Pool", refuse)
+        [metrics] = ParallelExecutor(workers=4).run([request])
+        assert pickle.dumps(metrics) == expected
 
     def test_results_come_back_in_request_order(self):
         workload = _tiny_workload()
@@ -126,27 +120,6 @@ class TestParallelExecutor:
         assert len(serial) == len(parallel) == 4
         for serial_metrics, parallel_metrics in zip(serial, parallel, strict=True):
             assert pickle.dumps(serial_metrics) == pickle.dumps(parallel_metrics)
-
-
-class TestSingleSafeRequestFallback:
-    def test_single_safe_request_in_mixed_batch_runs_in_process(self):
-        """One parallel-safe request among pinned ones stays in-process.
-
-        Deliberate: forking a pool for a single simulation costs more than
-        the simulation.  The batch must still return correct, ordered
-        results identical to the serial path.
-        """
-        workload = _tiny_workload()
-        config = build_simulation_config(workload, TINY, seed=1)
-        requests = [
-            RunRequest(workload=workload, config=config, policy=NoSpeculationPolicy()),
-            RunRequest(workload=workload, config=config, policy_name="late"),
-        ]
-        serial = ParallelExecutor(workers=1).run(requests)
-        mixed = ParallelExecutor(workers=4).run(requests)
-        assert len(mixed) == 2
-        for serial_metrics, mixed_metrics in zip(serial, mixed, strict=True):
-            assert pickle.dumps(serial_metrics) == pickle.dumps(mixed_metrics)
 
 
 class TestWorkerErrorSurfacing:
@@ -229,19 +202,6 @@ class TestRunStream:
             assert len(pulled) <= merged + 2 + 1
             merged += 1
         assert merged == len(requests)
-
-    def test_stream_handles_pinned_requests_in_order(self):
-        workload = _tiny_workload()
-        config = build_simulation_config(workload, TINY, seed=1)
-        requests = [
-            RunRequest(workload=workload, config=config, policy_name="late"),
-            RunRequest(workload=workload, config=config, policy=NoSpeculationPolicy()),
-            RunRequest(workload=workload, config=config, policy_name="no-spec"),
-        ]
-        serial = ParallelExecutor(workers=1).run(requests)
-        streamed = list(ParallelExecutor(workers=4).run_stream(iter(requests)))
-        for serial_metrics, stream_metrics in zip(serial, streamed, strict=True):
-            assert pickle.dumps(serial_metrics) == pickle.dumps(stream_metrics)
 
     def test_stream_empty_iterator(self):
         assert list(ParallelExecutor(workers=4).run_stream(iter([]))) == []
@@ -401,10 +361,9 @@ def _warmup_cache(warmup=None):
 def _chained_batch(cache, learners, seeds):
     """Learning requests warmed from ``cache`` among the other request kinds.
 
-    A stateless named request leads, so the chain heads are not first in
-    request order; a pinned instance request and a GRASS request under run
-    seed 1 with its own cache of the same warm-up follow the learning
-    requests.
+    A stateless request leads, so the chain heads are not first in request
+    order; a second stateless request and a GRASS request under run seed 1
+    with its own cache of the same warm-up follow the learning requests.
     """
     workload = _tiny_workload()
     config = build_simulation_config(workload, TINY, seed=1)
@@ -421,7 +380,7 @@ def _chained_batch(cache, learners, seeds):
             for seed in seeds
         ]
         + [
-            RunRequest(workload=workload, config=config, policy=NoSpeculationPolicy()),
+            RunRequest(workload=workload, config=config, policy_name="no-spec"),
             RunRequest(
                 workload=workload,
                 config=config,
@@ -537,12 +496,7 @@ class TestWarmFieldValidation:
         workload = _tiny_workload()
         config = build_simulation_config(workload, TINY, seed=1)
         with pytest.raises(ValueError, match="policy_name"):
-            RunRequest(
-                workload=workload,
-                config=config,
-                policy=NoSpeculationPolicy(),
-                warm_state=_warmup_cache(),
-            )
+            RunRequest(workload=workload, config=config, warm_state=_warmup_cache())
 
     def test_repr_names_a_cache(self):
         workload = _tiny_workload()

@@ -1,14 +1,18 @@
 """Integration tests for the experiment harness (runner, policies, figures, CLI)."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.experiments.cli import build_parser, main
 from repro.experiments.figures import (
     FIGURES,
+    PERTURBATION_POLICIES,
     figure1_deadline_example,
     figure2_error_example,
     figure3_hill_plot,
     figure4_reactive_model,
+    figure15_perturbation,
     run_figure,
     table1_traces,
 )
@@ -43,6 +47,10 @@ class TestPolicyRegistry:
 
     def test_fresh_instances_returned(self):
         assert make_policy("grass") is not make_policy("grass")
+
+    def test_perturbation_variants_carry_their_xi(self):
+        for xi, name in PERTURBATION_POLICIES.items():
+            assert make_policy(name).config.perturbation == pytest.approx(xi / 100)
 
 
 class TestImprovementMetrics:
@@ -83,6 +91,13 @@ class TestCompare:
                 comparison.runs["ras"].average_accuracy(),
             )
         )
+
+    def test_compare_policies_rejects_a_repeated_policy(self):
+        # Both runs would fold into one entry of the comparison.
+        with pytest.raises(ValueError, match="more than once: late"):
+            compare_policies(
+                ["late", "ras", "late"], WorkloadConfig(seed=42), scale=TINY, warmup=False
+            )
 
     def test_bound_bin_groupings(self):
         comparison = compare_policies(
@@ -164,6 +179,31 @@ class TestFigures:
         assert {"baseline", "overall (%)"} <= set(result.rows[0])
         text = result.format_table()
         assert "Figure 5" in text
+
+    def test_figure15_warms_each_xi_like_every_other_figure(self):
+        """Each ξ = 15% row is the warmed ``grass`` of ``compare_policies``."""
+        scale = replace(ExperimentScale.quick(), workers=2)
+        rows = figure15_perturbation(scale).rows
+        cells = sorted({(row["bound"], row["workload"]) for row in rows})
+        assert len(cells) == 4
+        for bound_kind, workload in cells:
+            cell = [
+                row for row in rows if (row["bound"], row["workload"]) == (bound_kind, workload)
+            ]
+            assert [row["xi (%)"] for row in cell] == [0.0, 5.0, 10.0, 15.0, 20.0]
+            comparison = compare_policies(
+                ["late", "grass"],
+                WorkloadConfig(
+                    workload=workload, framework="hadoop", bound_kind=bound_kind, seed=15
+                ),
+                scale=ExperimentScale.quick(),
+            )
+            gain = (
+                comparison.accuracy_improvement("grass", "late")
+                if bound_kind == "deadline"
+                else comparison.duration_improvement("grass", "late")
+            )
+            assert cell[3]["improvement (%)"] == gain
 
     def test_format_table_handles_empty_rows(self):
         from repro.experiments.figures import FigureResult

@@ -61,6 +61,8 @@ POLICIES = ("grass", "late", "mantri")
 FIGURE_POLICIES = ("late", "mantri", "grass", "no-spec")
 #: Policies of the oracle cases: the oracle plus GRASS's two constituents.
 ORACLE_CASE_POLICIES = ("oracle", "gs", "ras")
+#: Policies of the learned-decision case: GRASS and one factor variant.
+LEARNED_CASE_POLICIES = ("grass", "grass-1factor")
 #: Seed of the shuffle that turns facebook_like.jsonl into an unsorted trace.
 #: Chosen so the file-order mean slowest/median ratio differs in its last bit
 #: from the arrival-order mean: the case pins which order calibrates.
@@ -142,6 +144,7 @@ def _figure_cell_case(
     seed: int,
     policies: Sequence[str] = FIGURE_POLICIES,
     seeds: Sequence[int] = (1,),
+    scale: Callable[[], ExperimentScale] = ExperimentScale.quick,
 ) -> Callable[[Path, int], str]:
     """Digest of ``compare_policies`` over one synthetic figure cell."""
 
@@ -154,7 +157,7 @@ def _figure_cell_case(
                 bound_kind=bound_kind,
                 seed=seed,
             ),
-            scale=replace(ExperimentScale.quick(), seeds=tuple(seeds)),
+            scale=replace(scale(), seeds=tuple(seeds)),
             workers=workers,
         )
         return metrics_digest(comparison)
@@ -206,6 +209,18 @@ CASES: Dict[str, Callable[[Path, int], str]] = {
     # case runs: one synthetic cell and one trace replay.
     "compare_policies-facebook-hadoop-mixed-seed44-oracle-gs-ras": _figure_cell_case(
         "facebook", "hadoop", "mixed", 44, policies=ORACLE_CASE_POLICIES
+    ),
+    # Default scale, where the warmed store answers: 464 of the measured
+    # runs' 468 LearnedSwitchDecider calls are learned decisions (the
+    # quick-scale cells fall back to the strawman on every call).  The
+    # one-factor variant's run differs from full GRASS's here.
+    "compare_policies-facebook-spark-deadline-seed11-default-learned": _figure_cell_case(
+        "facebook",
+        "spark",
+        "deadline",
+        11,
+        policies=LEARNED_CASE_POLICIES,
+        scale=ExperimentScale,
     ),
     "facebook_like-shards2-mixed-oracle-gs-ras": _plan_case(
         policies=ORACLE_CASE_POLICIES,

@@ -39,7 +39,9 @@ from repro.experiments.cache import (
 )
 from repro.experiments.cli import main as cli_main
 from repro.experiments.plan import ReplayPlan
+from repro.experiments import runner
 from repro.experiments.runner import execute, probe_plan_cache
+from repro.workload import trace_replay
 from repro.simulator.sinks import AggregateSink
 from repro.workload.trace_replay import synthesize_trace
 from repro.workload.traces import save_trace
@@ -153,6 +155,36 @@ class TestWarmColdParity:
         assert probed is not None
         assert probed.digest == cold["digest"]
         assert len(seen) == cold["slices"]
+
+    def test_probe_never_scans_a_cluster_tier(self, tmp_path, monkeypatch):
+        # A tier's slice key needs only its job count, a config field: an
+        # uncached probe regenerates no job, and a full hit still reports it.
+        plan = ReplayPlan(
+            cluster_jobs=40,
+            policies=("late",),
+            scale="quick",
+            shards=2,
+            sink="aggregate",
+            seed=11,
+            cache=str(tmp_path / "cache"),
+        ).validate()
+        generated = []
+        real = trace_replay.cluster_trace_job
+
+        def counted(config, index):
+            generated.append(index)
+            return real(config, index)
+
+        monkeypatch.setattr(trace_replay, "cluster_trace_job", counted)
+        monkeypatch.setattr(runner, "_SCAN_MEMO", {})
+        assert probe_plan_cache(plan) is None
+        assert generated == []
+        cold_executed = execute(plan)
+        generated.clear()
+        probed = probe_plan_cache(plan)
+        assert generated == []
+        assert probed is not None and probed.digest == cold_executed.digest
+        assert (probed.num_jobs, probed.num_shards) == (40, 2)
 
     def test_probe_declines_partially_cached_plans(self, trace_path, tmp_path):
         cache_dir = tmp_path / "cache"

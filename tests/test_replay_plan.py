@@ -112,6 +112,10 @@ class TestValidation:
             ({"trace": "t", "framework": "dryad"}, "unknown framework 'dryad'"),
             ({"trace": "t", "bound_kind": "vibes"}, "unknown bound kind 'vibes'"),
             ({"trace": "t", "sink": "tape"}, "sink"),
+            (
+                {"trace": "t", "policies": ("late", "grass", "late")},
+                "--policy names late more than once",
+            ),
         ],
     )
     def test_each_conflict_raises_one_named_error(self, fields, message):

@@ -315,6 +315,23 @@ class TestServiceEndToEnd:
 
         run_service(scenario)
 
+    def test_repeated_policy_is_rejected_400_before_the_cache(self, tmp_path):
+        # ("late", "late") digests like ("late",) but would stream, look up
+        # and simulate every slice twice, and never count as a cache hit.
+        async def scenario(service, host, port):
+            async with ReplayServiceClient(host, port) as client:
+                await client.run_plan(tiny_plan(policies=("late",)), tenant="t0")
+                with pytest.raises(PlanRejected) as excinfo:
+                    await client.run_plan(
+                        tiny_plan(policies=("late", "late")), tenant="t0"
+                    )
+                assert excinfo.value.code == 400
+                assert "late more than once" in excinfo.value.reason
+            assert service.cached_plans == 0
+            assert service.rejected_submissions == 0  # never reached admission
+
+        run_service(scenario, ServiceConfig(cache_dir=str(tmp_path / "cache")))
+
     def test_unreadable_trace_is_an_error_event_not_a_crash(self):
         async def scenario(service, host, port):
             async with ReplayServiceClient(host, port) as client:

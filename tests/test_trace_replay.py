@@ -352,6 +352,14 @@ class TestReplayCli:
         assert exit_code == 2
         assert "unknown framework" in captured.err
 
+    def test_repeated_policy_is_a_usage_error(self, tmp_path, capsys):
+        path = self.fixture_path(tmp_path)
+        exit_code, captured = self.run_cli(
+            capsys, "replay", "--trace", str(path), "--policy", "late", "--policy", "late"
+        )
+        assert exit_code == 2
+        assert "--policy names late more than once" in captured.err
+
     def test_metric_columns_blank_out_absent_bound_classes(self, tmp_path, capsys):
         path = self.fixture_path(tmp_path)
         exit_code, captured = self.run_cli(
