@@ -60,9 +60,11 @@
 # * cluster-replay — replays the generated cluster tier (CLUSTER_JOBS jobs,
 #                 default 20000) with --sink aggregate at --workers 1 and 4, fails
 #                 unless the digests agree and peak resident jobs stay under
-#                 RESIDENCY_MAX_PCT% (default 1) of the tier, and writes a
-#                 summary to CLUSTER_SUMMARY if set (the scheduled CI leg's
-#                 artifact)
+#                 RESIDENCY_MAX_PCT% (default 1) of the tier, prints each
+#                 replay's process-tree peak RSS (report only, no bound: the
+#                 resident-jobs count is an engine dict's size, the RSS is what
+#                 shows whether memory stays flat), and writes a summary to
+#                 CLUSTER_SUMMARY if set (the scheduled CI leg's artifact)
 # * perfbench   — the repo benchmark's own selftests (python3 -m pytest
 #                 perfbench/tests, ~30s): its tracer wraps repro functions
 #                 by name (ParallelExecutor.run and run_stream, the
@@ -320,21 +322,38 @@ run_cache_smoke() {
     echo "cache-smoke: ok (cold/warm digests agree; corruption is a reported miss)"
 }
 
+# Runs a command, then prints its process tree's peak RSS (the largest
+# ru_maxrss of the command and its waited-for descendants, from os.wait4)
+# on the same stdout; exits with the command's status.  The launcher is a
+# bare interpreter on purpose: Linux copies a vfork spawner's RSS peak into
+# the child's ru_maxrss at exec, so a heavy launcher would report its own.
+with_peak_rss() {
+    python -c '
+import os, sys
+pid = os.posix_spawnp(sys.argv[1], sys.argv[1:], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(f"process-tree peak RSS: {usage.ru_maxrss / 1024:.1f} MiB", flush=True)
+sys.exit(os.waitstatus_to_exitcode(status))
+' "$@"
+}
+
 run_cluster_replay() {
     local jobs="${CLUSTER_JOBS:-20000}"
     local max_pct="${RESIDENCY_MAX_PCT:-1}"
-    local out1 out4 digest1 digest4 peak
+    local out1 out4 digest1 digest4 peak rss1 rss4
     out1="$(mktemp)"; out4="$(mktemp)"
     echo "cluster-replay: $jobs generated jobs, fully streaming"
-    python -m repro.experiments.cli replay \
+    with_peak_rss python -m repro.experiments.cli replay \
         --cluster-jobs "$jobs" --scale quick --seed 0 --shards 8 \
         --workers 1 --sink aggregate | tee "$out1"
-    python -m repro.experiments.cli replay \
+    with_peak_rss python -m repro.experiments.cli replay \
         --cluster-jobs "$jobs" --scale quick --seed 0 --shards 8 \
         --workers 4 --sink aggregate | tee "$out4"
     digest1="$(sed -n 's/^metrics digest: sha256=//p' "$out1")"
     digest4="$(sed -n 's/^metrics digest: sha256=//p' "$out4")"
     peak="$(sed -n 's/^peak resident jobs: \([0-9]*\).*/\1/p' "$out4")"
+    rss1="$(sed -n 's/^process-tree peak RSS: //p' "$out1")"
+    rss4="$(sed -n 's/^process-tree peak RSS: //p' "$out4")"
     rm -f "$out1" "$out4"
     if [ -z "$digest1" ] || [ "$digest1" != "$digest4" ]; then
         echo "cluster-replay: FAILED — digests differ across workers:" >&2
@@ -352,12 +371,15 @@ run_cluster_replay() {
         return 1
     fi
     echo "cluster-replay: ok (digest $digest1, peak resident jobs $peak < ${max_pct}% of $jobs)"
+    echo "cluster-replay: process-tree peak RSS $rss1 at --workers 1, $rss4 at --workers 4"
     if [ -n "${CLUSTER_SUMMARY:-}" ]; then
         {
             echo "jobs=$jobs"
             echo "digest=sha256:$digest1"
             echo "peak_resident_jobs=$peak"
             echo "residency_max_pct=$max_pct"
+            echo "peak_rss_workers1=$rss1"
+            echo "peak_rss_workers4=$rss4"
         } > "$CLUSTER_SUMMARY"
         echo "cluster-replay: summary written to $CLUSTER_SUMMARY"
     fi

@@ -262,6 +262,11 @@ class Job(TaskObserver):
             raise RuntimeError("job is not running")
         self.state = JobState.FINISHED
         self.finish_time = now
+        # No task mutates after its job finishes, so the ``task.observer ->
+        # job`` back-references go: without that cycle, dropping the job
+        # frees it and its tasks by reference counting alone.
+        for task in self.tasks.values():
+            task.observer = None
 
     @property
     def is_running(self) -> bool:

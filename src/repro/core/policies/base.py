@@ -154,6 +154,9 @@ class SchedulingIndex:
         self.snaps: Dict[int, TaskSnapshot] = {}
         # The one SchedulingView handed to policies for this job, mutated in
         # place per scheduling round (no policy retains a view across calls).
+        # The view points back here (``view.sched``); the engine clears this
+        # field when it evicts the job, so the pair is freed without the
+        # cyclic collector.
         self.view: Optional["SchedulingView"] = None
         # Pending entries are ``(tnew, task_id, work)``: the trailing work
         # lets the per-epoch re-estimate recompute every entry without a

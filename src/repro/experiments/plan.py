@@ -32,7 +32,7 @@ import argparse
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.policies import available_policies
 from repro.simulator.sinks import parse_sink_spec
@@ -53,6 +53,39 @@ PLAN_BOUND_KINDS = (BOUND_DEADLINE, BOUND_ERROR, BOUND_EXACT, BOUND_MIXED)
 
 class PlanError(ValueError):
     """A replay plan is invalid; ``str(exc)`` is the one-line reason."""
+
+
+def repeated(values: Sequence[Any]) -> List[Any]:
+    """The values that occur more than once in ``values``, sorted."""
+    return sorted({value for value in values if values.count(value) > 1})
+
+
+#: The type each plan field must hold; ``[t]`` is a list of ``t``.  A wire
+#: plan is decoded JSON, so any field may arrive as any JSON value; fields
+#: whose default is ``None`` also accept ``None``.
+_FIELD_TYPES: Dict[str, Any] = {
+    "trace": str,
+    "cluster_jobs": int,
+    "policies": [str],
+    "scale": str,
+    "seeds": [int],
+    "workers": int,
+    "shards": int,
+    "stream": bool,
+    "stream_specs": bool,
+    "sink": str,
+    "cache": str,
+    "framework": str,
+    "bound_kind": str,
+    "seed": int,
+}
+
+
+def _holds(value: Any, kind: Any) -> bool:
+    if isinstance(kind, list):
+        return isinstance(value, (tuple, list)) and all(_holds(item, kind[0]) for item in value)
+    # ``bool`` subclasses ``int``, but ``true`` is no job count.
+    return isinstance(value, kind) and (kind is bool or not isinstance(value, bool))
 
 
 def _cli(flag: Optional[str] = None, **kwargs: Any) -> Dict[str, Dict[str, Any]]:
@@ -236,6 +269,13 @@ class ReplayPlan:
         from either surface.  Returns ``self`` so call sites can chain
         ``plan.validate()`` into an execute call.
         """
+        for spec in dataclasses.fields(self):
+            value = getattr(self, spec.name)
+            kind = _FIELD_TYPES[spec.name]
+            if value is None and spec.default is None or _holds(value, kind):
+                continue
+            name = f"a list of {kind[0].__name__}" if isinstance(kind, list) else kind.__name__
+            raise PlanError(f"plan field {spec.name} must be {name}, got {value!r:.60}")
         if (self.trace is None) == (self.cluster_jobs is None):
             raise PlanError(
                 "give exactly one of --trace PATH or --cluster-jobs N "
@@ -256,10 +296,10 @@ class ReplayPlan:
                 f"{', '.join(unknown)}; expected one of "
                 f"{', '.join(available_policies())}"
             )
-        repeated = sorted({name for name in self.policies if self.policies.count(name) > 1})
-        if repeated:
+        twice = repeated(self.policies)
+        if twice:
             raise PlanError(
-                f"--policy names {', '.join(repeated)} more than once "
+                f"--policy names {', '.join(twice)} more than once "
                 "(plan field: policies)"
             )
         if self.scale not in PLAN_SCALES:
@@ -269,6 +309,13 @@ class ReplayPlan:
             )
         if self.seeds is not None and not self.seeds:
             raise PlanError("--seeds needs at least one seed (or omit it)")
+        twice = repeated(self.seeds or ())
+        if twice:
+            # The replay would fold the same (policy, seed, shard) slice twice.
+            raise PlanError(
+                f"--seeds names {', '.join(map(str, twice))} more than once "
+                "(plan field: seeds)"
+            )
         if self.framework not in available_frameworks():
             raise PlanError(
                 f"unknown framework {self.framework!r}; expected one of "

@@ -33,7 +33,7 @@ from repro.experiments.cache import (
     source_fingerprint,
 )
 from repro.experiments.executor import ParallelExecutor, RunRequest
-from repro.experiments.plan import ReplayPlan, PlanError
+from repro.experiments.plan import ReplayPlan, PlanError, repeated
 from repro.experiments.warmup import WarmupCache, policy_learns
 from repro.simulator.cluster import ClusterConfig
 from repro.simulator.engine import SimulationConfig
@@ -976,13 +976,17 @@ def compare_policies(
     producers that slice raw results by workload metadata need the
     retaining default.
 
-    Raises ``ValueError`` when a policy is named twice: both runs would
-    fold into one entry of the comparison.
+    Raises ``ValueError`` when a policy is named twice, since both runs
+    would fold into one entry of the comparison, or when ``scale.seeds``
+    names a seed twice, since that seed's results would count twice.
     """
-    repeated = sorted({name for name in policy_names if policy_names.count(name) > 1})
-    if repeated:
-        raise ValueError(f"policies named more than once: {', '.join(repeated)}")
+    twice = repeated(policy_names)
+    if twice:
+        raise ValueError(f"policies named more than once: {', '.join(twice)}")
     scale = scale or ExperimentScale()
+    twice = repeated(scale.seeds)
+    if twice:
+        raise ValueError(f"seeds named more than once: {', '.join(map(str, twice))}")
     if workers is None:
         workers = scale.workers
     sink = sink or SinkFactory()

@@ -41,7 +41,10 @@ class MetricsCollector:
     #: partial results) or arriving past the horizon (no result at all).
     truncated_jobs: int = 0
     #: High-water mark of jobs resident in the engine at once — O(max
-    #: concurrent), not O(workload), now that finished jobs are evicted.
+    #: concurrent), not O(workload): finished jobs are evicted, and the
+    #: eviction frees them by reference counting (no cycle waits for the
+    #: collector).  It counts entries of an engine dict, not bytes; the
+    #: process's peak RSS is what shows memory staying flat.
     peak_resident_jobs: int = 0
     #: Engine events processed by the simulation that filled this collector;
     #: replay-level benches sum it across simulations to report events/s

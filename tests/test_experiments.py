@@ -99,6 +99,14 @@ class TestCompare:
                 ["late", "ras", "late"], WorkloadConfig(seed=42), scale=TINY, warmup=False
             )
 
+    def test_compare_policies_rejects_a_repeated_seed(self):
+        # The seed's runs would count twice in every average.
+        with pytest.raises(ValueError, match="seeds named more than once: 1"):
+            compare_policies(
+                ["late"], WorkloadConfig(seed=42), scale=replace(TINY, seeds=(1, 2, 1)),
+                warmup=False,
+            )
+
     def test_bound_bin_groupings(self):
         comparison = compare_policies(
             ["late", "ras"],

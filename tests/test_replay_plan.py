@@ -116,11 +116,51 @@ class TestValidation:
                 {"trace": "t", "policies": ("late", "grass", "late")},
                 "--policy names late more than once",
             ),
+            ({"trace": "t", "seeds": (2, 1, 2)}, "--seeds names 2 more than once"),
         ],
     )
     def test_each_conflict_raises_one_named_error(self, fields, message):
         with pytest.raises(PlanError, match=message):
             ReplayPlan(**fields).validate()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("cluster_jobs", "30"),
+            ("cluster_jobs", 2.5),
+            ("cluster_jobs", True),
+            ("workers", "2"),
+            ("shards", "x"),
+            ("seed", "x"),
+            ("seeds", ["a"]),
+            ("seeds", [1, False]),
+            ("seeds", 3),
+            ("policies", [["grass"]]),
+            ("policies", "grass"),
+            ("sink", 5),
+            ("trace", 7),
+            ("cache", ["dir"]),
+            ("scale", None),
+            ("framework", 1),
+            ("bound_kind", {}),
+            ("stream", "yes"),
+        ],
+    )
+    def test_a_mistyped_wire_field_is_a_plan_error_naming_it(self, field, value):
+        # Decoded JSON can put any value in any field; the value checks
+        # must never see one they would crash on or silently accept.
+        wire = {"cluster_jobs": 30, field: value}
+        if field == "trace":
+            del wire["cluster_jobs"]
+        with pytest.raises(PlanError, match=f"plan field {field} must be"):
+            ReplayPlan.from_wire(wire).validate()
+
+    def test_a_repeated_seed_is_a_cli_usage_error(self, capsys):
+        from repro.experiments.cli import main
+
+        argv = ["replay", "--cluster-jobs", "40", "--scale", "quick", "--seeds", "1", "1"]
+        assert main(argv) == 2
+        assert "--seeds names 1 more than once" in capsys.readouterr().err
 
     def test_stream_flags_are_accepted_together(self):
         plan = ReplayPlan(trace="t", stream=True, stream_specs=True)

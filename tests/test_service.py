@@ -332,6 +332,27 @@ class TestServiceEndToEnd:
 
         run_service(scenario, ServiceConfig(cache_dir=str(tmp_path / "cache")))
 
+    @pytest.mark.parametrize(
+        "overrides, reason",
+        [
+            ({"cluster_jobs": "30"}, "plan field cluster_jobs must be int"),
+            ({"seeds": (1, 1)}, "--seeds names 1 more than once"),
+        ],
+    )
+    def test_bad_field_is_rejected_400_and_the_connection_stays_up(
+        self, overrides, reason
+    ):
+        async def scenario(service, host, port):
+            async with ReplayServiceClient(host, port) as client:
+                with pytest.raises(PlanRejected) as excinfo:
+                    await client.run_plan(tiny_plan(**overrides), tenant="t0")
+                assert excinfo.value.code == 400
+                assert reason in excinfo.value.reason
+                await asyncio.wait_for(client.ping(), timeout=10)
+            assert service.rejected_submissions == 0  # never reached admission
+
+        run_service(scenario)
+
     def test_unreadable_trace_is_an_error_event_not_a_crash(self):
         async def scenario(service, host, port):
             async with ReplayServiceClient(host, port) as client:

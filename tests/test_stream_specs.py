@@ -9,26 +9,37 @@ The load-bearing properties:
   into a retaining sink, for any shard split and worker count.
 * **Eviction** — ``_finish_job`` drops the job's ``Job``, estimator and
   spec the moment its result is recorded, so resident state tracks
-  *concurrency*, never trace length.
+  *concurrency*, never trace length; the per-job object graph is acyclic,
+  so that drop frees the job by reference counting, without the cyclic
+  collector.
 * **Error paths** — empty traces and warm-up seed collisions fail loudly
   with actionable messages instead of leaking internals or biased results.
 """
 
+import gc
 import pickle
+import weakref
+from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import NoSpeculationPolicy
+from repro.core import job as job_module
 from repro.core.bounds import ApproximationBound
+from repro.core.task import Task
 from repro.experiments.cli import metrics_digest
 from repro.experiments.executor import RunRequest
+from repro.experiments.plan import ReplayPlan
+from repro.experiments.policies import available_policies, make_policy
 from repro.experiments.runner import (
     WARMUP_SEED_OFFSET,
     ExperimentScale,
     compare_policies,
+    execute,
 )
 from repro.experiments.warmup import WarmupCache, check_warmup_seed_collision
 from repro.simulator.engine import Simulation, SimulationConfig
@@ -64,6 +75,33 @@ def small_trace(num_jobs: int = 15, seed: int = 9):
 
 def sorted_specs(specs):
     return sorted(specs, key=lambda spec: (spec.arrival_time, spec.job_id))
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def unreachable_repro_objects(run) -> Counter:
+    """Run ``run()`` with the cyclic collector off; count, by type, the
+    ``repro`` objects it left that only the collector could free."""
+    enabled = gc.isenabled()
+    debug = gc.get_debug()
+    gc.collect()
+    start = len(gc.garbage)
+    gc.disable()
+    try:
+        run()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        return Counter(
+            type(obj).__qualname__
+            for obj in gc.garbage[start:]
+            if type(obj).__module__.startswith("repro.")
+        )
+    finally:
+        gc.set_debug(debug)
+        del gc.garbage[start:]
+        if enabled:
+            gc.enable()
 
 
 class TestLazyIngestion:
@@ -149,6 +187,77 @@ class TestFinishedJobEviction:
         )
         simulation.run()
         assert simulation.peak_resident_jobs == 7
+
+    def test_every_policy_leaves_no_cyclic_garbage(self):
+        # Eviction frees a job only if nothing in its object graph points
+        # back into it; a cycle leaves every finished job to the collector.
+        def run():
+            for bound_kind, framework in (("deadline", "hadoop"), ("error", "spark")):
+                compare_policies(
+                    available_policies(),
+                    WorkloadConfig(bound_kind=bound_kind, framework=framework, seed=42),
+                    scale=ExperimentScale.quick(),
+                    workers=1,
+                )
+            execute(
+                ReplayPlan(
+                    trace=str(ROOT / "traces" / "facebook_like.jsonl"),
+                    policies=("grass", "late"),
+                    scale="quick",
+                    sink="aggregate",
+                ).validate()
+            )
+
+        assert unreachable_repro_objects(run) == Counter()
+
+    def test_a_finished_job_is_freed_before_the_run_ends(self, monkeypatch):
+        # Task's dataclass slots leave no ``__weakref__``; jobs build this
+        # subclass instead, which only adds one.
+        class WeakTask(Task):
+            __slots__ = ("__weakref__",)
+
+        monkeypatch.setattr(job_module, "Task", WeakTask)
+        specs = [
+            make_job_spec([1.0, 2.0, 3.0], ApproximationBound.exact(), job_id=index,
+                          arrival=20.0 * index)
+            for index in range(6)
+        ]
+        policy = make_policy("grass")
+        simulation = Simulation(make_simulation_config(machines=4), policy, specs)
+        refs = {}
+        finished = []
+        # Per arrival: (jobs finished so far, how many of them are alive).
+        seen_at_arrival = []
+        on_job_start, on_job_finish = policy.on_job_start, policy.on_job_finish
+
+        def watch_start(job, now):
+            alive = [
+                job_id for job_id in finished
+                if any(ref() is not None for ref in refs[job_id])
+            ]
+            seen_at_arrival.append((len(finished), len(alive)))
+            estimator = simulation._estimators[job.job_id]
+            refs[job.job_id] = [weakref.ref(job), weakref.ref(job.tasks[0]),
+                                weakref.ref(estimator)]
+            on_job_start(job, now)
+
+        def watch_finish(job, result, now):
+            finished.append(job.job_id)
+            on_job_finish(job, result, now)
+
+        policy.on_job_start = watch_start
+        policy.on_job_finish = watch_finish
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            simulation.run()
+        finally:
+            if enabled:
+                gc.enable()
+        # Each job finished before the next arrived, and was gone by then.
+        assert finished == list(range(6))
+        assert seen_at_arrival == [(count, 0) for count in range(6)]
 
 
 class TestTruncation:
