@@ -7,11 +7,11 @@ Rules are small AST passes over one file.  Each declares:
 * ``rationale`` — why the replay digest (or the executor, or the event
   loop) cares;
 * ``applies(ctx)`` — the path scope.  Determinism rules watch the
-  digest-affecting packages (``repro.simulator``/``core``/``workload``/
-  ``experiments``); pickle rules watch all of ``src``; async rules watch
-  ``repro.service``.  Tests and benchmarks are scanned too, but only the
-  rules whose scope says so fire there — a test may compare floats
-  exactly, library code may not.
+  digest-affecting packages (:data:`DIGEST_PACKAGES`: every package a
+  simulation worker imports); pickle rules watch all of ``src``; async
+  rules watch ``repro.service``.  Tests and benchmarks are scanned too,
+  but only the rules whose scope says so fire there — a test may compare
+  floats exactly, library code may not.
 
 Scopes are derived from the *module path* (``repro.simulator.engine``),
 not the filesystem root, so fixture sources can be analyzed under a
@@ -32,7 +32,11 @@ __all__ = ["FileContext", "RawFinding", "Rule", "RULES", "rule_table"]
 
 # Packages whose code can reach the per-result digest fold: anything
 # nondeterministic here shows up as a digest mismatch in the replay matrix.
-DIGEST_PACKAGES = ("core", "experiments", "simulator", "workload")
+# Every package a simulation worker imports, the scope the replay cache's
+# engine fingerprint hashes too.
+DIGEST_PACKAGES = (
+    "baselines", "core", "dag", "experiments", "model", "simulator", "utils", "workload",
+)
 
 
 @dataclass

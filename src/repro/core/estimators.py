@@ -232,128 +232,32 @@ class TaskEstimator:
         )
         return max(1e-6, base * noise)
 
-    # -- batched fast paths -------------------------------------------------------
-
-    def tnew_epoch_factor(self) -> Tuple[int, int, float, float]:
-        """The shared ``tnew`` inputs for the current sample epoch.
-
-        Returns ``(completed_samples, noise_generation, rate, noise)`` such
-        that ``tnew(task) == max(1e-6, (rate * task.work) * noise)`` for every
-        task until the next completion arrives.  Because both the rate and
-        the noise are keyed by the sample count alone, a scheduling pass can
-        fetch them once and evaluate every pending task's ``tnew`` without a
-        method call per task.  The first call of an epoch performs the same
-        noise draw :meth:`tnew` would, so RNG consumption is unchanged.
-        """
-        samples = self.completed_samples
-        rate = self.expected_work_rate()
-        noise = self._noise(
-            self.config.tnew_noise, self._tnew_noise_cache, (samples,)
-        )
-        return samples, self.noise_generation, rate, noise
-
-    def snapshot_running(self, task: Task, now: float) -> Tuple[float, float, float, float]:
-        """``(tnew, trem, actual, accuracy_sample)`` for a running task.
-
-        Replicates the engine's per-running-task snapshot sequence — ``tnew``
-        query, ``trem`` query, then ``record_trem_outcome`` against the true
-        remaining time — in one fully inlined pass: this is the single
-        hottest function of the simulator, so the ``tnew``/``trem``/``record``
-        bodies are folded in with direct field access instead of the method
-        chain.  Every float expression keeps the operation order of the
-        unbatched methods, so the values (and the noise-cache draws) are
-        bit-identical.  ``accuracy_sample`` is the clamped value that was
-        folded into the accuracy tracker; callers cache it so a replayed
-        scheduling round can re-fold it without recomputing the estimate.
-        """
-        # tnew: both the work rate and the noise are keyed by the completed
-        # sample count, and the walk fetched the epoch factor first, so this
-        # is a pure cache read (same values ``tnew()`` would return).
-        work_samples = self._completed_durations_per_work
-        if work_samples:
-            rate = self._work_rate_cache
-            if rate is None:
-                rate = self._work_rate_cache = median(work_samples)
-        else:
-            rate = self._prior_work_rate
-        config = self.config
-        sigma = config.tnew_noise
-        if sigma <= 0.0:
-            noise = 1.0
-        else:
-            key = (len(work_samples),)
-            noise = self._tnew_noise_cache.get(key)
-            if noise is None:
-                noise = self._noise(sigma, self._tnew_noise_cache, key)
-        tnew = (rate * task.spec.work) * noise
-        if tnew < 1e-6:
-            tnew = 1e-6
-        running = task._running
-        if not running:
-            raise RuntimeError("task has no running copies")
-        best = None
-        best_remaining = float("inf")
-        for copy in running:
-            remaining = copy.start_time + copy.duration - now
-            if remaining < 0.0:
-                remaining = 0.0
-            if remaining < best_remaining:
-                best = copy
-                best_remaining = remaining
-        granularity = config.progress_report_fraction
-        elapsed = now - best.start_time
-        if elapsed < 0.0:
-            elapsed = 0.0
-        progress = elapsed / best.duration
-        if progress > 1.0:
-            progress = 1.0
-        if progress < granularity:
-            trem = tnew - elapsed
-            if trem < 1e-6:
-                trem = 1e-6
-        else:
-            estimated_total = elapsed / progress
-            base = estimated_total - elapsed
-            if base < 1e-6:
-                base = 1e-6
-            sigma = config.trem_noise
-            if sigma <= 0.0:
-                noise = 1.0
-            else:
-                cache = self._trem_noise_cache
-                key = (task.spec.task_id, len(task.copies), int(progress / granularity))
-                noise = cache.get(key)
-                if noise is None:
-                    noise = self._noise(sigma, cache, key)
-            trem = base * noise
-            if trem < 1e-6:
-                trem = 1e-6
-        actual = best_remaining if best_remaining > 1e-6 else 1e-6
-        # record_trem_outcome(trem, actual), inlined (actual > 0 by
-        # construction, so the tracker's guard cannot trigger).
-        sample = 1.0 - abs(trem - actual) / actual
-        if sample <= 0.0:
-            sample = 0.0
-        tracker_mean = self.trem_tracker._accuracy
-        count = tracker_mean.count + 1
-        tracker_mean.count = count
-        tracker_mean.value += (sample - tracker_mean.value) / count
-        return tnew, trem, actual, sample
+    # -- the estimation walk -----------------------------------------------------
 
     def update_running_snaps(
         self, snaps: Dict[int, object], running_ids: list, now: float
     ) -> Tuple[int, int, float, float]:
-        """Re-estimate every running task's snapshot in one batched walk.
+        """Re-estimate the running tasks ``running_ids`` (ascending ids).
 
-        Equivalent to calling :meth:`snapshot_running` for each id in
-        ``running_ids`` (ascending task-id order, the unbatched walk order)
-        and storing the results on the snapshots — but with the epoch factor,
-        config fields and cache handles hoisted out of the loop, which
-        removes one Python call plus their re-derivation per running task.
-        Returns ``(completed_samples, noise_generation, rate, noise)`` — the
-        same tuple :meth:`tnew_epoch_factor` yields, with the generation read
-        *after* the factor fetch and *before* the walk so a mid-walk noise
-        eviction is still detected by the caller's next comparison.
+        This walk is the only code that estimates a running task for the
+        scheduler.  Its contract: it equals calling :meth:`tnew`,
+        :meth:`trem` and ``record_trem_outcome(trem, max(1e-6,
+        task.true_remaining(now)))`` per task, in id order — the same values,
+        noise draws and accuracy folds (``tests/test_estimators.py`` pins
+        it).  Those methods stay the readable reference; this body inlines
+        them because it is the simulator's hottest loop.  Each snapshot in
+        ``snaps`` receives ``copies``, ``tnew``, ``trem``, ``_actual`` (the
+        true remaining time) and ``_acc`` (the sample folded into
+        ``trem_tracker``, which a replayed scheduling round re-folds).
+
+        The shared ``tnew`` factor is fetched first, drawing its noise where
+        the first per-task ``tnew`` call would, even with no running task.
+        Returns ``(completed_samples, noise_generation, rate, noise)``, with
+        ``tnew(task) == max(1e-6, (rate * task.work) * noise)`` for every
+        task until the next completion, so callers price pending tasks
+        without a call each.  The generation is read after that fetch and
+        before the loop, so an eviction during the loop leaves the caller's
+        copy behind the live counter.
         """
         work_samples = self._completed_durations_per_work
         samples = len(work_samples)

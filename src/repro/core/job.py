@@ -289,9 +289,6 @@ class Job(TaskObserver):
     def all_tasks(self) -> List[Task]:
         return list(self.tasks.values())
 
-    def running_tasks(self) -> List[Task]:
-        return [task for task in self.tasks.values() if task.is_running]
-
     def running_copy_count(self) -> int:
         return self._running_copy_total
 
@@ -352,9 +349,6 @@ class Job(TaskObserver):
             return 0, 0
         pending = self._pending_by_phase[phase]
         return pending, len(self._unfinished_by_phase[phase]) - pending
-
-    def pending_task_count(self) -> int:
-        return sum(self._pending_by_phase)
 
     # -- accounting --------------------------------------------------------------
 

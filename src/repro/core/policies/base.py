@@ -97,12 +97,15 @@ class SchedulingIndex:
     epoch factor), and the unbatched walk visited tasks in ascending id
     order, so any walk that touches the running tasks in ascending id order
     with the same per-task inputs reproduces the side-effect stream
-    byte-for-byte.  ``prepare`` distinguishes four cases:
+    byte-for-byte.  Every estimate of a running task comes from one walk,
+    :meth:`TaskEstimator.update_running_snaps`.  ``prepare`` distinguishes
+    four cases:
 
-    * *rebuild* — the phase changed (or this is the first round): walk
-      ``schedulable_tasks`` in id order exactly like the unbatched code
-      (the epoch's shared ``tnew`` factor is fetched first, which performs
-      the same draw the first per-task ``tnew`` call used to).
+    * *rebuild* — the phase changed (or this is the first round): build a
+      snapshot per schedulable task, walk the running ones in id order, then
+      price the pending ones from the epoch factor the walk returns (its
+      fetch performs the same draw the first per-task ``tnew`` call used
+      to).
     * *re-estimate* — the estimator's sample epoch or noise generation
       changed: re-estimate the running tasks in id order, then recompute the
       pending ``tnew`` values from the new epoch factor.  The pending set
@@ -116,8 +119,8 @@ class SchedulingIndex:
     * *replay* — same instant, same epoch: a cache hit.  Unchanged running
       tasks re-fold their cached accuracy sample — the exact value the
       tracker's ``record`` computed from the cached ``(trem, actual)`` pair
-      — and only tasks that launched a copy since the last walk (the
-      ``dirty`` set) are re-estimated for real.
+      — and each task that launched a copy since the last walk (the
+      ``dirty`` set) is re-estimated for real, by a walk of its own.
     * a noise-cache eviction (``estimator.noise_generation``) at any point
       poisons the cache: values drawn before the eviction can no longer be
       reproduced, so the next ``prepare`` falls back to a re-estimate, and
@@ -209,33 +212,27 @@ class SchedulingIndex:
         return True
 
     def _rebuild(self, now: float, phase: int) -> None:
-        estimator = self.estimator
-        tasks = self.job.schedulable_tasks(now)
-        # The epoch factor is fetched before the walk: its noise draw sits
-        # exactly where the unbatched walk's first ``tnew`` query drew.
-        samples, _, rate, noise = estimator.tnew_epoch_factor()
-        # Generation is captured after the factor fetch: any eviction during
-        # the walk below leaves it behind the live counter, so the next
-        # ``prepare`` re-estimates instead of replaying half-poisoned values.
-        gen = estimator.noise_generation
-        snapshot_running = estimator.snapshot_running
-        snaps: Dict[int, TaskSnapshot] = {}
-        pending: List[Tuple[float, int]] = []
-        running_ids: List[int] = []
-        for task in tasks:
-            task_id = task.task_id
-            if task.is_running:
-                tnew, trem, actual, acc = snapshot_running(task, now)
-                snap = TaskSnapshot(task, True, task.running_copy_count, trem, tnew)
-                snap._actual = actual
-                snap._acc = acc
-                running_ids.append(task_id)
-            else:
-                work = task.spec.work
+        # Snapshots start with placeholder estimates: one walk fills the
+        # running ones, then the pending keys come from the epoch factor the
+        # walk returns.  Pending estimates make no draws and no records, so
+        # walking the running tasks first emits the side-effect stream of an
+        # id-order walk over every task (as in ``_reestimate``).
+        snaps = {
+            task.task_id: TaskSnapshot(task, task.is_running, 0, 1.0, 1.0)
+            for task in self.job.schedulable_tasks(now)
+        }
+        running_ids = [task_id for task_id, snap in snaps.items() if snap.running]
+        samples, gen, rate, noise = self.estimator.update_running_snaps(
+            snaps, running_ids, now
+        )
+        pending: List[Tuple[float, int, float]] = []
+        for task_id, snap in snaps.items():
+            if not snap.running:
+                work = snap.task.spec.work
                 tnew = max(1e-6, (rate * work) * noise)
-                snap = TaskSnapshot(task, False, 0, tnew, tnew)
+                snap.tnew = tnew
+                snap.trem = tnew
                 pending.append((tnew, task_id, work))
-            snaps[task_id] = snap
         pending.sort()
         self.phase = phase
         self.now = now
@@ -318,27 +315,19 @@ class SchedulingIndex:
             return
         gen = self.gen
         now = self.now
-        snapshot_running = estimator.snapshot_running
+        walk = estimator.update_running_snaps
         forced = False
         for task_id in self.running_ids:
-            snap = snaps[task_id]
             if forced or task_id in dirty:
                 # The task launched a copy since the last walk (or a noise
-                # eviction earlier in this walk poisoned the cache):
-                # re-estimate for real, with the same draws the unbatched
-                # walk would perform here.
-                task = snap.task
-                tnew, trem, actual, acc = snapshot_running(task, now)
-                snap.running = True
-                snap.copies = task.running_copy_count
-                snap.trem = trem
-                snap.tnew = tnew
-                snap._actual = actual
-                snap._acc = acc
+                # eviction earlier in this walk poisoned the cache): a walk
+                # of its own re-estimates it for real, with the same draws
+                # and fold an id-order walk would perform here.
+                walk(snaps, (task_id,), now)
                 if estimator.noise_generation != gen:
                     forced = True
             else:
-                acc = snap._acc
+                acc = snaps[task_id]._acc
                 count = tracker_mean.count + 1
                 tracker_mean.count = count
                 tracker_mean.value += (acc - tracker_mean.value) / count

@@ -44,21 +44,6 @@ def accuracy_bucket(accuracy: float) -> str:
     return "good"
 
 
-@dataclass(frozen=True)
-class SampleKey:
-    """The key samples are bucketed under.
-
-    Fields set to ``None`` act as wildcards; the store's fallback search
-    progressively widens the key by clearing fields.
-    """
-
-    policy: str
-    bound_kind: str
-    size_bucket: Optional[str] = None
-    utilization: Optional[str] = None
-    accuracy: Optional[str] = None
-
-
 @dataclass
 class JobSample:
     """One pinned job's performance record.

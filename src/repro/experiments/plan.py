@@ -316,6 +316,14 @@ class ReplayPlan:
                 f"--seeds names {', '.join(map(str, twice))} more than once "
                 "(plan field: seeds)"
             )
+        negative = [seed for seed in self.seeds or () if seed < 0]
+        if negative:
+            raise PlanError(
+                f"--seeds must be >= 0, got {', '.join(map(str, negative))} "
+                "(plan field: seeds)"
+            )
+        if self.seed < 0:
+            raise PlanError(f"--seed must be >= 0, got {self.seed} (plan field: seed)")
         if self.framework not in available_frameworks():
             raise PlanError(
                 f"unknown framework {self.framework!r}; expected one of "

@@ -978,7 +978,8 @@ def compare_policies(
 
     Raises ``ValueError`` when a policy is named twice, since both runs
     would fold into one entry of the comparison, or when ``scale.seeds``
-    names a seed twice, since that seed's results would count twice.
+    names a seed twice, since that seed's results would count twice, or a
+    negative seed, which would replay the stream of its absolute value.
     """
     twice = repeated(policy_names)
     if twice:
@@ -987,6 +988,9 @@ def compare_policies(
     twice = repeated(scale.seeds)
     if twice:
         raise ValueError(f"seeds named more than once: {', '.join(map(str, twice))}")
+    negative = [seed for seed in scale.seeds if seed < 0]
+    if negative:
+        raise ValueError(f"seeds must be non-negative: {', '.join(map(str, negative))}")
     if workers is None:
         workers = scale.workers
     sink = sink or SinkFactory()

@@ -97,13 +97,6 @@ class FairShareAdmission:
     def pending_total(self) -> int:
         return self._pending_total
 
-    def pending_for(self, tenant: str) -> int:
-        state = self._tenants.get(tenant)
-        return len(state.queue) if state else 0
-
-    def backlogged_tenants(self) -> Tuple[str, ...]:
-        return tuple(sorted(t for t, s in self._tenants.items() if s.queue))
-
     # -- submission ------------------------------------------------------------
 
     def submit(self, tenant: str, item: object, cost: float = 1.0) -> None:

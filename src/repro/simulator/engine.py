@@ -54,9 +54,15 @@ enforce this):
   plus a ``(tnew, task_id)``-sorted pending list — that is *replayed*
   against estimator feedback instead of rebuilt per scheduling round;
   re-estimates refresh the sorted list lazily and defer snapshot writes
-  until a policy actually materialises the view.  Every view is built this
-  one way: oracle runs use an :class:`ExactIndex`, which walks the tasks
-  only on a phase change and otherwise refreshes just the running ones;
+  until a policy actually materialises the view.  Every estimate of a
+  running task comes from one walk,
+  :meth:`~repro.core.estimators.TaskEstimator.update_running_snaps`, which
+  inlines ``tnew``/``trem``/``record_trem_outcome`` with the per-walk
+  constants hoisted: a rebuild, a re-estimate and a retime each make one
+  walk, and a replayed round walks each task that launched a copy since
+  the last walk on its own.  Every view is built this one way: oracle runs
+  use an :class:`ExactIndex`, which walks the tasks only on a phase change
+  and otherwise refreshes just the running ones;
 * every policy, the oracle included, picks in O(running tasks) without
   materialising the snapshot list: GS/RAS/GRASS read the sorted
   structures, and the baselines (LATE, Mantri, no-spec) read
@@ -90,7 +96,11 @@ trace, 2-vCPU host) from 89,815 to 77,117 policy asks and from 1.51 s to
 sides).  Over twenty alternating parent/change pairs of the untraced run
 the median ``jobs_per_s`` went from 503 to 570 (median per-pair ratio 1.15;
 the change won 19, the twentieth was a 0.1% tie).  What remains is mostly
-those walks and draws, which the digests require.
+those walks and draws, which the digests require.  Since the rebuild and
+the replay's one-task re-estimates became walks of their own, the same
+traced run counts 61,721 walks (``estimators.update_calls``, 42,800
+before) and a traced ``figures`` run 50,152 (29,306), with events, asks,
+draws and digests unchanged.
 
 Memory
 ------

@@ -102,9 +102,6 @@ class MetricsCollector:
     def error_results(self) -> List[JobResult]:
         return results_with_bound(self.results, BoundType.ERROR)
 
-    def exact_results(self) -> List[JobResult]:
-        return [r for r in self.results if r.bound.is_exact]
-
     def by_bin(self, results: Optional[Sequence[JobResult]] = None) -> Dict[str, List[JobResult]]:
         """Group results into the paper's job-size bins.
 

@@ -27,8 +27,6 @@ import random
 from dataclasses import dataclass
 from hashlib import sha256
 
-from repro.utils.rng import RngStream
-
 
 @dataclass(frozen=True)
 class StragglerConfig:
@@ -100,12 +98,15 @@ class StragglerModel:
     def __init__(self, config: StragglerConfig, seed: int) -> None:
         self.config = config
         self._seed = seed
-        self._root = RngStream(seed, "straggler-root")
-        # ``multiplier`` runs once per copy launch, squarely on the engine's
-        # hot path, so the per-copy stream spawn is flattened: the seed
-        # derivation prefix (identical for every copy) is pre-encoded, the
-        # config-derived Pareto parameters are computed once, and a single
-        # scratch ``random.Random`` is re-seeded per copy instead of
+        # Each copy's multiplier is ``max(0.05, s.bounded_pareto(shape,
+        # scale, cap) * s.truncated_gauss(1.0, jitter, low=0.7, high=1.3))``
+        # drawn from its own stream ``s = RngStream(seed, "straggler-root")
+        # .spawn(f"{job}/{task}/{copy}")`` (``tests/test_simulator_substrate.py``
+        # pins the equality).  ``multiplier`` runs once per copy launch,
+        # squarely on the engine's hot path, so that spawn is flattened: the
+        # seed derivation prefix (identical for every copy) is pre-encoded,
+        # the config-derived Pareto parameters are computed once, and a
+        # single scratch ``random.Random`` is re-seeded per copy instead of
         # constructing a stream object.  ``Random.seed`` resets the cached
         # second Gaussian, so the scratch generator's draws are bit-identical
         # to a freshly constructed stream's.
@@ -122,9 +123,6 @@ class StragglerModel:
         self._seed_core = super(random.Random, self._scratch).seed
         self._rand_core = self._scratch.random
         self._gauss_core = self._scratch.gauss
-
-    def _copy_stream(self, job_id: int, task_id: int, copy_index: int) -> RngStream:
-        return self._root.spawn(f"{job_id}/{task_id}/{copy_index}")
 
     def multiplier(self, job_id: int, task_id: int, copy_index: int) -> float:
         """The duration multiplier the given copy would experience."""

@@ -35,6 +35,10 @@ class RngStream:
     """
 
     def __init__(self, seed: int, name: str = "root") -> None:
+        # ``random.Random`` seeds with ``abs(seed)``, so ``-n`` would silently
+        # replay the stream of ``n``.
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
         self.name = name
         self.seed = seed
         self._random = random.Random(seed)

@@ -91,6 +91,13 @@ class TestGoldenFixtures:
         findings = analyze_fixture(f"{rule_id.lower()}_negative.py", module)
         assert findings == [], findings
 
+    @pytest.mark.parametrize("package", ["baselines", "dag", "model", "utils"])
+    def test_positive_fixture_fires_in_every_package_a_worker_imports(self, package):
+        # Edits to these packages move digests (the cache fingerprint hashes
+        # them), so a wall-clock read there is as unsafe as in the engine.
+        findings = analyze_fixture("det002_positive.py", ("repro", package, "fixture"))
+        assert len([f for f in findings if f.rule_id == "DET002"]) == RULE_FIXTURES["DET002"][1]
+
     def test_positive_fixture_silent_outside_rule_scope(self):
         # The same wall-clock reads are fine outside digest-affecting
         # packages: scope comes from the module path, not the content.

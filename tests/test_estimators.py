@@ -1,8 +1,11 @@
 """Unit tests for the trem / tnew estimators (§5.1)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.estimators import EstimateAccuracyTracker, EstimatorConfig, TaskEstimator
+from repro.core.policies.base import TaskSnapshot
 from repro.core.task import Task, TaskCopy, TaskSpec
 from repro.utils.rng import RngStream
 
@@ -152,3 +155,80 @@ class TestTrem:
         for now in (1.0, 3.0, 5.0, 7.0):
             assert estimator.trem(task, now) > 0.0
             assert estimator.tnew(task) > 0.0
+
+
+# One running task: work, then its copies as (start, duration).
+_task_specs = st.tuples(
+    st.floats(0.5, 20.0),
+    st.lists(st.tuples(st.floats(0.0, 10.0), st.floats(0.1, 30.0)), min_size=1, max_size=3),
+)
+# One round: how far the clock advances (0 replays the same instant), an
+# optional copy launched before it as (task index, duration), and an
+# optional completion sample observed before it.
+_round_specs = st.tuples(
+    st.sampled_from([0.0, 0.05, 0.4, 2.5]) | st.floats(0.0, 8.0),
+    st.none() | st.tuples(st.integers(0, 5), st.floats(0.1, 30.0)),
+    st.none() | st.floats(0.5, 30.0),
+)
+
+
+class TestWalkMatchesReference:
+    """``update_running_snaps`` is ``tnew``, ``trem`` and a fold per task."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        config=st.sampled_from(
+            [EstimatorConfig(), EstimatorConfig.perfect(), EstimatorConfig.degraded(4.0)]
+        ),
+        seed=st.integers(0, 2**32),
+        samples=st.lists(st.floats(0.5, 30.0), max_size=3),
+        task_specs=st.lists(_task_specs, min_size=1, max_size=6),
+        rounds=st.lists(_round_specs, min_size=1, max_size=4),
+        crowded=st.booleans(),
+    )
+    def test_walk_equals_the_per_task_reference(
+        self, config, seed, samples, task_specs, rounds, crowded
+    ):
+        reference = TaskEstimator(config, RngStream(seed, "est"))
+        walker = TaskEstimator(config, RngStream(seed, "est"))
+        for estimator in (reference, walker):
+            for index, duration in enumerate(samples):
+                estimator.observe_completion(make_task(1.0 + index, 100 + index), duration)
+            if crowded:
+                # A full trem-noise cache: the walk's second fresh draw
+                # evicts it, so the eviction lands mid-walk.
+                estimator._trem_noise_cache.update(
+                    {(-1 - index, 0, 0): 1.0 for index in range(4096)}
+                )
+        copy_ids = iter(range(1000))
+        tasks = []
+        for task_id, (work, copies) in enumerate(task_specs):
+            task = make_task(work, task_id)
+            for start, duration in copies:
+                task.add_copy(TaskCopy(next(copy_ids), task_id, 0, start, duration))
+            tasks.append(task)
+        snaps = {task.task_id: TaskSnapshot(task, True, 0, 1.0, 1.0) for task in tasks}
+        running_ids = [task.task_id for task in tasks]
+        now = 10.0
+        for advance, launch, completion in rounds:
+            if launch is not None:
+                task = tasks[launch[0] % len(tasks)]
+                task.add_copy(TaskCopy(next(copy_ids), task.task_id, 0, now, launch[1]))
+            if completion is not None:
+                for estimator in (reference, walker):
+                    estimator.observe_completion(make_task(2.0, 200), completion)
+            now += advance
+            expected = []
+            for task in tasks:
+                tnew = reference.tnew(task)
+                trem = reference.trem(task, now)
+                actual = max(1e-6, task.true_remaining(now))
+                reference.record_trem_outcome(trem, actual)
+                expected.append((task.running_copy_count, tnew, trem, actual))
+            walker.update_running_snaps(snaps, running_ids, now)
+            walked = [(snap.copies, snap.tnew, snap.trem, snap._actual) for snap in snaps.values()]
+            assert walked == expected
+            tracker, twin = walker.trem_tracker, reference.trem_tracker
+            assert (tracker.sample_count, tracker.accuracy) == (twin.sample_count, twin.accuracy)
+            assert walker.noise_generation == reference.noise_generation
+            assert walker._rng.getstate() == reference._rng.getstate()

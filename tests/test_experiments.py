@@ -107,6 +107,14 @@ class TestCompare:
                 warmup=False,
             )
 
+    def test_compare_policies_rejects_a_negative_seed(self):
+        # ``random.Random`` seeds with ``abs(seed)``: -1 would rerun seed 1.
+        with pytest.raises(ValueError, match="seeds must be non-negative: -1"):
+            compare_policies(
+                ["late"], WorkloadConfig(seed=42), scale=replace(TINY, seeds=(2, -1)),
+                warmup=False,
+            )
+
     def test_bound_bin_groupings(self):
         comparison = compare_policies(
             ["late", "ras"],

@@ -117,6 +117,8 @@ class TestValidation:
                 "--policy names late more than once",
             ),
             ({"trace": "t", "seeds": (2, 1, 2)}, "--seeds names 2 more than once"),
+            ({"trace": "t", "seeds": (1, -1)}, r"--seeds must be >= 0, got -1 \(plan field: seeds"),
+            ({"cluster_jobs": 5, "seed": -3}, r"--seed must be >= 0, got -3 \(plan field: seed\)"),
         ],
     )
     def test_each_conflict_raises_one_named_error(self, fields, message):
@@ -161,6 +163,21 @@ class TestValidation:
         argv = ["replay", "--cluster-jobs", "40", "--scale", "quick", "--seeds", "1", "1"]
         assert main(argv) == 2
         assert "--seeds names 1 more than once" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--seeds", "1", "-1"], "--seeds must be >= 0"),
+            (["--seed", "-1"], "--seed must be >= 0"),
+        ],
+    )
+    def test_a_negative_seed_is_a_cli_usage_error(self, capsys, flags, message):
+        # ``random.Random`` seeds with ``abs(seed)``, so -1 would replay seed 1.
+        from repro.experiments.cli import main
+
+        argv = ["replay", "--cluster-jobs", "40", "--scale", "quick", *flags]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
 
     def test_stream_flags_are_accepted_together(self):
         plan = ReplayPlan(trace="t", stream=True, stream_specs=True)

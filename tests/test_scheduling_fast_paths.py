@@ -189,7 +189,7 @@ def test_oracle_runs_never_touch_the_estimates(monkeypatch):
 
     # ``tnew`` stays: ``observe_completion`` still scores the estimator on
     # every finished task, as it does for any policy.
-    for name in ("snapshot_running", "update_running_snaps", "tnew_epoch_factor", "trem"):
+    for name in ("update_running_snaps", "trem"):
         monkeypatch.setattr(TaskEstimator, name, refuse)
     specs = [
         make_job_spec(

@@ -337,6 +337,8 @@ class TestServiceEndToEnd:
         [
             ({"cluster_jobs": "30"}, "plan field cluster_jobs must be int"),
             ({"seeds": (1, 1)}, "--seeds names 1 more than once"),
+            ({"seeds": (-1,)}, "--seeds must be >= 0"),
+            ({"seed": -1}, "--seed must be >= 0"),
         ],
     )
     def test_bad_field_is_rejected_400_and_the_connection_stays_up(

@@ -8,6 +8,7 @@ from repro.simulator.cluster import Cluster, ClusterConfig
 from repro.simulator.events import EventKind, EventQueue
 from repro.simulator.machine import Machine
 from repro.simulator.stragglers import StragglerConfig, StragglerModel
+from repro.utils.rng import RngStream
 
 
 class TestEventQueue:
@@ -124,6 +125,12 @@ class TestCluster:
         assert all(0.8 <= speed <= 1.4 for speed in speeds)
         assert len(set(speeds)) > 1
 
+    def test_negative_seed_is_rejected(self):
+        # Machine speeds come straight from the seed's stream, so seed -3
+        # would build seed 3's cluster.
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            Cluster(ClusterConfig(num_machines=4, seed=-3))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ClusterConfig(num_machines=0)
@@ -206,6 +213,27 @@ class TestStragglerModel:
         samples.sort()
         median = samples[len(samples) // 2]
         assert max(samples) / median > 4.0
+
+    @pytest.mark.parametrize(
+        "config", [StragglerConfig(), StragglerConfig.light(), StragglerConfig.severe()]
+    )
+    @pytest.mark.parametrize("seed", [0, 7, 123456])
+    def test_multiplier_draws_from_the_copys_own_stream(self, config, seed):
+        # The flattened hot path equals the readable derivation: every copy
+        # draws a bounded Pareto and a truncated jitter from its own stream,
+        # spawned off the seed's straggler root by (job, task, copy).
+        model = StragglerModel(config, seed)
+        root = RngStream(seed, "straggler-root")
+        for job_id in (0, 1, 29):
+            for task_id in (0, 3, 250):
+                for copy_index in (0, 1, 2):
+                    stream = root.spawn(f"{job_id}/{task_id}/{copy_index}")
+                    expected = max(
+                        0.05,
+                        stream.bounded_pareto(config.shape, config.scale, config.cap)
+                        * stream.truncated_gauss(1.0, config.jitter, low=0.7, high=1.3),
+                    )
+                    assert model.multiplier(job_id, task_id, copy_index) == expected
 
     def test_none_config_is_nearly_deterministic(self):
         model = StragglerModel(StragglerConfig.none(), seed=3)

@@ -35,6 +35,11 @@ class TestRngStream:
         assert seq1 == [child2.random() for _ in range(4)]
         assert seq1 != [other.random() for _ in range(4)]
 
+    def test_negative_seed_is_rejected(self):
+        # ``random.Random`` seeds with ``abs(seed)``: -3 would replay 3's draws.
+        with pytest.raises(ValueError, match="seed must be non-negative, got -3"):
+            RngStream(-3, "x")
+
     def test_pareto_respects_scale(self):
         rng = RngStream(1)
         samples = [rng.pareto(1.5, 2.0) for _ in range(200)]
