@@ -11,19 +11,18 @@ events/second recorded into ``BENCH_engine.json`` under the ``replay`` kind
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 
 from benchmarks.conftest import bench_scale, run_throughput_bench
 from repro.experiments.policies import make_policy
-from repro.experiments.runner import build_simulation_config
+from repro.experiments.runner import _replay_simulation_config
 from repro.simulator.engine import Simulation
 from repro.workload.trace_replay import (
     TraceReplayConfig,
+    iter_job_specs,
     synthesize_trace,
-    trace_to_workload,
 )
+from repro.workload.traces import scan_jobs
 
 #: Same coverage as the engine hot-path bench: one cheap greedy policy and
 #: the full learning policy.
@@ -39,23 +38,22 @@ def _build_trace_workload(scale):
         max_tasks_per_job=scale.max_tasks_per_job,
         seed=13,
     )
-    trace_workload = trace_to_workload(trace, TraceReplayConfig(seed=13))
-    sim_config = replace(
-        build_simulation_config(trace_workload.workload, scale, seed=1),
-        stragglers=trace_workload.stragglers,
+    replay_config = TraceReplayConfig(seed=13)
+    ordered = sorted(trace, key=lambda job: (job.arrival_time, job.job_id))
+    specs = list(iter_job_specs(ordered, replay_config))
+    sim_config = _replay_simulation_config(
+        replay_config, scan_jobs(trace), scale.num_machines, seed=1
     )
-    return trace_workload, sim_config
+    return specs, sim_config
 
 
 @pytest.mark.parametrize("policy_name", POLICIES)
 def test_trace_replay_events_per_second(benchmark, policy_name):
     scale = bench_scale()
-    trace_workload, sim_config = _build_trace_workload(scale)
+    specs, sim_config = _build_trace_workload(scale)
     run_throughput_bench(
         benchmark,
         "replay",
         policy_name,
-        lambda: Simulation(
-            sim_config, make_policy(policy_name), trace_workload.workload.specs()
-        ),
+        lambda: Simulation(sim_config, make_policy(policy_name), specs),
     )

@@ -6,8 +6,9 @@ matrix enforces that *dynamically* — after a bug has already shipped into
 a branch.  This package enforces the same invariants *statically*, at
 lint time, with an AST pass (stdlib :mod:`ast` only) over the tree:
 
-* **determinism** — unseeded RNGs, wall-clock reads, unordered iteration
-  and float equality in digest-affecting packages (``DET001``–``DET004``);
+* **determinism** — unseeded RNGs, wall-clock reads, unordered iteration,
+  float equality and interpreter-dependent float sums in digest-affecting
+  packages (``DET001``–``DET005``);
 * **executor/pickle safety** — unpicklable callables at the
   ``ParallelExecutor``/``RunRequest``/``SinkFactory`` boundaries and
   mutable default arguments (``PIC101``–``PIC102``);

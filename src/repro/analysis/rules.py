@@ -362,6 +362,52 @@ class FloatEquality(Rule):
         return False
 
 
+class InterpreterDependentSum(Rule):
+    id = "DET005"
+    synopsis = (
+        "built-in sum(), math.fsum or statistics calls in digest-affecting "
+        "packages"
+    )
+    rationale = (
+        "CPython 3.12 made sum() over floats compensated, and math.fsum and "
+        "statistics round differently again, so their last bits — and every "
+        "digest they reach — depend on the interpreter; fold with "
+        "repro.utils.stats.left_sum, which adds left to right on every "
+        "interpreter"
+    )
+
+    def applies(self, ctx: FileContext) -> bool:
+        return ctx.in_digest_packages and not ctx.is_test
+
+    def visit(self, ctx: FileContext) -> Iterator[RawFinding]:
+        math_names, math_members = _import_aliases(ctx.tree, "math")
+        stats_names, stats_members = _import_aliases(ctx.tree, "statistics")
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            label: Optional[str] = None
+            if isinstance(func, ast.Name):
+                if func.id == "sum":
+                    label = "sum()"
+                elif math_members.get(func.id) == "fsum":
+                    label = f"{func.id}() (= math.fsum)"
+                elif func.id in stats_members:
+                    label = f"{func.id}() (= statistics.{stats_members[func.id]})"
+            elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                if func.value.id in math_names and func.attr == "fsum":
+                    label = f"{func.value.id}.fsum()"
+                elif func.value.id in stats_names:
+                    label = f"{func.value.id}.{func.attr}()"
+            if label is not None:
+                yield (
+                    node.lineno,
+                    node.col_offset,
+                    f"{label} can round differently on another interpreter; "
+                    "fold with repro.utils.stats.left_sum",
+                )
+
+
 # Call sites whose arguments cross a pickle boundary into worker processes.
 _PICKLE_BOUNDARIES = ("ParallelExecutor", "RunRequest", "SinkFactory")
 
@@ -621,6 +667,7 @@ RULES: Tuple[Rule, ...] = (
     WallClockRead(),
     UnorderedIteration(),
     FloatEquality(),
+    InterpreterDependentSum(),
     UnpicklableCallable(),
     MutableDefault(),
     BlockingInAsync(),

@@ -30,7 +30,7 @@ from repro.core.policies.base import (
     TaskSnapshot,
     make_decision,
 )
-from repro.utils.stats import percentile
+from repro.utils.stats import left_sum, percentile
 
 
 class LatePolicy(SpeculationPolicy):
@@ -64,7 +64,7 @@ class LatePolicy(SpeculationPolicy):
     @staticmethod
     def _running_speculative_copies(view: SchedulingView) -> int:
         """Copies beyond the first per running task — LATE's current spend."""
-        return sum(max(0, snap.copies - 1) for snap in view.running())
+        return left_sum(max(0, snap.copies - 1) for snap in view.running())
 
     def _slow_candidates(self, view: SchedulingView) -> List[TaskSnapshot]:
         running = [snap for snap in view.running() if snap.copies == 1]

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.bounds import ApproximationBound
 from repro.core.task import Task, TaskObserver, TaskSpec
-from repro.utils.stats import median
+from repro.utils.stats import left_sum, median
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class JobPhaseSpec:
 
     @property
     def total_work(self) -> float:
-        return float(sum(self.task_works))
+        return float(left_sum(self.task_works))
 
     @cached_property
     def median_work(self) -> float:
@@ -91,7 +91,7 @@ class JobSpec:
 
     @property
     def num_tasks(self) -> int:
-        return sum(phase.task_count for phase in self.phases)
+        return left_sum(phase.task_count for phase in self.phases)
 
     @property
     def dag_length(self) -> int:
@@ -99,7 +99,7 @@ class JobSpec:
 
     @property
     def total_work(self) -> float:
-        return sum(phase.total_work for phase in self.phases)
+        return left_sum(phase.total_work for phase in self.phases)
 
     def ideal_duration(self, slots: int) -> float:
         """Lower bound on duration with ``slots`` slots and no stragglers.
@@ -353,7 +353,7 @@ class Job(TaskObserver):
     # -- accounting --------------------------------------------------------------
 
     def wasted_work(self) -> float:
-        return sum(task.wasted_work() for task in self.tasks.values())
+        return left_sum(task.wasted_work() for task in self.tasks.values())
 
     def elapsed(self, now: float) -> float:
         if self.start_time is None:

@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.bounds import BoundType
 from repro.core.job import job_bin_label
+from repro.utils.stats import left_sum
 
 
 def utilization_bucket(utilization: float) -> str:
@@ -113,7 +114,7 @@ class JobSample:
 def mean_fraction_completed(samples: Sequence[JobSample], elapsed: float) -> float:
     """Mean fraction of tasks the (non-empty) ``samples`` completed in ``elapsed``."""
     fractions = [sample.fraction_completed_by(elapsed) for sample in samples]
-    return sum(fractions) / len(fractions)
+    return left_sum(fractions) / len(fractions)
 
 
 def mean_time_for_fraction(
@@ -124,7 +125,7 @@ def mean_time_for_fraction(
     usable = [time for time in times if time is not None]
     if not usable:
         return None
-    return sum(usable) / len(usable)
+    return left_sum(usable) / len(usable)
 
 
 class SampleStore:
@@ -159,7 +160,7 @@ class SampleStore:
         self._total += 1
 
     def __len__(self) -> int:
-        return sum(len(bucket) for bucket in self._samples.values())
+        return left_sum(len(bucket) for bucket in self._samples.values())
 
     @property
     def total_added(self) -> int:

@@ -68,7 +68,7 @@ from typing import List, Optional
 from repro.experiments.figures import FIGURES, run_figure
 from repro.experiments.plan import PlanError, add_plan_arguments, plan_from_args
 from repro.experiments.runner import (
-    ExperimentScale,
+    SCALE_FACTORIES,
     execute,
     metrics_digest,
     plan_scale,
@@ -89,13 +89,6 @@ __all__ = [
     "main",
 ]
 
-_SCALES = {
-    "quick": ExperimentScale.quick,
-    "default": ExperimentScale,
-    "paper": ExperimentScale.paper,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="grass-experiments",
@@ -110,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--scale",
-        choices=sorted(_SCALES),
+        choices=sorted(SCALE_FACTORIES),
         default="default",
         help="experiment scale: quick (smoke), default (laptop), paper (overnight)",
     )
@@ -479,7 +472,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.repeat < 1:
         print("--repeat must be >= 1", file=sys.stderr)
         return 2
-    scale = replace(_SCALES[args.scale](), workers=args.workers)
+    scale = replace(SCALE_FACTORIES[args.scale](), workers=args.workers)
     names = sorted(FIGURES) if args.figure == "all" else [args.figure]
     for name in names:
         timings = []

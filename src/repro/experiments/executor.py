@@ -99,7 +99,7 @@ class RunRequest:
     * ``workload`` — a materialised :class:`GeneratedWorkload`;
     * ``spec_source`` — a lazy *description* of the specs (any picklable
       object with ``iter_specs() -> Iterator[JobSpec]``, e.g.
-      :class:`~repro.workload.trace_replay.TraceSpecSource`).  The executing
+      :class:`~repro.workload.trace_replay.ShardSpecSource`).  The executing
       process — worker or parent — materialises specs one at a time straight
       into the engine's lazy ingestion, so no process ever holds the spec
       list; this is what bounds memory for unsharded million-job replays.

@@ -9,7 +9,7 @@ the default (laptop) scale and records the outputs in ``EXPERIMENTS.md``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.bounds import ApproximationBound
@@ -730,8 +730,7 @@ def trace_vs_synthetic(scale: Optional[ExperimentScale] = None) -> FigureResult:
         synthetic_comparison = compare_policies(
             policies,
             WorkloadConfig(workload=workload, framework="hadoop", seed=21),
-            scale=scale,
-            warmup=False,
+            scale=replace(scale, warmup_jobs=0),
         )
         trace = synthesize_trace(
             workload=workload,

@@ -19,8 +19,9 @@ from __future__ import annotations
 
 from concurrent.futures import Executor
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from pathlib import Path
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.bounds import BoundType
 from repro.core.job import JobResult
@@ -54,26 +55,23 @@ from repro.workload.synthetic import (
     generate_workload,
 )
 from repro.workload.trace_replay import (
-    ClusterSpecSource,
     ClusterTierConfig,
-    InMemorySpecSource,
+    ShardSpecSource,
     TraceReplayConfig,
-    TraceSpecSource,
-    iter_cluster_trace,
+    TraceSource,
     job_metadata,
+    shard_sizes,
     slice_trace,
+    source_jobs,
     straggler_cap_from_ratio,
 )
 from repro.workload.traces import (
     TraceFormatError,
-    TraceJob,
     TraceScan,
-    iter_trace,
-    load_trace,
     scan_jobs,
     scan_trace,
 )
-from repro.utils.stats import mean
+from repro.utils.stats import left_sum, mean
 
 #: One simulation of a replay: ``(policy_name, seed, shard_index)``.
 Coordinate = Tuple[str, int, int]
@@ -338,20 +336,6 @@ class ComparisonResult:
         return improvements
 
 
-#: A replay source: a JSONL trace path, a generated trace tier, or trace jobs
-#: already in memory (the ``trace-replay`` figure's synthesized trace).
-TraceSource = Union[str, Path, ClusterTierConfig, Sequence[TraceJob]]
-
-
-def _source_jobs(source: TraceSource) -> Iterable[TraceJob]:
-    """The job stream of a replay source, in its input order."""
-    if isinstance(source, ClusterTierConfig):
-        return iter_cluster_trace(source)
-    if isinstance(source, (str, Path)):
-        return iter_trace(source)
-    return source
-
-
 def _scan_source(source: TraceSource) -> TraceScan:
     """The calibration scan of a replay source, folded in input order.
 
@@ -365,7 +349,7 @@ def _scan_source(source: TraceSource) -> TraceScan:
     """
     if not isinstance(source, (str, Path)):
         label = str(source) if isinstance(source, ClusterTierConfig) else "job list"
-        return scan_jobs(_source_jobs(source), source=label)
+        return scan_jobs(source_jobs(source), source=label)
     try:
         return scan_trace(source)
     except TraceFormatError:
@@ -403,46 +387,26 @@ def _shard_sources(
     scan: TraceScan,
     replay_config: TraceReplayConfig,
     num_shards: int,
-) -> List[object]:
+) -> List[ShardSpecSource]:
     """One lazy spec source per arrival-window shard of ``source``.
 
-    An arrival-sorted file is windowed lazily (:class:`TraceSpecSource`) and
-    the cluster tier regenerates each window (:class:`ClusterSpecSource`), so
-    no process holds more than O(concurrent jobs).  A file whose lines are
-    not in arrival order, and a job list, are sorted once in memory and cut
-    into :class:`InMemorySpecSource` windows — O(trace) resident, with the
-    same shard boundaries and byte-identical specs.
+    An arrival-sorted file and the cluster tier (sorted by construction) are
+    windowed where each request runs, so no process holds more than
+    O(concurrent jobs).  A file
+    whose lines are not in arrival order, and a job list, are sorted once in
+    memory and sliced, each shard carrying only its own jobs — O(trace)
+    resident, with the same shard boundaries and byte-identical specs.
     """
-    if isinstance(source, ClusterTierConfig):
+    if scan.arrival_sorted and isinstance(source, (str, Path, ClusterTierConfig)):
+        edges = list(accumulate(shard_sizes(scan.num_jobs, num_shards), initial=0))
         return [
-            ClusterSpecSource(
-                tier=source,
-                replay_config=replay_config,
-                shard_index=index,
-                num_shards=num_shards,
-            )
-            for index in range(num_shards)
+            ShardSpecSource(source, replay_config, start, stop, index, len(edges) - 1)
+            for index, (start, stop) in enumerate(zip(edges, edges[1:]))
         ]
-    if isinstance(source, (str, Path)) and scan.arrival_sorted:
-        return [
-            TraceSpecSource(
-                trace_path=str(source),
-                replay_config=replay_config,
-                shard_index=index,
-                num_shards=num_shards,
-                total_jobs=scan.num_jobs,
-            )
-            for index in range(num_shards)
-        ]
-    jobs = load_trace(source) if isinstance(source, (str, Path)) else source
+    shards = slice_trace(list(source_jobs(source)), num_shards)
     return [
-        InMemorySpecSource(
-            jobs=tuple(shard),
-            replay_config=replay_config,
-            shard_index=index,
-            num_shards=num_shards,
-        )
-        for index, shard in enumerate(slice_trace(jobs, num_shards))
+        ShardSpecSource(tuple(shard), replay_config, 0, len(shard), index, len(shards))
+        for index, shard in enumerate(shards)
     ]
 
 
@@ -471,7 +435,7 @@ def _replay_simulation_config(
 
 def _simulate(
     coords: Sequence[Coordinate],
-    sources: Sequence[object],
+    sources: Sequence[ShardSpecSource],
     replay_config: TraceReplayConfig,
     scan: TraceScan,
     num_machines: int,
@@ -571,7 +535,7 @@ def _replay(
         if sink.retains_results:
             metadata = {
                 job.job_id: job_metadata(job, replay_config)
-                for job in _source_jobs(source)
+                for job in source_jobs(source)
             }
 
     workload = GeneratedWorkload(config=replay_config.workload_config(num_jobs))
@@ -735,7 +699,7 @@ class ExecutedPlan:
     @property
     def truncated_jobs(self) -> int:
         """Job runs cut off by ``max_simulated_time``, summed over all runs."""
-        return sum(metrics.truncated_jobs for metrics in self._all_metrics())
+        return left_sum(metrics.truncated_jobs for metrics in self._all_metrics())
 
     @property
     def peak_resident_jobs(self) -> int:
@@ -936,7 +900,6 @@ def compare_policies(
     policy_names: Sequence[str],
     workload_config: WorkloadConfig,
     scale: Optional[ExperimentScale] = None,
-    warmup: bool = True,
     workers: Optional[int] = None,
     warm_cache: bool = True,
     sink: Optional[SinkFactory] = None,
@@ -954,7 +917,8 @@ def compare_policies(
     so the result is byte-identical to the serial path.
 
     Warm-up semantics: learning policies (GRASS) first process a separate
-    warm-up workload whose generation *and* simulation are seeded by
+    warm-up workload of ``scale.warmup_jobs`` jobs (0 turns warm-up off)
+    whose generation *and* simulation are seeded by
     ``workload seed + WARMUP_SEED_OFFSET`` — independent of the run seed, so
     one warmed state serves every seed.  Every request of a learning policy
     carries a :class:`~repro.experiments.warmup.WarmupCache` of that
@@ -1003,7 +967,7 @@ def compare_policies(
     workload = generate_workload(generator_config)
     learning = {name for name in policy_names if policy_learns(name)}
     cache: Optional[WarmupCache] = None
-    if warmup and scale.warmup_jobs > 0 and learning:
+    if scale.warmup_jobs > 0 and learning:
         warm_seed = generator_config.seed + WARMUP_SEED_OFFSET
         cache = WarmupCache(
             generate_workload(

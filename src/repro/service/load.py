@@ -32,7 +32,7 @@ from repro.experiments.plan import ReplayPlan
 from repro.experiments.runner import execute
 from repro.service.client import PlanRejected, ReplayServiceClient
 from repro.service.server import ReplayService, ServiceConfig
-from repro.utils.stats import percentile
+from repro.utils.stats import left_sum, percentile
 
 #: Plan used by the overload burst: the smallest valid streaming replay.
 _BURST_PLAN = ReplayPlan(
@@ -176,7 +176,7 @@ async def _drive(
             "plans": len(records),
             "completed": len(completed),
             "failed": len(records) - len(completed),
-            "digest_mismatches": sum(1 for r in completed if not r["digest_ok"]),
+            "digest_mismatches": left_sum(1 for r in completed if not r["digest_ok"]),
             "elapsed_seconds": elapsed,
             "plans_per_second": len(completed) / elapsed if elapsed > 0 else 0.0,
             "first_delta_p50_seconds": percentile(first_deltas, 50) if first_deltas else None,
@@ -215,8 +215,8 @@ async def _drive(
                     await tight.stop()
             report["overload"] = {
                 "submitted": overload_burst,
-                "rejected": sum(1 for r in burst if r["rejected"]),
-                "completed": sum(1 for r in burst if r["completed"]),
+                "rejected": left_sum(1 for r in burst if r["rejected"]),
+                "completed": left_sum(1 for r in burst if r["completed"]),
                 "errors": [r for r in burst if not r["rejected"] and not r["completed"]],
             }
         else:

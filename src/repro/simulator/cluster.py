@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.simulator.machine import Machine
 from repro.utils.rng import RngStream
-from repro.utils.stats import median
+from repro.utils.stats import left_sum, median
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,7 @@ class Cluster:
         the common, uncontended case.
         """
         remaining = self.total_slots if capacity is None else max(0, capacity)
-        if sum(limit for limit in limits.values() if limit > 0) <= remaining:
+        if left_sum(limit for limit in limits.values() if limit > 0) <= remaining:
             return {
                 job_id: (limit if limit > 0 else 0) for job_id, limit in limits.items()
             }

@@ -114,11 +114,9 @@ metrics' per-job results, never specs, tasks or estimators:
   engine holds a one-spec lookahead and injects each ``JOB_ARRIVAL`` only
   when the previous arrival has been handled, so specs materialise one at a
   time, interleaved correctly with in-flight copy-finish/deadline events.
-  A ``Sequence`` is sorted and validated up front exactly as before — the
-  two ingestion paths produce byte-identical event streams (same RNG spawn
-  order, same ``(arrival_time, job_id)`` tie-breaking), which
-  ``tests/test_stream_specs.py`` locks in with a pickled-metrics property
-  test.
+  A ``Sequence`` is sorted first and then consumed the same way, so there
+  is one ingestion path; ``tests/test_stream_specs.py`` checks that a list
+  and the same specs as a sorted iterator give byte-identical metrics.
 * ``_finish_job`` evicts the job's ``Job``, ``TaskEstimator``, scheduling
   index and spec the moment its :class:`~repro.core.job.JobResult` is
   recorded (outstanding event handles were already cancelled), so finished
@@ -160,6 +158,7 @@ from repro.simulator.metrics import MetricsCollector
 from repro.simulator.sinks import ResultSink, RetainAllSink
 from repro.simulator.stragglers import StragglerConfig, StragglerModel
 from repro.utils.rng import RngStream
+from repro.utils.stats import left_sum
 
 
 @dataclass(frozen=True)
@@ -203,23 +202,17 @@ class Simulation:
         self._now = 0.0
         self._rng = RngStream(config.seed, "engine")
         if isinstance(job_specs, Sequence):
-            # Materialised path: sort and validate up front, as always.
-            ordered = sorted(
+            # A materialised workload is sorted, then consumed like a stream.
+            job_specs = sorted(
                 job_specs, key=lambda spec: (spec.arrival_time, spec.job_id)
             )
-            if len({spec.job_id for spec in ordered}) != len(ordered):
-                raise ValueError("job ids must be unique within a workload")
-            self._spec_stream: Iterator[JobSpec] = iter(ordered)
-            self._seen_job_ids: Optional[set] = None  # validated above
-        else:
-            # Lazy path: specs materialise one at a time; ordering and id
-            # uniqueness are enforced as they are consumed by
-            # ``_push_next_arrival``.  The dedup set holds job *ids* only
-            # (ints, never specs) — the same bounded bookkeeping
-            # ``traces.iter_trace`` keeps, and no more than the results list
-            # already grows.
-            self._spec_stream = iter(job_specs)
-            self._seen_job_ids = set()
+        # Specs materialise one at a time; ordering and id uniqueness are
+        # enforced as they are consumed by ``_push_next_arrival``.  The dedup
+        # set holds job *ids* only (ints, never specs) — the same bounded
+        # bookkeeping ``traces.iter_trace`` keeps, and no more than the
+        # results list already grows.
+        self._spec_stream: Iterator[JobSpec] = iter(job_specs)
+        self._seen_job_ids: set = set()
         self._next_spec: Optional[JobSpec] = next(self._spec_stream, None)
         if self._next_spec is None:
             raise ValueError("a simulation needs at least one job")
@@ -311,12 +304,11 @@ class Simulation:
         arrivals lie beyond the horizon produce no result at all.  Counting
         the latter drains the spec stream (O(trace) time, O(1) memory) —
         acceptable on the truncation path, which is the exceptional exit.
-        The count is identical for the lazy and materialised ingestion paths.
         """
         never_arrived = len(self._spec_by_id) - len(self._jobs)
         if self._next_spec is not None:
             never_arrived += 1
-        never_arrived += sum(1 for _ in self._spec_stream)
+        never_arrived += left_sum(1 for _ in self._spec_stream)
         return len(self._running_job_ids) + never_arrived
 
     # ------------------------------------------------------------------ event handlers
@@ -340,8 +332,8 @@ class Simulation:
 
         Exactly one not-yet-arrived spec has an event in the queue at any
         time.  Because specs are consumed in ``(arrival_time, job_id)`` order
-        — sorted up front for sequences, enforced here for lazy iterables —
-        the pop order of the queue is byte-identical to the old
+        (a sequence is sorted up front, and the order is enforced here), the
+        pop order of the queue is byte-identical to the old
         push-everything-up-front scheme: arrival/arrival ties are injected in
         key order, and arrival ties against other kinds are resolved by the
         kind priority, never by push order.
@@ -352,14 +344,13 @@ class Simulation:
         key = (spec.arrival_time, spec.job_id)
         if self._last_arrival_key is not None and key <= self._last_arrival_key:
             raise ValueError(
-                "lazy job specs must be sorted by (arrival_time, job_id) with "
+                "job specs must be sorted by (arrival_time, job_id) with "
                 f"unique ids (job {spec.job_id} at t={spec.arrival_time} after "
                 f"key {self._last_arrival_key})"
             )
-        if self._seen_job_ids is not None:
-            if spec.job_id in self._seen_job_ids:
-                raise ValueError("job ids must be unique within a workload")
-            self._seen_job_ids.add(spec.job_id)
+        if spec.job_id in self._seen_job_ids:
+            raise ValueError("job ids must be unique within a workload")
+        self._seen_job_ids.add(spec.job_id)
         self._last_arrival_key = key
         self._spec_by_id[spec.job_id] = spec
         self._events.push(spec.arrival_time, EventKind.JOB_ARRIVAL, job_id=spec.job_id)

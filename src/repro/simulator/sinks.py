@@ -48,7 +48,7 @@ from typing import Dict, IO, Iterable, List, Optional, Tuple, Union
 
 from repro.core.bounds import BoundType
 from repro.core.job import JobResult
-from repro.utils.stats import OnlineStats
+from repro.utils.stats import OnlineStats, left_sum
 
 def canonical_result_record(result: JobResult) -> Dict[str, object]:
     """The digest's per-result record (also the JSONL spill row)."""
@@ -156,27 +156,27 @@ class StreamingAggregates:
 
     @property
     def num_results(self) -> int:
-        return sum(chunk.jobs for chunk in self.chunks)
+        return left_sum(chunk.jobs for chunk in self.chunks)
 
     @property
     def deadline_jobs(self) -> int:
-        return sum(chunk.deadline_jobs for chunk in self.chunks)
+        return left_sum(chunk.deadline_jobs for chunk in self.chunks)
 
     @property
     def error_jobs(self) -> int:
-        return sum(chunk.error_jobs for chunk in self.chunks)
+        return left_sum(chunk.error_jobs for chunk in self.chunks)
 
     @property
     def exact_jobs(self) -> int:
-        return sum(chunk.exact_jobs for chunk in self.chunks)
+        return left_sum(chunk.exact_jobs for chunk in self.chunks)
 
     @property
     def bound_met_jobs(self) -> int:
-        return sum(chunk.bound_met_jobs for chunk in self.chunks)
+        return left_sum(chunk.bound_met_jobs for chunk in self.chunks)
 
     @property
     def speculative_copies(self) -> int:
-        return sum(chunk.speculative_copies for chunk in self.chunks)
+        return left_sum(chunk.speculative_copies for chunk in self.chunks)
 
     @property
     def deadline_accuracy(self) -> OnlineStats:

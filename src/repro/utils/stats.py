@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import Iterable, List, Sequence
 
 
@@ -14,21 +16,33 @@ def clamp(value: float, low: float, high: float) -> float:
     return max(low, min(high, value))
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """Add ``values`` strictly left to right, starting from the int ``0``.
+
+    The one sum of this package, in place of the built-in ``sum``: CPython
+    3.12 made ``sum`` over floats compensated, so its last bits — and every
+    digest they reach — would depend on the interpreter.  Starting from an
+    int keeps a sum of ints an int, and a sum of floats equals CPython
+    3.11's ``sum`` bit for bit.
+    """
+    return reduce(add, values, 0)
+
+
 def mean(values: Sequence[float]) -> float:
     """Arithmetic mean; raises on an empty sequence."""
     if not values:
         raise ValueError("mean of an empty sequence is undefined")
-    return sum(values) / len(values)
+    return left_sum(values) / len(values)
 
 
 def weighted_mean(values: Sequence[float], weights: Sequence[float]) -> float:
     """Weighted arithmetic mean; weights must not all be zero."""
     if len(values) != len(weights):
         raise ValueError("values and weights must have equal length")
-    total_weight = sum(weights)
+    total_weight = left_sum(weights)
     if total_weight <= 0:
         raise ValueError("total weight must be positive")
-    return sum(v * w for v, w in zip(values, weights, strict=True)) / total_weight
+    return left_sum(v * w for v, w in zip(values, weights, strict=True)) / total_weight
 
 
 def median(values: Sequence[float]) -> float:

@@ -39,16 +39,14 @@ from repro.workload.ingest import (
 )
 from repro.workload.synthetic import SyntheticWorkloadGenerator, WorkloadConfig
 from repro.workload.trace_replay import (
-    ClusterSpecSource,
     ClusterTierConfig,
+    ShardSpecSource,
     TraceReplayConfig,
-    TraceWorkload,
     cluster_trace_job,
     export_trace,
     iter_cluster_trace,
     slice_trace,
     synthesize_trace,
-    trace_to_workload,
 )
 from repro.workload.traces import (
     TraceFormatError,
@@ -82,15 +80,14 @@ __all__ = [
     "workload_profile",
     "SyntheticWorkloadGenerator",
     "WorkloadConfig",
-    "ClusterSpecSource",
     "ClusterTierConfig",
     "INGEST_FORMATS",
     "IngestStats",
     "TraceFormatError",
     "TraceJob",
+    "ShardSpecSource",
     "TraceReplayConfig",
     "TraceSummary",
-    "TraceWorkload",
     "cluster_trace_job",
     "export_trace",
     "ingest_trace",
@@ -104,5 +101,4 @@ __all__ = [
     "summarize_trace",
     "synthesize_trace",
     "trace_from_specs",
-    "trace_to_workload",
 ]

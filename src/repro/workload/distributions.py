@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.utils.rng import RngStream
+from repro.utils.stats import left_sum
 
 
 class Distribution(abc.ABC):
@@ -184,7 +185,7 @@ class EmpiricalDistribution(Distribution):
         return rng.choice(self._values)
 
     def mean(self) -> float:
-        return sum(self._values) / len(self._values)
+        return left_sum(self._values) / len(self._values)
 
     @property
     def values(self) -> List[float]:

@@ -21,6 +21,7 @@ from typing import Dict, Tuple
 
 from repro.core.estimators import EstimatorConfig
 from repro.simulator.stragglers import StragglerConfig
+from repro.utils.stats import left_sum
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,7 @@ class WorkloadProfile:
     work_jitter_sigma: float = 0.20
 
     def __post_init__(self) -> None:
-        if abs(sum(self.bin_probabilities) - 1.0) > 1e-9:
+        if abs(left_sum(self.bin_probabilities) - 1.0) > 1e-9:
             raise ValueError("bin probabilities must sum to 1")
         for low, high in (self.small_tasks, self.medium_tasks, self.large_tasks):
             if low <= 0 or high < low:

@@ -19,7 +19,7 @@ answers by construction:
 * **Scale-out** — a full-length trace is split into arrival-window shards
   (:func:`shard_sizes`); each (policy, seed, shard) triple is an independent
   simulation that :func:`repro.experiments.runner.execute` feeds, as a lazy
-  per-shard spec source, through the
+  :class:`ShardSpecSource`, through the
   :class:`~repro.experiments.executor.ParallelExecutor`.
 
 Because per-job seeding depends only on the job id, a job gets the same
@@ -38,15 +38,13 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.bounds import ApproximationBound
 from repro.core.job import JobPhaseSpec, JobSpec
-from repro.simulator.stragglers import StragglerConfig, StragglerModel
+from repro.simulator.stragglers import StragglerModel
 from repro.utils.rng import RngStream
-from repro.utils.stats import mean
 from repro.workload.synthetic import (
     BOUND_DEADLINE,
     BOUND_ERROR,
     BOUND_EXACT,
     BOUND_MIXED,
-    GeneratedWorkload,
     JobMetadata,
     WorkloadConfig,
     generate_workload,
@@ -91,16 +89,16 @@ class TraceReplayConfig:
             self.error_range,
         )
 
-    def workload_config(self, num_jobs: int, name: str = "trace") -> WorkloadConfig:
+    def workload_config(self, num_jobs: int) -> WorkloadConfig:
         """Provenance stand-in for a replayed workload of ``num_jobs`` jobs.
 
-        ``workload`` records the trace name, which is not a profile name —
+        ``workload`` is ``"trace"``, which is not a profile name —
         ``framework_profile`` (the only profile downstream code reads for
         replay) stays valid, but ``workload_profile`` would not resolve,
         which is correct: a replayed trace has no synthetic profile.
         """
         return WorkloadConfig(
-            workload=name,
+            workload="trace",
             framework=self.framework,
             num_jobs=num_jobs,
             bound_kind=self.bound_kind,
@@ -112,55 +110,16 @@ class TraceReplayConfig:
         )
 
 
-@dataclass
-class TraceWorkload:
-    """A trace adapted for the engine, with its replay provenance.
-
-    ``workload`` plugs into everything downstream of the synthetic generator
-    (``RunRequest``, ``build_simulation_config``, the metrics harness);
-    ``stragglers`` is the trace-calibrated straggler model replay runs under;
-    ``summary`` keeps the Table 1 statistics of the source records.
-    """
-
-    workload: GeneratedWorkload
-    stragglers: StragglerConfig
-    summary: TraceSummary
-    shard_index: int = 0
-    num_shards: int = 1
-
-    def __len__(self) -> int:
-        return len(self.workload)
-
-
 def straggler_cap_from_ratio(mean_ratio: float) -> float:
     """Straggler truncation cap for an observed mean slowest/median ratio.
 
     The cap must exceed the multiplier's median (1.0), so traces with no
     observed straggling still yield a valid — nearly degenerate — model.
-    Shared by :func:`observed_straggler_cap` and the replay runner's
-    calibration scan (``TraceScan``), so both derive the same cap from the
-    same statistic.
+    The replay runner applies it to its calibration scan's
+    ``TraceScan.mean_slowest_to_median``, so every shard replays under the
+    full source's observed severity.
     """
     return max(1.05, mean_ratio)
-
-
-def observed_straggler_cap(trace: Sequence[TraceJob]) -> float:
-    """Straggler truncation cap matching the trace's slowest/median ratio.
-
-    Raises a clear ``ValueError`` on an empty trace (mirroring
-    ``traces.scan_trace``) instead of leaking ``stats.mean``'s bare
-    "mean of an empty sequence is undefined".
-    """
-    if not trace:
-        raise ValueError("cannot calibrate stragglers for an empty trace")
-    return straggler_cap_from_ratio(mean([job.slowest_to_median_ratio for job in trace]))
-
-
-def replay_straggler_config(
-    trace: Sequence[TraceJob], base: StragglerConfig
-) -> StragglerConfig:
-    """The framework's straggler model, truncated at the observed severity."""
-    return replace(base, cap=observed_straggler_cap(trace))
 
 
 def _job_spec_from_trace(
@@ -227,7 +186,7 @@ def _job_spec_from_trace(
 
 
 def job_metadata(job: TraceJob, config: TraceReplayConfig) -> JobMetadata:
-    """One job's figure-breakdown metadata, as :func:`iter_job_specs` records it.
+    """One job's figure-breakdown metadata, from the same draws as its spec.
 
     Metadata does not depend on the job's arrival time or position, so it
     can be collected from a source in any order.
@@ -235,143 +194,37 @@ def job_metadata(job: TraceJob, config: TraceReplayConfig) -> JobMetadata:
     return _job_spec_from_trace(job, config, arrival_time=0.0)[1]
 
 
-def trace_to_workload(
-    trace: Sequence[TraceJob],
-    config: Optional[TraceReplayConfig] = None,
-    *,
-    name: str = "trace",
-    shard_index: int = 0,
-    num_shards: int = 1,
-    stragglers: Optional[StragglerConfig] = None,
-) -> TraceWorkload:
-    """Adapt trace records into the JobSpec stream the engine consumes.
-
-    Arrivals are rebased so the shard's first job arrives at time zero
-    (shards replay concurrently, each as its own simulation).  Pass
-    ``stragglers`` to pin the straggler model — the sharded path does this so
-    every shard replays under the *full* trace's observed severity rather
-    than its own slice's.
-    """
-    config = config or TraceReplayConfig()
-    if not trace:
-        raise ValueError("cannot replay an empty trace")
-    seen_ids = set()
-    for job in trace:
-        if job.job_id in seen_ids:
-            raise ValueError(f"duplicate job_id {job.job_id} in trace")
-        seen_ids.add(job.job_id)
-
-    ordered = sorted(trace, key=lambda job: (job.arrival_time, job.job_id))
-    stand_in = config.workload_config(len(ordered), name=name)
-    workload = GeneratedWorkload(config=stand_in)
-    # Materialise through the streaming adapter so the batch and lazy paths
-    # cannot drift: byte-identical specs are structural, not a convention.
-    workload.job_specs.extend(
-        iter_job_specs(ordered, config, metadata=workload.metadata)
-    )
-
-    if stragglers is None:
-        stragglers = replay_straggler_config(
-            trace, stand_in.framework_profile.stragglers
-        )
-    return TraceWorkload(
-        workload=workload,
-        stragglers=stragglers,
-        summary=summarize_trace(ordered, name=name),
-        shard_index=shard_index,
-        num_shards=num_shards,
-    )
-
-
 def iter_job_specs(
-    jobs: Iterable[TraceJob],
-    config: Optional[TraceReplayConfig] = None,
-    *,
-    metadata: Optional[dict] = None,
+    jobs: Iterable[TraceJob], config: Optional[TraceReplayConfig] = None
 ) -> Iterator[JobSpec]:
     """Lazily adapt arrival-ordered trace records into engine ``JobSpec``\\ s.
 
-    The streaming twin of :func:`trace_to_workload`'s spec loop: one
-    ``TraceJob`` in, one ``JobSpec`` out, so a million-job trace never has to
-    exist as a spec list.  Specs are byte-identical to the materialised
-    path's — the per-job RNG stream is derived from ``(config.seed, job_id)``
-    alone, and arrivals are rebased so the stream's first job arrives at
-    time zero, exactly as :func:`trace_to_workload` rebases to its ordered
-    first job (callers must therefore feed jobs in ``(arrival_time, job_id)``
-    order; the engine validates the resulting spec order).
-
-    Pass a ``metadata`` dict to also collect each job's
-    :class:`~repro.workload.synthetic.JobMetadata` (O(#jobs) small records,
-    never task payloads) for figure-style breakdowns.
+    One ``TraceJob`` in, one ``JobSpec`` out, so a million-job trace never
+    has to exist as a spec list.  The per-job RNG stream is derived from
+    ``(config.seed, job_id)`` alone, and arrivals are rebased so the
+    stream's first job arrives at time zero (shards replay concurrently,
+    each as its own simulation).  Callers must feed jobs in
+    ``(arrival_time, job_id)`` order; the engine validates the resulting
+    spec order.  A job's figure-breakdown metadata comes from
+    :func:`job_metadata`.
     """
     config = config or TraceReplayConfig()
     base_arrival: Optional[float] = None
     for job in jobs:
         if base_arrival is None:
             base_arrival = job.arrival_time
-        spec, job_metadata = _job_spec_from_trace(
+        yield _job_spec_from_trace(
             job, config, arrival_time=job.arrival_time - base_arrival
-        )
-        if metadata is not None:
-            metadata[spec.job_id] = job_metadata
-        yield spec
-
-
-@dataclass(frozen=True)
-class TraceSpecSource:
-    """A lazy, picklable description of one arrival-window shard's specs.
-
-    Executor run requests carry this instead of a materialised spec list:
-    plain data (a path plus replay coordinates), it crosses the process
-    boundary for free and the *worker* re-opens the trace, skips to its
-    window and feeds :func:`iter_job_specs` straight into the engine's lazy
-    ingestion — no process ever holds the shard's specs at once.
-
-    ``num_shards == 1`` describes the whole trace (the unsharded million-job
-    replay this source exists for).  The trace file must be sorted by
-    ``(arrival_time, job_id)`` — the caller (``runner.execute``) checks that
-    with the calibration scan and uses :class:`InMemorySpecSource` instead
-    for a trace that is not.
-    """
-
-    trace_path: str
-    replay_config: TraceReplayConfig
-    shard_index: int
-    num_shards: int
-    total_jobs: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.shard_index < self.num_shards:
-            raise ValueError("shard_index must lie in [0, num_shards)")
-        if self.total_jobs < self.num_shards:
-            raise ValueError("cannot cut more shards than the trace has jobs")
-
-    @property
-    def num_jobs(self) -> int:
-        """Job count of this shard (same boundaries as :func:`slice_trace`)."""
-        return shard_sizes(self.total_jobs, self.num_shards)[self.shard_index]
-
-    def iter_specs(self) -> Iterator[JobSpec]:
-        """Lazily parse this shard's window and adapt it spec by spec."""
-        sizes = shard_sizes(self.total_jobs, self.num_shards)
-        start = sum(sizes[: self.shard_index])
-        window = islice(iter_trace(self.trace_path), start, start + sizes[self.shard_index])
-        return iter_job_specs(window, self.replay_config)
-
-    def __str__(self) -> str:
-        return (
-            f"trace-shard[{self.shard_index + 1}/{self.num_shards}] "
-            f"of {Path(self.trace_path).name} ({self.num_jobs} jobs)"
-        )
+        )[0]
 
 
 def shard_sizes(total_jobs: int, num_shards: int) -> List[int]:
     """Job counts of each arrival-window shard for a trace of ``total_jobs``.
 
-    The single definition of shard boundaries: :func:`slice_trace` and every
-    spec source cut windows of these sizes, so a shard holds the same jobs
-    whether it is read lazily from a file, regenerated from the cluster tier
-    or sliced from memory.  Shard counts larger than the trace collapse to
+    The single definition of shard boundaries: :func:`slice_trace` and the
+    replay runner's shard windows are cut to these sizes, so a shard holds
+    the same jobs whether it is read lazily from a file, regenerated from
+    the cluster tier or sliced from memory.  Shard counts larger than the trace collapse to
     one job per shard; no shard is ever empty.
     """
     if num_shards < 1:
@@ -398,32 +251,6 @@ def slice_trace(trace: Sequence[TraceJob], num_shards: int) -> List[List[TraceJo
         shards.append(ordered[start : start + size])
         start += size
     return shards
-
-
-@dataclass(frozen=True)
-class InMemorySpecSource:
-    """One arrival-window shard held in memory: its sorted trace jobs.
-
-    The spec source for traces that cannot be windowed lazily — a trace file
-    whose lines are not in arrival order (sorted once, in memory) and job
-    lists that never were a file.  Its specs are byte-identical to a
-    :class:`TraceSpecSource` over the same window: same jobs, same order,
-    same per-job RNG streams.
-    """
-
-    jobs: Tuple[TraceJob, ...]
-    replay_config: TraceReplayConfig
-    shard_index: int = 0
-    num_shards: int = 1
-
-    def iter_specs(self) -> Iterator[JobSpec]:
-        return iter_job_specs(self.jobs, self.replay_config)
-
-    def __str__(self) -> str:
-        return (
-            f"memory-shard[{self.shard_index + 1}/{self.num_shards}] "
-            f"({len(self.jobs)} jobs)"
-        )
 
 
 # ---------------------------------------------------------- cluster-scale tier
@@ -531,46 +358,85 @@ def iter_cluster_trace(
         yield cluster_trace_job(config, index)
 
 
-@dataclass(frozen=True)
-class ClusterSpecSource:
-    """A lazy, picklable description of one cluster-tier shard's specs.
+# --------------------------------------------------------------- shard sources
 
-    The generated-trace twin of :class:`TraceSpecSource`: instead of a path
-    plus a window, it carries the tier config plus shard coordinates, and
-    the executing worker regenerates exactly its own window (random-access
-    generation — no predecessor jobs are ever produced) straight into the
-    engine's lazy spec ingestion.
+
+#: A replay source: a JSONL trace path, the generated cluster tier, or trace
+#: jobs already in memory (the ``trace-replay`` figure's synthesized trace).
+TraceSource = Union[str, Path, ClusterTierConfig, Sequence[TraceJob]]
+
+
+def source_jobs(
+    source: TraceSource, start: int = 0, stop: Optional[int] = None
+) -> Iterator[TraceJob]:
+    """Lazily yield the jobs of ``source`` at input positions ``[start, stop)``.
+
+    The only code that knows how each kind of source yields its jobs: a
+    file is parsed line by line (the jobs before ``start`` are parsed and
+    skipped), the cluster tier regenerates exactly its own window, and a job
+    sequence is read in place.
+    """
+    if isinstance(source, ClusterTierConfig):
+        return iter_cluster_trace(source, start, stop)
+    if isinstance(source, (str, Path)):
+        return islice(iter_trace(source), start, stop)
+    return islice(source, start, stop)
+
+
+@dataclass(frozen=True)
+class ShardSpecSource:
+    """One arrival-window shard of a replay source: a lazy, picklable spec stream.
+
+    Executor run requests carry this instead of a materialised spec list,
+    and the *executing* process feeds :func:`iter_job_specs` over
+    ``source_jobs(jobs, start, stop)`` straight into the engine's spec
+    ingestion, so no process ever holds the shard's specs at once.  ``jobs``
+    is one of:
+
+    * a trace path, sorted by ``(arrival_time, job_id)``, or the cluster
+      tier's config, windowed at ``[start, stop)`` where the request runs —
+      the request's size does not grow with the source;
+    * for a trace that had to be sorted in memory (a file whose lines are
+      not in arrival order, or a job list), this shard's own jobs, with
+      ``[start, stop)`` spanning all of them.
+
+    Either way the shard holds the same jobs in the same order, so its
+    specs are byte-identical.
     """
 
-    tier: ClusterTierConfig
+    jobs: TraceSource
     replay_config: TraceReplayConfig
-    shard_index: int
-    num_shards: int
+    start: int
+    stop: int
+    shard_index: int = 0
+    num_shards: int = 1
 
     def __post_init__(self) -> None:
         if not 0 <= self.shard_index < self.num_shards:
             raise ValueError("shard_index must lie in [0, num_shards)")
-        if self.tier.num_jobs < self.num_shards:
-            raise ValueError("cannot cut more shards than the tier has jobs")
+        if not 0 <= self.start < self.stop:
+            raise ValueError("a shard window needs 0 <= start < stop")
 
     @property
     def num_jobs(self) -> int:
-        """Job count of this shard (same boundaries as :func:`slice_trace`)."""
-        return shard_sizes(self.tier.num_jobs, self.num_shards)[self.shard_index]
+        return self.stop - self.start
 
     def iter_specs(self) -> Iterator[JobSpec]:
-        """Regenerate this shard's window and adapt it spec by spec."""
-        sizes = shard_sizes(self.tier.num_jobs, self.num_shards)
-        start = sum(sizes[: self.shard_index])
-        window = iter_cluster_trace(
-            self.tier, start=start, stop=start + sizes[self.shard_index]
+        """Read this shard's jobs and adapt them spec by spec."""
+        return iter_job_specs(
+            source_jobs(self.jobs, self.start, self.stop), self.replay_config
         )
-        return iter_job_specs(window, self.replay_config)
 
     def __str__(self) -> str:
+        if isinstance(self.jobs, ClusterTierConfig):
+            origin = str(self.jobs)
+        elif isinstance(self.jobs, (str, Path)):
+            origin = Path(self.jobs).name
+        else:
+            origin = "memory"
         return (
-            f"cluster-shard[{self.shard_index + 1}/{self.num_shards}] "
-            f"of {self.tier} ({self.num_jobs} jobs)"
+            f"shard[{self.shard_index + 1}/{self.num_shards}] "
+            f"of {origin} ({self.num_jobs} jobs)"
         )
 
 

@@ -215,8 +215,7 @@ class TraceScan:
     retains only the duplicate-id check's set of job ids (O(#jobs) ints —
     never task payloads).  The ratio sum folds
     left-to-right exactly like ``stats.mean`` over the full list in input
-    order, so the derived straggler cap is float-identical to
-    ``observed_straggler_cap`` over the same list.
+    order.
     """
 
     num_jobs: int

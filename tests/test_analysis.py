@@ -43,6 +43,7 @@ RULE_FIXTURES = {
     "DET002": (("repro", "simulator", "fixture"), 5),
     "DET003": (("repro", "workload", "fixture"), 4),
     "DET004": (("repro", "core", "fixture"), 2),
+    "DET005": (("repro", "utils", "fixture"), 6),
     "PIC101": (("repro", "experiments", "fixture"), 3),
     "PIC102": (("repro", "experiments", "fixture"), 3),
     "ASY201": (("repro", "service", "fixture"), 3),
@@ -59,10 +60,10 @@ def analyze_fixture(name: str, module):
 
 
 class TestRegistry:
-    def test_eight_rules_with_unique_ids(self):
+    def test_nine_rules_with_unique_ids(self):
         ids = [rule.id for rule in RULES]
         assert ids == [
-            "DET001", "DET002", "DET003", "DET004",
+            "DET001", "DET002", "DET003", "DET004", "DET005",
             "PIC101", "PIC102", "ASY201", "ASY202",
         ]
 
@@ -110,6 +111,18 @@ class TestGoldenFixtures:
         source = "assert ratio == 1.0\n"
         assert analyze_source(source, "tests/test_x.py") == []
         assert len(analyze_source(source, "src/repro/core/x.py")) == 1
+
+    def test_det005_watches_digest_packages_only(self):
+        # The built-in sum is exact for ints, but one rule covers every sum:
+        # digest code folds through repro.utils.stats.left_sum.
+        source = "jobs = sum(counts)\n"
+        findings = analyze_source(source, "src/repro/simulator/x.py")
+        assert [f.rule_id for f in findings] == ["DET005"]
+        assert "left_sum" in findings[0].message
+        assert analyze_source(source, "src/repro/service/x.py") == []
+        assert analyze_source(source, "tests/test_x.py") == []
+        pragma = "jobs = sum(counts)  # repro: allow[DET005] int counts only\n"
+        assert analyze_source(pragma, "src/repro/simulator/x.py") == []
 
 
 class TestPragmas:

@@ -69,7 +69,6 @@ class TestCompare:
             ["late", "ras"],
             WorkloadConfig(bound_kind="error", seed=42),
             scale=TINY,
-            warmup=False,
         )
         late_ids = sorted(r.job_id for r in comparison.runs["late"].results)
         ras_ids = sorted(r.job_id for r in comparison.runs["ras"].results)
@@ -81,7 +80,6 @@ class TestCompare:
             ["late", "ras"],
             WorkloadConfig(bound_kind="deadline", seed=43),
             scale=TINY,
-            warmup=False,
         )
         by_bin = comparison.accuracy_improvement_by_bin("ras", "late")
         assert set(by_bin) <= {"small", "medium", "large"}
@@ -96,7 +94,7 @@ class TestCompare:
         # Both runs would fold into one entry of the comparison.
         with pytest.raises(ValueError, match="more than once: late"):
             compare_policies(
-                ["late", "ras", "late"], WorkloadConfig(seed=42), scale=TINY, warmup=False
+                ["late", "ras", "late"], WorkloadConfig(seed=42), scale=TINY
             )
 
     def test_compare_policies_rejects_a_repeated_seed(self):
@@ -104,7 +102,6 @@ class TestCompare:
         with pytest.raises(ValueError, match="seeds named more than once: 1"):
             compare_policies(
                 ["late"], WorkloadConfig(seed=42), scale=replace(TINY, seeds=(1, 2, 1)),
-                warmup=False,
             )
 
     def test_compare_policies_rejects_a_negative_seed(self):
@@ -112,7 +109,6 @@ class TestCompare:
         with pytest.raises(ValueError, match="seeds must be non-negative: -1"):
             compare_policies(
                 ["late"], WorkloadConfig(seed=42), scale=replace(TINY, seeds=(2, -1)),
-                warmup=False,
             )
 
     def test_bound_bin_groupings(self):
@@ -120,7 +116,6 @@ class TestCompare:
             ["late", "ras"],
             WorkloadConfig(bound_kind="error", seed=44),
             scale=TINY,
-            warmup=False,
         )
         by_error = comparison.duration_improvement_by_error_bin("ras", "late")
         assert all(isinstance(value, float) for value in by_error.values())

@@ -6,16 +6,22 @@ Mode-vs-mode and worker-vs-worker parity only prove that replay is
 fixed set of plans instead, and this module recomputes each one at
 ``workers`` 1 and 2.
 
-The digests were computed under CPython 3.11.  They also pin the
-interpreter's float arithmetic: CPython 3.12 made ``sum()`` over floats
-compensated, which moves six of the eight entries.
+The digests were computed under CPython 3.11 and hold unchanged under 3.10,
+3.12 and 3.13.  They pin float arithmetic down to the last bit, so every sum
+in ``repro`` goes through one left-to-right fold,
+``repro.utils.stats.left_sum``: CPython 3.12 made the built-in ``sum()``
+over floats compensated, which moved 12 of these 15 entries while ``repro``
+still called it.  Analyzer rule DET005 keeps the built-in out of
+digest-relevant code.
 
-Four cases pin the figures path instead of a replay plan: the digest of a
+Five cases pin the figures path instead of a replay plan: the digest of a
 ``compare_policies`` run over one synthetic figure cell.  Two run the three
 policies the paper compares plus no-speculation over one seed; the third
 runs two learning policies over two seeds, so a pool warms both at once and
 restores each policy's second run from its snapshot.  The fourth, and one
-trace replay, run the oracle, gs and ras, which no other case reaches.
+trace replay, run the oracle, gs and ras, which no other case reaches.  The
+fifth runs GRASS and a one-factor variant at default scale, where the
+warmed store makes learned switch decisions.
 
 A change that moves a digest changes results.  If that is intended,
 regenerate the corpus with::

@@ -363,13 +363,11 @@ class TestCompareAndCli:
             ["late", "ras"],
             WorkloadConfig(bound_kind="mixed", seed=42),
             scale=TINY,
-            warmup=False,
         )
         folded = compare_policies(
             ["late", "ras"],
             WorkloadConfig(bound_kind="mixed", seed=42),
             scale=TINY,
-            warmup=False,
             sink=SinkFactory(kind="aggregate"),
         )
         assert metrics_digest(folded) == metrics_digest(retained)

@@ -37,13 +37,17 @@ from repro.core.job import Job
 from repro.core.policies.base import ExactIndex, SchedulingDecision, SchedulingView
 from repro.core.task import Task, TaskCopy
 from repro.experiments.policies import make_policy
-from repro.experiments.runner import ExperimentScale, build_simulation_config
+from repro.experiments.runner import (
+    ExperimentScale,
+    _replay_simulation_config,
+    _shard_sources,
+)
 from repro.simulator.cluster import Cluster, ClusterConfig
 from repro.simulator.engine import Simulation
 from repro.simulator.metrics import MetricsCollector
 from repro.simulator.stragglers import StragglerConfig
-from repro.workload.trace_replay import TraceReplayConfig, trace_to_workload
-from repro.workload.traces import load_trace
+from repro.workload.trace_replay import TraceReplayConfig
+from repro.workload.traces import load_trace, scan_jobs
 
 from tests.conftest import make_job_spec, make_simulation_config
 
@@ -54,14 +58,12 @@ SCALE = replace(ExperimentScale.quick(), num_machines=40)
 
 
 def _simulate(policy, trace: str = "facebook_like.jsonl", bound_kind: str = "mixed"):
-    replay = trace_to_workload(
-        load_trace(TRACES / trace), TraceReplayConfig(bound_kind=bound_kind, seed=3)
-    )
-    config = replace(
-        build_simulation_config(replay.workload, SCALE, seed=1),
-        stragglers=replay.stragglers,
-    )
-    return Simulation(config, policy, replay.workload.job_specs).run()
+    jobs = load_trace(TRACES / trace)
+    replay_config = TraceReplayConfig(bound_kind=bound_kind, seed=3)
+    scan = scan_jobs(jobs)
+    (source,) = _shard_sources(jobs, scan, replay_config, 1)
+    config = _replay_simulation_config(replay_config, scan, SCALE.num_machines, seed=1)
+    return Simulation(config, policy, source.iter_specs()).run()
 
 
 def _registered(name: str) -> type:

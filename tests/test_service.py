@@ -552,7 +552,7 @@ class TestProcessPool:
         (kind, detail), second = run_service(scenario)
         if kind == "error":
             assert "worker process died" in detail
-            assert "RunRequest(policy=grass" in detail and "cluster-shard[" in detail
+            assert "RunRequest(policy=grass" in detail and " of cluster:" in detail
         else:
             assert detail == offline[hit.seed]
         assert second.verify() == offline[after.seed]

@@ -1,11 +1,11 @@
 """Tests for trace parsing, the calibration scan and lazy shard windows.
 
 The load-bearing property: how a shard's jobs reach the engine is a
-*memory* choice, never a correctness one.  A lazily windowed trace file
-(``TraceSpecSource``) and the same jobs sliced from an in-memory list
-(``InMemorySpecSource``) must produce byte-identical merged metrics — the
-CLI's sha256 digest — for any shard split and any worker count, and the
-lazy window keeps the engine's resident jobs bounded by the window.
+*memory* choice, never a correctness one.  A ``ShardSpecSource`` windowing
+a trace file and one holding the same jobs sliced from an in-memory list
+must produce byte-identical merged metrics — the CLI's sha256 digest — for
+any shard split and any worker count, and the lazy window keeps the
+engine's resident jobs bounded by the window.
 """
 
 import pickle
@@ -24,9 +24,8 @@ from repro.experiments.runner import (
     execute,
 )
 from repro.workload.trace_replay import (
-    InMemorySpecSource,
+    ShardSpecSource,
     TraceReplayConfig,
-    TraceSpecSource,
     shard_sizes,
     slice_trace,
     synthesize_trace,
@@ -123,10 +122,10 @@ class TestLazyShards:
         for num_shards in (1, 2, 3, 5, 11):
             eager = [[j.job_id for j in s] for s in slice_trace(trace, num_shards)]
             lazy = _shard_sources(str(path), scan_trace(path), config, num_shards)
-            assert all(isinstance(source, TraceSpecSource) for source in lazy)
+            assert all(source.jobs == str(path) for source in lazy)
             assert [[s.job_id for s in source.iter_specs()] for source in lazy] == eager
             memory = _shard_sources(trace, _scan_source(trace), config, num_shards)
-            assert all(isinstance(source, InMemorySpecSource) for source in memory)
+            assert all(isinstance(source.jobs, tuple) for source in memory)
             assert [[j.job_id for j in source.jobs] for source in memory] == eager
 
     def test_shard_sizes_never_empty(self):
@@ -192,7 +191,7 @@ class TestStreamedReplayDeterminism:
         scan = scan_trace(path)
         assert not scan.arrival_sorted
         config = TraceReplayConfig()
-        lazy = TraceSpecSource(str(path), config, 0, 1, scan.num_jobs)
+        lazy = ShardSpecSource(str(path), config, 0, scan.num_jobs)
         request = RunRequest(
             spec_source=lazy,
             config=_replay_simulation_config(config, scan, 4, 1),

@@ -12,8 +12,11 @@ The load-bearing properties:
   *concurrency*, never trace length; the per-job object graph is acyclic,
   so that drop frees the job by reference counting, without the cyclic
   collector.
-* **Error paths** — empty traces and warm-up seed collisions fail loudly
-  with actionable messages instead of leaking internals or biased results.
+* **Small requests** — a shard's spec source carries its window, not the
+  source's jobs: a file or tier shard pickles to the same size whatever
+  the source's job count, and an in-memory shard holds only its own jobs.
+* **Error paths** — warm-up seed collisions fail loudly with actionable
+  messages instead of biased results.
 """
 
 import gc
@@ -38,6 +41,8 @@ from repro.experiments.policies import available_policies, make_policy
 from repro.experiments.runner import (
     WARMUP_SEED_OFFSET,
     ExperimentScale,
+    _scan_source,
+    _shard_sources,
     compare_policies,
     execute,
 )
@@ -47,17 +52,16 @@ from repro.simulator.stragglers import StragglerConfig
 from repro.workload.synthetic import WorkloadConfig, generate_workload
 from repro.simulator.sinks import SinkFactory
 from repro.workload.trace_replay import (
-    InMemorySpecSource,
+    ClusterTierConfig,
+    ShardSpecSource,
     TraceReplayConfig,
-    TraceSpecSource,
+    iter_cluster_trace,
     iter_job_specs,
-    observed_straggler_cap,
-    replay_straggler_config,
+    job_metadata,
     slice_trace,
     synthesize_trace,
-    trace_to_workload,
 )
-from repro.workload.traces import save_trace
+from repro.workload.traces import TraceScan, save_trace, scan_trace
 
 from tests.conftest import make_job_spec, make_simulation_config, replay_source
 
@@ -148,6 +152,19 @@ class TestLazyIngestion:
             make_job_spec([1.0], ApproximationBound.exact(), job_id=0, arrival=100.0),
         ]
         simulation = Simulation(make_simulation_config(), NoSpeculationPolicy(), iter(specs))
+        with pytest.raises(ValueError, match="unique"):
+            simulation.run()
+
+
+    def test_duplicate_ids_in_a_list_rejected_as_consumed(self):
+        # A list takes the iterator's ingestion path: sorted, then checked
+        # spec by spec as the run consumes it.
+        specs = [
+            make_job_spec([1.0], ApproximationBound.exact(), job_id=0, arrival=100.0),
+            make_job_spec([1.0], ApproximationBound.exact(), job_id=1, arrival=50.0),
+            make_job_spec([1.0], ApproximationBound.exact(), job_id=0, arrival=0.0),
+        ]
+        simulation = Simulation(make_simulation_config(), NoSpeculationPolicy(), specs)
         with pytest.raises(ValueError, match="unique"):
             simulation.run()
 
@@ -304,36 +321,35 @@ class TestTruncation:
 
 
 class TestSpecSource:
-    def test_windows_match_sliced_batch_workloads(self, tmp_path):
+    def test_windows_match_sliced_in_memory_shards(self, tmp_path):
+        """A file window, a memory shard and the sliced jobs give the same specs."""
         trace = small_trace()
         path = tmp_path / "trace.jsonl"
         save_trace(sorted(trace, key=lambda j: (j.arrival_time, j.job_id)), path)
         config = TraceReplayConfig(seed=1)
-        full = trace_to_workload(trace, config)
         for num_shards in (1, 2, 4):
+            windows = _shard_sources(str(path), scan_trace(path), config, num_shards)
+            memory = _shard_sources(trace, _scan_source(trace), config, num_shards)
             shards = slice_trace(trace, num_shards)
-            for index, shard in enumerate(shards):
-                expected = trace_to_workload(
-                    shard, config, shard_index=index, num_shards=num_shards,
-                    stragglers=full.stragglers,
-                ).workload.job_specs
-                source = TraceSpecSource(
-                    trace_path=str(path), replay_config=config,
-                    shard_index=index, num_shards=num_shards, total_jobs=len(trace),
-                )
-                assert pickle.dumps(list(source.iter_specs())) == pickle.dumps(expected)
-                assert source.num_jobs == len(shard)
-                in_memory = InMemorySpecSource(tuple(shard), config, index, num_shards)
-                assert pickle.dumps(list(in_memory.iter_specs())) == pickle.dumps(
-                    expected
-                )
+            for window, held, shard in zip(windows, memory, shards, strict=True):
+                expected = pickle.dumps(list(iter_job_specs(shard, config)))
+                assert pickle.dumps(list(window.iter_specs())) == expected
+                assert pickle.dumps(list(held.iter_specs())) == expected
+                assert window.num_jobs == held.num_jobs == len(shard)
+
+    def test_tier_windows_regenerate_their_slice(self):
+        tier = ClusterTierConfig(num_jobs=9, seed=4)
+        config = TraceReplayConfig(seed=2)
+        jobs = list(iter_cluster_trace(tier))
+        sources = _shard_sources(tier, _scan_source(tier), config, 3)
+        assert [(s.start, s.stop) for s in sources] == [(0, 3), (3, 6), (6, 9)]
+        for source in sources:
+            expected = list(iter_job_specs(jobs[source.start : source.stop], config))
+            assert pickle.dumps(list(source.iter_specs())) == pickle.dumps(expected)
 
     def test_source_is_picklable_and_lazy(self, tmp_path):
         path = tmp_path / "missing.jsonl"
-        source = TraceSpecSource(
-            trace_path=str(path), replay_config=TraceReplayConfig(),
-            shard_index=0, num_shards=1, total_jobs=3,
-        )
+        source = ShardSpecSource(str(path), TraceReplayConfig(), 0, 3)
         restored = pickle.loads(pickle.dumps(source))
         # Construction never touches the file; only iteration does.
         with pytest.raises(FileNotFoundError):
@@ -341,14 +357,14 @@ class TestSpecSource:
 
     def test_bad_coordinates_rejected(self):
         with pytest.raises(ValueError, match="shard_index"):
-            TraceSpecSource("t.jsonl", TraceReplayConfig(), 2, 2, 10)
-        with pytest.raises(ValueError, match="more shards"):
-            TraceSpecSource("t.jsonl", TraceReplayConfig(), 0, 5, 3)
+            ShardSpecSource("t.jsonl", TraceReplayConfig(), 0, 5, 2, 2)
+        with pytest.raises(ValueError, match="start < stop"):
+            ShardSpecSource("t.jsonl", TraceReplayConfig(), 3, 3)
 
     def test_run_request_accepts_exactly_one_job_source(self, tmp_path):
         workload = generate_workload(WorkloadConfig(num_jobs=2, seed=0, size_scale=0.1))
         config = make_simulation_config()
-        source = TraceSpecSource("t.jsonl", TraceReplayConfig(), 0, 1, 2)
+        source = ShardSpecSource("t.jsonl", TraceReplayConfig(), 0, 2)
         with pytest.raises(ValueError, match="exactly one of workload or spec_source"):
             RunRequest(workload=workload, spec_source=source, config=config,
                        policy_name="late")
@@ -356,19 +372,44 @@ class TestSpecSource:
             RunRequest(config=config, policy_name="late")
         request = RunRequest(spec_source=source, config=config, policy_name="late")
         assert request.parallel_safe
-        assert "trace-shard[1/1]" in repr(request)
+        assert "shard[1/1] of t.jsonl (2 jobs)" in repr(request)
 
 
-class TestIterJobSpecs:
-    def test_matches_trace_to_workload(self):
-        trace = small_trace()
-        config = TraceReplayConfig(seed=5)
-        batch = trace_to_workload(trace, config)
+class TestShardRequestSize:
+    """A request carries its shard's coordinates, never the source's jobs."""
+
+    @staticmethod
+    def _scan(num_jobs):
+        return TraceScan(num_jobs=num_jobs, mean_slowest_to_median=2.0, arrival_sorted=True)
+
+    def _pickled_sizes(self, source, num_jobs):
+        sources = _shard_sources(source, self._scan(num_jobs), TraceReplayConfig(), 4)
+        return [len(pickle.dumps(shard)) for shard in sources]
+
+    def test_file_and_tier_shards_do_not_grow_with_the_source(self):
+        # A 1,000,000-job source pickles like a 40-job one: only integer
+        # fields get wider, by at most 4 bytes each (the window's start and
+        # stop, and the tier's num_jobs).  Neither the file nor the tier is
+        # read to build the shards.
+        for small, large in (
+            (self._pickled_sizes("t.jsonl", 40), self._pickled_sizes("t.jsonl", 10**6)),
+            (
+                self._pickled_sizes(ClusterTierConfig(num_jobs=40), 40),
+                self._pickled_sizes(ClusterTierConfig(num_jobs=10**6), 10**6),
+            ),
+        ):
+            for small_bytes, large_bytes in zip(small, large, strict=True):
+                assert 0 <= large_bytes - small_bytes <= 12
+
+    def test_memory_shard_holds_only_its_jobs(self):
+        trace = small_trace(num_jobs=12)
         ordered = sorted(trace, key=lambda j: (j.arrival_time, j.job_id))
-        metadata = {}
-        lazy = list(iter_job_specs(iter(ordered), config, metadata=metadata))
-        assert pickle.dumps(lazy) == pickle.dumps(batch.workload.job_specs)
-        assert pickle.dumps(metadata) == pickle.dumps(batch.workload.metadata)
+        sources = _shard_sources(trace, _scan_source(trace), TraceReplayConfig(), 3)
+        assert [list(source.jobs) for source in sources] == [
+            ordered[0:4], ordered[4:8], ordered[8:12]
+        ]
+        assert all((source.start, source.stop) == (0, 4) for source in sources)
+        assert str(sources[1]) == "shard[2/3] of memory (4 jobs)"
 
 
 class TestStreamSpecsReplay:
@@ -403,9 +444,12 @@ class TestStreamSpecsReplay:
         path = tmp_path / "trace.jsonl"
         save_trace(sorted(trace, key=lambda j: (j.arrival_time, j.job_id)), path)
         streamed = replay_source(["late"], str(path), TINY)
-        assert pickle.dumps(streamed.workload.metadata) == pickle.dumps(
-            trace_to_workload(trace).workload.metadata
-        )
+        # Every job's metadata, keyed in the file's (arrival) order.
+        metadata = {
+            job.job_id: job_metadata(job, TraceReplayConfig())
+            for job in sorted(trace, key=lambda j: (j.arrival_time, j.job_id))
+        }
+        assert pickle.dumps(streamed.workload.metadata) == pickle.dumps(metadata)
         assert streamed.workload.job_specs == []
 
 
@@ -447,16 +491,6 @@ class TestStreamSpecsCli:
         assert captured.err == ""
 
 
-class TestEmptyTraceErrors:
-    def test_observed_straggler_cap_names_the_problem(self):
-        with pytest.raises(ValueError, match="empty trace"):
-            observed_straggler_cap([])
-
-    def test_replay_straggler_config_names_the_problem(self):
-        with pytest.raises(ValueError, match="empty trace"):
-            replay_straggler_config([], StragglerConfig())
-
-
 class TestWarmupSeedCollision:
     def test_helper_raises_on_collision(self):
         with pytest.raises(ValueError, match="warm-up seed collision"):
@@ -471,9 +505,7 @@ class TestWarmupSeedCollision:
         with pytest.raises(ValueError, match="warm-up seed collision"):
             compare_policies(["grass"], WorkloadConfig(seed=0), scale=scale)
         # Same seeds without warm-up are unambiguous and must keep working.
-        compare_policies(
-            ["grass"], WorkloadConfig(seed=0), scale=scale, warmup=False
-        )
+        compare_policies(["grass"], WorkloadConfig(seed=0), scale=replace(scale, warmup_jobs=0))
 
     def test_comparison_without_learning_policy_ignores_warmup_seed(self):
         """Nothing warms up, so a run seed equal to the warm-up seed is fine."""

@@ -13,20 +13,26 @@ import pytest
 
 from repro.experiments.cli import main, metrics_digest
 from repro.experiments.figures import FIGURES
-from repro.experiments.runner import ExperimentScale
+from repro.experiments.runner import (
+    ExperimentScale,
+    _replay_simulation_config,
+    _scan_source,
+    _shard_sources,
+)
 from repro.workload.trace_replay import (
     TraceReplayConfig,
     export_trace,
-    observed_straggler_cap,
+    iter_job_specs,
     slice_trace,
+    straggler_cap_from_ratio,
     synthesize_trace,
-    trace_to_workload,
 )
 from repro.workload.traces import (
     TraceFormatError,
     TraceJob,
     load_trace,
     save_trace,
+    scan_jobs,
 )
 
 from tests.conftest import replay_source
@@ -140,26 +146,26 @@ class TestRoundTrip:
 # ------------------------------------------------------------------- adapter
 
 
-class TestTraceToWorkload:
-    def test_empty_trace_rejected(self):
+class TestTraceAdapter:
+    def test_empty_job_list_rejected(self):
         with pytest.raises(ValueError, match="empty trace"):
-            trace_to_workload([])
+            replay_source(["late"], [], TINY)
 
     def test_duplicate_job_ids_rejected(self):
         jobs = [
             TraceJob(job_id=1, arrival_time=0.0, task_durations=[1.0]),
             TraceJob(job_id=1, arrival_time=1.0, task_durations=[1.0]),
         ]
-        with pytest.raises(ValueError, match="duplicate job_id"):
-            trace_to_workload(jobs)
+        with pytest.raises(ValueError, match="unique"):
+            replay_source(["late"], jobs, TINY)
 
     def test_arrivals_rebased_and_ordered(self):
         jobs = [
             TraceJob(job_id=0, arrival_time=50.0, task_durations=[1.0]),
             TraceJob(job_id=1, arrival_time=10.0, task_durations=[1.0]),
         ]
-        adapted = trace_to_workload(jobs)
-        specs = adapted.workload.specs()
+        (source,) = _shard_sources(jobs, _scan_source(jobs), TraceReplayConfig(), 1)
+        specs = list(source.iter_specs())
         assert [spec.job_id for spec in specs] == [1, 0]
         assert specs[0].arrival_time == 0.0
         assert specs[1].arrival_time == 40.0
@@ -167,12 +173,11 @@ class TestTraceToWorkload:
     def test_bounds_independent_of_sharding(self):
         trace = tiny_trace()
         config = TraceReplayConfig(seed=5)
-        full = trace_to_workload(trace, config)
-        shard = trace_to_workload(slice_trace(trace, 3)[1], config)
-        for spec in shard.workload.specs():
-            full_spec = next(
-                s for s in full.workload.specs() if s.job_id == spec.job_id
-            )
+        ordered = sorted(trace, key=lambda job: (job.arrival_time, job.job_id))
+        full = {spec.job_id: spec for spec in iter_job_specs(ordered, config)}
+        shard = _shard_sources(trace, _scan_source(trace), config, 3)[1]
+        for spec in shard.iter_specs():
+            full_spec = full[spec.job_id]
             assert spec.bound == full_spec.bound
             assert spec.max_slots == full_spec.max_slots
             assert spec.phases == full_spec.phases
@@ -182,9 +187,16 @@ class TestTraceToWorkload:
         skewed = [
             TraceJob(job_id=0, arrival_time=0.0, task_durations=[1.0, 1.0, 9.0])
         ]
-        assert observed_straggler_cap(flat) == pytest.approx(1.05)
-        assert observed_straggler_cap(skewed) == pytest.approx(9.0)
-        assert trace_to_workload(skewed).stragglers.cap == pytest.approx(9.0)
+
+        def cap(jobs):
+            return straggler_cap_from_ratio(scan_jobs(jobs).mean_slowest_to_median)
+
+        assert cap(flat) == pytest.approx(1.05)
+        assert cap(skewed) == pytest.approx(9.0)
+        config = _replay_simulation_config(
+            TraceReplayConfig(), scan_jobs(skewed), num_machines=4, seed=1
+        )
+        assert config.stragglers.cap == pytest.approx(9.0)
 
 
 class TestSliceTrace:

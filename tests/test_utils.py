@@ -12,6 +12,7 @@ from repro.utils.stats import (
     gain_percent,
     histogram,
     improvement_percent,
+    left_sum,
     mean,
     median,
     percentile,
@@ -107,6 +108,15 @@ class TestStatsHelpers:
             mean([])
         with pytest.raises(ValueError):
             median([])
+
+    def test_left_sum_adds_left_to_right(self):
+        # (1e16 + 1.0) rounds back to 1e16, so a strict left-to-right fold
+        # ends at 0.0; CPython 3.12's compensated built-in sum returns 1.0.
+        assert left_sum([1e16, 1.0, -1e16]) == 0.0
+        assert left_sum([0.1] * 10) == 0.9999999999999999
+        total = left_sum(iter([3, 4, 5]))
+        assert total == 12 and type(total) is int
+        assert left_sum([]) == 0
 
     def test_weighted_mean(self):
         assert weighted_mean([1.0, 3.0], [1.0, 1.0]) == 2.0
