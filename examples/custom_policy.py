@@ -1,8 +1,11 @@
 #!/usr/bin/env python
 """Extending the library: plug a custom speculation policy into the simulator.
 
-The scheduler interface is a single method — ``choose_task(view)`` — so new
-policies are easy to prototype.  This example implements a naive
+The scheduler interface is a single method — ``choose_task(view)``, which
+returns one of the view's task snapshots, or None to leave the slot idle —
+so new policies are easy to prototype.  The simulator launches a copy of the
+chosen snapshot's task: an original if the task is pending, a speculative
+duplicate if it is already running.  This example implements a naive
 "duplicate-everything-in-the-last-wave" policy, wires it into the simulator,
 and compares it against GS, RAS and GRASS on a small workload, demonstrating
 that the interface used by the built-in policies is the same one available to
@@ -27,12 +30,7 @@ from repro import (
     WorkloadConfig,
     generate_workload,
 )
-from repro.core.policies.base import (
-    SchedulingDecision,
-    SchedulingView,
-    SpeculationPolicy,
-    make_decision,
-)
+from repro.core.policies.base import SchedulingView, SpeculationPolicy, TaskSnapshot
 
 
 class LastWaveDuplicator(SpeculationPolicy):
@@ -45,14 +43,14 @@ class LastWaveDuplicator(SpeculationPolicy):
 
     name = "last-wave-duplicator"
 
-    def choose_task(self, view: SchedulingView) -> Optional[SchedulingDecision]:
+    def choose_task(self, view: SchedulingView) -> Optional[TaskSnapshot]:
         pending = view.pending()
         if pending:
-            return make_decision(min(pending, key=lambda snap: snap.task_id))
+            return min(pending, key=lambda snap: snap.task_id)
         running = [snap for snap in view.running() if snap.copies < 2]
         if not running:
             return None
-        return make_decision(max(running, key=lambda snap: snap.trem))
+        return max(running, key=lambda snap: snap.trem)
 
 
 def main() -> None:

@@ -2,9 +2,10 @@
 # Repo check harness:
 #   ./scripts/check.sh [test|coverage|bench-smoke|bench-gate|replay-determinism|ingest-smoke|service-smoke|cache-smoke|cluster-replay|perfbench|analyze|lint|all]
 #
-# * test        — the tier-1 suite (PYTHONPATH=src python -m pytest -x -q),
-#                 then the pool tests (tests/test_executor.py,
-#                 tests/test_warmup_cache.py) again under `python -X dev
+# * test        — the tier-1 suite (PYTHONPATH=src python -m pytest -x -q,
+#                 printing its ten slowest tests), then the pool tests
+#                 (tests/test_executor.py, tests/test_warmup_cache.py)
+#                 again under `python -X dev
 #                 -W error::ResourceWarning` with pytest's
 #                 `-W error::pytest.PytestUnraisableExceptionWarning`, so a
 #                 multiprocessing.Pool left unclosed fails the run (its
@@ -97,7 +98,7 @@ BENCH_TRAJECTORY="benchmarks/BENCH_trajectory.jsonl"
 COVERAGE_FLOOR="${COVERAGE_FLOOR:-84}"
 
 run_test() {
-    python -m pytest -x -q
+    python -m pytest -x -q --durations=10
     python -X dev -W error::ResourceWarning -m pytest -q \
         -W error::pytest.PytestUnraisableExceptionWarning \
         tests/test_executor.py tests/test_warmup_cache.py

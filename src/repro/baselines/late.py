@@ -24,11 +24,9 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.core.policies.base import (
-    SchedulingDecision,
     SchedulingView,
     SpeculationPolicy,
     TaskSnapshot,
-    make_decision,
 )
 from repro.utils.stats import left_sum, percentile
 
@@ -90,15 +88,15 @@ class LatePolicy(SpeculationPolicy):
 
     # -- policy ------------------------------------------------------------------
 
-    def choose_task(self, view: SchedulingView) -> Optional[SchedulingDecision]:
+    def choose_task(self, view: SchedulingView) -> Optional[TaskSnapshot]:
         first = view.first_pending()
         if first is not None:
             # Bound-oblivious: plain input order, no pruning, no SJF/LJF.
-            return make_decision(first)
+            return first
         if self._running_speculative_copies(view) >= self._speculative_budget(view):
             return None
         slow = self._slow_candidates(view)
         if not slow:
             return None
         # Longest approximate time to end: largest estimated remaining time.
-        return make_decision(min(slow, key=lambda snap: (-snap.trem, snap.task_id)))
+        return min(slow, key=lambda snap: (-snap.trem, snap.task_id))

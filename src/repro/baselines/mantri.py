@@ -22,11 +22,9 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.core.policies.base import (
-    SchedulingDecision,
     SchedulingView,
     SpeculationPolicy,
     TaskSnapshot,
-    make_decision,
 )
 
 
@@ -71,11 +69,9 @@ class MantriPolicy(SpeculationPolicy):
             candidates.append(snap)
         return candidates
 
-    def choose_task(self, view: SchedulingView) -> Optional[SchedulingDecision]:
+    def choose_task(self, view: SchedulingView) -> Optional[TaskSnapshot]:
         duplicates = self._duplicate_candidates(view)
         if duplicates:
             # Duplicate the worst offender: largest remaining time.
-            return make_decision(
-                min(duplicates, key=lambda snap: (-snap.trem, snap.task_id))
-            )
-        return make_decision(view.first_pending())
+            return min(duplicates, key=lambda snap: (-snap.trem, snap.task_id))
+        return view.first_pending()

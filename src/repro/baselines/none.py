@@ -9,12 +9,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.policies.base import (
-    SchedulingDecision,
-    SchedulingView,
-    SpeculationPolicy,
-    make_decision,
-)
+from repro.core.policies.base import SchedulingView, SpeculationPolicy, TaskSnapshot
 
 
 class NoSpeculationPolicy(SpeculationPolicy):
@@ -23,5 +18,5 @@ class NoSpeculationPolicy(SpeculationPolicy):
     name = "no-spec"
     stateless_choose = True
 
-    def choose_task(self, view: SchedulingView) -> Optional[SchedulingDecision]:
-        return make_decision(view.first_pending())
+    def choose_task(self, view: SchedulingView) -> Optional[TaskSnapshot]:
+        return view.first_pending()

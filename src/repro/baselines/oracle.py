@@ -23,11 +23,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.policies.base import (
-    SchedulingDecision,
-    SchedulingView,
-    SpeculationPolicy,
-)
+from repro.core.policies.base import SchedulingView, SpeculationPolicy, TaskSnapshot
 from repro.core.policies.gs import GreedySpeculative
 from repro.core.policies.ras import ResourceAwareSpeculative
 
@@ -64,7 +60,7 @@ class OraclePolicy(SpeculationPolicy):
             return 0.0
         return needed / wave_width
 
-    def choose_task(self, view: SchedulingView) -> Optional[SchedulingDecision]:
+    def choose_task(self, view: SchedulingView) -> Optional[TaskSnapshot]:
         if self._remaining_waves(view) > self.switch_waves:
             return self._ras.choose_task(view)
         return self._gs.choose_task(view)

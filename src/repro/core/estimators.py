@@ -26,12 +26,13 @@ default workload profiles.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.task import Task
 from repro.utils.rng import RngStream
-from repro.utils.stats import OnlineMean, clamp, median
+from repro.utils.stats import OnlineMean, clamp
 
 
 @dataclass(frozen=True)
@@ -120,8 +121,9 @@ class TaskEstimator:
         # only ever mutated through the shared ``random.Random`` object, so
         # the bound method stays valid for the estimator's lifetime.
         self._gauss = rng._random.gauss
-        self._completed_durations_per_work: list = []
-        self._work_rate_cache: Optional[float] = None
+        # Completed tasks' seconds per unit of work, kept sorted so the
+        # median is an index read rather than a sort per estimate.
+        self._work_samples: List[float] = []
         self._prior_work_rate = prior_work_rate
         self.trem_tracker = EstimateAccuracyTracker()
         self.tnew_tracker = EstimateAccuracyTracker()
@@ -157,8 +159,7 @@ class TaskEstimator:
             return
         estimated = self.tnew(task)
         self.tnew_tracker.record(estimated, actual_duration)
-        self._completed_durations_per_work.append(actual_duration / task.work)
-        self._work_rate_cache = None
+        insort(self._work_samples, actual_duration / task.work)
 
     def record_trem_outcome(self, estimated: float, actual: float) -> None:
         """Feed the realised remaining time back into the accuracy tracker."""
@@ -168,20 +169,21 @@ class TaskEstimator:
 
     @property
     def completed_samples(self) -> int:
-        return len(self._completed_durations_per_work)
+        return len(self._work_samples)
 
     def expected_work_rate(self) -> float:
-        """Seconds of duration per unit of task work, from completed samples.
+        """Seconds of duration per unit of task work: the samples' median.
 
-        The median is cached between completions: ``tnew`` is called once per
-        schedulable task per scheduling pass, and re-sorting the sample list
-        each time dominated the engine's hot path before caching.
+        The same expression as :func:`repro.utils.stats.median`, read off the
+        sorted sample list.
         """
-        if not self._completed_durations_per_work:
+        samples = self._work_samples
+        if not samples:
             return self._prior_work_rate
-        if self._work_rate_cache is None:
-            self._work_rate_cache = median(self._completed_durations_per_work)
-        return self._work_rate_cache
+        mid = len(samples) // 2
+        if len(samples) % 2 == 1:
+            return samples[mid]
+        return 0.5 * (samples[mid - 1] + samples[mid])
 
     def tnew(self, task: Task) -> float:
         """Estimated duration of a brand-new copy of ``task``.
@@ -259,14 +261,8 @@ class TaskEstimator:
         before the loop, so an eviction during the loop leaves the caller's
         copy behind the live counter.
         """
-        work_samples = self._completed_durations_per_work
-        samples = len(work_samples)
-        if work_samples:
-            rate = self._work_rate_cache
-            if rate is None:
-                rate = self._work_rate_cache = median(work_samples)
-        else:
-            rate = self._prior_work_rate
+        samples = len(self._work_samples)
+        rate = self.expected_work_rate()
         config = self.config
         sigma = config.tnew_noise
         if sigma <= 0.0:

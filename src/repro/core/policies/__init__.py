@@ -15,7 +15,6 @@
 """
 
 from repro.core.policies.base import (
-    SchedulingDecision,
     SchedulingView,
     SpeculationPolicy,
     TaskSnapshot,
@@ -31,7 +30,6 @@ from repro.core.policies.switching import (
 )
 
 __all__ = [
-    "SchedulingDecision",
     "SchedulingView",
     "SpeculationPolicy",
     "TaskSnapshot",

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import abc
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.bounds import ApproximationBound
@@ -570,25 +569,6 @@ class SchedulingView:
         return self.job.elapsed(self.now)
 
 
-@dataclass
-class SchedulingDecision:
-    """The policy's answer: launch a copy of ``snapshot.task``.
-
-    ``speculative`` is True when the task already has a running copy, i.e.
-    the launch is a speculative duplicate rather than an original.
-    """
-
-    snapshot: TaskSnapshot
-
-    @property
-    def task(self) -> Task:
-        return self.snapshot.task
-
-    @property
-    def speculative(self) -> bool:
-        return self.snapshot.running
-
-
 class SpeculationPolicy(abc.ABC):
     """Base class for all speculation policies.
 
@@ -669,19 +649,18 @@ class SpeculationPolicy(abc.ABC):
             )
 
     @abc.abstractmethod
-    def choose_task(self, view: SchedulingView) -> Optional[SchedulingDecision]:
-        """Pick the next task copy to launch, or None to leave the slot idle."""
+    def choose_task(self, view: SchedulingView) -> Optional[TaskSnapshot]:
+        """Pick the task to launch a copy of, or None to leave the slot idle.
+
+        Return one of ``view``'s snapshots.  The engine launches a copy of
+        its ``task``; the copy is a speculative duplicate when the snapshot
+        is ``running`` (the task already has a running copy), else an
+        original.
+        """
 
     def label(self) -> str:
         """Label used in experiment reports."""
         return self.name
-
-
-def make_decision(snapshot: Optional[TaskSnapshot]) -> Optional[SchedulingDecision]:
-    """Helper: wrap a snapshot (or None) into a decision."""
-    if snapshot is None:
-        return None
-    return SchedulingDecision(snapshot=snapshot)
 
 
 def index_error_window(

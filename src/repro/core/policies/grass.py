@@ -16,9 +16,9 @@ from typing import Dict, FrozenSet, Optional
 
 from repro.core.job import Job, JobResult
 from repro.core.policies.base import (
-    SchedulingDecision,
     SchedulingView,
     SpeculationPolicy,
+    TaskSnapshot,
 )
 from repro.core.policies.gs import GreedySpeculative
 from repro.core.policies.ras import ResourceAwareSpeculative
@@ -170,7 +170,7 @@ class Grass(SpeculationPolicy):
             state.switch_time = view.now
             self.switches_performed += 1
 
-    def choose_task(self, view: SchedulingView) -> Optional[SchedulingDecision]:
+    def choose_task(self, view: SchedulingView) -> Optional[TaskSnapshot]:
         state = self._jobs.get(view.job.job_id)
         if state is None:
             # Jobs the engine never announced (defensive): behave adaptively.

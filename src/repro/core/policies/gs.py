@@ -19,14 +19,12 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.policies.base import (
-    SchedulingDecision,
     SchedulingView,
     SpeculationPolicy,
     TaskSnapshot,
     index_error_window,
     index_fallback,
     index_pending_tail,
-    make_decision,
 )
 
 
@@ -112,7 +110,7 @@ class GreedySpeculative(SpeculationPolicy):
                 best_key = key
         return best
 
-    def choose_task(self, view: SchedulingView) -> Optional[SchedulingDecision]:
+    def choose_task(self, view: SchedulingView) -> Optional[TaskSnapshot]:
         if view.bound.is_deadline:
-            return make_decision(self._choose_deadline(view))
-        return make_decision(self._choose_error(view))
+            return self._choose_deadline(view)
+        return self._choose_error(view)

@@ -44,8 +44,59 @@ from repro.workload.synthetic import (
     BOUND_MIXED,
 )
 
-#: Experiment-scale names a plan may reference (resolved by the runner).
-PLAN_SCALES = ("quick", "default", "paper")
+
+@dataclass(frozen=True)
+class ExperimentScale:
+    """Knobs that trade experiment fidelity for runtime.
+
+    The defaults match the benchmark harness (laptop-scale, a couple of
+    minutes per figure); ``paper()`` gives a larger setting for overnight
+    runs closer to the trace-driven simulations of §6.
+    """
+
+    num_jobs: int = 60
+    size_scale: float = 0.25
+    max_tasks_per_job: int = 400
+    num_machines: int = 150
+    seeds: Sequence[int] = (1,)
+    warmup_jobs: int = 40
+    #: Worker processes used to fan (policy, seed) runs out; 1 = serial,
+    #: 0 = auto-size to the machine.  Results are merged deterministically,
+    #: so this knob never changes the numbers — only the wall-clock time.
+    workers: int = 1
+
+    @classmethod
+    def quick(cls) -> "ExperimentScale":
+        """A very small scale for unit tests and smoke benchmarks."""
+        return cls(
+            num_jobs=16,
+            size_scale=0.12,
+            max_tasks_per_job=120,
+            num_machines=80,
+            seeds=(1,),
+            warmup_jobs=10,
+        )
+
+    @classmethod
+    def paper(cls) -> "ExperimentScale":
+        """A heavier scale approximating the paper's trace-driven simulator."""
+        return cls(
+            num_jobs=300,
+            size_scale=1.0,
+            max_tasks_per_job=2000,
+            num_machines=200,
+            seeds=(1, 2, 3),
+            warmup_jobs=150,
+        )
+
+
+#: Experiment-scale factories keyed by the names a :class:`ReplayPlan` (and
+#: the CLI's ``--scale`` flag) may reference.
+SCALE_FACTORIES = {
+    "quick": ExperimentScale.quick,
+    "default": ExperimentScale,
+    "paper": ExperimentScale.paper,
+}
 
 #: Bound kinds a plan may assign to replayed jobs.
 PLAN_BOUND_KINDS = (BOUND_DEADLINE, BOUND_ERROR, BOUND_EXACT, BOUND_MIXED)
@@ -147,7 +198,7 @@ class ReplayPlan:
     scale: str = field(
         default="default",
         metadata=_cli(
-            choices=PLAN_SCALES,
+            choices=SCALE_FACTORIES,
             help="cluster scale (machines, seeds); the trace decides the workload",
         ),
     )
@@ -302,10 +353,10 @@ class ReplayPlan:
                 f"--policy names {', '.join(twice)} more than once "
                 "(plan field: policies)"
             )
-        if self.scale not in PLAN_SCALES:
+        if self.scale not in SCALE_FACTORIES:
             raise PlanError(
                 f"unknown scale {self.scale!r}; expected one of "
-                f"{', '.join(PLAN_SCALES)}"
+                f"{', '.join(SCALE_FACTORIES)}"
             )
         if self.seeds is not None and not self.seeds:
             raise PlanError("--seeds needs at least one seed (or omit it)")

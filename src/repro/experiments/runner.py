@@ -34,7 +34,13 @@ from repro.experiments.cache import (
     source_fingerprint,
 )
 from repro.experiments.executor import ParallelExecutor, RunRequest
-from repro.experiments.plan import ReplayPlan, PlanError, repeated
+from repro.experiments.plan import (
+    SCALE_FACTORIES,
+    ExperimentScale,
+    PlanError,
+    ReplayPlan,
+    repeated,
+)
 from repro.experiments.warmup import WarmupCache, policy_learns
 from repro.simulator.cluster import ClusterConfig
 from repro.simulator.engine import SimulationConfig
@@ -88,60 +94,6 @@ MetricsHook = Callable[[str, int, int, MetricsCollector], None]
 #: measured run's seed — which is what lets one warm-up serve every seed of
 #: a multi-seed comparison (see ``repro.experiments.warmup``).
 WARMUP_SEED_OFFSET = 7919
-
-
-@dataclass(frozen=True)
-class ExperimentScale:
-    """Knobs that trade experiment fidelity for runtime.
-
-    The defaults match the benchmark harness (laptop-scale, a couple of
-    minutes per figure); ``paper()`` gives a larger setting for overnight
-    runs closer to the trace-driven simulations of §6.
-    """
-
-    num_jobs: int = 60
-    size_scale: float = 0.25
-    max_tasks_per_job: int = 400
-    num_machines: int = 150
-    seeds: Sequence[int] = (1,)
-    warmup_jobs: int = 40
-    #: Worker processes used to fan (policy, seed) runs out; 1 = serial,
-    #: 0 = auto-size to the machine.  Results are merged deterministically,
-    #: so this knob never changes the numbers — only the wall-clock time.
-    workers: int = 1
-
-    @classmethod
-    def quick(cls) -> "ExperimentScale":
-        """A very small scale for unit tests and smoke benchmarks."""
-        return cls(
-            num_jobs=16,
-            size_scale=0.12,
-            max_tasks_per_job=120,
-            num_machines=80,
-            seeds=(1,),
-            warmup_jobs=10,
-        )
-
-    @classmethod
-    def paper(cls) -> "ExperimentScale":
-        """A heavier scale approximating the paper's trace-driven simulator."""
-        return cls(
-            num_jobs=300,
-            size_scale=1.0,
-            max_tasks_per_job=2000,
-            num_machines=200,
-            seeds=(1, 2, 3),
-            warmup_jobs=150,
-        )
-
-
-#: Experiment-scale factories keyed by the names a :class:`ReplayPlan` (and
-#: the CLI's ``--scale`` flag) may reference.
-SCALE_FACTORIES = {
-    "quick": ExperimentScale.quick,
-    "default": ExperimentScale,
-    "paper": ExperimentScale.paper,
-}
 
 
 @dataclass
@@ -342,14 +294,26 @@ def _scan_source(source: TraceSource) -> TraceScan:
     Files go through :func:`scan_trace` (which also enforces the parse's
     format and duplicate-id guards) and an empty one is a
     :class:`~repro.experiments.plan.PlanError`; generated tiers and job lists
-    fold the same statistics directly.  The straggler cap is the mean
-    slowest/median ratio in *input* order — for a trace whose lines are not
-    arrival-sorted that differs in the last bit from the sorted-order mean,
-    and the digest follows the input-order value.
+    fold the same statistics directly.  A job list that repeats a job id is
+    a :class:`~repro.experiments.plan.PlanError` here, before any shard is
+    cut: the engine's own check sees one shard only, so a repeat split
+    across shards would otherwise replay (a tier's ids are sequential).  The
+    straggler cap is the mean slowest/median ratio in *input* order — for a
+    trace whose lines are not arrival-sorted that differs in the last bit
+    from the sorted-order mean, and the digest follows the input-order value.
     """
+    if isinstance(source, ClusterTierConfig):
+        return scan_jobs(source_jobs(source), source=str(source))
     if not isinstance(source, (str, Path)):
-        label = str(source) if isinstance(source, ClusterTierConfig) else "job list"
-        return scan_jobs(source_jobs(source), source=label)
+        seen: set = set()
+        for job in source:
+            if job.job_id in seen:
+                raise PlanError(
+                    f"job ids must be unique within a job list: job {job.job_id} "
+                    "appears more than once"
+                )
+            seen.add(job.job_id)
+        return scan_jobs(source_jobs(source), source="job list")
     try:
         return scan_trace(source)
     except TraceFormatError:

@@ -7,7 +7,7 @@ policies (GS, RAS, GRASS and the baselines) are exercised.
 
 from repro.simulator.cluster import Cluster, ClusterConfig
 from repro.simulator.engine import Simulation, SimulationConfig
-from repro.simulator.events import Event, EventKind, EventQueue
+from repro.simulator.events import EventKind, EventQueue
 from repro.simulator.machine import Machine
 from repro.simulator.metrics import MetricsCollector
 from repro.simulator.sinks import (
@@ -24,7 +24,6 @@ __all__ = [
     "AggregateSink",
     "Cluster",
     "ClusterConfig",
-    "Event",
     "EventKind",
     "EventQueue",
     "JsonlSpillSink",

@@ -43,9 +43,10 @@ metrics digests *byte-identical* (same RNG draw order, same float operation
 order; ``scripts/check.sh replay-determinism`` and the digest-pinned tests
 enforce this):
 
-* events travel as packed ``(time, priority, seq, ...)`` tuples on a plain
-  heap, and all events sharing a timestamp are drained as one cohort per
-  loop iteration (:meth:`EventQueue.pop_at_or_before`);
+* an event is one ``(time, kind, job_id, task_id, copy_id)`` tuple, its
+  heap entry a ``(time, kind, sequence)`` tuple and its cancel handle the
+  sequence number, and all events sharing a timestamp are drained as one
+  cohort per loop iteration (:meth:`EventQueue.pop_at_or_before`);
 * the cluster keeps flat columns over machines (a ``speed_column`` array, a
   cached ``median_speed``) and a busy-count-bucketed free-list, so
   ``pick_machine`` reads the least-loaded candidate set off a bucket
@@ -153,7 +154,7 @@ from repro.core.policies.base import (
 )
 from repro.core.task import Task, TaskCopy
 from repro.simulator.cluster import Cluster, ClusterConfig
-from repro.simulator.events import Event, EventKind, EventQueue
+from repro.simulator.events import EventKind, EventQueue, EventTuple
 from repro.simulator.metrics import MetricsCollector
 from repro.simulator.sinks import ResultSink, RetainAllSink
 from repro.simulator.stragglers import StragglerConfig, StragglerModel
@@ -238,10 +239,11 @@ class Simulation:
         self._reserved_slots = int(
             round(config.background_utilization * self._total_slots)
         )
-        # Outstanding event handles, used to cancel events that can no longer
-        # matter (killed copies, jobs that finished before their deadline).
-        self._deadline_events: Dict[int, Event] = {}
-        self._copy_finish_events: Dict[int, Event] = {}
+        # Outstanding event handles (sequence numbers), used to cancel events
+        # that can no longer matter (killed copies, jobs that finished before
+        # their deadline).
+        self._deadline_events: Dict[int, int] = {}
+        self._copy_finish_events: Dict[int, int] = {}
         # Fair-share allocations are recomputed lazily: any mutation that can
         # change a job's demand (or the running-job set) raises this flag.
         self._alloc_dirty = True
@@ -265,10 +267,10 @@ class Simulation:
             event = self._events.pop()
             if event is None:
                 break
-            if event.time > self.config.max_simulated_time:
+            if event[0] > self.config.max_simulated_time:
                 truncated = True
                 break
-            self._now = max(self._now, event.time)
+            self._now = max(self._now, event[0])
             self._process_event(event)
             # Apply every other event scheduled for the same instant before
             # making new scheduling decisions, so simultaneous completions
@@ -313,19 +315,16 @@ class Simulation:
 
     # ------------------------------------------------------------------ event handlers
 
-    def _process_event(self, event) -> None:
+    def _process_event(self, event: EventTuple) -> None:
         """Apply one event's state changes (no scheduling decisions here)."""
         self.events_processed += 1
-        if event.kind is EventKind.JOB_ARRIVAL:
-            self._handle_arrival(event.payload["job_id"])
-        elif event.kind is EventKind.COPY_FINISH:
-            self._handle_copy_finish(
-                event.payload["job_id"],
-                event.payload["task_id"],
-                event.payload["copy_id"],
-            )
-        elif event.kind is EventKind.JOB_DEADLINE:
-            self._handle_deadline(event.payload["job_id"])
+        _, kind, job_id, task_id, copy_id = event
+        if kind is EventKind.JOB_ARRIVAL:
+            self._handle_arrival(job_id)
+        elif kind is EventKind.COPY_FINISH:
+            self._handle_copy_finish(job_id, task_id, copy_id)
+        elif kind is EventKind.JOB_DEADLINE:
+            self._handle_deadline(job_id)
 
     def _push_next_arrival(self) -> None:
         """Schedule the lookahead spec's arrival and advance the lookahead.
@@ -353,7 +352,7 @@ class Simulation:
         self._seen_job_ids.add(spec.job_id)
         self._last_arrival_key = key
         self._spec_by_id[spec.job_id] = spec
-        self._events.push(spec.arrival_time, EventKind.JOB_ARRIVAL, job_id=spec.job_id)
+        self._events.push(spec.arrival_time, EventKind.JOB_ARRIVAL, spec.job_id)
         self._next_spec = next(self._spec_stream, None)
 
     def _handle_arrival(self, job_id: int) -> None:
@@ -376,7 +375,7 @@ class Simulation:
             if effective is None:
                 effective = spec.bound.deadline
             self._deadline_events[job_id] = self._events.push(
-                self._now + effective, EventKind.JOB_DEADLINE, job_id=job_id
+                self._now + effective, EventKind.JOB_DEADLINE, job_id
             )
         self.policy.on_job_start(job, self._now)
         # This arrival is done; stage the next one (same or later instant, so
@@ -420,9 +419,9 @@ class Simulation:
 
     def _cancel_copy_event(self, copy_id: int) -> None:
         """Drop the pending COPY_FINISH event of a killed copy, if any."""
-        event = self._copy_finish_events.pop(copy_id, None)
-        if event is not None:
-            self._events.cancel(event)
+        sequence = self._copy_finish_events.pop(copy_id, None)
+        if sequence is not None:
+            self._events.cancel(sequence)
 
     # ------------------------------------------------------------------ job management
 
@@ -451,9 +450,9 @@ class Simulation:
         )
 
     def _finish_job(self, job: Job) -> None:
-        deadline_event = self._deadline_events.pop(job.job_id, None)
-        if deadline_event is not None:
-            self._events.cancel(deadline_event)
+        sequence = self._deadline_events.pop(job.job_id, None)
+        if sequence is not None:
+            self._events.cancel(sequence)
         killed = job.abandon_incomplete_tasks(self._now)
         for victim in killed:
             self._cancel_copy_event(victim.copy_id)
@@ -573,14 +572,14 @@ class Simulation:
                 view = self._build_view(job)
                 if view is None:
                     continue
-                decision = choose_task(view)
-                if decision is None:
+                snap = choose_task(view)
+                if snap is None:
                     if stateless:
                         index = sched_index.get(job_id)
                         if index is not None:
                             index.choice_void = True
                     continue
-                self._launch_copy(job, decision.task, speculative=decision.speculative)
+                self._launch_copy(job, snap.task, speculative=snap.running)
                 progress = True
         self.metrics.record_utilization(self._effective_utilization())
 
@@ -707,11 +706,7 @@ class Simulation:
         self.metrics.record_copy_launch(speculative)
         self._alloc_dirty = True
         self._copy_finish_events[copy_id] = self._events.push(
-            self._now + duration,
-            EventKind.COPY_FINISH,
-            job_id=job_id,
-            task_id=task_id,
-            copy_id=copy_id,
+            self._now + duration, EventKind.COPY_FINISH, job_id, task_id, copy_id
         )
 
     def _release_copy(self, job: Job, copy: TaskCopy) -> None:

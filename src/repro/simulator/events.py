@@ -1,89 +1,42 @@
 """Event queue for the discrete-event simulator.
 
-Events are ordered by time, then by a deterministic sequence number so two
-runs with the same seed replay the exact same schedule (ties are common:
-several copies can finish at the same instant when durations are integers).
+Events are ordered by time, then by kind, then by a deterministic sequence
+number, so two runs with the same seed replay the exact same schedule (ties
+are common: several copies can finish at the same instant when durations are
+integers).
 
-The heap itself stores packed ``(time, priority, sequence)`` tuples — plain
-tuple comparisons are what CPython's ``heapq`` C accelerator is optimised
-for — while the :class:`Event` handle callers hold is a slot-based object
-looked up by sequence number only when an entry is actually popped.
-Cancellation is a dict deletion: a heap entry whose sequence is no longer
-live is discarded in passing by ``pop``/``peek_time``.
+An event is a plain tuple ``(time, kind, job_id, task_id, copy_id)``.  The
+heap holds ``(time, kind, sequence)`` — plain tuple comparisons are what
+CPython's ``heapq`` C accelerator is optimised for — and the live table maps
+each sequence number to its event.  ``push`` returns the sequence number as
+the cancel handle.  Cancellation is a dict deletion: a heap entry whose
+sequence is no longer live is discarded in passing by ``pop``/``peek_time``.
 """
 
 from __future__ import annotations
 
 import heapq
-from enum import Enum
-from typing import Any, Dict, List, Optional, Tuple
+from enum import IntEnum
+from typing import Dict, List, Optional, Tuple
 
 
-class EventKind(Enum):
-    """The kinds of events the engine reacts to."""
+class EventKind(IntEnum):
+    """The kinds of events the engine reacts to.
 
-    JOB_ARRIVAL = "job_arrival"
-    COPY_FINISH = "copy_finish"
-    JOB_DEADLINE = "job_deadline"
-    PERIODIC_TICK = "periodic_tick"
-
-
-#: Tie-break order for events scheduled at the same instant.  Copy completions
-#: are applied before deadlines so a task finishing exactly at the deadline
-#: still counts, and before arrivals so freed slots are visible to the new job.
-_KIND_PRIORITY = {
-    EventKind.COPY_FINISH: 0,
-    EventKind.JOB_ARRIVAL: 1,
-    EventKind.PERIODIC_TICK: 2,
-    EventKind.JOB_DEADLINE: 3,
-}
-
-
-class Event:
-    """A single simulator event (the handle returned by ``push``).
-
-    Ordering compares ``(time, priority, sequence)``; the payload is excluded
-    from comparisons so it never needs to be orderable itself.
+    The values are the tie-break order of events scheduled at the same
+    instant.  Copy completions are applied before arrivals, so freed slots
+    are visible to the new job, and before deadlines, so a task finishing
+    exactly at the deadline still counts.
     """
 
-    __slots__ = ("time", "priority", "sequence", "kind", "payload")
+    COPY_FINISH = 0
+    JOB_ARRIVAL = 1
+    JOB_DEADLINE = 2
 
-    def __init__(
-        self,
-        time: float,
-        priority: int,
-        sequence: int,
-        kind: EventKind,
-        payload: Dict[str, Any],
-    ) -> None:
-        if time < 0:
-            raise ValueError("event time must be non-negative")
-        self.time = time
-        self.priority = priority
-        self.sequence = sequence
-        self.kind = kind
-        self.payload = payload
 
-    def _key(self) -> Tuple[float, int, int]:
-        return (self.time, self.priority, self.sequence)
-
-    def __lt__(self, other: "Event") -> bool:
-        return self._key() < other._key()
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Event):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return (
-            f"Event(time={self.time!r}, priority={self.priority!r}, "
-            f"sequence={self.sequence!r}, kind={self.kind!r}, "
-            f"payload={self.payload!r})"
-        )
+#: ``(time, kind, job_id, task_id, copy_id)``; the ids a kind does not use
+#: are -1.
+EventTuple = Tuple[float, EventKind, int, int, int]
 
 
 class EventQueue:
@@ -97,8 +50,8 @@ class EventQueue:
     """
 
     def __init__(self) -> None:
-        self._heap: List[Tuple[float, int, int]] = []
-        self._live: Dict[int, Event] = {}
+        self._heap: List[Tuple[float, EventKind, int]] = []
+        self._live: Dict[int, EventTuple] = {}
         self._next_sequence = 0
 
     def __len__(self) -> int:
@@ -107,24 +60,32 @@ class EventQueue:
     def __bool__(self) -> bool:
         return bool(self._live)
 
-    def push(self, time: float, kind: EventKind, **payload: Any) -> Event:
-        """Schedule an event and return it (the handle can be cancelled)."""
+    def push(
+        self,
+        time: float,
+        kind: EventKind,
+        job_id: int,
+        task_id: int = -1,
+        copy_id: int = -1,
+    ) -> int:
+        """Schedule an event and return its sequence number (the cancel handle)."""
+        if time < 0:
+            raise ValueError("event time must be non-negative")
         sequence = self._next_sequence
         self._next_sequence = sequence + 1
-        event = Event(time, _KIND_PRIORITY[kind], sequence, kind, payload)
-        heapq.heappush(self._heap, (time, event.priority, sequence))
-        self._live[sequence] = event
-        return event
+        heapq.heappush(self._heap, (time, kind, sequence))
+        self._live[sequence] = (time, kind, job_id, task_id, copy_id)
+        return sequence
 
-    def cancel(self, event: Event) -> None:
+    def cancel(self, sequence: int) -> None:
         """Lazily cancel an event: it will be skipped when popped.
 
         Cancelling an event that was already popped (or cancelled) is a
         no-op, so callers don't need to track whether a handle already fired.
         """
-        self._live.pop(event.sequence, None)
+        self._live.pop(sequence, None)
 
-    def pop(self) -> Optional[Event]:
+    def pop(self) -> Optional[EventTuple]:
         """Pop the earliest non-cancelled event, or None if the queue is empty."""
         heap = self._heap
         live = self._live
@@ -134,7 +95,7 @@ class EventQueue:
                 return event
         return None
 
-    def pop_at_or_before(self, time: float) -> Optional[Event]:
+    def pop_at_or_before(self, time: float) -> Optional[EventTuple]:
         """Pop the earliest live event no later than ``time``, else None.
 
         This is the engine's same-instant cohort drain in one heap

@@ -35,8 +35,8 @@ class TestLate:
             DEADLINE,
             remaining_deadline=50.0,
         )
-        decision = policy.choose_task(view)
-        assert decision.task.task_id == 1 and not decision.speculative
+        snap = policy.choose_task(view)
+        assert snap.task.task_id == 1 and not snap.running
 
     def test_speculates_slowest_task_when_no_pending(self):
         policy = LatePolicy(min_runtime_before_speculation=0.0)
@@ -45,10 +45,10 @@ class TestLate:
             DEADLINE,
             remaining_deadline=100.0,
         )
-        decision = policy.choose_task(view)
-        assert decision is not None
-        assert decision.speculative
-        assert decision.task.task_id == 0
+        snap = policy.choose_task(view)
+        assert snap is not None
+        assert snap.running
+        assert snap.task.task_id == 0
 
     def test_respects_speculative_cap(self):
         policy = LatePolicy(speculative_cap=0.1, min_runtime_before_speculation=0.0)
@@ -78,8 +78,8 @@ class TestMantri:
             DEADLINE,
             remaining_deadline=100.0,
         )
-        decision = policy.choose_task(view)
-        assert decision.task.task_id == 0 and decision.speculative
+        snap = policy.choose_task(view)
+        assert snap.task.task_id == 0 and snap.running
 
     def test_prefers_pending_when_no_task_qualifies(self):
         policy = MantriPolicy(min_runtime_before_speculation=0.0)
@@ -88,8 +88,8 @@ class TestMantri:
             DEADLINE,
             remaining_deadline=100.0,
         )
-        decision = policy.choose_task(view)
-        assert decision.task.task_id == 1 and not decision.speculative
+        snap = policy.choose_task(view)
+        assert snap.task.task_id == 1 and not snap.running
 
     def test_caps_copies_at_two(self):
         policy = MantriPolicy(min_runtime_before_speculation=0.0)
@@ -112,8 +112,8 @@ class TestOracle:
         tasks = [(10.0, False, 10.0, 10.0, 0) for _ in range(20)]
         tasks.append((10.0, True, 15.0, 10.0, 1))  # duplicate not beneficial for RAS
         view = make_view(tasks, DEADLINE, remaining_deadline=200.0, wave_width=2)
-        decision = policy.choose_task(view)
-        assert not decision.speculative
+        snap = policy.choose_task(view)
+        assert not snap.running
 
     def test_uses_gs_in_final_waves(self):
         policy = OraclePolicy()
@@ -122,8 +122,8 @@ class TestOracle:
         view = make_view(
             [(10.0, True, 9.0, 5.0, 1)], DEADLINE, remaining_deadline=10.0, wave_width=2
         )
-        decision = policy.choose_task(view)
-        assert decision is not None and decision.speculative
+        snap = policy.choose_task(view)
+        assert snap is not None and snap.running
 
     def test_error_bound_waves_from_required_tasks(self):
         policy = OraclePolicy()

@@ -8,6 +8,7 @@ from repro.core.estimators import EstimateAccuracyTracker, EstimatorConfig, Task
 from repro.core.policies.base import TaskSnapshot
 from repro.core.task import Task, TaskCopy, TaskSpec
 from repro.utils.rng import RngStream
+from repro.utils.stats import median
 
 
 def make_task(work: float = 10.0, task_id: int = 0) -> Task:
@@ -86,6 +87,16 @@ class TestTnew:
             estimator.observe_completion(make_task(work=10.0), 10.0 * rate)
         assert estimator.expected_work_rate() == pytest.approx(2.0)
         assert estimator.tnew(make_task(work=5.0)) == pytest.approx(10.0)
+
+    @given(st.lists(st.integers(min_value=1, max_value=40), min_size=1, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_work_rate_is_the_median_of_unsorted_completions(self, durations):
+        # Completions arrive in any order; the rate must be exactly what
+        # ``stats.median`` returns over them, for odd and even counts alike.
+        estimator = make_estimator()
+        for duration in durations:
+            estimator.observe_completion(make_task(work=3.0), float(duration))
+        assert estimator.expected_work_rate() == median([d / 3.0 for d in durations])
 
     def test_same_rate_for_all_tasks(self):
         # The tnew error must never rank equal-sized tasks differently.

@@ -23,16 +23,16 @@ from tests.conftest import make_job_spec, make_simulation_config
 class TestQueueCancellation:
     def test_cancelled_event_skipped_by_pop(self):
         queue = EventQueue()
-        drop = queue.push(1.0, EventKind.COPY_FINISH, tag="drop")
-        keep = queue.push(2.0, EventKind.COPY_FINISH, tag="keep")
+        drop = queue.push(1.0, EventKind.COPY_FINISH, 1, 0, 10)
+        queue.push(2.0, EventKind.COPY_FINISH, 2, 0, 20)
         queue.cancel(drop)
-        assert queue.pop() is keep
+        assert queue.pop() == (2.0, EventKind.COPY_FINISH, 2, 0, 20)
         assert queue.pop() is None
 
     def test_len_counts_only_live_events(self):
         queue = EventQueue()
-        first = queue.push(1.0, EventKind.COPY_FINISH)
-        queue.push(2.0, EventKind.COPY_FINISH)
+        first = queue.push(1.0, EventKind.COPY_FINISH, 0)
+        queue.push(2.0, EventKind.COPY_FINISH, 0)
         assert len(queue) == 2
         queue.cancel(first)
         assert len(queue) == 1
@@ -40,7 +40,7 @@ class TestQueueCancellation:
 
     def test_queue_of_only_cancelled_events_is_falsy(self):
         queue = EventQueue()
-        event = queue.push(1.0, EventKind.COPY_FINISH)
+        event = queue.push(1.0, EventKind.COPY_FINISH, 0)
         queue.cancel(event)
         assert len(queue) == 0
         assert not queue
@@ -49,17 +49,17 @@ class TestQueueCancellation:
 
     def test_cancel_after_pop_is_a_noop(self):
         queue = EventQueue()
-        event = queue.push(1.0, EventKind.COPY_FINISH)
-        later = queue.push(2.0, EventKind.COPY_FINISH)
-        assert queue.pop() is event
+        event = queue.push(1.0, EventKind.COPY_FINISH, 1)
+        queue.push(2.0, EventKind.COPY_FINISH, 2)
+        assert queue.pop()[2] == 1
         queue.cancel(event)  # already fired: must not poison the queue
         assert len(queue) == 1
-        assert queue.pop() is later
+        assert queue.pop()[2] == 2
 
     def test_double_cancel_is_a_noop(self):
         queue = EventQueue()
-        event = queue.push(1.0, EventKind.COPY_FINISH)
-        queue.push(2.0, EventKind.COPY_FINISH)
+        event = queue.push(1.0, EventKind.COPY_FINISH, 0)
+        queue.push(2.0, EventKind.COPY_FINISH, 0)
         queue.cancel(event)
         queue.cancel(event)
         assert len(queue) == 1
@@ -82,16 +82,19 @@ class TestQueueCancellation:
         queue = EventQueue()
         live = []
         for index, (time, cancel_later) in enumerate(pushes):
-            event = queue.push(time, EventKind.COPY_FINISH, index=index)
+            sequence = queue.push(time, EventKind.COPY_FINISH, index)
             if cancel_later:
-                queue.cancel(event)
+                queue.cancel(sequence)
             else:
-                live.append(event)
+                live.append((time, sequence, index))
         assert len(queue) == len(live)
-        expected = sorted(live, key=lambda e: (e.time, e.sequence))
+        expected = [
+            (time, EventKind.COPY_FINISH, index, -1, -1)
+            for time, _, index in sorted(live)
+        ]
         for expected_event in expected[:pops]:
-            assert queue.peek_time() == expected_event.time
-            assert queue.pop() is expected_event
+            assert queue.peek_time() == expected_event[0]
+            assert queue.pop() == expected_event
         assert len(queue) == max(0, len(live) - pops)
         remaining = expected[pops:]
         assert [queue.pop() for _ in remaining] == remaining

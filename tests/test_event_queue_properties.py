@@ -1,12 +1,12 @@
 """Property tests pinning the :class:`EventQueue` ordering contract.
 
-The batched event kernel replaces the frozen-dataclass heap entries with
-packed tuples; these tests lock the externally observable contract in place
-first, so the queue can be rewritten against a fixed specification:
+An event is a ``(time, kind, job_id, task_id, copy_id)`` tuple and its
+handle the sequence number ``push`` returns.  These tests lock the
+externally observable contract in place:
 
-* pop order is ``(time, kind priority, sequence)`` — time first, then the
-  kind tie-break (COPY_FINISH < JOB_ARRIVAL < PERIODIC_TICK < JOB_DEADLINE),
-  then insertion order;
+* pop order is ``(time, kind value, sequence)`` — time first, then the
+  kind tie-break (COPY_FINISH < JOB_ARRIVAL < JOB_DEADLINE), then insertion
+  order;
 * cancellation is lazy and idempotent: a cancelled event is never popped,
   cancelling an already-popped or already-cancelled handle is a no-op, and
   ``len``/``bool`` count live events only;
@@ -21,9 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simulator.events import _KIND_PRIORITY, EventKind, EventQueue
+from repro.simulator.events import EventKind, EventQueue
 
-KINDS = sorted(EventKind, key=lambda kind: _KIND_PRIORITY[kind])
+KINDS = list(EventKind)
 
 #: A pushed event: (time, kind); times are coarse floats so ties are common.
 event_specs = st.lists(
@@ -41,41 +41,44 @@ class TestPopOrdering:
     @settings(max_examples=200, deadline=None)
     def test_pop_order_is_time_then_kind_priority_then_sequence(self, specs):
         queue = EventQueue()
-        handles = [queue.push(time, kind, index=i) for i, (time, kind) in enumerate(specs)]
+        handles = [queue.push(time, kind, i) for i, (time, kind) in enumerate(specs)]
         expected = sorted(
-            handles,
-            key=lambda ev: (ev.time, _KIND_PRIORITY[ev.kind], ev.sequence),
+            range(len(specs)),
+            key=lambda i: (specs[i][0], int(specs[i][1]), handles[i]),
         )
         popped = []
         while queue:
             popped.append(queue.pop())
-        assert [ev.payload["index"] for ev in popped] == [
-            ev.payload["index"] for ev in expected
-        ]
+        assert [event[2] for event in popped] == expected
+        assert popped == [(*specs[i], i, -1, -1) for i in expected]
         assert queue.pop() is None
 
     @given(specs=event_specs)
     @settings(max_examples=100, deadline=None)
     def test_sequence_numbers_are_strictly_increasing(self, specs):
         queue = EventQueue()
-        handles = [queue.push(time, kind) for time, kind in specs]
-        sequences = [handle.sequence for handle in handles]
-        assert sequences == sorted(sequences)
-        assert len(set(sequences)) == len(sequences)
+        handles = [queue.push(time, kind, 0) for time, kind in specs]
+        assert all(type(handle) is int for handle in handles)
+        assert handles == sorted(handles)
+        assert len(set(handles)) == len(handles)
 
     def test_same_instant_kind_priority(self):
         queue = EventQueue()
-        queue.push(1.0, EventKind.JOB_DEADLINE, tag="deadline")
-        queue.push(1.0, EventKind.JOB_ARRIVAL, tag="arrival")
-        queue.push(1.0, EventKind.COPY_FINISH, tag="finish")
-        queue.push(1.0, EventKind.PERIODIC_TICK, tag="tick")
-        order = [queue.pop().payload["tag"] for _ in range(4)]
-        assert order == ["finish", "arrival", "tick", "deadline"]
+        queue.push(1.0, EventKind.JOB_DEADLINE, 1)
+        queue.push(1.0, EventKind.JOB_ARRIVAL, 2)
+        queue.push(1.0, EventKind.COPY_FINISH, 3, 4, 5)
+        order = [queue.pop() for _ in range(3)]
+        assert order == [
+            (1.0, EventKind.COPY_FINISH, 3, 4, 5),
+            (1.0, EventKind.JOB_ARRIVAL, 2, -1, -1),
+            (1.0, EventKind.JOB_DEADLINE, 1, -1, -1),
+        ]
 
     def test_negative_time_rejected(self):
         queue = EventQueue()
         with pytest.raises(ValueError):
-            queue.push(-0.5, EventKind.COPY_FINISH)
+            queue.push(-0.5, EventKind.COPY_FINISH, 0)
+        assert len(queue) == 0
 
 
 class TestCancellation:
@@ -83,37 +86,35 @@ class TestCancellation:
     @settings(max_examples=200, deadline=None)
     def test_cancelled_events_never_pop_and_len_counts_live(self, specs, data):
         queue = EventQueue()
-        handles = [queue.push(time, kind, index=i) for i, (time, kind) in enumerate(specs)]
+        handles = [queue.push(time, kind, i) for i, (time, kind) in enumerate(specs)]
         to_cancel = data.draw(st.sets(st.sampled_from(range(len(handles)))))
         for index in to_cancel:
             queue.cancel(handles[index])
             queue.cancel(handles[index])  # idempotent
-        live = [h for i, h in enumerate(handles) if i not in to_cancel]
+        live = [i for i in range(len(handles)) if i not in to_cancel]
         assert len(queue) == len(live)
         assert bool(queue) == bool(live)
         expected = sorted(
-            live, key=lambda ev: (ev.time, _KIND_PRIORITY[ev.kind], ev.sequence)
+            live, key=lambda i: (specs[i][0], int(specs[i][1]), handles[i])
         )
         popped = []
         while queue:
             popped.append(queue.pop())
-        assert [ev.payload["index"] for ev in popped] == [
-            ev.payload["index"] for ev in expected
-        ]
+        assert [event[2] for event in popped] == expected
 
     def test_cancel_after_pop_is_noop(self):
         queue = EventQueue()
-        first = queue.push(1.0, EventKind.COPY_FINISH, tag="first")
-        queue.push(2.0, EventKind.COPY_FINISH, tag="second")
-        assert queue.pop() is first
+        first = queue.push(1.0, EventKind.COPY_FINISH, 1)
+        queue.push(2.0, EventKind.COPY_FINISH, 2)
+        assert queue.pop()[2] == 1
         queue.cancel(first)  # already fired: must not affect the live event
         assert len(queue) == 1
-        assert queue.pop().payload["tag"] == "second"
+        assert queue.pop()[2] == 2
 
     def test_clear_empties_everything(self):
         queue = EventQueue()
-        handle = queue.push(1.0, EventKind.COPY_FINISH)
-        queue.push(2.0, EventKind.JOB_ARRIVAL)
+        handle = queue.push(1.0, EventKind.COPY_FINISH, 0)
+        queue.push(2.0, EventKind.JOB_ARRIVAL, 1)
         queue.cancel(handle)
         queue.clear()
         assert len(queue) == 0
@@ -127,7 +128,7 @@ class TestPeekAndCohortDrain:
     @settings(max_examples=200, deadline=None)
     def test_peek_time_matches_next_pop(self, specs, data):
         queue = EventQueue()
-        handles = [queue.push(time, kind) for time, kind in specs]
+        handles = [queue.push(time, kind, 0) for time, kind in specs]
         for index in data.draw(st.sets(st.sampled_from(range(len(handles))))):
             queue.cancel(handles[index])
         while True:
@@ -136,7 +137,7 @@ class TestPeekAndCohortDrain:
             if event is None:
                 assert peeked is None
                 break
-            assert peeked == event.time
+            assert peeked == event[0]
 
     @given(specs=event_specs)
     @settings(max_examples=100, deadline=None)
@@ -144,15 +145,15 @@ class TestPeekAndCohortDrain:
         """The engine's cohort drain: pop one event, then drain its instant."""
         queue = EventQueue()
         for time, kind in specs:
-            queue.push(time, kind)
+            queue.push(time, kind, 0)
         cohorts = []
         while queue:
             event = queue.pop()
             cohort = [event]
-            while queue.peek_time() == event.time:
+            while queue.peek_time() == event[0]:
                 cohort.append(queue.pop())
             cohorts.append(cohort)
-        times = [cohort[0].time for cohort in cohorts]
+        times = [cohort[0][0] for cohort in cohorts]
         assert times == sorted(times)
         assert len(set(times)) == len(times), "each instant drains in one cohort"
         assert sum(len(c) for c in cohorts) == len(specs)

@@ -10,8 +10,8 @@ The digests were computed under CPython 3.11 and hold unchanged under 3.10,
 3.12 and 3.13.  They pin float arithmetic down to the last bit, so every sum
 in ``repro`` goes through one left-to-right fold,
 ``repro.utils.stats.left_sum``: CPython 3.12 made the built-in ``sum()``
-over floats compensated, which moved 12 of these 15 entries while ``repro``
-still called it.  Analyzer rule DET005 keeps the built-in out of
+over floats compensated, which moved 12 of the 15 entries pinned then while
+``repro`` still called it.  Analyzer rule DET005 keeps the built-in out of
 digest-relevant code.
 
 Five cases pin the figures path instead of a replay plan: the digest of a
@@ -187,6 +187,11 @@ CASES: Dict[str, Callable[[Path, int], str]] = {
     ),
     "facebook_like-shuffled-shards2": _trace_case(_shuffled_facebook, shards=2),
     "cluster-200x4": _plan_case(cluster_jobs=200, shards=4),
+    # A 2k-job window of the cluster tier under GRASS alone: the scale at
+    # which scheduling-rule fixes show up as a deliberate re-pin.
+    "cluster-2000x4-grass": _plan_case(
+        cluster_jobs=2000, shards=4, policies=("grass",), sink="aggregate"
+    ),
     "ingested-google-sample-shards2": _trace_case(
         _ingested("google", "google_task_events.sample.csv"), shards=2
     ),

@@ -61,10 +61,10 @@ def make_view(task_specs, bound, remaining_deadline=None, remaining_required=Non
 
 def chosen(policy, view):
     """``(task_id, speculative)`` of the policy's choice, or None."""
-    decision = policy.choose_task(view)
-    if decision is None:
+    snap = policy.choose_task(view)
+    if snap is None:
         return None
-    return decision.task.task_id, decision.speculative
+    return snap.task.task_id, snap.running
 
 
 DEADLINE = ApproximationBound.with_deadline(100.0)
@@ -158,9 +158,9 @@ class TestGreedySpeculative:
             DEADLINE,
             remaining_deadline=50.0,
         )
-        decision = policy.choose_task(view)
-        assert decision.task.task_id == 1
-        assert not decision.speculative
+        snap = policy.choose_task(view)
+        assert snap.task.task_id == 1
+        assert not snap.running
 
     def test_deadline_speculates_when_duplicate_is_fastest(self):
         policy = GreedySpeculative()
@@ -169,9 +169,9 @@ class TestGreedySpeculative:
             DEADLINE,
             remaining_deadline=50.0,
         )
-        decision = policy.choose_task(view)
-        assert decision.task.task_id == 0
-        assert decision.speculative
+        snap = policy.choose_task(view)
+        assert snap.task.task_id == 0
+        assert snap.running
 
     def test_deadline_tie_prefers_original_over_duplicate(self):
         policy = GreedySpeculative()
@@ -190,8 +190,8 @@ class TestGreedySpeculative:
         view = make_view(
             [(10.0, False, 30.0, 30.0, 0)], DEADLINE, remaining_deadline=5.0
         )
-        decision = policy.choose_task(view)
-        assert decision is not None and not decision.speculative
+        snap = policy.choose_task(view)
+        assert snap is not None and not snap.running
 
     def test_error_picks_largest_remaining(self):
         policy = GreedySpeculative()
@@ -200,8 +200,8 @@ class TestGreedySpeculative:
             ERROR,
             remaining_required=2,
         )
-        decision = policy.choose_task(view)
-        assert decision.task.task_id == 0 and decision.speculative
+        snap = policy.choose_task(view)
+        assert snap.task.task_id == 0 and snap.running
 
     def test_copy_cap_blocks_further_duplicates(self):
         policy = GreedySpeculative(max_copies_per_task=2)
@@ -223,8 +223,8 @@ class TestResourceAwareSpeculative:
             DEADLINE,
             remaining_deadline=50.0,
         )
-        decision = policy.choose_task(view)
-        assert decision.task.task_id == 0 and decision.speculative
+        snap = policy.choose_task(view)
+        assert snap.task.task_id == 0 and snap.running
 
     def test_falls_back_to_sjf_without_savings(self):
         policy = ResourceAwareSpeculative()
@@ -233,8 +233,8 @@ class TestResourceAwareSpeculative:
             DEADLINE,
             remaining_deadline=50.0,
         )
-        decision = policy.choose_task(view)
-        assert decision.task.task_id == 1 and not decision.speculative
+        snap = policy.choose_task(view)
+        assert snap.task.task_id == 1 and not snap.running
 
     def test_picks_highest_saving_among_duplicates(self):
         policy = ResourceAwareSpeculative()
@@ -261,16 +261,16 @@ class TestResourceAwareSpeculative:
             ERROR,
             remaining_required=2,
         )
-        decision = policy.choose_task(view)
-        assert decision.task.task_id == 1 and not decision.speculative
+        snap = policy.choose_task(view)
+        assert snap.task.task_id == 1 and not snap.running
 
     def test_falls_back_to_beneficial_duplicate_when_everything_pruned(self):
         policy = ResourceAwareSpeculative()
         view = make_view(
             [(10.0, True, 10.0, 8.0, 1)], DEADLINE, remaining_deadline=5.0
         )
-        decision = policy.choose_task(view)
-        assert decision is not None and decision.speculative
+        snap = policy.choose_task(view)
+        assert snap is not None and snap.running
 
     def test_returns_none_when_no_useful_fallback_exists(self):
         policy = ResourceAwareSpeculative()
@@ -429,7 +429,6 @@ def test_index_selection_matches_the_list_reference(case):
         (GreedySpeculative, False),
         (ResourceAwareSpeculative, True),
     ):
-        decision = policy_cls(max_copies_per_task=cap).choose_task(view)
+        got = policy_cls(max_copies_per_task=cap).choose_task(view)
         expected = reference_choice(view, resource_aware, cap)
-        got = None if decision is None else decision.snapshot
         assert got is expected, (policy_cls.name, got, expected)

@@ -183,6 +183,17 @@ class TestValidation:
         plan = ReplayPlan(trace="t", stream=True, stream_specs=True)
         assert plan.validate() is plan
 
+    def test_a_scale_added_to_the_one_table_is_valid_everywhere(self, monkeypatch):
+        # ``runner.SCALE_FACTORIES`` is the table the CLI and perfbench read;
+        # the plan's --scale check must accept exactly its names.
+        from repro.experiments import runner
+
+        tiny = runner.ExperimentScale(num_jobs=4, num_machines=8)
+        monkeypatch.setitem(runner.SCALE_FACTORIES, "tiny", lambda: tiny)
+        plan = ReplayPlan(cluster_jobs=4, scale="tiny")
+        assert plan.validate() is plan
+        assert plan_scale(plan).num_machines == 8
+
 
 class TestGeneratedCli:
     """The replay parser is generated from the plan — no drift possible."""

@@ -34,7 +34,7 @@ from repro.baselines import OraclePolicy
 from repro.core.bounds import ApproximationBound
 from repro.core.estimators import TaskEstimator
 from repro.core.job import Job
-from repro.core.policies.base import ExactIndex, SchedulingDecision, SchedulingView
+from repro.core.policies.base import ExactIndex, SchedulingView, TaskSnapshot
 from repro.core.task import Task, TaskCopy
 from repro.experiments.policies import make_policy
 from repro.experiments.runner import (
@@ -76,7 +76,7 @@ def _checked(name: str, seen: Counter):
     base = _registered(name)
 
     class Checked(base):
-        def choose_task(self, view: SchedulingView) -> Optional[SchedulingDecision]:
+        def choose_task(self, view: SchedulingView) -> Optional[TaskSnapshot]:
             stale = view.sched.p_stale
             first = view.first_pending()
             fields = None if first is None else (first.tnew, first.trem)
@@ -122,7 +122,7 @@ def _counting(name: str, stateless: bool, counts: Counter):
     class Counting(base):
         stateless_choose = stateless
 
-        def choose_task(self, view: SchedulingView) -> Optional[SchedulingDecision]:
+        def choose_task(self, view: SchedulingView) -> Optional[TaskSnapshot]:
             counts[stateless] += 1
             return super().choose_task(view)
 

@@ -14,46 +14,45 @@ from repro.utils.rng import RngStream
 class TestEventQueue:
     def test_pop_returns_events_in_time_order(self):
         queue = EventQueue()
-        queue.push(3.0, EventKind.COPY_FINISH, tag="c")
-        queue.push(1.0, EventKind.JOB_ARRIVAL, tag="a")
-        queue.push(2.0, EventKind.JOB_DEADLINE, tag="b")
-        tags = [queue.pop().payload["tag"] for _ in range(3)]
-        assert tags == ["a", "b", "c"]
+        queue.push(3.0, EventKind.COPY_FINISH, 3)
+        queue.push(1.0, EventKind.JOB_ARRIVAL, 1)
+        queue.push(2.0, EventKind.JOB_DEADLINE, 2)
+        assert [queue.pop()[2] for _ in range(3)] == [1, 2, 3]
 
     def test_ties_break_by_insertion_order(self):
         queue = EventQueue()
-        queue.push(1.0, EventKind.COPY_FINISH, tag="first")
-        queue.push(1.0, EventKind.COPY_FINISH, tag="second")
-        assert queue.pop().payload["tag"] == "first"
-        assert queue.pop().payload["tag"] == "second"
+        queue.push(1.0, EventKind.COPY_FINISH, 0, 0, 1)
+        queue.push(1.0, EventKind.COPY_FINISH, 0, 0, 2)
+        assert queue.pop()[4] == 1
+        assert queue.pop()[4] == 2
 
     def test_cancel_skips_event(self):
         queue = EventQueue()
-        keep = queue.push(1.0, EventKind.COPY_FINISH, tag="keep")
-        drop = queue.push(0.5, EventKind.COPY_FINISH, tag="drop")
+        queue.push(1.0, EventKind.COPY_FINISH, 1)
+        drop = queue.push(0.5, EventKind.COPY_FINISH, 2)
         queue.cancel(drop)
-        assert queue.pop() is keep
+        assert queue.pop()[2] == 1
 
     def test_pop_empty_returns_none(self):
         assert EventQueue().pop() is None
 
     def test_peek_time_skips_cancelled(self):
         queue = EventQueue()
-        drop = queue.push(0.5, EventKind.COPY_FINISH)
-        queue.push(2.0, EventKind.COPY_FINISH)
+        drop = queue.push(0.5, EventKind.COPY_FINISH, 0)
+        queue.push(2.0, EventKind.COPY_FINISH, 0)
         queue.cancel(drop)
         assert queue.peek_time() == 2.0
 
     def test_len_and_clear(self):
         queue = EventQueue()
-        queue.push(1.0, EventKind.COPY_FINISH)
+        queue.push(1.0, EventKind.COPY_FINISH, 0)
         assert len(queue) == 1 and bool(queue)
         queue.clear()
         assert len(queue) == 0 and not queue
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
-            EventQueue().push(-1.0, EventKind.COPY_FINISH)
+            EventQueue().push(-1.0, EventKind.COPY_FINISH, 0)
 
 
 class TestMachine:

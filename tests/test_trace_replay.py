@@ -11,14 +11,17 @@ from dataclasses import replace
 
 import pytest
 
+from repro.experiments import runner
 from repro.experiments.cli import main, metrics_digest
 from repro.experiments.figures import FIGURES
+from repro.experiments.plan import PlanError
 from repro.experiments.runner import (
     ExperimentScale,
     _replay_simulation_config,
     _scan_source,
     _shard_sources,
 )
+from repro.simulator.engine import Simulation
 from repro.workload.trace_replay import (
     TraceReplayConfig,
     export_trace,
@@ -158,6 +161,34 @@ class TestTraceAdapter:
         ]
         with pytest.raises(ValueError, match="unique"):
             replay_source(["late"], jobs, TINY)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_duplicate_ids_across_shards_rejected_before_simulating(
+        self, workers, monkeypatch
+    ):
+        # Job 0 opens the first shard and closes the second, so each shard's
+        # engine sees it once: only the calibration scan can reject it.
+        jobs = [
+            TraceJob(job_id=job_id, arrival_time=float(index), task_durations=[1.0])
+            for index, job_id in enumerate([0, 1, 2, 3, 4, 5, 6, 0])
+        ]
+        calls = []
+        run = Simulation.run
+        simulate = runner._simulate
+
+        def counted_run(simulation):
+            calls.append("run")
+            return run(simulation)
+
+        def counted_simulate(*args, **kwargs):
+            calls.append("simulate")
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(Simulation, "run", counted_run)
+        monkeypatch.setattr(runner, "_simulate", counted_simulate)
+        with pytest.raises(PlanError, match="unique.*job 0 "):
+            replay_source(["late"], jobs, replace(TINY, workers=workers), shards=2)
+        assert calls == []
 
     def test_arrivals_rebased_and_ordered(self):
         jobs = [
