@@ -6,8 +6,8 @@ once with the aggregate sink — and records what the sink architecture exists t
 deliver: with ``--sink aggregate`` the comparison holds **zero** resident
 ``JobResult`` objects and the digest still matches the retain path
 byte-for-byte, while the memory still traced once the pipeline has drained
-(the part that grows with trace length under the retain sink: results plus
-per-job metadata) drops to a small fraction of the retaining run's.
+(the part that grows with trace length under the retain sink: the results)
+drops to a small fraction of the retaining run's.
 
 Peak traced memory is recorded for context but does not gate: the peak is
 dominated by transient engine state — concurrent jobs' tasks and copies —

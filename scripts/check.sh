@@ -17,9 +17,11 @@
 #                 time the floor was set); requires pytest-cov (CI installs
 #                 it; locally the subcommand fails fast if it is missing)
 # * bench-smoke — the engine hot-path and trace-replay micro-benchmarks plus
-#                 one cheap figure bench, the warm-up-cache and replay-cache
-#                 benches and the spec-streaming, result-sink, cluster-tier
-#                 and service-load benches at quick scale; refreshes
+#                 two figure benches (Figure 1's worked example, and Figure
+#                 6, whose bins must print in table order), the warm-up-cache
+#                 and replay-cache benches and the spec-streaming,
+#                 result-sink, cluster-tier and service-load benches at
+#                 quick scale; refreshes
 #                 benchmarks/BENCH_engine.json and fails if the refresh
 #                 produced an unreadable file
 # * bench-gate  — takes the committed BENCH_engine.json (git show HEAD:...)
@@ -397,6 +399,7 @@ run_bench_smoke() {
         benchmarks/bench_cluster_scale.py \
         benchmarks/bench_service_load.py \
         benchmarks/bench_fig1_deadline_example.py \
+        benchmarks/bench_fig6_bound_bins.py \
         || return $?
     # The JSON merge happens in a pytest sessionfinish hook whose failure
     # does not change the pytest exit code; verify the artifact explicitly

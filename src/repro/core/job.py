@@ -147,12 +147,8 @@ class JobResult:
 
     @property
     def job_bin(self) -> str:
-        """The paper's job-size bins: <50, 51-500, >500 input tasks."""
-        if self.num_input_tasks <= 50:
-            return "small"
-        if self.num_input_tasks <= 500:
-            return "medium"
-        return "large"
+        """The job's size bin by input tasks (see :func:`job_bin_label`)."""
+        return job_bin_label(self.num_input_tasks)
 
 
 class Job(TaskObserver):
@@ -432,7 +428,7 @@ class Job(TaskObserver):
 
 
 def job_bin_label(num_tasks: int) -> str:
-    """The paper's job bins (§6.1): small (<50), medium (51-500), large (>500)."""
+    """The paper's job bins (§6.1): small (≤50), medium (51-500), large (>500)."""
     if num_tasks <= 50:
         return "small"
     if num_tasks <= 500:

@@ -33,6 +33,7 @@ from repro.model.reactive import (
 from repro.simulator.cluster import ClusterConfig
 from repro.simulator.engine import Simulation, SimulationConfig
 from repro.simulator.stragglers import StragglerConfig, StragglerModel
+from repro.workload.bins import DEADLINE_BINS, ERROR_BINS
 from repro.workload.synthetic import WorkloadConfig, generate_workload
 from repro.workload.trace_replay import TraceReplayConfig, synthesize_trace
 from repro.workload.traces import summarize_trace, trace_from_specs
@@ -432,45 +433,37 @@ def figure7_error_gains(
 
 
 def figure6_bound_bins(scale: Optional[ExperimentScale] = None) -> FigureResult:
-    """Figure 6: GRASS's gains binned by deadline slack factor and error bound."""
+    """Figure 6: GRASS's gains binned by deadline slack factor and error bound.
+
+    Rows come in bin order (:data:`~repro.workload.bins.DEADLINE_BINS`, then
+    :data:`~repro.workload.bins.ERROR_BINS`); a bin no job fell in has no row.
+    """
     scale = scale or ExperimentScale()
     result = FigureResult(
         figure="Figure 6",
         description="GRASS gains (vs LATE) binned by deadline factor and error bound",
     )
     for workload in ("facebook", "bing"):
-        comparison = compare_policies(
-            ["late", "grass"],
-            WorkloadConfig(workload=workload, framework="hadoop", bound_kind="deadline", seed=6),
-            scale=scale,
-        )
-        for bin_name, value in sorted(
-            comparison.accuracy_improvement_by_deadline_bin("grass", "late").items()
-        ):
-            result.rows.append(
-                {
-                    "workload": workload,
-                    "bound": "deadline",
-                    "bin (%)": bin_name,
-                    "improvement (%)": value,
-                }
+        for bound, bins in (("deadline", DEADLINE_BINS), ("error", ERROR_BINS)):
+            comparison = compare_policies(
+                ["late", "grass"],
+                WorkloadConfig(workload=workload, framework="hadoop", bound_kind=bound, seed=6),
+                scale=scale,
             )
-        comparison = compare_policies(
-            ["late", "grass"],
-            WorkloadConfig(workload=workload, framework="hadoop", bound_kind="error", seed=6),
-            scale=scale,
-        )
-        for bin_name, value in sorted(
-            comparison.duration_improvement_by_error_bin("grass", "late").items()
-        ):
-            result.rows.append(
-                {
-                    "workload": workload,
-                    "bound": "error",
-                    "bin (%)": bin_name,
-                    "improvement (%)": value,
-                }
-            )
+            if bound == "deadline":
+                improvements = comparison.accuracy_improvement_by_deadline_bin("grass", "late")
+            else:
+                improvements = comparison.duration_improvement_by_error_bin("grass", "late")
+            for label, _high in bins:
+                if label in improvements:
+                    result.rows.append(
+                        {
+                            "workload": workload,
+                            "bound": bound,
+                            "bin (%)": label,
+                            "improvement (%)": improvements[label],
+                        }
+                    )
     return result
 
 

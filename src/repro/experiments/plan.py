@@ -37,12 +37,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.experiments.policies import available_policies
 from repro.simulator.sinks import parse_sink_spec
 from repro.workload.profiles import available_frameworks
-from repro.workload.synthetic import (
-    BOUND_DEADLINE,
-    BOUND_ERROR,
-    BOUND_EXACT,
-    BOUND_MIXED,
-)
+from repro.workload.synthetic import BOUND_KINDS, BOUND_MIXED
 
 
 @dataclass(frozen=True)
@@ -97,9 +92,6 @@ SCALE_FACTORIES = {
     "default": ExperimentScale,
     "paper": ExperimentScale.paper,
 }
-
-#: Bound kinds a plan may assign to replayed jobs.
-PLAN_BOUND_KINDS = (BOUND_DEADLINE, BOUND_ERROR, BOUND_EXACT, BOUND_MIXED)
 
 
 class PlanError(ValueError):
@@ -288,7 +280,7 @@ class ReplayPlan:
     bound_kind: str = field(
         default=BOUND_MIXED,
         metadata=_cli(
-            choices=PLAN_BOUND_KINDS,
+            choices=BOUND_KINDS,
             help="approximation bounds assigned to replayed jobs (default mixed)",
         ),
     )
@@ -380,10 +372,10 @@ class ReplayPlan:
                 f"unknown framework {self.framework!r}; expected one of "
                 f"{', '.join(available_frameworks())}"
             )
-        if self.bound_kind not in PLAN_BOUND_KINDS:
+        if self.bound_kind not in BOUND_KINDS:
             raise PlanError(
                 f"unknown bound kind {self.bound_kind!r}; expected one of "
-                f"{', '.join(PLAN_BOUND_KINDS)}"
+                f"{', '.join(BOUND_KINDS)}"
             )
         try:
             parse_sink_spec(self.sink)

@@ -56,7 +56,6 @@ from repro.simulator.sinks import (
 )
 from repro.workload.synthetic import (
     GeneratedWorkload,
-    JobMetadata,
     WorkloadConfig,
     generate_workload,
 )
@@ -65,7 +64,6 @@ from repro.workload.trace_replay import (
     ShardSpecSource,
     TraceReplayConfig,
     TraceSource,
-    job_metadata,
     shard_sizes,
     slice_trace,
     source_jobs,
@@ -173,7 +171,7 @@ def build_simulation_config(
 
 @dataclass
 class ComparisonResult:
-    """Per-policy results over the same workload, plus the workload metadata."""
+    """Per-policy results over the same workload, plus the workload."""
 
     workload: GeneratedWorkload
     runs: Dict[str, PolicyRun] = field(default_factory=dict)
@@ -243,12 +241,18 @@ class ComparisonResult:
     def accuracy_improvement_by_deadline_bin(
         self, policy: str, baseline: str
     ) -> Dict[str, float]:
-        """Figure 6a: improvement grouped by the deadline slack-factor bin."""
+        """Figure 6a: improvement grouped by the deadline slack-factor bin.
+
+        A job's slack is its deadline over its ideal duration at its slot
+        cap (the §6.1 recipe's calibration), read from the workload's specs;
+        a replayed comparison carries no specs, so it has no such breakdown.
+        """
+        specs = {spec.job_id: spec for spec in self.workload.job_specs}
 
         def group(result: JobResult) -> str:
-            metadata = self.workload.metadata_for(result.job_id)
-            slack = metadata.deadline_slack_percent or 0.0
-            return deadline_bin_label(slack)
+            spec = specs[result.job_id]
+            ideal = spec.ideal_duration(spec.max_slots)
+            return deadline_bin_label(100.0 * (spec.bound.deadline / ideal - 1.0))
 
         improvements: Dict[str, float] = {}
         base_groups = self._grouped(self.runs[baseline].deadline_results(), group)
@@ -451,15 +455,13 @@ def _replay(
 
     ``scale`` contributes the cluster size, seeds and worker count; its
     workload-synthesis knobs are ignored because the source decides the
-    workload.  The comparison's workload is a stand-in carrying per-job
-    metadata but no specs.  The metadata — which only consumers slicing raw
-    results by job need — is collected with one extra pass over the source,
-    and only when the sink retains results and at least one slice is
-    simulated: an all-hits replay never reads the trace body.  ``scan`` is
-    the source's calibration scan when the caller already holds it; a
-    generated tier is scanned only when a slice is simulated.  A persistent
-    process ``pool`` runs every simulation in place of a per-call pool (see
-    :class:`ParallelExecutor`).
+    workload.  The comparison's workload is a stand-in with the replay's
+    provenance config and no specs.  The source is read only by its
+    calibration scan and by each simulated shard, so an all-hits replay
+    never reads the trace body.  ``scan`` is the source's calibration scan
+    when the caller already holds it; a generated tier is scanned only when
+    a slice is simulated.  A persistent process ``pool`` runs every
+    simulation in place of a per-call pool (see :class:`ParallelExecutor`).
     """
     if shards < 1:
         raise ValueError("shards must be at least 1")
@@ -482,7 +484,6 @@ def _replay(
         for coord in coords:
             if coord in collected:
                 on_metrics(*coord, collected[coord])
-    metadata: Dict[int, JobMetadata] = {}
     if misses:
         scan = scan or _scan_source(source)
         sources = _shard_sources(source, scan, replay_config, num_shards)
@@ -496,14 +497,8 @@ def _replay(
                 session.store(coord, metrics)
             if on_metrics is not None:
                 on_metrics(*coord, metrics)
-        if sink.retains_results:
-            metadata = {
-                job.job_id: job_metadata(job, replay_config)
-                for job in source_jobs(source)
-            }
 
     workload = GeneratedWorkload(config=replay_config.workload_config(num_jobs))
-    workload.metadata.update(metadata)
     return _comparison(workload, policy_names, scale.seeds, num_shards, collected)
 
 
@@ -901,8 +896,8 @@ def compare_policies(
 
     ``sink`` picks the per-simulation result sink (the ``sink`` field of
     :class:`~repro.experiments.plan.ReplayPlan` describes the kinds); figure
-    producers that slice raw results by workload metadata need the
-    retaining default.
+    producers that slice raw results by their jobs' specs (Figure 6a's
+    deadline bins) need the retaining default.
 
     Raises ``ValueError`` when a policy is named twice, since both runs
     would fold into one entry of the comparison, or when ``scale.seeds``

@@ -10,7 +10,8 @@ heap holds ``(time, kind, sequence)`` — plain tuple comparisons are what
 CPython's ``heapq`` C accelerator is optimised for — and the live table maps
 each sequence number to its event.  ``push`` returns the sequence number as
 the cancel handle.  Cancellation is a dict deletion: a heap entry whose
-sequence is no longer live is discarded in passing by ``pop``/``peek_time``.
+sequence is no longer live is discarded in passing by ``pop`` and
+``pop_at_or_before``.
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ class EventQueue:
 
     ``cancel`` removes the event from the live table without touching the
     heap; stale heap entries are skipped (and physically removed) by
-    ``pop``/``peek_time``.  ``len`` and ``bool`` count only live events, so
-    callers can treat a queue whose remaining entries are all cancelled as
-    empty.
+    ``pop`` and ``pop_at_or_before``.  ``len`` and ``bool`` count only live
+    events, so callers can treat a queue whose remaining entries are all
+    cancelled as empty.
     """
 
     def __init__(self) -> None:
@@ -113,17 +114,3 @@ class EventQueue:
             heapq.heappop(heap)
             return live.pop(head[2])
         return None
-
-    def peek_time(self) -> Optional[float]:
-        """Time of the earliest non-cancelled event without removing it."""
-        heap = self._heap
-        live = self._live
-        while heap and heap[0][2] not in live:
-            heapq.heappop(heap)
-        if not heap:
-            return None
-        return heap[0][0]
-
-    def clear(self) -> None:
-        self._heap.clear()
-        self._live.clear()

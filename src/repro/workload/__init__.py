@@ -5,13 +5,14 @@ proprietary; this package generates synthetic workloads calibrated to every
 property the paper publishes about them — heavy-tailed (Pareto, β ≈ 1.259)
 task durations, slowest-task ≈ 8× median, the small/medium/large job-size
 mix, multi-waved execution, and the §6.1 recipe for assigning deadlines
-(2–20 % over the ideal duration) and error bounds (5–30 %).
+(2–20 % over the ideal duration) and error bounds (5–30 %).  That recipe is
+one function, :func:`~repro.workload.synthetic.recipe_spec`: the synthetic
+generator and trace replay build every job through it.
 """
 
 from repro.workload.bins import (
     DEADLINE_BINS,
     ERROR_BINS,
-    JOB_SIZE_BINS,
     deadline_bin_label,
     error_bin_label,
 )
@@ -63,7 +64,6 @@ from repro.workload.traces import (
 __all__ = [
     "DEADLINE_BINS",
     "ERROR_BINS",
-    "JOB_SIZE_BINS",
     "deadline_bin_label",
     "error_bin_label",
     "Distribution",

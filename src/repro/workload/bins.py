@@ -1,6 +1,7 @@
 """Binning helpers matching the paper's reporting conventions (§6.1, Figure 6).
 
-* Job-size bins: small (< 50 tasks), medium (51–500), large (> 500).
+* Job-size bins: small (≤ 50 tasks), medium (51–500), large (> 500), as
+  :func:`repro.core.job.job_bin_label` assigns them.
 * Deadline bins: the deadline's slack factor over the ideal duration,
   reported in 2–5 %, 6–10 %, 11–15 %, 16–20 % buckets (Figure 6a).
 * Error bins: 5–10 %, 11–15 %, 16–20 %, 21–25 %, 26–30 % (Figure 6b).
@@ -8,58 +9,47 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Tuple
 
-from repro.core.job import job_bin_label
-
-#: Job-size bins, as (label, lower inclusive, upper inclusive) on task count.
-JOB_SIZE_BINS: Tuple[Tuple[str, int, int], ...] = (
-    ("small", 1, 50),
-    ("medium", 51, 500),
-    ("large", 501, 10_000_000),
+#: Deadline slack-factor bins of Figure 6a, as (label, upper edge) in percent
+#: over the ideal duration.
+DEADLINE_BINS: Tuple[Tuple[str, float], ...] = (
+    ("2-5", 5.0),
+    ("6-10", 10.0),
+    ("11-15", 15.0),
+    ("16-20", 20.0),
 )
 
-#: Deadline slack-factor bins of Figure 6a, in percent over the ideal duration.
-DEADLINE_BINS: Tuple[Tuple[str, float, float], ...] = (
-    ("2-5", 2.0, 5.0),
-    ("6-10", 6.0, 10.0),
-    ("11-15", 11.0, 15.0),
-    ("16-20", 16.0, 20.0),
+#: Error-bound bins of Figure 6b, as (label, upper edge) in percent.
+ERROR_BINS: Tuple[Tuple[str, float], ...] = (
+    ("5-10", 10.0),
+    ("11-15", 15.0),
+    ("16-20", 20.0),
+    ("21-25", 25.0),
+    ("26-30", 30.0),
 )
 
-#: Error-bound bins of Figure 6b, in percent.
-ERROR_BINS: Tuple[Tuple[str, float, float], ...] = (
-    ("5-10", 5.0, 10.0),
-    ("11-15", 11.0, 15.0),
-    ("16-20", 16.0, 20.0),
-    ("21-25", 21.0, 25.0),
-    ("26-30", 26.0, 30.0),
-)
+
+def _bin_label(value: float, bins: Tuple[Tuple[str, float], ...]) -> str:
+    """The first bin whose upper edge is at least ``value``, else the last.
+
+    So a bin covers the half-open interval from the previous bin's upper
+    edge (exclusive) to its own (inclusive); the first bin also takes every
+    value below it and the last every value above.  Slacks and error bounds
+    are continuous draws, so a value between two labels' integer ranges
+    (say 5.5) belongs to the next bin up.
+    """
+    for label, high in bins:
+        if value <= high:
+            return label
+    return bins[-1][0]
 
 
 def deadline_bin_label(slack_percent: float) -> str:
     """Bin label for a deadline slack factor given in percent."""
-    for label, low, high in DEADLINE_BINS:
-        if low <= slack_percent <= high:
-            return label
-    if slack_percent < DEADLINE_BINS[0][1]:
-        return DEADLINE_BINS[0][0]
-    return DEADLINE_BINS[-1][0]
+    return _bin_label(slack_percent, DEADLINE_BINS)
 
 
 def error_bin_label(error_percent: float) -> str:
     """Bin label for an error bound given in percent."""
-    for label, low, high in ERROR_BINS:
-        if low <= error_percent <= high:
-            return label
-    if error_percent < ERROR_BINS[0][1]:
-        return ERROR_BINS[0][0]
-    return ERROR_BINS[-1][0]
-
-
-def group_by_job_bin(task_counts: Sequence[int]) -> Dict[str, List[int]]:
-    """Group task counts by the paper's job-size bins (mostly for tests)."""
-    grouped: Dict[str, List[int]] = {"small": [], "medium": [], "large": []}
-    for count in task_counts:
-        grouped[job_bin_label(count)].append(count)
-    return grouped
+    return _bin_label(error_percent, ERROR_BINS)

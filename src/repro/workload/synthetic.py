@@ -1,15 +1,17 @@
 """Synthetic workload generation calibrated to the paper's trace statistics.
 
-The generator produces :class:`~repro.core.job.JobSpec` lists plus per-job
-metadata (deadline slack factor, error bound, intended wave count) that the
-experiment harness needs for the Figure 6 style breakdowns.
+Every job — generated here or replayed from a trace
+(:mod:`repro.workload.trace_replay`) — gets its slot cap, its intermediate
+phases and its bound from one function, :func:`recipe_spec`, the §6.1
+recipe.  The generator draws each job's size and input task works first;
+Figure 6's breakdowns read a job's deadline slack back from its spec.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.bounds import ApproximationBound
 from repro.core.job import JobPhaseSpec, JobSpec
@@ -27,36 +29,15 @@ BOUND_ERROR = "error"
 BOUND_EXACT = "exact"
 BOUND_MIXED = "mixed"
 
-#: Supported arrival processes.
-ARRIVAL_POISSON = "poisson"
-ARRIVAL_SEQUENTIAL = "sequential"
+#: Every bound kind a workload config, a replay config or a plan may name.
+BOUND_KINDS = (BOUND_DEADLINE, BOUND_ERROR, BOUND_EXACT, BOUND_MIXED)
 
-
-def validate_workload_knobs(
-    bound_kind: str,
-    dag_length: int,
-    intermediate_task_fraction: float,
-    deadline_slack_range: Tuple[float, float],
-    error_range: Tuple[float, float],
-) -> None:
-    """Validate the knobs shared by synthetic generation and trace replay.
-
-    One definition keeps :class:`WorkloadConfig` and
-    :class:`~repro.workload.trace_replay.TraceReplayConfig` from drifting:
-    a config accepted by one pipeline is accepted by the other.
-    """
-    if bound_kind not in (BOUND_DEADLINE, BOUND_ERROR, BOUND_EXACT, BOUND_MIXED):
-        raise ValueError(f"unknown bound_kind {bound_kind!r}")
-    if dag_length < 1:
-        raise ValueError("dag_length must be at least 1")
-    if not 0.0 < intermediate_task_fraction <= 1.0:
-        raise ValueError("intermediate_task_fraction must be in (0, 1]")
-    low, high = deadline_slack_range
-    if not 0.0 < low <= high:
-        raise ValueError("deadline_slack_range must be positive and ordered")
-    low, high = error_range
-    if not 0.0 <= low <= high < 1.0:
-        raise ValueError("error_range must lie in [0, 1) and be ordered")
+#: §6.1: a deadline is the ideal duration plus a slack drawn from this range.
+DEADLINE_SLACK_RANGE: Tuple[float, float] = (0.02, 0.20)
+#: §6.1: an error bound is drawn from this range.
+ERROR_RANGE: Tuple[float, float] = (0.05, 0.30)
+#: Tasks in each intermediate phase, as a fraction of the input tasks.
+INTERMEDIATE_TASK_FRACTION = 0.10
 
 
 def target_waves(rng: RngStream, size_bin: str) -> int:
@@ -68,6 +49,56 @@ def target_waves(rng: RngStream, size_bin: str) -> int:
     if size_bin == "medium":
         return rng.randint(2, 4)
     return rng.randint(3, 6)
+
+
+def recipe_spec(
+    rng: RngStream,
+    job_id: int,
+    arrival_time: float,
+    input_works: Sequence[float],
+    waves: int,
+    intermediate_work: float,
+    bound_kind: str,
+    dag_length: int,
+    name: str,
+) -> JobSpec:
+    """One job built by the §6.1 recipe from its input tasks.
+
+    The slot cap spreads the input tasks over ``waves`` waves.  Each of the
+    ``dag_length - 1`` intermediate phases holds
+    :data:`INTERMEDIATE_TASK_FRACTION` as many tasks, each of
+    ``intermediate_work`` times a uniform draw from [0.5, 1.5).  Then a
+    ``mixed`` kind draws deadline or error, a deadline is the ideal duration
+    (:meth:`JobSpec.ideal_duration` at the slot cap) plus a slack drawn from
+    :data:`DEADLINE_SLACK_RANGE`, and an error bound is drawn from
+    :data:`ERROR_RANGE`.  ``rng`` makes those draws in that order.
+    """
+    max_slots = max(1, math.ceil(len(input_works) / waves))
+    count = max(1, int(round(INTERMEDIATE_TASK_FRACTION * len(input_works))))
+    phases = [JobPhaseSpec(phase_index=0, task_works=tuple(input_works))]
+    for phase_index in range(1, dag_length):
+        works = tuple(intermediate_work * rng.uniform(0.5, 1.5) for _ in range(count))
+        phases.append(JobPhaseSpec(phase_index=phase_index, task_works=works))
+    spec = JobSpec(
+        job_id=job_id,
+        arrival_time=arrival_time,
+        phases=tuple(phases),
+        bound=ApproximationBound.exact(),  # an exact job's; else replaced below
+        name=name,
+        max_slots=max_slots,
+    )
+    if bound_kind == BOUND_MIXED:
+        bound_kind = BOUND_DEADLINE if rng.bernoulli(0.5) else BOUND_ERROR
+    if bound_kind == BOUND_EXACT:
+        return spec
+    if bound_kind == BOUND_DEADLINE:
+        slack = rng.uniform(*DEADLINE_SLACK_RANGE)
+        bound = ApproximationBound.with_deadline(
+            spec.ideal_duration(max_slots) * (1.0 + slack)
+        )
+    else:
+        bound = ApproximationBound.with_error(rng.uniform(*ERROR_RANGE))
+    return replace(spec, bound=bound)
 
 
 @dataclass(frozen=True)
@@ -83,29 +114,20 @@ class WorkloadConfig:
     framework: str = "hadoop"
     num_jobs: int = 100
     bound_kind: str = BOUND_MIXED
-    deadline_slack_range: Tuple[float, float] = (0.02, 0.20)
-    error_range: Tuple[float, float] = (0.05, 0.30)
     dag_length: int = 2
-    intermediate_task_fraction: float = 0.10
     size_scale: float = 1.0
     max_tasks_per_job: Optional[int] = None
-    arrival_mode: str = ARRIVAL_POISSON
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.num_jobs <= 0:
             raise ValueError("num_jobs must be positive")
-        validate_workload_knobs(
-            self.bound_kind,
-            self.dag_length,
-            self.intermediate_task_fraction,
-            self.deadline_slack_range,
-            self.error_range,
-        )
+        if self.bound_kind not in BOUND_KINDS:
+            raise ValueError(f"unknown bound_kind {self.bound_kind!r}")
+        if self.dag_length < 1:
+            raise ValueError("dag_length must be at least 1")
         if self.size_scale <= 0:
             raise ValueError("size_scale must be positive")
-        if self.arrival_mode not in (ARRIVAL_POISSON, ARRIVAL_SEQUENTIAL):
-            raise ValueError(f"unknown arrival_mode {self.arrival_mode!r}")
 
     @property
     def workload_profile(self) -> WorkloadProfile:
@@ -117,34 +139,17 @@ class WorkloadConfig:
 
 
 @dataclass
-class JobMetadata:
-    """Per-job synthesis metadata the experiment harness bins on."""
-
-    job_id: int
-    size_bin: str
-    num_input_tasks: int
-    target_waves: int
-    deadline_slack_percent: Optional[float] = None
-    error_percent: Optional[float] = None
-    ideal_duration: float = 0.0
-
-
-@dataclass
 class GeneratedWorkload:
-    """A workload: job specs plus the metadata used for figure breakdowns."""
+    """A workload: its config and its job specs."""
 
     config: WorkloadConfig
     job_specs: List[JobSpec] = field(default_factory=list)
-    metadata: Dict[int, JobMetadata] = field(default_factory=dict)
 
     def __len__(self) -> int:
         return len(self.job_specs)
 
     def specs(self) -> List[JobSpec]:
         return list(self.job_specs)
-
-    def metadata_for(self, job_id: int) -> JobMetadata:
-        return self.metadata[job_id]
 
 
 class SyntheticWorkloadGenerator:
@@ -155,8 +160,6 @@ class SyntheticWorkloadGenerator:
         self._workload = config.workload_profile
         self._framework = config.framework_profile
         self._rng = RngStream(config.seed, f"workload/{config.workload}/{config.framework}")
-
-    # -- job sizing ----------------------------------------------------------------
 
     def _pick_bin(self, rng: RngStream) -> Tuple[str, Tuple[int, int]]:
         profile = self._workload
@@ -172,11 +175,6 @@ class SyntheticWorkloadGenerator:
         if self.config.max_tasks_per_job is not None:
             count = min(count, self.config.max_tasks_per_job)
         return count
-
-    def _target_waves(self, rng: RngStream, size_bin: str) -> int:
-        return target_waves(rng, size_bin)
-
-    # -- task works ------------------------------------------------------------------
 
     def _input_task_works(self, rng: RngStream, count: int) -> List[float]:
         """Input task works: near-equal data splits with mild log-normal jitter.
@@ -195,106 +193,31 @@ class SyntheticWorkloadGenerator:
             works.append(median_work * multiplier)
         return works
 
-    def _intermediate_task_works(self, rng: RngStream, input_count: int) -> List[float]:
-        count = max(1, int(round(self.config.intermediate_task_fraction * input_count)))
-        median_work = self._framework.median_task_work
-        return [median_work * rng.uniform(0.5, 1.5) for _ in range(count)]
-
-    # -- bounds -----------------------------------------------------------------------
-
-    def _bound_kind_for_job(self, rng: RngStream) -> str:
-        kind = self.config.bound_kind
-        if kind != BOUND_MIXED:
-            return kind
-        return BOUND_DEADLINE if rng.bernoulli(0.5) else BOUND_ERROR
-
-    def _make_bound(
-        self, rng: RngStream, kind: str, ideal_duration: float, metadata: JobMetadata
-    ) -> ApproximationBound:
-        if kind == BOUND_DEADLINE:
-            low, high = self.config.deadline_slack_range
-            slack = rng.uniform(low, high)
-            metadata.deadline_slack_percent = slack * 100.0
-            return ApproximationBound.with_deadline(ideal_duration * (1.0 + slack))
-        if kind == BOUND_EXACT:
-            metadata.error_percent = 0.0
-            return ApproximationBound.exact()
-        low, high = self.config.error_range
-        error = rng.uniform(low, high)
-        metadata.error_percent = error * 100.0
-        return ApproximationBound.with_error(error)
-
-    # -- generation --------------------------------------------------------------------
-
-    @staticmethod
-    def _ideal_duration(phases: List[JobPhaseSpec], slots: int) -> float:
-        """Ideal duration per §6.1: every task at the phase's median work."""
-        total = 0.0
-        for phase in phases:
-            works = sorted(phase.task_works)
-            mid = len(works) // 2
-            median_work = works[mid] if len(works) % 2 == 1 else 0.5 * (
-                works[mid - 1] + works[mid]
-            )
-            total += math.ceil(phase.task_count / slots) * median_work
-        return total
-
     def generate(self) -> GeneratedWorkload:
-        """Generate the configured number of jobs."""
-        result = GeneratedWorkload(config=self.config)
+        """Generate the configured number of jobs, arriving as a Poisson process."""
+        config = self.config
+        result = GeneratedWorkload(config=config)
         arrival_time = 0.0
-        for job_id in range(self.config.num_jobs):
+        for job_id in range(config.num_jobs):
             job_rng = self._rng.spawn(f"job/{job_id}")
             size_bin, task_range = self._pick_bin(job_rng)
             input_count = self._task_count(job_rng, task_range)
-            waves = self._target_waves(job_rng, size_bin)
-            max_slots = max(1, math.ceil(input_count / waves))
-
-            phases = [
-                JobPhaseSpec(
-                    phase_index=0,
-                    task_works=tuple(self._input_task_works(job_rng, input_count)),
+            waves = target_waves(job_rng, size_bin)
+            input_works = self._input_task_works(job_rng, input_count)
+            result.job_specs.append(
+                recipe_spec(
+                    job_rng,
+                    job_id,
+                    arrival_time,
+                    input_works,
+                    waves,
+                    intermediate_work=self._framework.median_task_work,
+                    bound_kind=config.bound_kind,
+                    dag_length=config.dag_length,
+                    name=f"{config.workload}-{config.framework}-{size_bin}-{job_id}",
                 )
-            ]
-            for phase_index in range(1, self.config.dag_length):
-                phases.append(
-                    JobPhaseSpec(
-                        phase_index=phase_index,
-                        task_works=tuple(
-                            self._intermediate_task_works(job_rng, input_count)
-                        ),
-                    )
-                )
-
-            ideal = self._ideal_duration(phases, max_slots)
-            metadata = JobMetadata(
-                job_id=job_id,
-                size_bin=size_bin,
-                num_input_tasks=input_count,
-                target_waves=waves,
-                ideal_duration=ideal,
             )
-            kind = self._bound_kind_for_job(job_rng)
-            bound = self._make_bound(job_rng, kind, ideal, metadata)
-
-            spec = JobSpec(
-                job_id=job_id,
-                arrival_time=arrival_time,
-                phases=tuple(phases),
-                bound=bound,
-                name=f"{self.config.workload}-{self.config.framework}-{size_bin}-{job_id}",
-                max_slots=max_slots,
-            )
-            result.job_specs.append(spec)
-            result.metadata[job_id] = metadata
-
-            if self.config.arrival_mode == ARRIVAL_POISSON:
-                arrival_time += job_rng.expovariate(
-                    1.0 / self._workload.mean_interarrival
-                )
-            else:
-                # Sequential: leave generous room so jobs do not overlap.
-                arrival_time += ideal * 4.0 + 10.0
+            arrival_time += job_rng.expovariate(1.0 / self._workload.mean_interarrival)
         return result
 
 

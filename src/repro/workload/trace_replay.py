@@ -7,10 +7,10 @@ durations, so replay has to answer three questions the synthetic generator
 answers by construction:
 
 * **Bounds** — traces do not record deadlines or error bounds.  Replay
-  assigns them with the §6.1 recipe (deadline = ideal duration plus a small
-  slack; error bound drawn from a range), using a per-job RNG stream derived
-  only from ``(seed, job_id)`` so the assignment is independent of how the
-  trace is sharded or which policy replays it.
+  draws a job's wave count and hands the rest to the synthetic generator's
+  §6.1 recipe (:func:`~repro.workload.synthetic.recipe_spec`), using a
+  per-job RNG stream derived only from ``(seed, job_id)`` so the assignment
+  is independent of how the trace is sharded or which policy replays it.
 * **Stragglers** — observed durations already include straggling.  Replay
   treats them as task *works* and re-draws runtime multipliers from the
   framework's straggler model, with the Pareto truncation cap set to the
@@ -31,25 +31,21 @@ deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
-from repro.core.bounds import ApproximationBound
-from repro.core.job import JobPhaseSpec, JobSpec
+from repro.core.job import JobSpec
 from repro.simulator.stragglers import StragglerModel
 from repro.utils.rng import RngStream
 from repro.workload.synthetic import (
-    BOUND_DEADLINE,
-    BOUND_ERROR,
-    BOUND_EXACT,
+    BOUND_KINDS,
     BOUND_MIXED,
-    JobMetadata,
     WorkloadConfig,
     generate_workload,
+    recipe_spec,
     target_waves,
-    validate_workload_knobs,
 )
 from repro.workload.traces import (
     TraceJob,
@@ -66,28 +62,19 @@ class TraceReplayConfig:
     """How a trace is turned into an engine workload.
 
     ``framework`` picks the execution profile (straggler shape, estimator
-    noise, machine speeds); bounds are assigned per job from the given
-    ranges, exactly like the synthetic generator's §6.1 recipe.  ``seed``
-    drives every stochastic choice through per-job streams, so two replays
-    of the same trace with the same config are identical.
+    noise, machine speeds); bounds of ``bound_kind`` are assigned per job by
+    the synthetic generator's §6.1 recipe.  ``seed`` drives every stochastic
+    choice through per-job streams, so two replays of the same trace with
+    the same config are identical.
     """
 
     framework: str = "hadoop"
     bound_kind: str = BOUND_MIXED
-    deadline_slack_range: Tuple[float, float] = (0.02, 0.20)
-    error_range: Tuple[float, float] = (0.05, 0.30)
-    dag_length: int = 2
-    intermediate_task_fraction: float = 0.10
     seed: int = 0
 
     def __post_init__(self) -> None:
-        validate_workload_knobs(
-            self.bound_kind,
-            self.dag_length,
-            self.intermediate_task_fraction,
-            self.deadline_slack_range,
-            self.error_range,
-        )
+        if self.bound_kind not in BOUND_KINDS:
+            raise ValueError(f"unknown bound_kind {self.bound_kind!r}")
 
     def workload_config(self, num_jobs: int) -> WorkloadConfig:
         """Provenance stand-in for a replayed workload of ``num_jobs`` jobs.
@@ -103,10 +90,6 @@ class TraceReplayConfig:
             num_jobs=num_jobs,
             bound_kind=self.bound_kind,
             seed=self.seed,
-            dag_length=self.dag_length,
-            intermediate_task_fraction=self.intermediate_task_fraction,
-            deadline_slack_range=self.deadline_slack_range,
-            error_range=self.error_range,
         )
 
 
@@ -124,74 +107,28 @@ def straggler_cap_from_ratio(mean_ratio: float) -> float:
 
 def _job_spec_from_trace(
     job: TraceJob, config: TraceReplayConfig, arrival_time: float
-) -> Tuple[JobSpec, JobMetadata]:
-    """Adapt one trace record into a JobSpec plus harness metadata.
+) -> JobSpec:
+    """Adapt one trace record into a two-phase JobSpec by the §6.1 recipe.
 
-    The RNG stream is derived from ``(config.seed, job.job_id)`` alone — not
-    from the job's position in the trace — so sharding never changes a job's
-    bound, slot cap or intermediate phases.
+    The observed durations are the input tasks' works, and the intermediate
+    tasks scale the job's median duration.  The RNG stream is derived from
+    ``(config.seed, job.job_id)`` alone — not from the job's position in the
+    trace — so sharding never changes a job's bound, slot cap or
+    intermediate phases.
     """
     rng = RngStream(config.seed, "trace-replay").spawn(f"job/{job.job_id}")
     waves = target_waves(rng, job.size_bin)
-    max_slots = max(1, math.ceil(job.num_tasks / waves))
-
-    phases = [JobPhaseSpec(phase_index=0, task_works=tuple(job.task_durations))]
-    median_duration = job.median_duration
-    for phase_index in range(1, config.dag_length):
-        count = max(1, int(round(config.intermediate_task_fraction * job.num_tasks)))
-        phases.append(
-            JobPhaseSpec(
-                phase_index=phase_index,
-                task_works=tuple(
-                    median_duration * rng.uniform(0.5, 1.5) for _ in range(count)
-                ),
-            )
-        )
-
-    spec = JobSpec(
-        job_id=job.job_id,
-        arrival_time=arrival_time,
-        phases=tuple(phases),
-        bound=ApproximationBound.exact(),  # replaced below once ideal is known
+    return recipe_spec(
+        rng,
+        job.job_id,
+        arrival_time,
+        job.task_durations,
+        waves,
+        intermediate_work=job.median_duration,
+        bound_kind=config.bound_kind,
+        dag_length=2,
         name=f"trace-{job.size_bin}-{job.job_id}",
-        max_slots=max_slots,
     )
-    ideal = spec.ideal_duration(max_slots)
-    metadata = JobMetadata(
-        job_id=job.job_id,
-        size_bin=job.size_bin,
-        num_input_tasks=job.num_tasks,
-        target_waves=waves,
-        ideal_duration=ideal,
-    )
-
-    kind = config.bound_kind
-    if kind == BOUND_MIXED:
-        kind = BOUND_DEADLINE if rng.bernoulli(0.5) else BOUND_ERROR
-    if kind == BOUND_DEADLINE:
-        low, high = config.deadline_slack_range
-        slack = rng.uniform(low, high)
-        metadata.deadline_slack_percent = slack * 100.0
-        bound = ApproximationBound.with_deadline(ideal * (1.0 + slack))
-    elif kind == BOUND_EXACT:
-        metadata.error_percent = 0.0
-        bound = ApproximationBound.exact()
-    else:
-        low, high = config.error_range
-        error = rng.uniform(low, high)
-        metadata.error_percent = error * 100.0
-        bound = ApproximationBound.with_error(error)
-
-    return replace(spec, bound=bound), metadata
-
-
-def job_metadata(job: TraceJob, config: TraceReplayConfig) -> JobMetadata:
-    """One job's figure-breakdown metadata, from the same draws as its spec.
-
-    Metadata does not depend on the job's arrival time or position, so it
-    can be collected from a source in any order.
-    """
-    return _job_spec_from_trace(job, config, arrival_time=0.0)[1]
 
 
 def iter_job_specs(
@@ -205,8 +142,7 @@ def iter_job_specs(
     stream's first job arrives at time zero (shards replay concurrently,
     each as its own simulation).  Callers must feed jobs in
     ``(arrival_time, job_id)`` order; the engine validates the resulting
-    spec order.  A job's figure-breakdown metadata comes from
-    :func:`job_metadata`.
+    spec order.
     """
     config = config or TraceReplayConfig()
     base_arrival: Optional[float] = None
@@ -215,7 +151,7 @@ def iter_job_specs(
             base_arrival = job.arrival_time
         yield _job_spec_from_trace(
             job, config, arrival_time=job.arrival_time - base_arrival
-        )[0]
+        )
 
 
 def shard_sizes(total_jobs: int, num_shards: int) -> List[int]:
@@ -256,6 +192,23 @@ def slice_trace(trace: Sequence[TraceJob], num_shards: int) -> List[List[TraceJo
 # ---------------------------------------------------------- cluster-scale tier
 
 
+#: Mean seconds between consecutive tier arrivals.  Arrivals are strictly
+#: increasing by construction: job ``i`` arrives at ``i * mean`` plus a
+#: jitter drawn from ``[0, 0.9 * mean)``.
+TIER_MEAN_INTERARRIVAL = 5.0
+#: Median and sigma of the tier's log-normal task-count distribution, and
+#: the cap on a job's task count.
+TIER_MEDIAN_TASKS = 4.0
+TIER_TASKS_SIGMA = 1.6
+TIER_MAX_TASKS = 2000
+#: Median observed task duration (seconds) before jitter/straggling, and the
+#: sigma of its log-normal jitter.
+TIER_MEDIAN_TASK_DURATION = 12.0
+TIER_DURATION_SIGMA = 0.35
+#: Fraction of tier tasks inflated by a straggler multiplier in [2, 8).
+TIER_STRAGGLER_FRACTION = 0.05
+
+
 @dataclass(frozen=True)
 class ClusterTierConfig:
     """The ``scale=cluster`` synthetic tier: ~a million jobs, generated lazily.
@@ -272,44 +225,22 @@ class ClusterTierConfig:
     regenerate exactly its own window without generating its predecessors —
     the same property the per-job bound RNG gives replay.
 
-    The size model is a log-normal over task counts, binned by the same
-    small/medium/large thresholds as the Facebook/Bing fixtures: with the
-    defaults the mix is roughly 94% small, 6% medium and a 0.1% large tail
-    (cluster traces are dominated by small jobs), keeping a million-job
-    replay's event count tolerable.  Durations get log-normal jitter around
-    ``median_task_duration`` plus an occasional straggler inflation so the
-    calibration pre-pass derives a meaningful straggler cap, exactly as it
-    would from a real trace.
+    The size model is a log-normal over task counts (the ``TIER_*``
+    constants above), binned by the same small/medium/large thresholds as
+    the Facebook/Bing fixtures: the mix is roughly 94% small, 6% medium and
+    a 0.1% large tail (cluster traces are dominated by small jobs), keeping
+    a million-job replay's event count tolerable.  Durations get log-normal
+    jitter around :data:`TIER_MEDIAN_TASK_DURATION` plus an occasional
+    straggler inflation so the calibration pre-pass derives a meaningful
+    straggler cap, exactly as it would from a real trace.
     """
 
     num_jobs: int = 1_000_000
     seed: int = 0
-    #: Mean seconds between consecutive arrivals.  Arrivals are strictly
-    #: increasing by construction: job ``i`` arrives at ``i * mean`` plus a
-    #: jitter drawn from ``[0, 0.9 * mean)``.
-    mean_interarrival: float = 5.0
-    #: Median of the log-normal task-count distribution.
-    median_tasks: float = 4.0
-    #: Sigma of the log-normal task-count distribution.
-    tasks_sigma: float = 1.6
-    max_tasks_per_job: int = 2000
-    #: Median observed task duration (seconds) before jitter/straggling.
-    median_task_duration: float = 12.0
-    duration_sigma: float = 0.35
-    #: Fraction of tasks inflated by a straggler multiplier in [2, 8).
-    straggler_fraction: float = 0.05
 
     def __post_init__(self) -> None:
         if self.num_jobs < 1:
             raise ValueError("num_jobs must be at least 1")
-        if self.mean_interarrival <= 0:
-            raise ValueError("mean_interarrival must be positive")
-        if self.median_tasks < 1 or self.max_tasks_per_job < 1:
-            raise ValueError("task-count knobs must be at least 1")
-        if self.tasks_sigma < 0 or self.duration_sigma < 0:
-            raise ValueError("sigmas must be non-negative")
-        if not 0.0 <= self.straggler_fraction <= 1.0:
-            raise ValueError("straggler_fraction must lie in [0, 1]")
 
     def __str__(self) -> str:
         return f"cluster:{self.num_jobs} (seed {self.seed})"
@@ -324,19 +255,17 @@ def cluster_trace_job(config: ClusterTierConfig, index: int) -> TraceJob:
     if not 0 <= index < config.num_jobs:
         raise ValueError(f"job index {index} outside [0, {config.num_jobs})")
     rng = RngStream(config.seed, "cluster-tier").spawn(f"job/{index}")
-    arrival = index * config.mean_interarrival + rng.uniform(
-        0.0, 0.9 * config.mean_interarrival
+    arrival = index * TIER_MEAN_INTERARRIVAL + rng.uniform(
+        0.0, 0.9 * TIER_MEAN_INTERARRIVAL
     )
     num_tasks = min(
-        config.max_tasks_per_job,
-        max(1, int(round(rng.lognormal(math.log(config.median_tasks), config.tasks_sigma)))),
+        TIER_MAX_TASKS,
+        max(1, int(round(rng.lognormal(math.log(TIER_MEDIAN_TASKS), TIER_TASKS_SIGMA)))),
     )
     durations = []
     for _ in range(num_tasks):
-        duration = config.median_task_duration * rng.lognormal(
-            0.0, config.duration_sigma
-        )
-        if rng.random() < config.straggler_fraction:
+        duration = TIER_MEDIAN_TASK_DURATION * rng.lognormal(0.0, TIER_DURATION_SIGMA)
+        if rng.random() < TIER_STRAGGLER_FRACTION:
             duration *= rng.uniform(2.0, 8.0)
         durations.append(round(duration, 4))
     return TraceJob(job_id=index, arrival_time=arrival, task_durations=durations)

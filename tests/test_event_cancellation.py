@@ -3,8 +3,9 @@
 The engine now cancels ``COPY_FINISH`` events of killed copies and the
 ``JOB_DEADLINE`` event of jobs that finish early, instead of popping dead
 events and discarding them.  These tests pin down the queue semantics the
-engine relies on: cancelled events are invisible to ``pop``/``peek_time``,
-``len`` counts only live events, and cancelling popped events is a no-op.
+engine relies on: cancelled events are invisible to ``pop`` and
+``pop_at_or_before``, ``len`` counts only live events, and cancelling popped
+events is a no-op.
 """
 
 from hypothesis import given, settings
@@ -44,7 +45,7 @@ class TestQueueCancellation:
         queue.cancel(event)
         assert len(queue) == 0
         assert not queue
-        assert queue.peek_time() is None
+        assert queue.pop_at_or_before(1.0) is None
         assert queue.pop() is None
 
     def test_cancel_after_pop_is_a_noop(self):
@@ -77,8 +78,8 @@ class TestQueueCancellation:
     )
     @settings(max_examples=200, deadline=None)
     def test_queue_matches_reference_model(self, pushes, pops):
-        """pop() returns exactly the non-cancelled events in (time, seq) order,
-        and len() tracks the model throughout."""
+        """pop_at_or_before() and pop() return exactly the non-cancelled
+        events in (time, seq) order, and len() tracks the model throughout."""
         queue = EventQueue()
         live = []
         for index, (time, cancel_later) in enumerate(pushes):
@@ -93,8 +94,7 @@ class TestQueueCancellation:
             for time, _, index in sorted(live)
         ]
         for expected_event in expected[:pops]:
-            assert queue.peek_time() == expected_event[0]
-            assert queue.pop() == expected_event
+            assert queue.pop_at_or_before(expected_event[0]) == expected_event
         assert len(queue) == max(0, len(live) - pops)
         remaining = expected[pops:]
         assert [queue.pop() for _ in remaining] == remaining

@@ -10,8 +10,9 @@ externally observable contract in place:
 * cancellation is lazy and idempotent: a cancelled event is never popped,
   cancelling an already-popped or already-cancelled handle is a no-op, and
   ``len``/``bool`` count live events only;
-* ``peek_time`` agrees with the next ``pop`` even across cancellations, which
-  is what the engine's same-instant cohort drain relies on.
+* ``pop_at_or_before(t)`` returns the next live event exactly when it is
+  due by ``t``, even across cancellations, which is what the engine's
+  same-instant cohort drain relies on.
 """
 
 from __future__ import annotations
@@ -111,33 +112,38 @@ class TestCancellation:
         assert len(queue) == 1
         assert queue.pop()[2] == 2
 
-    def test_clear_empties_everything(self):
+    def test_popping_the_live_events_empties_the_queue(self):
         queue = EventQueue()
         handle = queue.push(1.0, EventKind.COPY_FINISH, 0)
         queue.push(2.0, EventKind.JOB_ARRIVAL, 1)
         queue.cancel(handle)
-        queue.clear()
+        assert queue.pop() == (2.0, EventKind.JOB_ARRIVAL, 1, -1, -1)
         assert len(queue) == 0
         assert not queue
         assert queue.pop() is None
-        assert queue.peek_time() is None
+        assert queue.pop_at_or_before(float("inf")) is None
 
 
-class TestPeekAndCohortDrain:
+class TestCohortDrain:
     @given(specs=event_specs, data=st.data())
     @settings(max_examples=200, deadline=None)
-    def test_peek_time_matches_next_pop(self, specs, data):
+    def test_pop_at_or_before_returns_the_next_live_event_when_due(self, specs, data):
         queue = EventQueue()
-        handles = [queue.push(time, kind, 0) for time, kind in specs]
-        for index in data.draw(st.sets(st.sampled_from(range(len(handles))))):
+        handles = [queue.push(time, kind, i) for i, (time, kind) in enumerate(specs)]
+        cancelled = data.draw(st.sets(st.sampled_from(range(len(handles)))))
+        for index in cancelled:
             queue.cancel(handles[index])
-        while True:
-            peeked = queue.peek_time()
-            event = queue.pop()
-            if event is None:
-                assert peeked is None
-                break
-            assert peeked == event[0]
+        live = sorted(
+            (i for i in range(len(specs)) if i not in cancelled),
+            key=lambda i: (specs[i][0], int(specs[i][1]), handles[i]),
+        )
+        for i in live:
+            # Times are multiples of 0.5: nothing live is due a quarter
+            # before this event, and no cancelled event may surface.
+            assert queue.pop_at_or_before(specs[i][0] - 0.25) is None
+            assert queue.pop_at_or_before(specs[i][0]) == (*specs[i], i, -1, -1)
+        assert queue.pop_at_or_before(float("inf")) is None
+        assert len(queue) == 0
 
     @given(specs=event_specs)
     @settings(max_examples=100, deadline=None)
@@ -150,8 +156,8 @@ class TestPeekAndCohortDrain:
         while queue:
             event = queue.pop()
             cohort = [event]
-            while queue.peek_time() == event[0]:
-                cohort.append(queue.pop())
+            while (same := queue.pop_at_or_before(event[0])) is not None:
+                cohort.append(same)
             cohorts.append(cohort)
         times = [cohort[0][0] for cohort in cohorts]
         assert times == sorted(times)

@@ -23,6 +23,8 @@ from repro.experiments.runner import (
     improvement_in_accuracy,
     improvement_in_duration,
 )
+from repro.utils.stats import mean
+from repro.workload.bins import DEADLINE_BINS, deadline_bin_label
 from repro.workload.synthetic import WorkloadConfig
 
 TINY = ExperimentScale(
@@ -119,6 +121,30 @@ class TestCompare:
         )
         by_error = comparison.duration_improvement_by_error_bin("ras", "late")
         assert all(isinstance(value, float) for value in by_error.values())
+
+    def test_deadline_bins_follow_each_spec_slack(self):
+        comparison = compare_policies(
+            ["late", "gs"],
+            WorkloadConfig(bound_kind="deadline", seed=6),
+            scale=ExperimentScale.quick(),
+        )
+        by_bin = comparison.accuracy_improvement_by_deadline_bin("gs", "late")
+        assert len(by_bin) >= 2
+        assert set(by_bin) <= {label for label, _high in DEADLINE_BINS}
+        specs = {spec.job_id: spec for spec in comparison.workload.job_specs}
+
+        def slack_bin(result):
+            spec = specs[result.job_id]
+            ideal = spec.ideal_duration(spec.max_slots)
+            return deadline_bin_label(100.0 * (spec.bound.deadline / ideal - 1.0))
+
+        def accuracies(name, label):
+            results = comparison.run(name).deadline_results()
+            return [result.accuracy for result in results if slack_bin(result) == label]
+
+        for label, value in by_bin.items():
+            late, gs = accuracies("late", label), accuracies("gs", label)
+            assert value == improvement_in_accuracy(mean(late), mean(gs))
 
 
 class TestScales:

@@ -192,8 +192,6 @@ class TestClusterTier:
     def test_tier_validation(self):
         with pytest.raises(ValueError):
             ClusterTierConfig(num_jobs=0)
-        with pytest.raises(ValueError):
-            ClusterTierConfig(mean_interarrival=0.0)
 
     def test_arrivals_strictly_increase(self):
         tier = ClusterTierConfig(num_jobs=200, seed=3)

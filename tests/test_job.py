@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.bounds import ApproximationBound
-from repro.core.job import Job, JobPhaseSpec, JobSpec, job_bin_label
+from repro.core.job import Job, JobPhaseSpec, JobResult, JobSpec, job_bin_label
 from repro.core.task import TaskCopy
 
 from tests.conftest import make_job_spec
@@ -69,6 +69,13 @@ class TestJobBins:
     )
     def test_job_bin_label(self, count, expected):
         assert job_bin_label(count) == expected
+        result = JobResult(
+            job_id=0, bound=ApproximationBound.exact(), num_input_tasks=count,
+            completed_input_tasks=count, accuracy=1.0, start_time=0.0,
+            finish_time=1.0, duration=1.0, wasted_work=0.0, speculative_copies=0,
+            met_bound=True,
+        )
+        assert result.job_bin == expected
 
 
 class TestJobLifecycle:

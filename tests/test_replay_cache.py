@@ -35,7 +35,10 @@ from repro.experiments.cache import (
     CacheIntegrityWarning,
     CachedSlice,
     ReplayCache,
+    StaleEntryError,
     engine_fingerprint,
+    source_descriptor,
+    source_from_descriptor,
 )
 from repro.experiments.cli import main as cli_main
 from repro.experiments.plan import ReplayPlan
@@ -43,7 +46,7 @@ from repro.experiments import runner
 from repro.experiments.runner import execute, probe_plan_cache
 from repro.workload import trace_replay
 from repro.simulator.sinks import AggregateSink
-from repro.workload.trace_replay import synthesize_trace
+from repro.workload.trace_replay import ClusterTierConfig, synthesize_trace
 from repro.workload.traces import save_trace
 
 POLICIES = ("no-spec", "grass")
@@ -342,6 +345,14 @@ class TestInvalidation:
         # The overwrite healed the store: the next run is all hits.
         healed = execute(make_plan(trace_path, cache_dir))
         assert healed.cache_stats.misses == 0
+
+    def test_a_tier_descriptor_with_a_retired_field_is_stale(self):
+        """An entry whose tier config names a field the tier no longer has."""
+        tier = ClusterTierConfig(num_jobs=30, seed=2)
+        descriptor = source_descriptor(tier)
+        assert source_from_descriptor(descriptor) == tier
+        with pytest.raises(StaleEntryError, match="unreadable cluster descriptor"):
+            source_from_descriptor({**descriptor, "median_tasks": 4.0})
 
     def test_editing_the_trace_invalidates_every_entry(self, trace_path, tmp_path):
         cache_dir = tmp_path / "cache"

@@ -36,18 +36,19 @@ class TestEventQueue:
     def test_pop_empty_returns_none(self):
         assert EventQueue().pop() is None
 
-    def test_peek_time_skips_cancelled(self):
+    def test_pop_at_or_before_skips_cancelled(self):
         queue = EventQueue()
         drop = queue.push(0.5, EventKind.COPY_FINISH, 0)
         queue.push(2.0, EventKind.COPY_FINISH, 0)
         queue.cancel(drop)
-        assert queue.peek_time() == 2.0
+        assert queue.pop_at_or_before(1.0) is None
+        assert queue.pop_at_or_before(2.0)[0] == 2.0
 
-    def test_len_and_clear(self):
+    def test_len_counts_live_events(self):
         queue = EventQueue()
         queue.push(1.0, EventKind.COPY_FINISH, 0)
         assert len(queue) == 1 and bool(queue)
-        queue.clear()
+        queue.pop()
         assert len(queue) == 0 and not queue
 
     def test_negative_time_rejected(self):

@@ -170,11 +170,11 @@ class TestStreamedReplayDeterminism:
             assert executed.num_shards == shards
             assert 1 <= executed.peak_resident_jobs <= max(shard_sizes(len(trace), shards))
 
-    def test_metadata_survives_streaming(self, trace_file):
+    def test_sharded_replay_materialises_no_spec_list(self, trace_file):
         path, trace = trace_file
         comparison = replay_source(["late"], str(path), TINY, shards=3)
         workload = comparison.workload
-        assert sorted(workload.metadata) == sorted(j.job_id for j in trace)
+        assert workload.config.num_jobs == len(trace)
         # The merged spec list is never materialised — that is the point.
         assert workload.job_specs == []
 

@@ -57,7 +57,6 @@ from repro.workload.trace_replay import (
     TraceReplayConfig,
     iter_cluster_trace,
     iter_job_specs,
-    job_metadata,
     slice_trace,
     synthesize_trace,
 )
@@ -439,18 +438,35 @@ class TestStreamSpecsReplay:
         peak = max(m.peak_resident_jobs for m in streamed.runs["late"].metrics)
         assert 1 <= peak <= len(trace)
 
-    def test_metadata_survives_spec_streaming(self, tmp_path):
-        trace = small_trace()
-        path = tmp_path / "trace.jsonl"
-        save_trace(sorted(trace, key=lambda j: (j.arrival_time, j.job_id)), path)
-        streamed = replay_source(["late"], str(path), TINY)
-        # Every job's metadata, keyed in the file's (arrival) order.
-        metadata = {
-            job.job_id: job_metadata(job, TraceReplayConfig())
-            for job in sorted(trace, key=lambda j: (j.arrival_time, j.job_id))
-        }
-        assert pickle.dumps(streamed.workload.metadata) == pickle.dumps(metadata)
-        assert streamed.workload.job_specs == []
+    def test_retaining_replay_reads_the_trace_for_its_scan_and_shard_only(
+        self, monkeypatch
+    ):
+        """A retaining sink costs no extra pass: 40 jobs, two reads of each."""
+        from repro.workload import trace_replay, traces
+
+        parsed = Counter()
+        original = traces.iter_trace
+
+        def counting(path):
+            for job in original(path):
+                parsed["jobs"] += 1
+                yield job
+
+        monkeypatch.setattr(traces, "iter_trace", counting)
+        monkeypatch.setattr(trace_replay, "iter_trace", counting)
+        trace = Path(__file__).resolve().parents[1] / "traces" / "facebook_like.jsonl"
+        executed = execute(
+            ReplayPlan(
+                trace=str(trace), policies=("late",), scale="quick", shards=1,
+                workers=1, sink="retain",
+            )
+        )
+        assert executed.num_jobs == 40
+        assert len(executed.comparison.runs["late"].results) == 40
+        # The calibration scan, then the one shard's window (read in this
+        # process: the plan runs at one worker).
+        assert parsed["jobs"] == 80
+        assert executed.comparison.workload.job_specs == []
 
 
 class TestStreamSpecsCli:

@@ -22,6 +22,7 @@ from repro.experiments.runner import (
     _shard_sources,
 )
 from repro.simulator.engine import Simulation
+from repro.workload.bins import ERROR_BINS
 from repro.workload.trace_replay import (
     TraceReplayConfig,
     export_trace,
@@ -301,10 +302,13 @@ class TestReplayDeterminism:
     def test_comparison_supports_bin_breakdowns(self):
         trace = tiny_trace()
         comparison = replay_source(["late", "gs"], trace, TINY)
-        # Metadata for every replayed job is available for figure groupings.
-        for result in comparison.runs["late"].results:
-            metadata = comparison.workload.metadata_for(result.job_id)
-            assert metadata.num_input_tasks > 0
+        # Job-size and error-bound bins come from the results themselves.
+        assert set(comparison.accuracy_improvement_by_bin("gs", "late")) <= {
+            "small", "medium", "large"
+        }
+        by_error = comparison.duration_improvement_by_error_bin("gs", "late")
+        assert by_error
+        assert set(by_error) <= {label for label, _high in ERROR_BINS}
 
 
 # ----------------------------------------------------------------------- CLI

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bounds import BoundType
-from repro.workload.bins import deadline_bin_label, error_bin_label, group_by_job_bin
+from repro.workload.bins import deadline_bin_label, error_bin_label
 from repro.workload.distributions import (
     BoundedParetoDistribution,
     ConstantDistribution,
@@ -21,7 +21,12 @@ from repro.workload.profiles import (
     framework_profile,
     workload_profile,
 )
-from repro.workload.synthetic import WorkloadConfig, generate_workload
+from repro.workload.synthetic import (
+    DEADLINE_SLACK_RANGE,
+    ERROR_RANGE,
+    WorkloadConfig,
+    generate_workload,
+)
 from repro.workload.traces import (
     TraceJob,
     load_trace,
@@ -91,22 +96,25 @@ class TestDistributions:
 
 class TestBins:
     @pytest.mark.parametrize(
-        "value,expected", [(3.0, "2-5"), (8.0, "6-10"), (12.0, "11-15"), (19.0, "16-20"), (25.0, "16-20")]
+        "value,expected",
+        [
+            (3.0, "2-5"), (8.0, "6-10"), (12.0, "11-15"), (19.0, "16-20"), (25.0, "16-20"),
+            # Between two labels' integer ranges: the next bin up.
+            (5.5, "6-10"), (10.5, "11-15"), (15.5, "16-20"),
+        ],
     )
     def test_deadline_bins(self, value, expected):
         assert deadline_bin_label(value) == expected
 
     @pytest.mark.parametrize(
-        "value,expected", [(7.0, "5-10"), (13.0, "11-15"), (22.0, "21-25"), (29.0, "26-30"), (2.0, "5-10")]
+        "value,expected",
+        [
+            (7.0, "5-10"), (13.0, "11-15"), (22.0, "21-25"), (29.0, "26-30"), (2.0, "5-10"),
+            (10.5, "11-15"), (15.5, "16-20"), (20.5, "21-25"), (25.5, "26-30"),
+        ],
     )
     def test_error_bins(self, value, expected):
         assert error_bin_label(value) == expected
-
-    def test_group_by_job_bin(self):
-        grouped = group_by_job_bin([10, 100, 1000])
-        assert len(grouped["small"]) == 1
-        assert len(grouped["medium"]) == 1
-        assert len(grouped["large"]) == 1
 
 
 class TestProfiles:
@@ -132,7 +140,7 @@ class TestSyntheticWorkload:
     def test_generates_requested_number_of_jobs(self):
         workload = generate_workload(WorkloadConfig(num_jobs=25, seed=1, size_scale=0.2))
         assert len(workload) == 25
-        assert len(workload.metadata) == 25
+        assert [spec.job_id for spec in workload.specs()] == list(range(25))
 
     def test_job_ids_are_unique_and_arrivals_sorted(self):
         workload = generate_workload(WorkloadConfig(num_jobs=30, seed=2, size_scale=0.2))
@@ -153,28 +161,28 @@ class TestSyntheticWorkload:
         )
         assert all(spec.bound.is_exact for spec in workload.specs())
 
-    def test_error_bounds_within_configured_range(self):
+    def test_error_bounds_within_recipe_range(self):
         workload = generate_workload(
-            WorkloadConfig(num_jobs=30, seed=4, bound_kind="error", error_range=(0.05, 0.30), size_scale=0.2)
+            WorkloadConfig(num_jobs=30, seed=4, bound_kind="error", size_scale=0.2)
         )
-        assert all(0.05 <= spec.bound.error <= 0.30 for spec in workload.specs())
+        low, high = ERROR_RANGE
+        assert all(low <= spec.bound.error <= high for spec in workload.specs())
 
-    def test_deadline_slack_metadata_within_range(self):
+    def test_deadline_slack_within_recipe_range(self):
         workload = generate_workload(
-            WorkloadConfig(
-                num_jobs=30, seed=5, bound_kind="deadline", deadline_slack_range=(0.02, 0.20), size_scale=0.2
-            )
+            WorkloadConfig(num_jobs=30, seed=5, bound_kind="deadline", size_scale=0.2)
         )
-        for metadata in workload.metadata.values():
-            assert 2.0 <= metadata.deadline_slack_percent <= 20.0
+        low, high = DEADLINE_SLACK_RANGE
+        for spec in workload.specs():
+            slack = spec.bound.deadline / spec.ideal_duration(spec.max_slots) - 1.0
+            assert low - 1e-12 <= slack <= high + 1e-12
 
     def test_deadline_exceeds_ideal_duration(self):
         workload = generate_workload(
             WorkloadConfig(num_jobs=20, seed=6, bound_kind="deadline", size_scale=0.2)
         )
         for spec in workload.specs():
-            metadata = workload.metadata_for(spec.job_id)
-            assert spec.bound.deadline > metadata.ideal_duration
+            assert spec.bound.deadline > spec.ideal_duration(spec.max_slots)
 
     def test_dag_length_respected(self):
         workload = generate_workload(
@@ -197,13 +205,6 @@ class TestSyntheticWorkload:
         ]
         assert any(w > 1.5 for w in waves)
 
-    def test_sequential_arrival_mode_spreads_jobs(self):
-        workload = generate_workload(
-            WorkloadConfig(num_jobs=5, seed=10, arrival_mode="sequential", size_scale=0.2)
-        )
-        arrivals = [spec.arrival_time for spec in workload.specs()]
-        assert all(b - a > 1.0 for a, b in zip(arrivals, arrivals[1:], strict=False))
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             WorkloadConfig(num_jobs=0)
@@ -212,9 +213,7 @@ class TestSyntheticWorkload:
         with pytest.raises(ValueError):
             WorkloadConfig(dag_length=0)
         with pytest.raises(ValueError):
-            WorkloadConfig(error_range=(0.5, 0.2))
-        with pytest.raises(ValueError):
-            WorkloadConfig(arrival_mode="burst")
+            WorkloadConfig(size_scale=0.0)
 
     @given(st.integers(min_value=1, max_value=40), st.integers(min_value=0, max_value=1000))
     @settings(max_examples=20, deadline=None)
