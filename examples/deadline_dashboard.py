@@ -18,6 +18,8 @@ from repro import (
     Grass,
     GrassConfig,
     GreedySpeculative,
+    JobPhaseSpec,
+    JobSpec,
     LatePolicy,
     MantriPolicy,
     NoSpeculationPolicy,
@@ -26,21 +28,21 @@ from repro import (
     SimulationConfig,
     StragglerConfig,
 )
-from repro.dag import map_reduce_job
 from repro.workload.profiles import framework_profile
 
 
 def build_query_job(deadline: float):
     """A 400-way scan feeding 40 reducers, allotted 100 slots (4 waves)."""
-    map_works = [6.0] * 400
-    reduce_works = [8.0] * 40
-    return map_reduce_job(
+    return JobSpec(
         job_id=0,
-        map_works=map_works,
-        reduce_works=reduce_works,
+        arrival_time=0.0,
+        phases=(
+            JobPhaseSpec(phase_index=0, task_works=(6.0,) * 400),  # map
+            JobPhaseSpec(phase_index=1, task_works=(8.0,) * 40),  # reduce
+        ),
         bound=ApproximationBound.with_deadline(deadline),
-        max_slots=100,
         name="ads-dashboard-query",
+        max_slots=100,
     )
 
 

@@ -18,24 +18,26 @@ from repro import (
     ClusterConfig,
     Grass,
     GrassConfig,
+    JobPhaseSpec,
+    JobSpec,
     LatePolicy,
     Simulation,
     SimulationConfig,
     StragglerConfig,
 )
-from repro.dag import map_only_job
 from repro.workload.profiles import framework_profile
 
 
 def build_counting_job(error: float, job_id: int):
     """A 300-task scan over sensor logs, allotted 60 slots (5 waves)."""
     bound = ApproximationBound.exact() if not error else ApproximationBound.with_error(error)
-    return map_only_job(
+    return JobSpec(
         job_id=job_id,
-        task_works=[5.0] * 300,
+        arrival_time=0.0,
+        phases=(JobPhaseSpec(phase_index=0, task_works=(5.0,) * 300),),
         bound=bound,
-        max_slots=60,
         name=f"car-count-{int(error * 100)}pct",
+        max_slots=60,
     )
 
 

@@ -9,7 +9,8 @@ downstream user typically needs:
 * the LATE / Mantri / oracle baselines (:mod:`repro.baselines`),
 * the discrete-event cluster simulator (:mod:`repro.simulator`),
 * synthetic workload generation (:mod:`repro.workload`),
-* the analytic model of Appendix A (:mod:`repro.model`),
+* the Hill estimator and Appendix A's reactive ω-policy model behind
+  Figures 3–4 (:mod:`repro.model`),
 * the experiment harness regenerating every figure (:mod:`repro.experiments`).
 
 Quick start::

@@ -36,7 +36,6 @@ from repro.analysis.engine import (
 )
 from repro.analysis.findings import (
     Finding,
-    findings_from_json,
     findings_to_json,
 )
 from repro.analysis.pragmas import PRAGMA_RULE_ID, Pragma, scan_pragmas
@@ -53,7 +52,6 @@ __all__ = [
     "analyze_file",
     "analyze_paths",
     "analyze_source",
-    "findings_from_json",
     "findings_to_json",
     "iter_python_files",
     "rule_table",

@@ -1,18 +1,17 @@
-"""The analyzer's output type and its JSON codec.
+"""The analyzer's output type and its JSON report.
 
 A :class:`Finding` is one rule violation anchored to a file, line and
 column, carrying the offending source line so reports are readable
-without opening the file.  The JSON form round-trips exactly
-(:func:`findings_to_json` / :func:`findings_from_json`) so CI artifacts
-and downstream tooling can consume the analyzer's output without parsing
-the text report.
+without opening the file.  :func:`findings_to_json` writes the versioned
+JSON report, so CI artifacts and downstream tooling can consume the
+analyzer's output without parsing the text report.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 JSON_SCHEMA_VERSION = 1
 
@@ -43,14 +42,6 @@ class Finding:
     def to_dict(self) -> Dict[str, object]:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "Finding":
-        known = {field: payload[field] for field in cls.__dataclass_fields__}
-        unknown = set(payload) - set(known)
-        if unknown:
-            raise ValueError(f"unknown finding fields: {sorted(unknown)}")
-        return cls(**known)  # type: ignore[arg-type]
-
 
 def findings_to_json(findings: Sequence[Finding], *, files_scanned: int) -> str:
     """Serialise ``findings`` to the versioned JSON report format."""
@@ -64,20 +55,3 @@ def findings_to_json(findings: Sequence[Finding], *, files_scanned: int) -> str:
         "findings": [finding.to_dict() for finding in sorted(findings)],
     }
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"
-
-
-def findings_from_json(text: str) -> List[Finding]:
-    """Parse a report produced by :func:`findings_to_json` (exact inverse)."""
-    payload = json.loads(text)
-    if not isinstance(payload, dict):
-        raise ValueError("analysis report must be a JSON object")
-    version = payload.get("version")
-    if version != JSON_SCHEMA_VERSION:
-        raise ValueError(
-            f"unsupported analysis report version {version!r} "
-            f"(expected {JSON_SCHEMA_VERSION})"
-        )
-    raw = payload.get("findings")
-    if not isinstance(raw, list):
-        raise ValueError("analysis report has no 'findings' list")
-    return [Finding.from_dict(entry) for entry in raw]

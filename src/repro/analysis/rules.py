@@ -35,7 +35,7 @@ __all__ = ["FileContext", "RawFinding", "Rule", "RULES", "rule_table"]
 # Every package a simulation worker imports, the scope the replay cache's
 # engine fingerprint hashes too.
 DIGEST_PACKAGES = (
-    "baselines", "core", "dag", "experiments", "model", "simulator", "utils", "workload",
+    "baselines", "core", "experiments", "model", "simulator", "utils", "workload",
 )
 
 

@@ -93,12 +93,3 @@ class ApproximationBound:
             return total_tasks
         assert self.error is not None
         return int(math.ceil((1.0 - self.error) * total_tasks))
-
-    def describe(self) -> str:
-        """Human-readable description used in logs and experiment reports."""
-        if self.is_deadline:
-            return f"deadline={self.deadline:.2f}s"
-        if self.is_exact:
-            return "exact (error=0)"
-        assert self.error is not None
-        return f"error={self.error * 100.0:.1f}%"

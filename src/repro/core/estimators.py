@@ -35,6 +35,10 @@ from repro.utils.rng import RngStream
 from repro.utils.stats import OnlineMean, clamp
 
 
+#: A task executor sends a progress report every 5% of its input (§5.1).
+PROGRESS_REPORT_FRACTION = 0.05
+
+
 @dataclass(frozen=True)
 class EstimatorConfig:
     """Noise configuration for the two estimators.
@@ -42,18 +46,16 @@ class EstimatorConfig:
     ``trem_noise`` and ``tnew_noise`` are the standard deviations of the
     multiplicative measurement error.  ``perfect()`` produces the noise-free
     estimator the oracle and several unit tests use; ``degraded()`` scales
-    the noise up for the estimation-accuracy ablations.
+    the noise up for the estimation-accuracy ablations.  Progress reports
+    arrive every :data:`PROGRESS_REPORT_FRACTION` of a copy's work.
     """
 
     trem_noise: float = 0.05
     tnew_noise: float = 0.05
-    progress_report_fraction: float = 0.05
 
     def __post_init__(self) -> None:
         if self.trem_noise < 0 or self.tnew_noise < 0:
             raise ValueError("noise levels must be non-negative")
-        if not 0.0 < self.progress_report_fraction <= 1.0:
-            raise ValueError("progress_report_fraction must be in (0, 1]")
 
     @classmethod
     def perfect(cls) -> "EstimatorConfig":
@@ -69,7 +71,6 @@ class EstimatorConfig:
         return cls(
             trem_noise=base.trem_noise * factor,
             tnew_noise=base.tnew_noise * factor,
-            progress_report_fraction=base.progress_report_fraction,
         )
 
 
@@ -216,7 +217,7 @@ class TaskEstimator:
         if not running:
             return self.tnew(task)
         best = min(running, key=lambda copy: copy.remaining(now))
-        granularity = self.config.progress_report_fraction
+        granularity = PROGRESS_REPORT_FRACTION
         progress = best.progress(now)
         elapsed = best.elapsed(now)
         if progress < granularity:
@@ -273,7 +274,7 @@ class TaskEstimator:
             if tnew_noise is None:
                 tnew_noise = self._noise(sigma, self._tnew_noise_cache, key)
         gen = self.noise_generation
-        granularity = config.progress_report_fraction
+        granularity = PROGRESS_REPORT_FRACTION
         trem_sigma = config.trem_noise
         trem_cache = self._trem_noise_cache
         trem_cache_get = trem_cache.get

@@ -39,10 +39,6 @@ class JobPhaseSpec:
     def task_count(self) -> int:
         return len(self.task_works)
 
-    @property
-    def total_work(self) -> float:
-        return float(left_sum(self.task_works))
-
     @cached_property
     def median_work(self) -> float:
         """Median task work, computed once per spec.
@@ -96,10 +92,6 @@ class JobSpec:
     @property
     def dag_length(self) -> int:
         return len(self.phases)
-
-    @property
-    def total_work(self) -> float:
-        return left_sum(phase.total_work for phase in self.phases)
 
     def ideal_duration(self, slots: int) -> float:
         """Lower bound on duration with ``slots`` slots and no stragglers.
@@ -158,7 +150,7 @@ class Job(TaskObserver):
     and keeps per-phase pending/completed counters, the set of unfinished
     tasks per phase and the job-wide running-copy count incrementally, so the
     scheduler's per-event queries (``schedulable_tasks``, ``current_phase``,
-    ``running_copy_count``, ...) are O(1) or O(schedulable) instead of
+    the engine's demand count, ...) are O(1) or O(schedulable) instead of
     rescanning every task and copy.
     """
 
@@ -268,10 +260,6 @@ class Job(TaskObserver):
     def is_running(self) -> bool:
         return self.state == JobState.RUNNING
 
-    @property
-    def is_finished(self) -> bool:
-        return self.state == JobState.FINISHED
-
     # -- task views -------------------------------------------------------------
 
     def phase_tasks(self, phase_index: int) -> List[Task]:
@@ -280,13 +268,6 @@ class Job(TaskObserver):
     @property
     def input_tasks(self) -> List[Task]:
         return self._tasks_by_phase[0]
-
-    @property
-    def all_tasks(self) -> List[Task]:
-        return list(self.tasks.values())
-
-    def running_copy_count(self) -> int:
-        return self._running_copy_total
 
     def completed_input_tasks(self) -> int:
         return self._completed_by_phase[0]
@@ -334,27 +315,10 @@ class Job(TaskObserver):
             return []
         return list(self._unfinished_by_phase[phase].values())
 
-    def schedulable_counts(self) -> "tuple[int, int]":
-        """O(1) ``(pending, running)`` counts over the schedulable tasks.
-
-        This is what fair-share demand estimation needs; it avoids
-        materialising the schedulable task list on every allocation pass.
-        """
-        phase = self.current_phase()
-        if phase >= self.dag_length:
-            return 0, 0
-        pending = self._pending_by_phase[phase]
-        return pending, len(self._unfinished_by_phase[phase]) - pending
-
     # -- accounting --------------------------------------------------------------
 
     def wasted_work(self) -> float:
         return left_sum(task.wasted_work() for task in self.tasks.values())
-
-    def elapsed(self, now: float) -> float:
-        if self.start_time is None:
-            return 0.0
-        return max(0.0, now - self.start_time)
 
     def remaining_deadline(self, now: float) -> Optional[float]:
         """Seconds until the (input-phase) deadline, or None for error-bound jobs."""

@@ -565,9 +565,6 @@ class SchedulingView:
         """The pending snapshot with the lowest task id, or None."""
         return self.sched.first_pending()
 
-    def elapsed(self) -> float:
-        return self.job.elapsed(self.now)
-
 
 class SpeculationPolicy(abc.ABC):
     """Base class for all speculation policies.

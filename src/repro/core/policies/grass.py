@@ -39,15 +39,15 @@ class GrassConfig:
     ``perturbation`` is ξ from §4.2 (the paper finds 15 % empirically best).
     ``switching`` selects the learned decider or the two-wave strawman, and
     ``factors`` controls which of the three learning factors are used (the
-    Best-1 / Best-2 ablations of §6.3.2 drop factors from this set).
+    Best-1 / Best-2 ablations of §6.3.2 drop factors from this set).  An
+    adaptive job asks its decider at most once per
+    :data:`SWITCH_CHECK_INTERVAL` simulated seconds.
     """
 
     perturbation: float = 0.15
     switching: str = "learned"
     factors: FrozenSet[str] = field(default_factory=lambda: ALL_FACTORS)
-    switch_check_interval: float = 1.0
     max_copies_per_task: int = 4
-    max_samples_per_key: int = 64
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -55,8 +55,10 @@ class GrassConfig:
             raise ValueError("perturbation must be in [0, 1]")
         if self.switching not in ("learned", "strawman"):
             raise ValueError("switching must be 'learned' or 'strawman'")
-        if self.switch_check_interval <= 0:
-            raise ValueError("switch_check_interval must be positive")
+
+
+#: Simulated seconds between two switch decisions for one adaptive job.
+SWITCH_CHECK_INTERVAL = 1.0
 
 
 #: Per-job execution modes.
@@ -101,7 +103,7 @@ class Grass(SpeculationPolicy):
         if sample_store is not None:
             self.store = sample_store
         else:
-            self.store = SampleStore(max_samples_per_key=self.config.max_samples_per_key)
+            self.store = SampleStore()
         self._gs = GreedySpeculative(max_copies_per_task=self.config.max_copies_per_task)
         self._ras = ResourceAwareSpeculative(
             max_copies_per_task=self.config.max_copies_per_task
@@ -162,7 +164,7 @@ class Grass(SpeculationPolicy):
     def _maybe_switch(self, view: SchedulingView, state: _JobState) -> None:
         if state.mode != MODE_ADAPTIVE_RAS:
             return
-        if view.now - state.last_switch_check < self.config.switch_check_interval:
+        if view.now - state.last_switch_check < SWITCH_CHECK_INTERVAL:
             return
         state.last_switch_check = view.now
         if self._decider.should_switch(view):

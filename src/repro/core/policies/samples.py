@@ -22,7 +22,6 @@ import bisect
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.bounds import BoundType
 from repro.core.job import job_bin_label
 from repro.utils.stats import left_sum
 
@@ -85,10 +84,6 @@ class JobSample:
     def accuracy_bucket(self) -> str:
         return accuracy_bucket(self.estimator_accuracy)
 
-    @property
-    def waves(self) -> float:
-        return self.total_tasks / self.wave_width
-
     def fraction_completed_by(self, elapsed: float) -> float:
         """Fraction of the job's tasks completed within ``elapsed`` seconds."""
         if elapsed <= 0:
@@ -128,15 +123,15 @@ def mean_time_for_fraction(
     return left_sum(usable) / len(usable)
 
 
+#: Samples one full key keeps; a full bucket evicts its oldest sample.
+MAX_SAMPLES_PER_KEY = 64
+
+
 class SampleStore:
     """Bucketed collection of :class:`JobSample` records with fallback lookup."""
 
-    def __init__(self, max_samples_per_key: int = 64) -> None:
-        if max_samples_per_key <= 0:
-            raise ValueError("max_samples_per_key must be positive")
-        self.max_samples_per_key = max_samples_per_key
+    def __init__(self) -> None:
         self._samples: Dict[Tuple, List[JobSample]] = {}
-        self._total = 0
 
     # -- insertion -------------------------------------------------------------
 
@@ -155,16 +150,11 @@ class SampleStore:
         key = self._full_key(sample)
         bucket = self._samples.setdefault(key, [])
         bucket.append(sample)
-        if len(bucket) > self.max_samples_per_key:
+        if len(bucket) > MAX_SAMPLES_PER_KEY:
             bucket.pop(0)
-        self._total += 1
 
     def __len__(self) -> int:
         return left_sum(len(bucket) for bucket in self._samples.values())
-
-    @property
-    def total_added(self) -> int:
-        return self._total
 
     # -- lookup -----------------------------------------------------------------
 
@@ -213,41 +203,3 @@ class SampleStore:
             if matches:
                 return matches
         return []
-
-    # -- aggregate queries ----------------------------------------------------------
-
-    def expected_fraction_completed(
-        self,
-        policy: str,
-        elapsed: float,
-        size_bucket: Optional[str] = None,
-        utilization: Optional[str] = None,
-        accuracy: Optional[str] = None,
-    ) -> Optional[float]:
-        """Mean fraction of tasks a ``policy`` job completes in ``elapsed`` seconds."""
-        samples = self.samples_for(
-            policy, BoundType.DEADLINE.value, size_bucket, utilization, accuracy
-        )
-        if not samples:
-            return None
-        return mean_fraction_completed(samples, elapsed)
-
-    def expected_time_for_fraction(
-        self,
-        policy: str,
-        fraction: float,
-        size_bucket: Optional[str] = None,
-        utilization: Optional[str] = None,
-        accuracy: Optional[str] = None,
-    ) -> Optional[float]:
-        """Mean time a ``policy`` job needs to complete ``fraction`` of its tasks."""
-        samples = self.samples_for(
-            policy, BoundType.ERROR.value, size_bucket, utilization, accuracy
-        )
-        if not samples:
-            return None
-        return mean_time_for_fraction(samples, fraction)
-
-    def sample_counts(self) -> Dict[Tuple, int]:
-        """Diagnostic view: how many samples each full key currently holds."""
-        return {key: len(bucket) for key, bucket in self._samples.items()}

@@ -173,10 +173,6 @@ class Task:
         return self.spec.task_id
 
     @property
-    def job_id(self) -> int:
-        return self.spec.job_id
-
-    @property
     def phase_index(self) -> int:
         return self.spec.phase_index
 
@@ -199,10 +195,6 @@ class Task:
     @property
     def total_copies_launched(self) -> int:
         return len(self.copies)
-
-    @property
-    def is_pending(self) -> bool:
-        return self.state is TaskState.PENDING
 
     @property
     def is_running(self) -> bool:
@@ -241,26 +233,12 @@ class Task:
         """O(1) lookup of a copy by its id (the engine's completion hot path)."""
         return self._copies_by_id.get(copy_id)
 
-    def earliest_finish_time(self) -> float:
-        """Earliest wall-clock finish among the running copies."""
-        running = self.running_copies
-        if not running:
-            raise RuntimeError("task has no running copies")
-        return min(copy.finish_time for copy in running)
-
     def true_remaining(self, now: float) -> float:
         """True remaining time of the best (soonest-finishing) running copy."""
         running = self.running_copies
         if not running:
             raise RuntimeError("task has no running copies")
         return min(copy.remaining(now) for copy in running)
-
-    def best_progress(self, now: float) -> float:
-        """Progress of the most advanced running copy, in [0, 1]."""
-        running = self.running_copies
-        if not running:
-            return 1.0 if self.is_completed else 0.0
-        return max(copy.progress(now) for copy in running)
 
     def complete(self, now: float, winning_copy: TaskCopy) -> List[TaskCopy]:
         """Mark the task complete; kill and return the losing running copies."""

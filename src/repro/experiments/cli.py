@@ -60,6 +60,7 @@ and stream back per-shard aggregate deltas plus the same metrics digest.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import replace
@@ -353,6 +354,25 @@ def cache_main(argv: List[str]) -> int:
     return 1 if failures else 0
 
 
+def _os_error_message(exc: OSError, trace: Optional[str]) -> str:
+    """One line naming the path ``exc`` failed on: the trace only if it is.
+
+    The trace is not the only file a replay touches (a spill sink writes
+    its own directory), so the trace's wording is kept for errors whose
+    ``filename`` is the trace.
+    """
+    reason = exc.strerror or str(exc)
+    if exc.filename is None:
+        return f"replay failed: {reason}"
+    if trace is None or os.path.abspath(os.fspath(exc.filename)) != os.path.abspath(trace):
+        return f"cannot access {os.fspath(exc.filename)}: {reason}"
+    if isinstance(exc, FileNotFoundError):
+        return f"trace file not found: {trace}"
+    if isinstance(exc, IsADirectoryError):
+        return f"trace path is a directory, not a JSONL file: {trace}"
+    return f"cannot read trace {trace}: {reason}"
+
+
 def replay_main(argv: List[str]) -> int:
     args = build_replay_parser().parse_args(argv)
     try:
@@ -367,17 +387,11 @@ def replay_main(argv: List[str]) -> int:
     except PlanError as exc:  # discovered at execution time (empty trace, ...)
         print(str(exc), file=sys.stderr)
         return 2
-    except FileNotFoundError:
-        print(f"trace file not found: {plan.trace}", file=sys.stderr)
-        return 2
-    except IsADirectoryError:
-        print(f"trace path is a directory, not a JSONL file: {plan.trace}", file=sys.stderr)
-        return 2
     except OSError as exc:
-        # Satellite fix: any unreadable trace (permissions, I/O, ...) is a
-        # one-line named error and a nonzero exit, never a traceback.
-        reason = exc.strerror or str(exc)
-        print(f"cannot read trace {plan.trace}: {reason}", file=sys.stderr)
+        # Any unreadable trace or unwritable spill path (permissions, I/O,
+        # ...) is a one-line named error and a nonzero exit, never a
+        # traceback.
+        print(_os_error_message(exc, plan.trace), file=sys.stderr)
         return 2
     except TraceFormatError as exc:
         print(f"malformed trace: {exc}", file=sys.stderr)

@@ -100,10 +100,10 @@ class PolicyRun:
 
     ``results`` holds the merged raw records when the runs recorded into a
     retaining sink and stays empty under ``--sink aggregate``;
-    :attr:`aggregates` is populated either way (both paths fold the same
-    per-simulation chunks in the same merge order), so aggregate consumers
-    — the CLI table, the digest, the overall/per-bin improvements — never
-    need the raw list.
+    :attr:`aggregates` merges ``metrics``, one collector per simulation,
+    either way (both paths fold the same per-simulation chunks in the same
+    merge order), so aggregate consumers — the CLI table, the digest, the
+    overall/per-bin improvements — never need the raw list.
     """
 
     policy_name: str
@@ -113,9 +113,7 @@ class PolicyRun:
     @property
     def aggregates(self) -> StreamingAggregates:
         """Mergeable aggregate view over this run's per-simulation metrics."""
-        if self.metrics:
-            return StreamingAggregates.merged(m.aggregates for m in self.metrics)
-        return StreamingAggregates.from_results(self.results)
+        return StreamingAggregates.merged(m.aggregates for m in self.metrics)
 
     def deadline_results(self) -> List[JobResult]:
         return results_with_bound(self.results, BoundType.DEADLINE)
@@ -175,9 +173,6 @@ class ComparisonResult:
 
     workload: GeneratedWorkload
     runs: Dict[str, PolicyRun] = field(default_factory=dict)
-
-    def run(self, policy_name: str) -> PolicyRun:
-        return self.runs[policy_name]
 
     # -- overall improvements --------------------------------------------------------
 
@@ -901,13 +896,16 @@ def compare_policies(
 
     Raises ``ValueError`` when a policy is named twice, since both runs
     would fold into one entry of the comparison, or when ``scale.seeds``
-    names a seed twice, since that seed's results would count twice, or a
-    negative seed, which would replay the stream of its absolute value.
+    is empty, names a seed twice, since that seed's results would count
+    twice, or names a negative seed, which would replay the stream of its
+    absolute value.
     """
     twice = repeated(policy_names)
     if twice:
         raise ValueError(f"policies named more than once: {', '.join(twice)}")
     scale = scale or ExperimentScale()
+    if not scale.seeds:
+        raise ValueError("a comparison needs at least one seed")
     twice = repeated(scale.seeds)
     if twice:
         raise ValueError(f"seeds named more than once: {', '.join(map(str, twice))}")

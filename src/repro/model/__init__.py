@@ -1,23 +1,12 @@
 """Analytic model of speculation (Appendix A) and tail estimation (Figure 3).
 
-* :mod:`repro.model.pareto` — closed-form Pareto quantities the model needs
-  (means, minima of i.i.d. copies, conditional residuals).
 * :mod:`repro.model.hill` — the Hill estimator of the tail index (Figure 3).
-* :mod:`repro.model.proactive` — Theorem 1: the optimal proactive replication
-  level k(x(t)) and the blow-up factor of equation (1).
 * :mod:`repro.model.reactive` — the reactive ω-policy model of equation (3),
   evaluated by Monte-Carlo wave simulation, with the GS / RAS ω values;
   regenerates Figure 4.
 """
 
 from repro.model.hill import hill_estimates, estimate_tail_index
-from repro.model.pareto import (
-    conditional_residual,
-    pareto_mean,
-    pareto_min_mean,
-    pareto_survival,
-)
-from repro.model.proactive import blow_up_factor, optimal_copies, proactive_policy
 from repro.model.reactive import (
     ReactiveModelConfig,
     gs_omega,
@@ -29,13 +18,6 @@ from repro.model.reactive import (
 __all__ = [
     "hill_estimates",
     "estimate_tail_index",
-    "pareto_mean",
-    "pareto_min_mean",
-    "pareto_survival",
-    "conditional_residual",
-    "blow_up_factor",
-    "optimal_copies",
-    "proactive_policy",
     "ReactiveModelConfig",
     "gs_omega",
     "ras_omega",

@@ -25,7 +25,6 @@ import heapq
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from repro.model.pareto import conditional_residual, pareto_mean
 from repro.utils.rng import RngStream
 from repro.utils.stats import mean
 
@@ -176,39 +175,6 @@ def response_time_ratio_curve(
         best = min(time for _, time in times)
         curves[waves] = [(omega, time / best) for omega, time in times]
     return curves
-
-
-def closed_form_early_wave_cost(omega: float, shape: float, scale: float) -> float:
-    """Expected slot-time one task consumes under the ω-policy (eq. 3, line 1).
-
-    ``E[τ|τ<ω]·P(τ<ω) + (2·E[Z-ω|τ>ω] + ω)·P(τ>ω)`` with Z = min(τ1, τ2+ω).
-    Used by unit tests to sanity-check the Monte-Carlo evaluation and by the
-    blow-up analysis in the docs.
-    """
-    if shape <= 1.0:
-        raise ValueError("shape must exceed 1")
-    if omega <= scale:
-        # Speculating before the scale point duplicates everything.
-        return 2.0 * pareto_mean(2.0 * shape, scale) + omega
-    survival = (scale / omega) ** shape
-    mean_total = pareto_mean(shape, scale)
-    # E[τ | τ > ω] = ω + mean residual; E[τ·1(τ>ω)] = survival · that.
-    mean_above = survival * (omega + conditional_residual(omega, shape, scale))
-    mean_below = (mean_total - mean_above) / max(1e-12, 1.0 - survival)
-    # Z = min(τ1, τ2 + ω) given τ1 > ω: residual of τ1 is Pareto(β, ω) by the
-    # Pareto's scaling property, τ2 is a fresh Pareto(β, x_m); approximate
-    # E[Z - ω | τ1 > ω] by the mean of the minimum of those two.
-    residual_mean = conditional_residual(omega, shape, scale)
-    fresh_mean = mean_total
-    min_mean = 1.0 / (1.0 / max(residual_mean, 1e-12) + 1.0 / max(fresh_mean, 1e-12))
-    return mean_below * (1.0 - survival) + (2.0 * min_mean + omega) * survival
-
-
-def number_of_waves(total_tasks: int, slots: int) -> float:
-    """W = T / S, the model's (fractional) wave count."""
-    if slots <= 0:
-        raise ValueError("slots must be positive")
-    return total_tasks / slots
 
 
 def omega_grid(shape: float, scale: float = 1.0, points: int = 11, span: float = 5.0) -> List[float]:

@@ -6,10 +6,12 @@ among *tenants* — and solves it the same way: virtual-time (stride)
 scheduling.  Each tenant owns a bounded FIFO of pending submissions and a
 virtual clock; dispatching a submission advances the tenant's clock by
 ``cost / weight``, and the next dispatch always goes to the backlogged
-tenant with the smallest clock.  A weight-2 tenant's clock advances half as
-fast, so it receives twice the dispatch share while contended — and an
-idle tenant's clock is clamped forward to the service's virtual time when
-it returns, so sleeping never banks credit (the classic starvation fix).
+tenant with the smallest clock.  A tenant with no listed weight weighs 1,
+and every weight is a finite number above zero.  A weight-2 tenant's clock
+advances half as fast, so it receives twice the dispatch share while
+contended — and an idle tenant's clock is clamped forward to the service's
+virtual time when it returns, so sleeping never banks credit (the classic
+starvation fix).
 
 Overflow is *rejected, never buffered*: a full per-tenant queue or a full
 service backlog raises :class:`AdmissionRejected` with an HTTP-flavoured
@@ -26,6 +28,7 @@ submit/dispatch order — which is what the unit tests exercise.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
@@ -42,6 +45,20 @@ class AdmissionRejected(Exception):
         super().__init__(reason)
         self.code = code
         self.reason = reason
+
+
+def check_weight(tenant: str, weight: float) -> None:
+    """Raise ``ValueError`` unless ``weight`` is a finite number above zero.
+
+    A NaN weight compares False against every clock and an infinite one
+    never advances its tenant's clock, so either turns fair share into
+    strict priority.
+    """
+    if not (math.isfinite(weight) and weight > 0):
+        raise ValueError(
+            f"weight for tenant {tenant!r} must be a finite number above zero, "
+            f"got {weight!r}"
+        )
 
 
 class _TenantState:
@@ -68,21 +85,16 @@ class FairShareAdmission:
         max_pending_per_tenant: int = 4,
         max_pending_total: int = 64,
         weights: Optional[Dict[str, float]] = None,
-        default_weight: float = 1.0,
     ) -> None:
         if max_pending_per_tenant < 1:
             raise ValueError("max_pending_per_tenant must be >= 1")
         if max_pending_total < 1:
             raise ValueError("max_pending_total must be >= 1")
-        if default_weight <= 0:
-            raise ValueError("default_weight must be positive")
         for tenant, weight in (weights or {}).items():
-            if weight <= 0:
-                raise ValueError(f"weight for tenant {tenant!r} must be positive")
+            check_weight(tenant, weight)
         self._max_pending_per_tenant = max_pending_per_tenant
         self._max_pending_total = max_pending_total
         self._weights = dict(weights or {})
-        self._default_weight = default_weight
         self._tenants: Dict[str, _TenantState] = {}
         self._pending_total = 0
         #: Monotone arrival counter; breaks virtual-time ties FIFO-fairly.
@@ -115,7 +127,7 @@ class FairShareAdmission:
             )
         state = self._tenants.get(tenant)
         if state is None:
-            state = _TenantState(self._weights.get(tenant, self._default_weight))
+            state = _TenantState(self._weights.get(tenant, 1.0))
             self._tenants[tenant] = state
         if len(state.queue) >= self._max_pending_per_tenant:
             raise AdmissionRejected(

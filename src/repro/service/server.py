@@ -74,6 +74,7 @@ from repro.service.admission import (
     REJECT_BAD_PLAN,
     AdmissionRejected,
     FairShareAdmission,
+    check_weight,
 )
 from repro.simulator.sinks import chunk_to_wire
 from repro.workload.traces import TraceFormatError
@@ -85,7 +86,9 @@ def _parse_weight(spec: str) -> Tuple[str, float]:
     tenant, _, raw = spec.partition("=")
     if not tenant or not raw:
         raise ValueError(f"weight must look like TENANT=FLOAT, got {spec!r}")
-    return tenant, float(raw)
+    weight = float(raw)
+    check_weight(tenant, weight)
+    return tenant, weight
 
 
 @dataclass
@@ -102,9 +105,8 @@ class ServiceConfig:
     max_pending_per_tenant: int = 4
     #: Service-wide pending-submission bound.
     max_pending_total: int = 16
-    #: Fair-share weights per tenant; unlisted tenants get ``default_weight``.
+    #: Fair-share weights per tenant; unlisted tenants weigh 1.
     tenant_weights: Dict[str, float] = field(default_factory=dict)
-    default_weight: float = 1.0
     #: Content-addressed replay cache directory; ``None`` disables caching.
     #: Injected into every submitted plan that does not name its own cache.
     cache_dir: Optional[str] = None
@@ -145,7 +147,6 @@ class ReplayService:
             max_pending_per_tenant=self.config.max_pending_per_tenant,
             max_pending_total=self.config.max_pending_total,
             weights=self.config.tenant_weights,
-            default_weight=self.config.default_weight,
         )
         self._bridge: Optional[AsyncBridge] = None
         #: The simulation process pool; built at the first dispatch.

@@ -11,7 +11,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from repro.simulator.machine import Machine
 from repro.utils.rng import RngStream
@@ -22,28 +22,24 @@ from repro.utils.stats import left_sum, median
 class ClusterConfig:
     """Static description of the simulated cluster.
 
-    The default of 200 machines with one slot each mirrors the paper's 200
-    node EC2 deployment (each node contributing one task slot keeps the
-    arithmetic of waves simple; ``slots_per_machine`` can be raised to model
-    multi-slot nodes).
+    The default of 200 one-slot machines mirrors the paper's 200 node EC2
+    deployment (one task slot per node keeps the arithmetic of waves
+    simple).
     """
 
     num_machines: int = 200
-    slots_per_machine: int = 1
     heterogeneity: float = 0.08
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.num_machines <= 0:
             raise ValueError("num_machines must be positive")
-        if self.slots_per_machine <= 0:
-            raise ValueError("slots_per_machine must be positive")
         if not 0.0 <= self.heterogeneity < 1.0:
             raise ValueError("heterogeneity must be in [0, 1)")
 
     @property
     def total_slots(self) -> int:
-        return self.num_machines * self.slots_per_machine
+        return self.num_machines
 
 
 class Cluster:
@@ -63,13 +59,7 @@ class Cluster:
                 )
             else:
                 speed = 1.0
-            self.machines.append(
-                Machine(
-                    machine_id=machine_id,
-                    num_slots=config.slots_per_machine,
-                    speed_factor=speed,
-                )
-            )
+            self.machines.append(Machine(machine_id=machine_id, speed_factor=speed))
         self._machine_by_id: Dict[int, Machine] = {
             machine.machine_id: machine for machine in self.machines
         }
@@ -86,20 +76,9 @@ class Cluster:
             "d", (machine.speed_factor for machine in self.machines)
         )
         self.median_speed: float = median(self.speed_column)
-        # Busy-count-bucketed free-list: ``_busy_buckets[b]`` holds the ids of
-        # machines with exactly ``b`` busy slots, kept sorted ascending.  The
-        # lowest non-empty bucket below ``slots_per_machine`` *is* the
-        # least-loaded candidate set ``pick_machine`` used to rebuild in
-        # O(machines) per copy launch.
-        self._busy_buckets: List[List[int]] = [
-            [] for _ in range(config.slots_per_machine + 1)
-        ]
-        self._busy_buckets[0] = list(range(config.num_machines))
-
-    def _move_bucket(self, machine_id: int, old_busy: int, new_busy: int) -> None:
-        bucket = self._busy_buckets[old_busy]
-        del bucket[bisect_left(bucket, machine_id)]
-        insort(self._busy_buckets[new_busy], machine_id)
+        # The ids of the idle machines, kept sorted ascending: the candidate
+        # set ``pick_machine`` draws from.
+        self._idle: List[int] = list(range(config.num_machines))
 
     # -- capacity ---------------------------------------------------------------
 
@@ -111,105 +90,49 @@ class Cluster:
     def busy_slots(self) -> int:
         return self._busy_count
 
-    @property
-    def free_slots(self) -> int:
-        return self.total_slots - self.busy_slots
-
-    def has_free_slot(self) -> bool:
-        return self.free_slots > 0
-
-    def utilization(self) -> float:
-        """Fraction of slots currently busy, in [0, 1]."""
-        if self.total_slots == 0:
-            return 0.0
-        return self.busy_slots / self.total_slots
-
     # -- placement --------------------------------------------------------------
 
-    def machine(self, machine_id: int) -> Machine:
-        return self._machine_by_id[machine_id]
-
     def pick_machine(self) -> Optional[Machine]:
-        """Pick a machine with a free slot, randomly among the least loaded.
+        """Pick an idle machine uniformly at random.
 
-        Random placement among least-loaded machines approximates the data
-        locality-agnostic placement the paper's prototypes use for
-        speculative copies.
+        Random placement approximates the data locality-agnostic placement
+        the paper's prototypes use for speculative copies.  The idle list is
+        sorted by machine id, and ``random.choice`` consumes randomness as a
+        function of the sequence *length* only.
         """
-        # The lowest non-empty bucket (below the per-machine slot count) is
-        # exactly the old least-loaded candidate list, already sorted by
-        # machine id; ``random.choice`` consumes randomness as a function of
-        # the sequence *length* only, so the draw is identical to picking
-        # from the materialised Machine list.
-        buckets = self._busy_buckets
-        for busy in range(self.config.slots_per_machine):
-            bucket = buckets[busy]
-            if bucket:
-                return self._machine_by_id[self._placement_choice(bucket)]
-        return None
+        idle = self._idle
+        if not idle:
+            return None
+        return self._machine_by_id[self._placement_choice(idle)]
 
     def occupy(self, machine_id: int, job_id: int, task_id: int, copy_id: int) -> None:
-        machine = self._machine_by_id[machine_id]
-        busy = machine.busy_slots
-        machine.occupy(job_id, task_id, copy_id)
+        self._machine_by_id[machine_id].occupy(job_id, task_id, copy_id)
         self._busy_count += 1
-        self._move_bucket(machine_id, busy, busy + 1)
+        idle = self._idle
+        del idle[bisect_left(idle, machine_id)]
 
     def release(self, machine_id: int, job_id: int, task_id: int, copy_id: int) -> None:
-        machine = self._machine_by_id[machine_id]
-        busy = machine.busy_slots
-        machine.release(job_id, task_id, copy_id)
+        self._machine_by_id[machine_id].release(job_id, task_id, copy_id)
         self._busy_count -= 1
-        self._move_bucket(machine_id, busy, busy - 1)
+        insort(self._idle, machine_id)
 
     # -- fair sharing ---------------------------------------------------------------
 
-    def fair_share(
-        self,
-        job_ids: Sequence[int],
-        demands: Dict[int, int],
-        caps: Optional[Dict[int, Optional[int]]] = None,
-        capacity: Optional[int] = None,
-    ) -> Dict[int, int]:
-        """Max-min fair allocation of slots to jobs.
+    def fair_share_limits(self, limits: Dict[int, int]) -> Dict[int, int]:
+        """Max-min fair allocation of the slots from per-job limits.
 
-        ``demands`` maps a job to how many slots it could use right now
-        (pending tasks plus running copies); ``caps`` optionally limits a job
-        (``JobSpec.max_slots``).  Slots a job cannot use are redistributed to
-        the others, which is what lets a lone small job in an idle cluster
-        become single-waved while a crowded cluster forces multi-waved runs.
-        ``capacity`` overrides the number of slots available for sharing
-        (used to model background utilisation from other tenants).
-        """
-        if not job_ids:
-            return {}
-        caps = caps or {}
+        ``limits`` maps a job to how many slots it could use right now
+        (pending tasks plus running copies, capped by ``JobSpec.max_slots``).
+        Slots a job cannot use are redistributed to the others, which is
+        what lets a lone small job in an idle cluster become single-waved
+        while a crowded cluster forces multi-waved runs.  Iteration order of
+        ``limits`` is the sharing order.
 
-        # Precompute each job's effective limit once; the convergence loop
-        # below reads it O(rounds) times per job.
-        limits: Dict[int, int] = {}
-        for job_id in job_ids:
-            cap = caps.get(job_id)
-            demand = demands.get(job_id, 0)
-            limits[job_id] = demand if cap is None else min(cap, demand)
-        return self.fair_share_limits(limits, capacity=capacity)
-
-    def fair_share_limits(
-        self, limits: Dict[int, int], capacity: Optional[int] = None
-    ) -> Dict[int, int]:
-        """Max-min fair allocation from precomputed per-job limits.
-
-        The core of :meth:`fair_share`, exposed for callers (the engine's
-        allocation pass) that already know each job's effective limit
-        (``min(cap, demand)``) and would otherwise rebuild the demand and
-        cap dicts on every recompute.  Iteration order of ``limits`` is the
-        sharing order, exactly as ``job_ids`` ordered the wrapper.
-
-        When the positive limits fit in the capacity the rounds below grant
+        When the positive limits fit in the cluster the rounds below grant
         every job exactly its limit, so that answer is returned directly —
         the common, uncontended case.
         """
-        remaining = self.total_slots if capacity is None else max(0, capacity)
+        remaining = self.total_slots
         if left_sum(limit for limit in limits.values() if limit > 0) <= remaining:
             return {
                 job_id: (limit if limit > 0 else 0) for job_id, limit in limits.items()

@@ -48,9 +48,9 @@ enforce this):
   sequence number, and all events sharing a timestamp are drained as one
   cohort per loop iteration (:meth:`EventQueue.pop_at_or_before`);
 * the cluster keeps flat columns over machines (a ``speed_column`` array, a
-  cached ``median_speed``) and a busy-count-bucketed free-list, so
-  ``pick_machine`` reads the least-loaded candidate set off a bucket
-  instead of rescanning all machines per launch;
+  cached ``median_speed``) and a sorted list of idle machine ids, so
+  ``pick_machine`` draws from it instead of rescanning all machines per
+  launch;
 * each job carries an incremental :class:`SchedulingIndex` — task snapshots
   plus a ``(tnew, task_id)``-sorted pending list — that is *replayed*
   against estimator feedback instead of rebuilt per scheduling round;
@@ -170,12 +170,9 @@ class SimulationConfig:
     stragglers: StragglerConfig = field(default_factory=StragglerConfig)
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
     seed: int = 0
-    background_utilization: float = 0.0
     max_simulated_time: float = 10_000_000.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.background_utilization < 1.0:
-            raise ValueError("background_utilization must be in [0, 1)")
         if self.max_simulated_time <= 0:
             raise ValueError("max_simulated_time must be positive")
 
@@ -236,9 +233,6 @@ class Simulation:
         self._copy_counter = 0
         self.peak_resident_jobs = 0
         self._total_slots = self.cluster.total_slots
-        self._reserved_slots = int(
-            round(config.background_utilization * self._total_slots)
-        )
         # Outstanding event handles (sequence numbers), used to cancel events
         # that can no longer matter (killed copies, jobs that finished before
         # their deadline).
@@ -254,10 +248,6 @@ class Simulation:
         self.events_processed = 0
 
     # ------------------------------------------------------------------ lifecycle
-
-    @property
-    def now(self) -> float:
-        return self._now
 
     def run(self) -> MetricsCollector:
         """Execute the simulation to completion and return the metrics."""
@@ -486,14 +476,11 @@ class Simulation:
         if not self._running_job_ids:
             return
         jobs = self._jobs
-        # Effective limits are computed inline (demand capped by max_slots)
-        # and handed straight to the fair-share core, skipping the public
-        # wrapper's intermediate demand/cap dicts.
+        # A job's limit is its demand capped by ``max_slots``: pending tasks
+        # plus one extra speculative copy per running task.
         limits: Dict[int, int] = {}
         for job_id in self._running_job_ids:
             job = jobs[job_id]
-            # ``schedulable_counts`` inlined: pending tasks plus one extra
-            # speculative copy per running task is the job's demand.
             phase = job.current_phase()
             if phase >= job.dag_length:
                 demand = 1
@@ -505,9 +492,7 @@ class Simulation:
                     demand = 1
             cap = job.spec.max_slots
             limits[job_id] = demand if cap is None else min(cap, demand)
-        allocations = self.cluster.fair_share_limits(
-            limits, capacity=self._total_slots - self._reserved_slots
-        )
+        allocations = self.cluster.fair_share_limits(limits)
         sched_index = self._sched_index
         for job_id, allocation in allocations.items():
             job = jobs[job_id]
@@ -528,14 +513,11 @@ class Simulation:
         """Give every running job a chance to fill its allocation."""
         # Nothing below mutates the running-job set (jobs finish in event
         # handlers, never mid-dispatch), so the id dict is iterated directly;
-        # slot capacity is likewise loop-invariant.  ``busy + reserved >=
-        # total`` subsumes the old ``has_free_slot`` check since reserved
-        # slots cannot be negative.
+        # slot capacity is likewise loop-invariant.
         cluster = self.cluster
         jobs = self._jobs
         choose_task = self.policy.choose_task
         total = self._total_slots
-        reserved = self._reserved_slots
         stateless = self._stateless_choice
         sched_index = self._sched_index
         estimators = self._estimators
@@ -549,7 +531,7 @@ class Simulation:
                     continue
                 if job._running_copy_total >= job.allocation:
                     continue
-                if cluster._busy_count + reserved >= total:
+                if cluster._busy_count >= total:
                     return
                 if stateless:
                     # A stateless policy that said None for this exact index
@@ -584,10 +566,7 @@ class Simulation:
         self.metrics.record_utilization(self._effective_utilization())
 
     def _effective_utilization(self) -> float:
-        total = self.cluster.total_slots
-        if total == 0:
-            return 0.0
-        return min(1.0, (self.cluster.busy_slots + self._reserved_slots) / total)
+        return self.cluster.busy_slots / self._total_slots
 
     def _build_view(self, job: Job) -> Optional[SchedulingView]:
         job_id = job.spec.job_id
@@ -616,9 +595,7 @@ class Simulation:
             remaining_required = len(index.snaps)
         # ``_effective_utilization`` and ``combined_accuracy``, inlined (same
         # float expressions, minus the property/descriptor hops).
-        utilization = (self.cluster._busy_count + self._reserved_slots) / self._total_slots
-        if utilization > 1.0:
-            utilization = 1.0
+        utilization = self.cluster._busy_count / self._total_slots
         trem_mean = estimator.trem_tracker._accuracy
         tnew_mean = estimator.tnew_tracker._accuracy
         accuracy = 0.5 * (
@@ -711,13 +688,3 @@ class Simulation:
 
     def _release_copy(self, job: Job, copy: TaskCopy) -> None:
         self.cluster.release(copy.machine_id, job.job_id, copy.task_id, copy.copy_id)
-
-
-def run_simulation(
-    job_specs: Union[Sequence[JobSpec], Iterable[JobSpec]],
-    policy: SpeculationPolicy,
-    config: Optional[SimulationConfig] = None,
-    sink: Optional[ResultSink] = None,
-) -> MetricsCollector:
-    """Convenience wrapper: run a workload under a policy and return metrics."""
-    return Simulation(config or SimulationConfig(), policy, job_specs, sink=sink).run()

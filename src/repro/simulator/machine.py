@@ -1,8 +1,8 @@
 """Machines: the physical substrate providing compute slots.
 
-Each machine has a fixed number of slots and a static speed factor modelling
-hardware heterogeneity (§2.1 notes that tasks take different durations even
-with the same amount of work because of cluster heterogeneity).  Transient
+Each machine has one slot and a static speed factor modelling hardware
+heterogeneity (§2.1 notes that tasks take different durations even with the
+same amount of work because of cluster heterogeneity).  Transient
 slowdowns — the stragglers themselves — are modelled per copy by
 :mod:`repro.simulator.stragglers`, matching the paper's observation that
 machines are *not* consistently problematic (§2.2), so blacklisting them
@@ -12,60 +12,34 @@ would not help.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Set
+from typing import Optional, Tuple
 
 
 @dataclass
 class Machine:
-    """A machine with ``num_slots`` slots and a static speed factor.
+    """A one-slot machine with a static speed factor.
 
     ``speed_factor`` multiplies task durations: 1.0 is the reference machine,
     larger is slower.
     """
 
     machine_id: int
-    num_slots: int
     speed_factor: float = 1.0
-    _busy_slots: int = field(default=0, repr=False)
-    _running_copy_keys: Set[tuple] = field(default_factory=set, repr=False)
+    _running_copy_key: Optional[Tuple[int, int, int]] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.num_slots <= 0:
-            raise ValueError("a machine needs at least one slot")
         if self.speed_factor <= 0:
             raise ValueError("speed_factor must be positive")
 
-    @property
-    def busy_slots(self) -> int:
-        return self._busy_slots
-
-    @property
-    def free_slots(self) -> int:
-        return self.num_slots - self._busy_slots
-
-    def has_free_slot(self) -> bool:
-        return self.free_slots > 0
-
     def occupy(self, job_id: int, task_id: int, copy_id: int) -> None:
-        """Occupy one slot for a task copy."""
-        if not self.has_free_slot():
+        """Occupy the slot with a task copy."""
+        if self._running_copy_key is not None:
             raise RuntimeError(f"machine {self.machine_id} has no free slot")
-        key = (job_id, task_id, copy_id)
-        if key in self._running_copy_keys:
-            raise RuntimeError(f"copy {key} already running on machine {self.machine_id}")
-        self._running_copy_keys.add(key)
-        self._busy_slots += 1
+        self._running_copy_key = (job_id, task_id, copy_id)
 
     def release(self, job_id: int, task_id: int, copy_id: int) -> None:
         """Release the slot held by a task copy."""
         key = (job_id, task_id, copy_id)
-        if key not in self._running_copy_keys:
+        if self._running_copy_key != key:
             raise RuntimeError(f"copy {key} is not running on machine {self.machine_id}")
-        self._running_copy_keys.remove(key)
-        self._busy_slots -= 1
-
-    def duration_on_machine(self, base_duration: float) -> float:
-        """Scale a reference duration by this machine's speed factor."""
-        if base_duration <= 0:
-            raise ValueError("base_duration must be positive")
-        return base_duration * self.speed_factor
+        self._running_copy_key = None

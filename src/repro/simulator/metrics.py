@@ -3,18 +3,15 @@
 The collector accumulates cluster-level counters and delegates per-job
 results to a pluggable :class:`~repro.simulator.sinks.ResultSink` (retain
 everything, fold into streaming aggregates, or spill to JSONL — see
-``repro.simulator.sinks``).  It exposes the aggregates the paper reports:
-average accuracy of deadline-bound jobs, average duration of error-bound
-jobs, breakdowns by job bin and by bound value.  Aggregate accessors answer
-from the sink's :class:`~repro.simulator.sinks.StreamingAggregates` whenever
-the raw results are absent, so an aggregate-only collector supports the same
-reporting surface as a retaining one.
+``repro.simulator.sinks``).  Its :attr:`~MetricsCollector.aggregates` are the
+sink's :class:`~repro.simulator.sinks.StreamingAggregates`, so an
+aggregate-only collector reports the same summary as a retaining one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.bounds import BoundType
 from repro.core.job import JobResult
@@ -96,38 +93,10 @@ class MetricsCollector:
 
     # -- filters ----------------------------------------------------------------
 
-    def deadline_results(self) -> List[JobResult]:
-        return results_with_bound(self.results, BoundType.DEADLINE)
-
     def error_results(self) -> List[JobResult]:
         return results_with_bound(self.results, BoundType.ERROR)
 
-    def by_bin(self, results: Optional[Sequence[JobResult]] = None) -> Dict[str, List[JobResult]]:
-        """Group results into the paper's job-size bins.
-
-        The paper's bins are small/medium/large (always present, possibly
-        empty); a result carrying any *other* bin label — e.g. a caller's
-        custom :class:`JobResult` stand-in — gets its own group instead of
-        the bare ``KeyError`` this used to raise.
-        """
-        grouped: Dict[str, List[JobResult]] = {"small": [], "medium": [], "large": []}
-        for result in results if results is not None else self.results:
-            grouped.setdefault(result.job_bin, []).append(result)
-        return grouped
-
-    def filter(self, predicate: Callable[[JobResult], bool]) -> List[JobResult]:
-        return [result for result in self.results if predicate(result)]
-
     # -- aggregates ----------------------------------------------------------------
-
-    def average_accuracy(self, results: Optional[Sequence[JobResult]] = None) -> float:
-        """Mean accuracy of deadline-bound jobs (the paper's headline metric)."""
-        if results is None:
-            return self.aggregates.average_accuracy
-        pool = list(results)
-        if not pool:
-            return 0.0
-        return mean([result.accuracy for result in pool])
 
     def average_duration(self, results: Optional[Sequence[JobResult]] = None) -> float:
         """Mean duration of error-bound jobs."""
@@ -137,24 +106,6 @@ class MetricsCollector:
         if not pool:
             return 0.0
         return mean([result.duration for result in pool])
-
-    def accuracy_by_bin(self) -> Dict[str, float]:
-        by_bin = self.aggregates.accuracy_by_bin()
-        return {
-            bin_name: by_bin[bin_name].mean if bin_name in by_bin else 0.0
-            for bin_name in ("small", "medium", "large")
-        }
-
-    def duration_by_bin(self) -> Dict[str, float]:
-        by_bin = self.aggregates.duration_by_bin()
-        return {
-            bin_name: by_bin[bin_name].mean if bin_name in by_bin else 0.0
-            for bin_name in ("small", "medium", "large")
-        }
-
-    def bound_met_fraction(self) -> float:
-        """Fraction of jobs that met their bound (error jobs) or finished fully."""
-        return self.aggregates.bound_met_fraction
 
     def speculation_ratio(self) -> float:
         """Speculative copies as a fraction of all copies launched."""

@@ -24,7 +24,7 @@ Mergeability
 ------------
 
 A :class:`StreamingAggregates` is a tuple of per-simulation
-:class:`AggregateChunk` records, and :meth:`StreamingAggregates.merge` is
+:class:`AggregateChunk` records, and :meth:`StreamingAggregates.merged` is
 *chunk-list concatenation*.  That makes the merge exactly associative (list
 concatenation is), makes aggregate equality across the retain and aggregate
 paths strict dataclass equality, and gives the digest a mergeable shape: each
@@ -107,7 +107,7 @@ class StreamingAggregates:
     """Mergeable, picklable aggregates over any number of simulations.
 
     See the module docs: the representation is a tuple of per-simulation
-    :class:`AggregateChunk`\\ s; :meth:`merge` concatenates, which is exactly
+    :class:`AggregateChunk`\\ s; :meth:`merged` concatenates, which is exactly
     associative, and every total is folded over the chunks on demand.
     """
 
@@ -116,21 +116,10 @@ class StreamingAggregates:
     # -- construction ----------------------------------------------------------
 
     @classmethod
-    def from_results(cls, results: Iterable[JobResult]) -> "StreamingAggregates":
-        """One-chunk aggregates folded from an in-memory result sequence."""
-        accumulator = _ChunkAccumulator()
-        for result in results:
-            accumulator.fold(result)
-        return cls(chunks=(accumulator.seal(),))
-
-    def merge(self, other: "StreamingAggregates") -> "StreamingAggregates":
-        """Combine with another aggregate view (exactly associative)."""
-        return StreamingAggregates(chunks=self.chunks + other.chunks)
-
-    @classmethod
     def merged(
         cls, parts: Iterable["StreamingAggregates"]
     ) -> "StreamingAggregates":
+        """Concatenate the parts' chunks, in order (exactly associative)."""
         chunks: Tuple[AggregateChunk, ...] = ()
         for part in parts:
             chunks = chunks + part.chunks
@@ -141,16 +130,6 @@ class StreamingAggregates:
     def digest_parts(self) -> List[bytes]:
         """Per-chunk sha256 digests, in merge order (see ``metrics_digest``)."""
         return [chunk.digest for chunk in self.chunks]
-
-    # -- wire format -----------------------------------------------------------
-
-    def to_wire(self) -> List[Dict[str, object]]:
-        """Plain-JSON chunk list; inverse of :meth:`from_wire`."""
-        return [chunk_to_wire(chunk) for chunk in self.chunks]
-
-    @classmethod
-    def from_wire(cls, wire: Iterable[Dict[str, object]]) -> "StreamingAggregates":
-        return cls(chunks=tuple(chunk_from_wire(entry) for entry in wire))
 
     # -- totals ----------------------------------------------------------------
 
@@ -165,10 +144,6 @@ class StreamingAggregates:
     @property
     def error_jobs(self) -> int:
         return left_sum(chunk.error_jobs for chunk in self.chunks)
-
-    @property
-    def exact_jobs(self) -> int:
-        return left_sum(chunk.exact_jobs for chunk in self.chunks)
 
     @property
     def bound_met_jobs(self) -> int:
@@ -200,13 +175,6 @@ class StreamingAggregates:
     def bound_met_fraction(self) -> float:
         total = self.num_results
         return self.bound_met_jobs / total if total else 0.0
-
-    def bin_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
-        for chunk in self.chunks:
-            for bin_name, count in chunk.bin_counts.items():
-                counts[bin_name] = counts.get(bin_name, 0) + count
-        return counts
 
     def accuracy_by_bin(self) -> Dict[str, OnlineStats]:
         return self._merged_by_bin(lambda chunk: chunk.accuracy_by_bin)
@@ -518,10 +486,6 @@ class SinkFactory:
             )
         if (self.kind == "jsonl") != (self.jsonl_dir is not None):
             raise ValueError("jsonl sinks need a directory; other kinds take none")
-
-    @property
-    def retains_results(self) -> bool:
-        return self.kind == "retain"
 
     def with_tag(self, tag: str) -> "SinkFactory":
         return SinkFactory(kind=self.kind, jsonl_dir=self.jsonl_dir, tag=tag)

@@ -32,33 +32,29 @@ from hashlib import sha256
 class StragglerConfig:
     """Parameters of the per-copy duration-multiplier distribution.
 
-    ``shape`` is the Pareto tail index (the paper's β = 1.259), ``cap`` the
-    truncation point of the multiplier, and ``median`` the multiplier's
-    median (1.0 means the workload generator's task work *is* the median
-    duration, which is how the paper calibrates deadlines in §6.1).
-    ``jitter`` adds a small Gaussian wobble representing benign run-to-run
-    variation below the Pareto body.
+    ``shape`` is the Pareto tail index (the paper's β = 1.259) and ``cap``
+    the truncation point of the multiplier, whose median is 1: the workload
+    generator's task work *is* the median duration, which is how the paper
+    calibrates deadlines in §6.1.  ``jitter`` adds a small Gaussian wobble
+    representing benign run-to-run variation below the Pareto body.
     """
 
     shape: float = 1.259
     cap: float = 12.0
-    median: float = 1.0
     jitter: float = 0.05
 
     def __post_init__(self) -> None:
         if self.shape <= 0:
             raise ValueError("shape must be positive")
-        if self.median <= 0:
-            raise ValueError("median must be positive")
-        if self.cap <= self.median:
-            raise ValueError("cap must exceed the median multiplier")
+        if self.cap <= 1.0:
+            raise ValueError("cap must exceed the median multiplier 1")
         if self.jitter < 0:
             raise ValueError("jitter must be non-negative")
 
     @property
     def scale(self) -> float:
-        """Pareto scale parameter such that the median multiplier is ``median``."""
-        return self.median / (2.0 ** (1.0 / self.shape))
+        """Pareto scale parameter such that the median multiplier is 1."""
+        return 1.0 / (2.0 ** (1.0 / self.shape))
 
     def mean_multiplier(self) -> float:
         """Analytic mean of the truncated multiplier, E[min(X, cap)]."""
@@ -74,17 +70,17 @@ class StragglerConfig:
     @classmethod
     def none(cls) -> "StragglerConfig":
         """A (nearly) straggler-free cluster: used for ideal-duration tests."""
-        return cls(shape=1000.0, cap=1.01, median=1.0, jitter=0.0)
+        return cls(shape=1000.0, cap=1.01, jitter=0.0)
 
     @classmethod
     def light(cls) -> "StragglerConfig":
         """Milder tail than the production default (ablations)."""
-        return cls(shape=1.8, cap=8.0, median=1.0, jitter=0.05)
+        return cls(shape=1.8, cap=8.0, jitter=0.05)
 
     @classmethod
     def severe(cls) -> "StragglerConfig":
         """A heavily contended cluster, used in stress tests and ablations."""
-        return cls(shape=1.1, cap=20.0, median=1.0, jitter=0.08)
+        return cls(shape=1.1, cap=20.0, jitter=0.08)
 
 
 class StragglerModel:
@@ -130,7 +126,7 @@ class StragglerModel:
         if self._exact:
             # The "no stragglers" configuration: exactly the median multiplier,
             # so tests and worked examples get exact wave arithmetic.
-            return config.median
+            return 1.0
         digest = sha256(
             self._seed_prefix + b"%d/%d/%d" % (job_id, task_id, copy_index)
         ).digest()

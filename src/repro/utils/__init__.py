@@ -1,6 +1,6 @@
 """Small shared utilities: deterministic RNG streams and statistics helpers."""
 
-from repro.utils.rng import RngStream, spawn_rng
+from repro.utils.rng import RngStream
 from repro.utils.stats import (
     OnlineMean,
     OnlineStats,
@@ -8,17 +8,14 @@ from repro.utils.stats import (
     mean,
     median,
     percentile,
-    weighted_mean,
 )
 
 __all__ = [
     "RngStream",
-    "spawn_rng",
     "OnlineMean",
     "OnlineStats",
     "clamp",
     "mean",
     "median",
     "percentile",
-    "weighted_mean",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterable, Optional, Sequence, TypeVar
+from typing import Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -72,18 +72,6 @@ class RngStream:
 
     def randint(self, low: int, high: int) -> int:
         return self._random.randint(low, high)
-
-    def choice(self, items: Sequence[T]) -> T:
-        return self._random.choice(items)
-
-    def sample(self, items: Sequence[T], count: int) -> list:
-        return self._random.sample(items, count)
-
-    def shuffle(self, items: list) -> None:
-        self._random.shuffle(items)
-
-    def gauss(self, mu: float, sigma: float) -> float:
-        return self._random.gauss(mu, sigma)
 
     def expovariate(self, rate: float) -> float:
         return self._random.expovariate(rate)
@@ -159,9 +147,3 @@ class RngStream:
         if high is not None:
             value = min(value, high)
         return value
-
-
-def spawn_rng(seed: int, names: Iterable[str]) -> dict:
-    """Create a dictionary of independent named streams from one seed."""
-    root = RngStream(seed, "root")
-    return {name: root.spawn(name) for name in names}

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
-from typing import Iterable, List, Sequence
+from typing import Iterable, Sequence
 
 
 def clamp(value: float, low: float, high: float) -> float:
@@ -33,16 +33,6 @@ def mean(values: Sequence[float]) -> float:
     if not values:
         raise ValueError("mean of an empty sequence is undefined")
     return left_sum(values) / len(values)
-
-
-def weighted_mean(values: Sequence[float], weights: Sequence[float]) -> float:
-    """Weighted arithmetic mean; weights must not all be zero."""
-    if len(values) != len(weights):
-        raise ValueError("values and weights must have equal length")
-    total_weight = left_sum(weights)
-    if total_weight <= 0:
-        raise ValueError("total weight must be positive")
-    return left_sum(v * w for v, w in zip(values, weights, strict=True)) / total_weight
 
 
 def median(values: Sequence[float]) -> float:
@@ -85,13 +75,6 @@ class OnlineMean:
         self.count += 1
         self.value += (sample - self.value) / self.count
 
-    def merge(self, other: "OnlineMean") -> None:
-        if other.count == 0:
-            return
-        total = self.count + other.count
-        self.value = (self.value * self.count + other.value * other.count) / total
-        self.count = total
-
 
 @dataclass
 class OnlineStats:
@@ -111,10 +94,6 @@ class OnlineStats:
         self._m2 += delta * delta2
         self._min = min(self._min, sample)
         self._max = max(self._max, sample)
-
-    def extend(self, samples: Iterable[float]) -> None:
-        for sample in samples:
-            self.add(sample)
 
     def merge(self, other: "OnlineStats") -> None:
         """Fold another accumulator in (Chan et al.'s parallel update).
@@ -190,37 +169,3 @@ class OnlineStats:
             _min=float(wire.get("min", math.inf)),
             _max=float(wire.get("max", -math.inf)),
         )
-
-
-def improvement_percent(baseline: float, improved: float) -> float:
-    """Relative improvement of ``improved`` over ``baseline`` in percent.
-
-    For metrics where smaller is better (job duration) call with the baseline
-    duration first; for metrics where larger is better (accuracy) use
-    :func:`gain_percent` instead.
-    """
-    if baseline <= 0:
-        return 0.0
-    return 100.0 * (baseline - improved) / baseline
-
-
-def gain_percent(baseline: float, improved: float) -> float:
-    """Relative gain of ``improved`` over ``baseline`` in percent (larger=better)."""
-    if baseline <= 0:
-        return 0.0
-    return 100.0 * (improved - baseline) / baseline
-
-
-def histogram(values: Sequence[float], edges: Sequence[float]) -> List[int]:
-    """Count values into bins delimited by ``edges`` (len(edges)-1 bins)."""
-    if len(edges) < 2:
-        raise ValueError("need at least two edges")
-    counts = [0] * (len(edges) - 1)
-    for value in values:
-        for i in range(len(edges) - 1):
-            last_bin = i == len(edges) - 2
-            upper_ok = value < edges[i + 1] or (last_bin and value <= edges[i + 1])
-            if edges[i] <= value and upper_ok:
-                counts[i] += 1
-                break
-    return counts

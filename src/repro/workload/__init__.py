@@ -7,7 +7,8 @@ task durations, slowest-task ≈ 8× median, the small/medium/large job-size
 mix, multi-waved execution, and the §6.1 recipe for assigning deadlines
 (2–20 % over the ideal duration) and error bounds (5–30 %).  That recipe is
 one function, :func:`~repro.workload.synthetic.recipe_spec`: the synthetic
-generator and trace replay build every job through it.
+generator and trace replay build every job through it.  Every draw comes
+straight from a named :class:`~repro.utils.rng.RngStream`.
 """
 
 from repro.workload.bins import (
@@ -15,16 +16,6 @@ from repro.workload.bins import (
     ERROR_BINS,
     deadline_bin_label,
     error_bin_label,
-)
-from repro.workload.distributions import (
-    BoundedParetoDistribution,
-    ConstantDistribution,
-    Distribution,
-    EmpiricalDistribution,
-    ExponentialDistribution,
-    LogNormalDistribution,
-    ParetoDistribution,
-    UniformDistribution,
 )
 from repro.workload.profiles import (
     FrameworkProfile,
@@ -53,7 +44,6 @@ from repro.workload.traces import (
     TraceFormatError,
     TraceJob,
     TraceSummary,
-    load_trace,
     save_trace,
     scan_jobs,
     scan_trace,
@@ -66,14 +56,6 @@ __all__ = [
     "ERROR_BINS",
     "deadline_bin_label",
     "error_bin_label",
-    "Distribution",
-    "ConstantDistribution",
-    "UniformDistribution",
-    "ExponentialDistribution",
-    "ParetoDistribution",
-    "BoundedParetoDistribution",
-    "LogNormalDistribution",
-    "EmpiricalDistribution",
     "FrameworkProfile",
     "WorkloadProfile",
     "framework_profile",
@@ -93,7 +75,6 @@ __all__ = [
     "ingest_trace",
     "iter_cluster_trace",
     "iter_ingested_trace",
-    "load_trace",
     "save_trace",
     "scan_jobs",
     "scan_trace",

@@ -94,13 +94,13 @@ _FRAMEWORKS: Dict[str, FrameworkProfile] = {
     "hadoop": FrameworkProfile(
         name="hadoop",
         median_task_work=24.0,
-        stragglers=StragglerConfig(shape=1.259, cap=12.0, median=1.0, jitter=0.05),
+        stragglers=StragglerConfig(shape=1.259, cap=12.0, jitter=0.05),
         estimator=EstimatorConfig(trem_noise=0.05, tnew_noise=0.05),
     ),
     "spark": FrameworkProfile(
         name="spark",
         median_task_work=4.0,
-        stragglers=StragglerConfig(shape=1.2, cap=14.0, median=1.0, jitter=0.06),
+        stragglers=StragglerConfig(shape=1.2, cap=14.0, jitter=0.06),
         estimator=EstimatorConfig(trem_noise=0.08, tnew_noise=0.06),
     ),
 }
@@ -124,10 +124,6 @@ def framework_profile(name: str) -> FrameworkProfile:
         raise ValueError(
             f"unknown framework profile {name!r}; expected one of {sorted(_FRAMEWORKS)}"
         ) from exc
-
-
-def available_workloads() -> Tuple[str, ...]:
-    return tuple(sorted(_WORKLOADS))
 
 
 def available_frameworks() -> Tuple[str, ...]:

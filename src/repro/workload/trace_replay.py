@@ -346,10 +346,6 @@ class ShardSpecSource:
         if not 0 <= self.start < self.stop:
             raise ValueError("a shard window needs 0 <= start < stop")
 
-    @property
-    def num_jobs(self) -> int:
-        return self.stop - self.start
-
     def iter_specs(self) -> Iterator[JobSpec]:
         """Read this shard's jobs and adapt them spec by spec."""
         return iter_job_specs(
@@ -365,7 +361,7 @@ class ShardSpecSource:
             origin = "memory"
         return (
             f"shard[{self.shard_index + 1}/{self.num_shards}] "
-            f"of {origin} ({self.num_jobs} jobs)"
+            f"of {origin} ({self.stop - self.start} jobs)"
         )
 
 

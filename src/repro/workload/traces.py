@@ -77,21 +77,6 @@ class TraceSummary:
     mean_slowest_to_median: float
     mean_tasks_per_job: float
 
-    def rows(self) -> List[Sequence[Union[str, float, int]]]:
-        """Rows suitable for printing as a small table."""
-        return [
-            ("trace", self.name),
-            ("jobs", self.num_jobs),
-            ("tasks", self.num_tasks),
-            ("small jobs (<50 tasks)", self.bin_counts.get("small", 0)),
-            ("medium jobs (51-500)", self.bin_counts.get("medium", 0)),
-            ("large jobs (>500)", self.bin_counts.get("large", 0)),
-            ("mean tasks per job", round(self.mean_tasks_per_job, 1)),
-            ("median task duration (s)", round(self.median_task_duration, 2)),
-            ("p95 task duration (s)", round(self.p95_task_duration, 2)),
-            ("mean slowest/median task", round(self.mean_slowest_to_median, 2)),
-        ]
-
 
 def trace_from_specs(job_specs: Iterable[JobSpec]) -> List[TraceJob]:
     """Build trace records from generated job specs (input-phase works)."""
@@ -146,11 +131,12 @@ def save_trace(trace: Sequence[TraceJob], path: Union[str, Path]) -> None:
 def iter_trace(path: Union[str, Path]) -> Iterator[TraceJob]:
     """Lazily parse a JSON-lines trace, one :class:`TraceJob` at a time.
 
-    The streaming twin of :func:`load_trace`: jobs are yielded as their lines
-    are read, so a trace never has to fit in memory at once.  The streaming
-    parse enforces the same duplicate-job-id guard ``load_trace`` enforces,
-    so a lazily windowed replay rejects the same malformed traces an
-    in-memory one does.  The guard's seen-id set is the only state
+    Reads a trace written by :func:`save_trace` (or by users); a caller that
+    wants the whole trace in memory takes ``list(iter_trace(path))``.  Jobs
+    are yielded as their lines are read, so a trace never has to fit in
+    memory at once.  A duplicated job id is an error, so a lazily windowed
+    replay rejects the same malformed traces a whole-file read does.  The
+    guard's seen-id set is the only state
     that grows with the file: O(#jobs) integers, never task payloads (a
     1M-job trace costs ~30 MB of ids — bounded-by-ids, not O(1); generated
     sources whose ids are sequential by construction skip it entirely).
@@ -193,14 +179,6 @@ def iter_trace(path: Union[str, Path]) -> Iterator[TraceJob]:
                 )
             seen_ids.add(job.job_id)
             yield job
-
-
-def load_trace(path: Union[str, Path]) -> List[TraceJob]:
-    """Read a JSON-lines trace written by :func:`save_trace` (or by users).
-
-    Materialises :func:`iter_trace`; same validation, same errors.
-    """
-    return list(iter_trace(path))
 
 
 @dataclass(frozen=True)

@@ -72,14 +72,3 @@ class TestRequiredTasks:
     )
     def test_required_tasks_table(self, error, total, expected):
         assert ApproximationBound.with_error(error).required_tasks(total) == expected
-
-
-class TestDescribe:
-    def test_describe_deadline(self):
-        assert "deadline" in ApproximationBound.with_deadline(4.0).describe()
-
-    def test_describe_error_percent(self):
-        assert "10.0%" in ApproximationBound.with_error(0.10).describe()
-
-    def test_describe_exact(self):
-        assert "exact" in ApproximationBound.exact().describe()

@@ -6,7 +6,7 @@ from repro.baselines import LatePolicy, NoSpeculationPolicy
 from repro.core.bounds import ApproximationBound
 from repro.core.estimators import EstimatorConfig
 from repro.core.policies import GreedySpeculative, ResourceAwareSpeculative
-from repro.simulator.engine import Simulation, SimulationConfig, run_simulation
+from repro.simulator.engine import Simulation, SimulationConfig
 from repro.simulator.stragglers import StragglerConfig
 
 from tests.conftest import make_job_spec, make_simulation_config, run_single_job
@@ -43,11 +43,6 @@ class TestBasicExecution:
     def test_simulation_requires_jobs(self):
         with pytest.raises(ValueError):
             Simulation(make_simulation_config(), NoSpeculationPolicy(), [])
-
-    def test_run_simulation_helper(self):
-        spec = make_job_spec([2.0] * 4, ApproximationBound.exact(), max_slots=2)
-        metrics = run_simulation([spec], NoSpeculationPolicy(), make_simulation_config())
-        assert len(metrics.results) == 1
 
 
 class TestMultiJob:
@@ -146,6 +141,35 @@ class TestDagJobs:
         assert result.completed_input_tasks == 6
         assert result.duration <= 8.0 + 1e-6
 
+    @pytest.mark.parametrize(
+        "intermediate,input_deadline",
+        [
+            # One wave of reduce tasks costs their median work.
+            ([[4.0, 6.0]], 15.0),
+            # Four tasks on a two-slot allocation are two waves.
+            ([[4.0] * 4], 12.0),
+            # A map-only job keeps its whole deadline.
+            ([], 20.0),
+        ],
+    )
+    def test_input_deadline_subtracts_waves_of_median_intermediate_work(
+        self, intermediate, input_deadline
+    ):
+        class RecordInputDeadline(NoSpeculationPolicy):
+            def on_job_start(self, job, now):
+                super().on_job_start(job, now)
+                self.input_deadline = job.input_deadline
+
+        spec = make_job_spec(
+            [1.0] * 4,
+            ApproximationBound.with_deadline(20.0),
+            max_slots=2,
+            intermediate=intermediate,
+        )
+        policy = RecordInputDeadline()
+        Simulation(make_simulation_config(), policy, [spec]).run()
+        assert policy.input_deadline == pytest.approx(input_deadline)
+
     def test_dag_length_recorded_in_result(self):
         spec = make_job_spec(
             [4.0] * 4, ApproximationBound.with_error(0.0), max_slots=2, intermediate=[[4.0]]
@@ -155,20 +179,6 @@ class TestDagJobs:
 
 
 class TestEngineAccounting:
-    def test_background_utilization_reserves_slots(self):
-        spec = make_job_spec([5.0] * 8, ApproximationBound.exact(), max_slots=8)
-        base = make_simulation_config(machines=8)
-        reserved = SimulationConfig(
-            cluster=base.cluster,
-            stragglers=base.stragglers,
-            estimator=base.estimator,
-            seed=0,
-            background_utilization=0.5,
-        )
-        fast = Simulation(base, NoSpeculationPolicy(), [spec]).run().results[0]
-        slow = Simulation(reserved, NoSpeculationPolicy(), [spec]).run().results[0]
-        assert slow.duration > fast.duration
-
     def test_estimator_accuracy_attached_to_results(self):
         spec = make_job_spec([5.0] * 8, ApproximationBound.exact(), max_slots=4)
         config = make_simulation_config(
@@ -191,8 +201,6 @@ class TestEngineAccounting:
             assert key in summary
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SimulationConfig(background_utilization=1.0)
         with pytest.raises(ValueError):
             SimulationConfig(max_simulated_time=0.0)
 

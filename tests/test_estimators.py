@@ -4,7 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.estimators import EstimateAccuracyTracker, EstimatorConfig, TaskEstimator
+from repro.core.estimators import (
+    PROGRESS_REPORT_FRACTION,
+    EstimateAccuracyTracker,
+    EstimatorConfig,
+    TaskEstimator,
+)
 from repro.core.policies.base import TaskSnapshot
 from repro.core.task import Task, TaskCopy, TaskSpec
 from repro.utils.rng import RngStream
@@ -44,10 +49,6 @@ class TestConfig:
     def test_rejects_negative_noise(self):
         with pytest.raises(ValueError):
             EstimatorConfig(trem_noise=-0.1)
-
-    def test_rejects_bad_progress_fraction(self):
-        with pytest.raises(ValueError):
-            EstimatorConfig(progress_report_fraction=0.0)
 
 
 class TestAccuracyTracker:
@@ -133,6 +134,31 @@ class TestTrem:
         task = running_task(work=10.0, duration=40.0)
         # At t=10 the copy is 25% done; extrapolated total 40, remaining 30.
         assert estimator.trem(task, now=10.0) == pytest.approx(30.0)
+
+    def test_first_report_arrives_at_the_report_fraction(self):
+        estimator = make_estimator()
+        task = running_task(work=10.0, duration=100.0)
+        report = PROGRESS_REPORT_FRACTION * 100.0
+        # Just before the first report the copy counts as typical (tnew 10).
+        before = report - 0.1
+        assert estimator.trem(task, now=before) == pytest.approx(10.0 - before)
+        # From the report on, the remaining time is extrapolated: total 100.
+        assert estimator.trem(task, now=report) == pytest.approx(100.0 - report)
+
+    def test_noise_is_redrawn_once_per_progress_report(self):
+        estimator = make_estimator(EstimatorConfig(trem_noise=0.2, tnew_noise=0.0))
+        task = running_task(work=10.0, duration=100.0)
+
+        def noise(now):
+            return estimator.trem(task, now=now) / (100.0 - now)
+
+        # 100 s of work reports every PROGRESS_REPORT_FRACTION * 100 s: two
+        # instants between the same pair of reports share one noise draw,
+        # and the next report draws afresh.
+        step = PROGRESS_REPORT_FRACTION * 100.0
+        first, later = 1.2 * step, 1.8 * step
+        assert noise(first) == pytest.approx(noise(later))
+        assert noise(2.2 * step) != pytest.approx(noise(later))
 
     def test_straggler_has_trem_far_above_tnew(self):
         estimator = make_estimator()

@@ -106,6 +106,13 @@ class TestCompare:
                 ["late"], WorkloadConfig(seed=42), scale=replace(TINY, seeds=(1, 2, 1)),
             )
 
+    def test_compare_policies_rejects_empty_seeds(self):
+        # With no seed there is no run to fold into a policy's aggregates.
+        with pytest.raises(ValueError, match="needs at least one seed"):
+            compare_policies(
+                ["late"], WorkloadConfig(seed=42), scale=replace(TINY, seeds=()),
+            )
+
     def test_compare_policies_rejects_a_negative_seed(self):
         # ``random.Random`` seeds with ``abs(seed)``: -1 would rerun seed 1.
         with pytest.raises(ValueError, match="seeds must be non-negative: -1"):
@@ -139,7 +146,7 @@ class TestCompare:
             return deadline_bin_label(100.0 * (spec.bound.deadline / ideal - 1.0))
 
         def accuracies(name, label):
-            results = comparison.run(name).deadline_results()
+            results = comparison.runs[name].deadline_results()
             return [result.accuracy for result in results if slack_bin(result) == label]
 
         for label, value in by_bin.items():

@@ -57,7 +57,7 @@ from repro.experiments.runner import (
 from repro.utils.stats import mean
 from repro.workload.ingest import ingest_trace
 from repro.workload.synthetic import WorkloadConfig
-from repro.workload.traces import load_trace
+from repro.workload.traces import iter_trace
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden" / "replay_digests.json"
@@ -251,7 +251,7 @@ def test_corpus_covers_every_case():
 
 
 def test_shuffled_case_separates_calibration_orders(tmp_path):
-    trace = load_trace(_shuffled_facebook(tmp_path))
+    trace = list(iter_trace(_shuffled_facebook(tmp_path)))
     in_order = mean([job.slowest_to_median_ratio for job in trace])
     ordered = sorted(trace, key=lambda job: (job.arrival_time, job.job_id))
     assert in_order != mean([job.slowest_to_median_ratio for job in ordered])

@@ -8,6 +8,7 @@ from repro.core.policies.grass import (
     MODE_ADAPTIVE_RAS,
     MODE_PINNED_GS,
     MODE_PINNED_RAS,
+    SWITCH_CHECK_INTERVAL,
     Grass,
     GrassConfig,
 )
@@ -35,8 +36,6 @@ class TestGrassConfig:
             GrassConfig(perturbation=1.5)
         with pytest.raises(ValueError):
             GrassConfig(switching="bogus")
-        with pytest.raises(ValueError):
-            GrassConfig(switch_check_interval=0.0)
 
     def test_labels(self):
         assert Grass().label() == "grass"
@@ -88,6 +87,24 @@ class TestModes:
         grass.choose_task(view)
         assert grass.mode_of(view.job.job_id) == MODE_ADAPTIVE_GS
         assert grass.switches_performed == 1
+
+    def test_switch_is_checked_at_most_once_per_interval(self):
+        grass = Grass(GrassConfig(perturbation=0.0))
+        view = make_view([(10.0, False, 5.0, 5.0, 0)] * 4, DEADLINE, remaining_deadline=90.0)
+        grass.on_job_start(view.job, 0.0)
+        checked = []
+
+        class RecordingDecider:
+            def should_switch(self, view):
+                checked.append(view.now)
+                return False
+
+        grass._decider = RecordingDecider()
+        for step in (0.0, 0.5, 0.99, 1.0, 1.7, 2.0, 2.1):
+            view.now = step * SWITCH_CHECK_INTERVAL
+            grass.choose_task(view)
+        assert checked == [0.0, SWITCH_CHECK_INTERVAL, 2.0 * SWITCH_CHECK_INTERVAL]
+        assert grass.mode_of(view.job.job_id) == MODE_ADAPTIVE_RAS
 
     def test_pinned_gs_job_uses_gs(self):
         grass = Grass(GrassConfig(perturbation=0.0))

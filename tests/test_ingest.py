@@ -29,10 +29,9 @@ from repro.workload import (
     ingest_trace,
     iter_cluster_trace,
     iter_ingested_trace,
-    load_trace,
-    save_trace,
     scan_trace,
 )
+from repro.workload.traces import iter_trace
 
 from tests.conftest import replay_source
 
@@ -83,7 +82,7 @@ class TestGoldenConversions:
         out = tmp_path / "google.jsonl"
         stats = ingest_trace("google", GOOGLE_SAMPLE, out)
         assert stats.jobs_emitted == 4
-        trace = load_trace(out)
+        trace = list(iter_trace(out))
         assert [job.job_id for job in trace] == [0, 1, 2, 3]
 
     def test_empty_conversion_fails_and_removes_output(self, tmp_path):
@@ -176,7 +175,7 @@ class TestRoundTripReplay:
         ingest_trace(source_format, sample, out)
         replay_config = TraceReplayConfig(seed=0)
         in_memory = replay_source(
-            ["late"], load_trace(out), TINY, config=replay_config
+            ["late"], list(iter_trace(out)), TINY, config=replay_config
         )
         streamed = replay_source(
             ["late"], str(out), replace(TINY, workers=4), config=replay_config,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.bounds import ApproximationBound
-from repro.core.job import Job, JobPhaseSpec, JobResult, JobSpec, job_bin_label
+from repro.core.job import Job, JobPhaseSpec, JobResult, JobSpec, JobState, job_bin_label
 from repro.core.task import TaskCopy
 
 from tests.conftest import make_job_spec
@@ -49,7 +49,6 @@ class TestSpecValidation:
         assert spec.num_input_tasks == 3
         assert spec.num_tasks == 6
         assert spec.dag_length == 3
-        assert spec.total_work == pytest.approx(11.0)
 
     def test_ideal_duration_uses_median_and_waves(self):
         spec = make_job_spec([2.0, 2.0, 2.0, 2.0], ApproximationBound.exact())
@@ -84,7 +83,7 @@ class TestJobLifecycle:
         job.start(5.0)
         assert job.is_running
         job.finish(9.0)
-        assert job.is_finished
+        assert not job.is_running and job.state == JobState.FINISHED
         assert job.start_time == 5.0 and job.finish_time == 9.0
 
     def test_cannot_start_twice(self):
@@ -102,7 +101,7 @@ class TestJobLifecycle:
         job = Job(
             make_job_spec([1.0, 1.0], ApproximationBound.exact(), intermediate=[[2.0]])
         )
-        assert len(job.all_tasks) == 3
+        assert len(job.tasks) == 3
         assert len(job.input_tasks) == 2
         assert [t.phase_index for t in job.phase_tasks(1)] == [1]
 

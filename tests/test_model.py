@@ -1,64 +1,17 @@
-"""Unit tests for the analytic model (Appendix A) and the Hill estimator."""
+"""Unit tests for the reactive model (Appendix A) and the Hill estimator."""
 
 import pytest
 
 from repro.model.hill import estimate_tail_index, hill_estimates
-from repro.model.pareto import (
-    conditional_residual,
-    pareto_mean,
-    pareto_min_mean,
-    pareto_survival,
-    truncated_pareto_mean,
-)
-from repro.model.proactive import (
-    ProactiveDecision,
-    blow_up_factor,
-    optimal_copies,
-    proactive_policy,
-    service_rate,
-)
 from repro.model.reactive import (
     ReactiveModelConfig,
-    closed_form_early_wave_cost,
     gs_omega,
-    number_of_waves,
     omega_grid,
     ras_omega,
     reactive_response_time,
     response_time_ratio_curve,
 )
 from repro.utils.rng import RngStream
-
-
-class TestParetoMath:
-    def test_mean(self):
-        assert pareto_mean(2.0, 1.0) == pytest.approx(2.0)
-        assert pareto_mean(1.0, 1.0) == float("inf")
-
-    def test_survival(self):
-        assert pareto_survival(0.5, 2.0, 1.0) == 1.0
-        assert pareto_survival(2.0, 2.0, 1.0) == pytest.approx(0.25)
-
-    def test_min_of_k_copies(self):
-        # min of 2 Pareto(beta) is Pareto(2 beta).
-        assert pareto_min_mean(2, 1.5, 1.0) == pytest.approx(3.0 / 2.0)
-        assert pareto_min_mean(1, 1.5, 1.0) == pareto_mean(1.5, 1.0)
-
-    def test_conditional_residual_grows_for_heavy_tail(self):
-        small = conditional_residual(2.0, 1.259, 1.0)
-        large = conditional_residual(10.0, 1.259, 1.0)
-        assert large > small  # the defining property of beta < 2 tails
-
-    def test_truncated_mean_below_full_mean(self):
-        assert truncated_pareto_mean(1.5, 1.0, 10.0) < pareto_mean(1.5, 1.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            pareto_mean(0.0, 1.0)
-        with pytest.raises(ValueError):
-            conditional_residual(-1.0, 1.5, 1.0)
-        with pytest.raises(ValueError):
-            pareto_min_mean(0, 1.5, 1.0)
 
 
 class TestHillEstimator:
@@ -83,49 +36,6 @@ class TestHillEstimator:
         samples = [rng.pareto(2.0, 1.0) for _ in range(100)]
         with pytest.raises(ValueError):
             hill_estimates(samples, max_fraction=0.0)
-
-
-class TestProactiveModel:
-    def test_blow_up_factor_exceeds_one_for_heavy_tails(self):
-        # With beta = 1.259 (infinite variance) duplication saves work.
-        assert blow_up_factor(2, 1.259, 1.0) > 1.0
-
-    def test_blow_up_factor_below_one_for_light_tails(self):
-        # With beta = 3 duplication wastes work.
-        assert blow_up_factor(2, 3.0, 1.0) < 1.0
-
-    def test_optimal_copies_guideline1(self):
-        assert optimal_copies(1.259) == 2
-        assert optimal_copies(2.5) == 1
-        assert optimal_copies(0.9) >= 2
-
-    def test_proactive_policy_early_regime(self):
-        decision = proactive_policy(0.9, total_tasks=100, slots=10, shape=1.259)
-        assert isinstance(decision, ProactiveDecision)
-        assert decision.regime == "early"
-        assert decision.copies == 2
-
-    def test_proactive_policy_last_wave_uses_all_slots(self):
-        decision = proactive_policy(0.001, total_tasks=100, slots=10, shape=1.259)
-        assert decision.regime == "last-wave"
-        assert decision.copies == 10
-
-    def test_proactive_policy_transition_regime(self):
-        decision = proactive_policy(0.03, total_tasks=100, slots=10, shape=1.259)
-        assert decision.regime == "transition"
-        assert 1 <= decision.copies <= 10
-
-    def test_service_rate_bounded_by_blow_up(self):
-        rate = service_rate(1.0, 100, 10, 1.259, 1.0, copies=2)
-        assert rate == pytest.approx(blow_up_factor(2, 1.259, 1.0))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            proactive_policy(1.5, 100, 10, 1.259)
-        with pytest.raises(ValueError):
-            optimal_copies(0.0)
-        with pytest.raises(ValueError):
-            blow_up_factor(0, 1.5)
 
 
 class TestReactiveModel:
@@ -165,16 +75,6 @@ class TestReactiveModel:
         assert grid[0] == 0.0
         assert len(grid) == 5
         assert grid[-1] == pytest.approx(5.0 * 1.259)
-
-    def test_closed_form_cost_positive_and_monotone_at_zero(self):
-        cheap = closed_form_early_wave_cost(2.0, 1.259, 1.0)
-        assert cheap > 0
-        assert closed_form_early_wave_cost(0.5, 1.259, 1.0) > 0
-
-    def test_number_of_waves(self):
-        assert number_of_waves(100, 20) == pytest.approx(5.0)
-        with pytest.raises(ValueError):
-            number_of_waves(10, 0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -29,7 +29,7 @@ from repro.experiments.plan import (
 from repro.experiments.runner import execute, metrics_digest, plan_scale
 from repro.simulator.sinks import parse_sink_spec
 from repro.workload.trace_replay import TraceReplayConfig, export_trace
-from repro.workload.traces import load_trace
+from repro.workload.traces import iter_trace
 
 from tests.conftest import replay_source
 
@@ -245,7 +245,7 @@ def _legacy_digest(trace_path, plan):
     """The digest of the plan's jobs replayed from an in-memory list."""
     comparison = replay_source(
         plan.policies,
-        load_trace(trace_path),
+        list(iter_trace(trace_path)),
         plan_scale(plan),
         shards=plan.shards,
         config=TraceReplayConfig(

@@ -6,7 +6,7 @@ The load-bearing properties:
   and a metrics digest *equal* to the ``RetainAllSink`` path for any shard
   split, worker count and source kind (file or job list), while retaining zero
   ``JobResult`` objects.
-* **Exact mergeability** — ``StreamingAggregates.merge`` is chunk-list
+* **Exact mergeability** — ``StreamingAggregates.merged`` is chunk-list
   concatenation, hence exactly associative over shard orderings.
 * **Loud degradation** — touching raw results on an aggregate-only
   collector raises an actionable error instead of returning a wrong 0.0.
@@ -14,6 +14,7 @@ The load-bearing properties:
 
 import json
 import pickle
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -26,7 +27,6 @@ from repro.core.job import JobResult
 from repro.experiments.cli import main, metrics_digest
 from repro.experiments.runner import ExperimentScale, compare_policies
 from repro.simulator.engine import Simulation
-from repro.simulator.metrics import MetricsCollector
 from repro.simulator.sinks import (
     AggregateSink,
     JsonlSpillSink,
@@ -110,7 +110,9 @@ class TestSinkUnits:
         metrics = run_tiny_simulation()
         aggregates = metrics.aggregates
         assert aggregates.num_results == len(metrics.results)
-        assert aggregates.deadline_jobs == len(metrics.deadline_results())
+        assert aggregates.deadline_jobs == sum(
+            1 for r in metrics.results if r.bound.is_deadline
+        )
         assert aggregates.error_jobs == len(metrics.error_results())
         assert aggregates.bound_met_jobs == sum(
             1 for r in metrics.results if r.met_bound
@@ -118,14 +120,15 @@ class TestSinkUnits:
         assert aggregates.speculative_copies == sum(
             r.speculative_copies for r in metrics.results
         )
-        bins = {name: len(group) for name, group in metrics.by_bin().items() if group}
-        assert aggregates.bin_counts() == bins
+        bins = Counter(r.job_bin for r in metrics.results)
+        (chunk,) = aggregates.chunks
+        assert chunk.bin_counts == dict(bins)
 
     def test_aggregate_means_match_raw_results(self):
         metrics = run_tiny_simulation()
-        deadline = metrics.deadline_results()
+        deadline = [r for r in metrics.results if r.bound.is_deadline]
         if deadline:
-            assert metrics.average_accuracy() == pytest.approx(
+            assert metrics.aggregates.average_accuracy == pytest.approx(
                 sum(r.accuracy for r in deadline) / len(deadline)
             )
         error = metrics.error_results()
@@ -212,30 +215,19 @@ class TestJsonlSpill:
         ]
 
 
-class TestByBinRegression:
-    def test_unknown_bin_gets_its_own_group(self):
-        class OddBinResult:
-            job_bin = "huge"
-
-        collector = MetricsCollector()
-        grouped = collector.by_bin([OddBinResult(), OddBinResult()])
-        assert set(grouped) == {"small", "medium", "large", "huge"}
-        assert len(grouped["huge"]) == 2
-        assert grouped["small"] == []
-
-    def test_known_bins_always_present(self):
-        collector = MetricsCollector()
-        collector.add_result(make_result(num_input_tasks=10))
-        grouped = collector.by_bin()
-        assert set(grouped) == {"small", "medium", "large"}
-        assert len(grouped["small"]) == 1
+def folded(results) -> StreamingAggregates:
+    """One simulation's worth of aggregates: ``results`` through a sink."""
+    sink = AggregateSink()
+    for result in results:
+        sink.record(result)
+    return sink.aggregates
 
 
 class TestMergeAssociativity:
     def test_merge_concatenates_chunks(self):
-        a = StreamingAggregates.from_results([make_result(job_id=1)])
-        b = StreamingAggregates.from_results([make_result(job_id=2)])
-        merged = a.merge(b)
+        a = folded([make_result(job_id=1)])
+        b = folded([make_result(job_id=2)])
+        merged = StreamingAggregates.merged([a, b])
         assert merged.chunks == a.chunks + b.chunks
         assert merged.num_results == 2
 
@@ -258,26 +250,26 @@ class TestMergeAssociativity:
             for _ in range(size):
                 job_id += 1
                 results.append(make_result(job_id=job_id, accuracy=job_id / 10.0))
-            parts.append(StreamingAggregates.from_results(results))
+            parts.append(folded(results))
         sequential = StreamingAggregates.merged(parts)
         boundary = split.draw(
             st.integers(min_value=1, max_value=len(parts) - 1), label="boundary"
         )
         left = StreamingAggregates.merged(parts[:boundary])
         right = StreamingAggregates.merged(parts[boundary:])
-        assert left.merge(right) == sequential
-        assert left.merge(right).digest_parts() == sequential.digest_parts()
+        regrouped = StreamingAggregates.merged([left, right])
+        assert regrouped == sequential
+        assert regrouped.digest_parts() == sequential.digest_parts()
 
-    def test_online_stats_merge_matches_extend(self):
+    def test_online_stats_merge_matches_adding_every_sample(self):
         samples = [0.5, 1.25, 2.0, 3.5, 8.0, 13.0]
         merged = OnlineStats()
-        left, right = OnlineStats(), OnlineStats()
-        left.extend(samples[:3])
-        right.extend(samples[3:])
+        left, right, whole = OnlineStats(), OnlineStats(), OnlineStats()
+        for index, sample in enumerate(samples):
+            (left if index < 3 else right).add(sample)
+            whole.add(sample)
         merged.merge(left)
         merged.merge(right)
-        whole = OnlineStats()
-        whole.extend(samples)
         assert merged.count == whole.count
         assert merged.mean == pytest.approx(whole.mean)
         assert merged.variance == pytest.approx(whole.variance)

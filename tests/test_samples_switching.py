@@ -4,9 +4,12 @@ import pytest
 
 from repro.core.bounds import ApproximationBound, BoundType
 from repro.core.policies.samples import (
+    MAX_SAMPLES_PER_KEY,
     JobSample,
     SampleStore,
     accuracy_bucket,
+    mean_fraction_completed,
+    mean_time_for_fraction,
     utilization_bucket,
 )
 from repro.core.policies.switching import (
@@ -61,12 +64,11 @@ class TestJobSample:
         sample = make_sample(times=[1.0, 2.0], tasks=4)
         assert sample.time_to_complete_fraction(0.9) is None
 
-    def test_waves_and_buckets(self):
+    def test_buckets(self):
         sample = make_sample(tasks=60, util=0.9, acc=0.6)
         assert sample.size_bucket == "medium"
         assert sample.utilization_bucket == "high"
         assert sample.accuracy_bucket == "poor"
-        assert sample.waves == pytest.approx(12.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -78,14 +80,16 @@ class TestSampleStore:
         store = SampleStore()
         store.add(make_sample())
         assert len(store) == 1
-        assert store.total_added == 1
 
     def test_eviction_at_capacity(self):
-        store = SampleStore(max_samples_per_key=2)
-        for _ in range(5):
-            store.add(make_sample())
-        assert len(store) == 2
-        assert store.total_added == 5
+        store = SampleStore()
+        samples = [make_sample() for _ in range(MAX_SAMPLES_PER_KEY + 3)]
+        for sample in samples:
+            store.add(sample)
+        assert len(store) == MAX_SAMPLES_PER_KEY
+        # The oldest three were evicted, in arrival order.
+        kept = store.samples_for("gs", "deadline")
+        assert [id(sample) for sample in kept] == [id(sample) for sample in samples[3:]]
 
     def test_lookup_falls_back_to_coarser_keys(self):
         store = SampleStore()
@@ -100,25 +104,21 @@ class TestSampleStore:
         assert store.samples_for("ras", "deadline") == []
         assert store.samples_for("gs", "error") == []
 
-    def test_expected_fraction_completed(self):
+    def test_mean_fraction_completed_over_matching_samples(self):
         store = SampleStore()
         store.add(make_sample(policy="ras", times=[1.0, 2.0, 3.0, 4.0], tasks=4))
-        assert store.expected_fraction_completed("ras", 2.0) == pytest.approx(0.5)
-        assert store.expected_fraction_completed("gs", 2.0) is None
+        samples = store.samples_for("ras", BoundType.DEADLINE.value)
+        assert mean_fraction_completed(samples, 2.0) == pytest.approx(0.5)
+        assert store.samples_for("gs", BoundType.DEADLINE.value) == []
 
-    def test_expected_time_for_fraction(self):
+    def test_mean_time_for_fraction_over_matching_samples(self):
         store = SampleStore()
         store.add(
             make_sample(policy="gs", bound=BoundType.ERROR.value, times=[1.0, 2.0, 3.0, 4.0], tasks=4)
         )
-        assert store.expected_time_for_fraction("gs", 0.5) == pytest.approx(2.0)
-        assert store.expected_time_for_fraction("ras", 0.5) is None
-
-    def test_sample_counts_diagnostics(self):
-        store = SampleStore()
-        store.add(make_sample())
-        counts = store.sample_counts()
-        assert sum(counts.values()) == 1
+        samples = store.samples_for("gs", BoundType.ERROR.value)
+        assert mean_time_for_fraction(samples, 0.5) == pytest.approx(2.0)
+        assert store.samples_for("ras", BoundType.ERROR.value) == []
 
 
 class TestStrawmanDecider:

@@ -47,7 +47,7 @@ from repro.simulator.engine import Simulation
 from repro.simulator.metrics import MetricsCollector
 from repro.simulator.stragglers import StragglerConfig
 from repro.workload.trace_replay import TraceReplayConfig
-from repro.workload.traces import load_trace, scan_jobs
+from repro.workload.traces import iter_trace, scan_jobs
 
 from tests.conftest import make_job_spec, make_simulation_config
 
@@ -58,7 +58,7 @@ SCALE = replace(ExperimentScale.quick(), num_machines=40)
 
 
 def _simulate(policy, trace: str = "facebook_like.jsonl", bound_kind: str = "mixed"):
-    jobs = load_trace(TRACES / trace)
+    jobs = list(iter_trace(TRACES / trace))
     replay_config = TraceReplayConfig(bound_kind=bound_kind, seed=3)
     scan = scan_jobs(jobs)
     (source,) = _shard_sources(jobs, scan, replay_config, 1)
@@ -215,12 +215,10 @@ def test_oracle_runs_never_touch_the_estimates(monkeypatch):
     assert metrics.speculative_copies_launched > 0
 
 
-def reference_fair_share(
-    limits: Dict[int, int], total_slots: int, capacity: Optional[int]
-) -> Dict[int, int]:
+def reference_fair_share(limits: Dict[int, int], total_slots: int) -> Dict[int, int]:
     """Max-min fair share by rounds of equal grants (no shortcuts)."""
     allocations = {job_id: 0 for job_id in limits}
-    remaining = total_slots if capacity is None else max(0, capacity)
+    remaining = total_slots
     active = [job_id for job_id, limit in limits.items() if limit > 0]
     while remaining > 0 and active:
         share = max(1, remaining // len(active))
@@ -246,25 +244,24 @@ def reference_fair_share(
 
 @st.composite
 def fair_share_cases(draw):
-    """Random limits, with capacities drawn both freely and right at the edge
-    where the positive limits just fit (or just do not)."""
+    """Random limits, with cluster sizes drawn both freely and right at the
+    edge where the positive limits just fit (or just do not)."""
     limits = draw(st.lists(st.integers(min_value=-3, max_value=60), max_size=12))
     demand = sum(limit for limit in limits if limit > 0)
     near_demand = st.integers(min_value=-3, max_value=3).map(lambda delta: demand + delta)
-    capacity = draw(st.one_of(st.none(), st.integers(min_value=-5, max_value=150), near_demand))
     machines = draw(
         st.one_of(st.integers(min_value=1, max_value=80), near_demand.map(lambda n: max(1, n)))
     )
-    return limits, capacity, machines
+    return limits, machines
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=fair_share_cases())
 def test_fair_share_matches_round_reference(case):
-    limits, capacity, machines = case
+    limits, machines = case
     cluster = Cluster(ClusterConfig(num_machines=machines, heterogeneity=0.0))
     by_job = {100 + position: limit for position, limit in enumerate(limits)}
-    got = cluster.fair_share_limits(by_job, capacity=capacity)
-    want = reference_fair_share(by_job, cluster.total_slots, capacity)
+    got = cluster.fair_share_limits(by_job)
+    want = reference_fair_share(by_job, cluster.total_slots)
     # Equal as ordered mappings: the sharing order is part of the contract.
     assert list(got.items()) == list(want.items())

@@ -28,10 +28,12 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from repro.experiments.cache import CacheIntegrityWarning
+from repro.experiments.cli import main as cli_main
 from repro.experiments.plan import ReplayPlan
 from repro.experiments.runner import execute
 from repro.service import protocol
@@ -43,7 +45,8 @@ from repro.service.client import (
     run_plan_sync,
 )
 from repro.service.load import run_load
-from repro.service.server import ReplayService, ServiceConfig
+from repro.service import server as server_module
+from repro.service.server import ReplayService, ServiceConfig, _parse_weight
 from repro.simulator.sinks import (
     StreamingAggregates,
     chunk_from_wire,
@@ -98,6 +101,20 @@ class TestFairShareAdmission:
         # often: 4 of the first 6 slots.
         assert first_six.count("heavy") == 4
         assert first_six.count("light") == 2
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_weight_must_be_finite_and_above_zero(self, weight):
+        # A NaN or infinite weight would turn fair share into strict priority.
+        with pytest.raises(ValueError, match="finite number above zero"):
+            FairShareAdmission(weights={"a": weight})
+
+    def test_unlisted_tenant_weighs_one(self):
+        admission = FairShareAdmission(max_pending_per_tenant=4, weights={"a": 1.0})
+        for turn in range(3):
+            admission.submit("a", f"a{turn}")
+            admission.submit("b", f"b{turn}")
+        order = [admission.next()[0] for _ in range(6)]
+        assert order == ["a", "b", "a", "b", "a", "b"]
 
     def test_idle_tenant_does_not_bank_credit(self):
         admission = FairShareAdmission(max_pending_per_tenant=8)
@@ -207,7 +224,8 @@ class TestWireCodecs:
 
     def test_online_stats_round_trip_is_exact(self):
         stats = OnlineStats()
-        stats.extend([1.5, -2.25, 1e-9, 3.14159])
+        for sample in [1.5, -2.25, 1e-9, 3.14159]:
+            stats.add(sample)
         restored = OnlineStats.from_wire(stats.to_wire())
         assert restored == stats
 
@@ -224,7 +242,9 @@ class TestWireCodecs:
     def test_streaming_aggregates_round_trip(self):
         executed = execute(tiny_plan())
         aggregates = executed.comparison.runs["grass"].aggregates
-        restored = StreamingAggregates.from_wire(aggregates.to_wire())
+        restored = StreamingAggregates(
+            chunks=tuple(chunk_from_wire(chunk_to_wire(chunk)) for chunk in aggregates.chunks)
+        )
         assert restored == aggregates
         assert restored.digest_parts() == aggregates.digest_parts()
 
@@ -599,6 +619,32 @@ def _alive(pid):
     except OSError:
         return False
     return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+class TestServeWeights:
+    def test_parse_weight_reads_tenant_and_weight(self):
+        assert _parse_weight("alice=2.5") == ("alice", 2.5)
+
+    @pytest.mark.parametrize("spec", ["alice", "=2", "alice="])
+    def test_parse_weight_rejects_a_malformed_spec(self, spec):
+        with pytest.raises(ValueError, match="TENANT=FLOAT"):
+            _parse_weight(spec)
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "0", "-1"])
+    def test_parse_weight_requires_a_finite_weight_above_zero(self, raw):
+        with pytest.raises(ValueError, match="finite number above zero"):
+            _parse_weight(f"alice={raw}")
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "0", "-1"])
+    def test_serve_rejects_the_weight_before_serving(self, raw, capsys):
+        # Reaching the event loop would mean a server bound (or a traceback
+        # out of it); the verb must answer in one line first.
+        with mock.patch.object(
+            server_module.asyncio, "run", side_effect=AssertionError("serve started")
+        ):
+            assert cli_main(["serve", "--port", "0", "--weight", f"alice={raw}"]) == 2
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and "finite number above zero" in out
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs Linux /proc")

@@ -58,66 +58,103 @@ class TestEventQueue:
 
 class TestMachine:
     def test_occupy_release_cycle(self):
-        machine = Machine(machine_id=0, num_slots=2)
+        machine = Machine(machine_id=0)
         machine.occupy(1, 1, 1)
-        assert machine.busy_slots == 1 and machine.free_slots == 1
         machine.release(1, 1, 1)
-        assert machine.busy_slots == 0
+        machine.occupy(1, 2, 2)
 
     def test_occupy_beyond_capacity_raises(self):
-        machine = Machine(machine_id=0, num_slots=1)
+        machine = Machine(machine_id=0)
         machine.occupy(1, 1, 1)
         with pytest.raises(RuntimeError):
             machine.occupy(1, 2, 2)
 
     def test_release_unknown_copy_raises(self):
-        machine = Machine(machine_id=0, num_slots=1)
+        machine = Machine(machine_id=0)
         with pytest.raises(RuntimeError):
             machine.release(1, 1, 1)
+        machine.occupy(1, 1, 1)
+        with pytest.raises(RuntimeError):
+            machine.release(1, 2, 2)
 
     def test_double_occupy_same_copy_raises(self):
-        machine = Machine(machine_id=0, num_slots=3)
+        machine = Machine(machine_id=0)
         machine.occupy(1, 1, 1)
         with pytest.raises(RuntimeError):
             machine.occupy(1, 1, 1)
 
-    def test_duration_scaling(self):
-        machine = Machine(machine_id=0, num_slots=1, speed_factor=1.5)
-        assert machine.duration_on_machine(10.0) == 15.0
-        with pytest.raises(ValueError):
-            machine.duration_on_machine(0.0)
-
     def test_validation(self):
         with pytest.raises(ValueError):
-            Machine(machine_id=0, num_slots=0)
-        with pytest.raises(ValueError):
-            Machine(machine_id=0, num_slots=1, speed_factor=0.0)
+            Machine(machine_id=0, speed_factor=0.0)
 
 
 class TestCluster:
-    def test_total_and_free_slots(self):
-        cluster = Cluster(ClusterConfig(num_machines=5, slots_per_machine=2, heterogeneity=0.0))
-        assert cluster.total_slots == 10
-        assert cluster.free_slots == 10
-        assert cluster.utilization() == 0.0
+    def test_total_and_busy_slots(self):
+        cluster = Cluster(ClusterConfig(num_machines=5, heterogeneity=0.0))
+        assert cluster.total_slots == 5
+        assert cluster.busy_slots == 0
 
-    def test_occupy_updates_utilization(self):
+    def test_occupy_and_release_update_busy_slots(self):
         cluster = Cluster(ClusterConfig(num_machines=4, heterogeneity=0.0))
         machine = cluster.pick_machine()
         cluster.occupy(machine.machine_id, 0, 0, 0)
         assert cluster.busy_slots == 1
-        assert cluster.utilization() == pytest.approx(0.25)
+        cluster.release(machine.machine_id, 0, 0, 0)
+        assert cluster.busy_slots == 0
 
-    def test_pick_machine_prefers_least_loaded(self):
-        cluster = Cluster(ClusterConfig(num_machines=2, slots_per_machine=2, heterogeneity=0.0))
+    def test_pick_machine_picks_an_idle_machine(self):
+        cluster = Cluster(ClusterConfig(num_machines=2, heterogeneity=0.0))
         cluster.occupy(0, 0, 0, 0)
-        # Machine 1 is strictly less loaded, so it must be chosen.
+        # Machine 0 is busy, so machine 1 must be chosen.
         assert cluster.pick_machine().machine_id == 1
 
     def test_pick_machine_none_when_full(self):
         cluster = Cluster(ClusterConfig(num_machines=1, heterogeneity=0.0))
         cluster.occupy(0, 0, 0, 0)
         assert cluster.pick_machine() is None
+
+    def test_released_machine_is_pickable_again(self):
+        cluster = Cluster(ClusterConfig(num_machines=1, heterogeneity=0.0))
+        cluster.occupy(0, 0, 0, 0)
+        cluster.release(0, 0, 0, 0)
+        assert cluster.pick_machine().machine_id == 0
+
+    def test_placement_depends_only_on_the_idle_set(self):
+        # Two histories that leave the same machines idle must draw the same
+        # machines: placement is a function of the seed and the idle set,
+        # not of the order slots were taken and given back.
+        first = Cluster(ClusterConfig(num_machines=8, seed=4))
+        second = Cluster(ClusterConfig(num_machines=8, seed=4))
+        first.occupy(5, 0, 0, 0)
+        first.occupy(2, 0, 1, 0)
+        second.occupy(2, 0, 1, 0)
+        second.occupy(3, 0, 2, 0)
+        second.occupy(5, 0, 0, 0)
+        second.release(3, 0, 2, 0)
+        assert [first.pick_machine().machine_id for _ in range(20)] == [
+            second.pick_machine().machine_id for _ in range(20)
+        ]
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.booleans(), max_size=40), st.integers(min_value=1, max_value=6))
+    def test_busy_slots_track_the_idle_machines(self, launches, num_machines):
+        # Each step launches a copy on a picked machine (True) or finishes
+        # the oldest running copy (False).
+        cluster = Cluster(ClusterConfig(num_machines=num_machines, seed=1))
+        running = []  # (machine_id, task_id) of each running copy, oldest first
+        for task_id, launch in enumerate(launches):
+            if launch:
+                machine = cluster.pick_machine()
+                if len(running) == num_machines:
+                    assert machine is None
+                    continue
+                assert machine.machine_id not in {busy for busy, _ in running}
+                cluster.occupy(machine.machine_id, 0, task_id, 0)
+                running.append((machine.machine_id, task_id))
+            elif running:
+                machine_id, finished = running.pop(0)
+                cluster.release(machine_id, 0, finished, 0)
+            assert cluster.busy_slots == len(running)
 
     def test_heterogeneity_bounds_speed_factors(self):
         cluster = Cluster(ClusterConfig(num_machines=50, heterogeneity=0.2, seed=1))
@@ -144,35 +181,30 @@ class TestFairShare:
 
     def test_single_job_gets_its_demand(self):
         cluster = self.make_cluster()
-        allocations = cluster.fair_share([1], {1: 4})
+        allocations = cluster.fair_share_limits({1: 4})
         assert allocations == {1: 4}
 
     def test_equal_split_between_two_jobs(self):
         cluster = self.make_cluster()
-        allocations = cluster.fair_share([1, 2], {1: 10, 2: 10})
+        allocations = cluster.fair_share_limits({1: 10, 2: 10})
         assert allocations[1] + allocations[2] == 10
         assert abs(allocations[1] - allocations[2]) <= 1
 
     def test_unused_share_is_redistributed(self):
         cluster = self.make_cluster()
-        allocations = cluster.fair_share([1, 2], {1: 2, 2: 10})
+        allocations = cluster.fair_share_limits({1: 2, 2: 10})
         assert allocations[1] == 2
         assert allocations[2] == 8
 
-    def test_caps_are_respected(self):
+    def test_capped_limit_is_respected(self):
         cluster = self.make_cluster()
-        allocations = cluster.fair_share([1, 2], {1: 10, 2: 10}, caps={1: 3, 2: None})
+        allocations = cluster.fair_share_limits({1: 3, 2: 10})
         assert allocations[1] == 3
         assert allocations[2] == 7
 
-    def test_capacity_override(self):
-        cluster = self.make_cluster()
-        allocations = cluster.fair_share([1, 2], {1: 10, 2: 10}, capacity=4)
-        assert allocations[1] + allocations[2] == 4
-
     def test_no_jobs(self):
         cluster = self.make_cluster()
-        assert cluster.fair_share([], {}) == {}
+        assert cluster.fair_share_limits({}) == {}
 
     @given(
         st.integers(min_value=1, max_value=6),
@@ -182,7 +214,7 @@ class TestFairShare:
     def test_fair_share_never_exceeds_capacity_or_demand(self, slots, demands):
         cluster = Cluster(ClusterConfig(num_machines=slots, heterogeneity=0.0))
         job_ids = list(range(len(demands)))
-        allocations = cluster.fair_share(job_ids, dict(zip(job_ids, demands, strict=True)))
+        allocations = cluster.fair_share_limits(dict(zip(job_ids, demands, strict=True)))
         assert sum(allocations.values()) <= cluster.total_slots
         for job_id, demand in zip(job_ids, demands, strict=True):
             assert 0 <= allocations[job_id] <= demand
@@ -263,6 +295,6 @@ class TestStragglerModel:
         with pytest.raises(ValueError):
             StragglerConfig(shape=0.0)
         with pytest.raises(ValueError):
-            StragglerConfig(cap=0.5, median=1.0)
+            StragglerConfig(cap=0.5)
         with pytest.raises(ValueError):
             StragglerConfig(jitter=-1.0)

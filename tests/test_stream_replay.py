@@ -61,7 +61,7 @@ def trace_file(tmp_path):
 
 
 class TestIterTrace:
-    def test_matches_load_trace(self, trace_file):
+    def test_reads_back_the_saved_trace(self, trace_file):
         path, trace = trace_file
         streamed = list(iter_trace(path))
         assert [j.job_id for j in streamed] == [j.job_id for j in trace]

@@ -74,7 +74,8 @@ class TestTaskCopy:
 class TestTaskLifecycle:
     def test_initial_state_is_pending(self):
         task = make_task()
-        assert task.is_pending and not task.is_running and not task.is_completed
+        assert task.state is TaskState.PENDING
+        assert not task.is_running and not task.is_completed
 
     def test_add_copy_moves_to_running(self):
         task = make_task()
@@ -129,17 +130,10 @@ class TestTaskLifecycle:
         task.add_copy(make_copy(copy_id=0, start=0.0, duration=30.0))
         task.add_copy(make_copy(copy_id=1, start=5.0, duration=10.0))
         assert task.true_remaining(10.0) == pytest.approx(5.0)
-        assert task.earliest_finish_time() == pytest.approx(15.0)
 
     def test_true_remaining_without_copies_raises(self):
         with pytest.raises(RuntimeError):
             make_task().true_remaining(0.0)
-
-    def test_best_progress(self):
-        task = make_task()
-        task.add_copy(make_copy(copy_id=0, duration=20.0))
-        task.add_copy(make_copy(copy_id=1, start=0.0, duration=10.0))
-        assert task.best_progress(5.0) == pytest.approx(0.5)
 
     def test_wasted_work_counts_killed_copies_only(self):
         task = make_task()

@@ -12,7 +12,7 @@ from dataclasses import replace
 import pytest
 
 from repro.experiments import runner
-from repro.experiments.cli import main, metrics_digest
+from repro.experiments.cli import _os_error_message, main, metrics_digest
 from repro.experiments.figures import FIGURES
 from repro.experiments.plan import PlanError
 from repro.experiments.runner import (
@@ -34,7 +34,7 @@ from repro.workload.trace_replay import (
 from repro.workload.traces import (
     TraceFormatError,
     TraceJob,
-    load_trace,
+    iter_trace,
     save_trace,
     scan_jobs,
 )
@@ -54,7 +54,7 @@ def tiny_trace(num_jobs: int = 10, seed: int = 7):
     )
 
 
-# ---------------------------------------------------------------- load_trace
+# ---------------------------------------------------------------- iter_trace
 
 
 class TestLoadTraceErrors:
@@ -68,7 +68,7 @@ class TestLoadTraceErrors:
             tmp_path,
             '\n{"job_id": 1, "arrival_time": 0.0, "task_durations": [1.0]}\n\n',
         )
-        trace = load_trace(path)
+        trace = list(iter_trace(path))
         assert [job.job_id for job in trace] == [1]
 
     def test_invalid_json_names_file_and_line(self, tmp_path):
@@ -77,17 +77,17 @@ class TestLoadTraceErrors:
             '{"job_id": 1, "arrival_time": 0.0, "task_durations": [1.0]}\n{broken\n',
         )
         with pytest.raises(TraceFormatError, match=r"trace\.jsonl:2.*invalid JSON"):
-            load_trace(path)
+            list(iter_trace(path))
 
     def test_non_object_line_rejected(self, tmp_path):
         path = self.write(tmp_path, "[1, 2, 3]\n")
         with pytest.raises(TraceFormatError, match="expected a JSON object"):
-            load_trace(path)
+            list(iter_trace(path))
 
     def test_missing_field_rejected(self, tmp_path):
         path = self.write(tmp_path, '{"job_id": 1, "arrival_time": 0.0}\n')
         with pytest.raises(TraceFormatError, match="missing field 'task_durations'"):
-            load_trace(path)
+            list(iter_trace(path))
 
     def test_non_numeric_durations_rejected(self, tmp_path):
         path = self.write(
@@ -95,7 +95,7 @@ class TestLoadTraceErrors:
             '{"job_id": 1, "arrival_time": 0.0, "task_durations": ["x"]}\n',
         )
         with pytest.raises(TraceFormatError, match=r"trace\.jsonl:1"):
-            load_trace(path)
+            list(iter_trace(path))
 
     def test_negative_duration_rejected(self, tmp_path):
         path = self.write(
@@ -103,7 +103,7 @@ class TestLoadTraceErrors:
             '{"job_id": 1, "arrival_time": 0.0, "task_durations": [-1.0]}\n',
         )
         with pytest.raises(TraceFormatError, match="positive"):
-            load_trace(path)
+            list(iter_trace(path))
 
     def test_non_finite_values_rejected(self, tmp_path):
         path = self.write(
@@ -111,19 +111,19 @@ class TestLoadTraceErrors:
             '{"job_id": 1, "arrival_time": 0.0, "task_durations": [Infinity, NaN]}\n',
         )
         with pytest.raises(TraceFormatError, match="finite"):
-            load_trace(path)
+            list(iter_trace(path))
         path = self.write(
             tmp_path,
             '{"job_id": 1, "arrival_time": NaN, "task_durations": [1.0]}\n',
         )
         with pytest.raises(TraceFormatError, match="finite"):
-            load_trace(path)
+            list(iter_trace(path))
 
     def test_duplicate_job_id_rejected(self, tmp_path):
         record = '{"job_id": 1, "arrival_time": 0.0, "task_durations": [1.0]}\n'
         path = self.write(tmp_path, record + record)
         with pytest.raises(TraceFormatError, match="duplicate job_id 1"):
-            load_trace(path)
+            list(iter_trace(path))
 
 
 class TestRoundTrip:
@@ -131,7 +131,7 @@ class TestRoundTrip:
         trace = tiny_trace()
         path = tmp_path / "trace.jsonl"
         save_trace(trace, path)
-        loaded = load_trace(path)
+        loaded = list(iter_trace(path))
         assert [job.job_id for job in loaded] == [job.job_id for job in trace]
         assert [job.arrival_time for job in loaded] == [
             job.arrival_time for job in trace
@@ -144,7 +144,7 @@ class TestRoundTrip:
         path = tmp_path / "fb.jsonl"
         summary = export_trace(path, num_jobs=6, size_scale=0.1, seed=3)
         assert summary.num_jobs == 6
-        assert len(load_trace(path)) == 6
+        assert len(list(iter_trace(path))) == 6
 
 
 # ------------------------------------------------------------------- adapter
@@ -271,7 +271,7 @@ class TestReplayDeterminism:
     def test_workers_1_and_4_byte_identical(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         save_trace(tiny_trace(), path)
-        trace = load_trace(path)
+        trace = list(iter_trace(path))
         serial = replay_source(["late", "gs"], trace, TINY)
         fanned = replay_source(["late", "gs"], trace, replace(TINY, workers=4))
         for name in ("late", "gs"):
@@ -352,7 +352,7 @@ class TestReplayCli:
 
     def test_header_reports_the_executed_shard_count(self, tmp_path, capsys):
         path = self.fixture_path(tmp_path)
-        num_jobs = len(load_trace(path))
+        num_jobs = len(list(iter_trace(path)))
         exit_code, captured = self.run_cli(
             capsys, "replay", "--trace", str(path), "--policy", "late",
             "--scale", "quick", "--shards", str(num_jobs + 24),
@@ -373,6 +373,38 @@ class TestReplayCli:
         )
         assert exit_code == 2
         assert "not found" in captured.err
+
+    def test_trace_directory_is_a_usage_error(self, tmp_path, capsys):
+        exit_code, captured = self.run_cli(
+            capsys, "replay", "--trace", str(tmp_path), "--policy", "late",
+            "--scale", "quick",
+        )
+        assert exit_code == 2
+        assert captured.err == (
+            f"trace path is a directory, not a JSONL file: {tmp_path}\n"
+        )
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("source", ["trace", "tier"])
+    def test_unwritable_spill_path_is_named_instead_of_the_trace(
+        self, tmp_path, capsys, source, workers
+    ):
+        # A regular file where the jsonl sink wants its directory: the
+        # error is about that path, whatever the source.
+        spill = tmp_path / "spill"
+        spill.write_text("not a directory\n")
+        if source == "trace":
+            source_args = ["--trace", str(self.fixture_path(tmp_path))]
+        else:
+            source_args = ["--cluster-jobs", "50"]
+        exit_code, captured = self.run_cli(
+            capsys, "replay", *source_args, "--policy", "late", "--scale", "quick",
+            "--workers", workers, "--sink", f"jsonl:{spill}",
+        )
+        assert exit_code == 2
+        assert str(spill) in captured.err
+        assert "trace" not in captured.err.replace(str(spill), "<spill>")
+        assert len(captured.err.splitlines()) == 1
 
     def test_malformed_trace_is_a_usage_error(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
@@ -425,3 +457,60 @@ class TestReplayCli:
 
 def test_trace_replay_figure_registered():
     assert "trace-replay" in FIGURES
+
+
+class TestOsErrorMessage:
+    """``replay`` names the path an ``OSError`` is about, in one line."""
+
+    TRACE = "traces/bing_like.jsonl"
+
+    @pytest.mark.parametrize(
+        "error, trace, expected",
+        [
+            (
+                FileNotFoundError(2, "No such file or directory", TRACE),
+                TRACE,
+                f"trace file not found: {TRACE}",
+            ),
+            (
+                IsADirectoryError(21, "Is a directory", TRACE),
+                TRACE,
+                f"trace path is a directory, not a JSONL file: {TRACE}",
+            ),
+            (
+                PermissionError(13, "Permission denied", TRACE),
+                TRACE,
+                f"cannot read trace {TRACE}: Permission denied",
+            ),
+            (
+                FileExistsError(17, "File exists", "/spill/results"),
+                TRACE,
+                "cannot access /spill/results: File exists",
+            ),
+            (
+                FileExistsError(17, "File exists", "/spill/results"),
+                None,
+                "cannot access /spill/results: File exists",
+            ),
+            (OSError("pipe closed"), TRACE, "replay failed: pipe closed"),
+        ],
+        ids=[
+            "trace-missing",
+            "trace-is-a-directory",
+            "trace-unreadable",
+            "other-path-with-trace",
+            "other-path-without-trace",
+            "no-path",
+        ],
+    )
+    def test_names_the_path_the_error_is_about(self, error, trace, expected):
+        assert _os_error_message(error, trace) == expected
+
+    def test_relative_and_absolute_trace_paths_match(self, tmp_path, monkeypatch):
+        # The pool may report the trace under its absolute path while the
+        # plan holds the path as typed.
+        monkeypatch.chdir(tmp_path)
+        error = PermissionError(13, "Permission denied", str(tmp_path / "t.jsonl"))
+        assert _os_error_message(error, "t.jsonl") == (
+            "cannot read trace t.jsonl: Permission denied"
+        )

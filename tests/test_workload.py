@@ -6,18 +6,8 @@ from hypothesis import strategies as st
 
 from repro.core.bounds import BoundType
 from repro.workload.bins import deadline_bin_label, error_bin_label
-from repro.workload.distributions import (
-    BoundedParetoDistribution,
-    ConstantDistribution,
-    EmpiricalDistribution,
-    ExponentialDistribution,
-    LogNormalDistribution,
-    ParetoDistribution,
-    UniformDistribution,
-)
 from repro.workload.profiles import (
     available_frameworks,
-    available_workloads,
     framework_profile,
     workload_profile,
 )
@@ -29,69 +19,11 @@ from repro.workload.synthetic import (
 )
 from repro.workload.traces import (
     TraceJob,
-    load_trace,
+    iter_trace,
     save_trace,
     summarize_trace,
     trace_from_specs,
 )
-from repro.utils.rng import RngStream
-
-
-class TestDistributions:
-    def test_constant(self):
-        dist = ConstantDistribution(3.0)
-        assert dist.sample(RngStream(0)) == 3.0
-        assert dist.mean() == 3.0
-
-    def test_uniform_bounds_and_mean(self):
-        dist = UniformDistribution(1.0, 3.0)
-        samples = dist.sample_many(RngStream(1), 200)
-        assert all(1.0 <= s <= 3.0 for s in samples)
-        assert dist.mean() == 2.0
-
-    def test_exponential_mean(self):
-        dist = ExponentialDistribution(5.0)
-        samples = dist.sample_many(RngStream(2), 3000)
-        assert sum(samples) / len(samples) == pytest.approx(5.0, rel=0.15)
-
-    def test_pareto_quantile_and_survival(self):
-        dist = ParetoDistribution(shape=2.0, scale=1.0)
-        assert dist.survival(1.0) == 1.0
-        assert dist.survival(2.0) == pytest.approx(0.25)
-        assert dist.quantile(0.75) == pytest.approx(2.0)
-        assert dist.mean() == pytest.approx(2.0)
-
-    def test_pareto_infinite_mean_below_one(self):
-        assert ParetoDistribution(shape=0.9).mean() == float("inf")
-
-    def test_bounded_pareto_cap(self):
-        dist = BoundedParetoDistribution(shape=1.1, scale=1.0, cap=4.0)
-        samples = dist.sample_many(RngStream(3), 500)
-        assert all(1.0 <= s <= 4.0 for s in samples)
-        assert dist.mean() < 4.0
-
-    def test_lognormal_mean(self):
-        dist = LogNormalDistribution(mu=0.0, sigma=0.25)
-        samples = dist.sample_many(RngStream(4), 4000)
-        assert sum(samples) / len(samples) == pytest.approx(dist.mean(), rel=0.1)
-
-    def test_empirical_resamples_observed_values(self):
-        dist = EmpiricalDistribution([1.0, 2.0, 3.0])
-        samples = dist.sample_many(RngStream(5), 100)
-        assert set(samples) <= {1.0, 2.0, 3.0}
-        assert len(dist) == 3
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ConstantDistribution(0.0)
-        with pytest.raises(ValueError):
-            UniformDistribution(3.0, 1.0)
-        with pytest.raises(ValueError):
-            ExponentialDistribution(0.0)
-        with pytest.raises(ValueError):
-            EmpiricalDistribution([])
-        with pytest.raises(ValueError):
-            BoundedParetoDistribution(1.1, 2.0, 1.0)
 
 
 class TestBins:
@@ -118,8 +50,7 @@ class TestBins:
 
 
 class TestProfiles:
-    def test_known_profiles_exist(self):
-        assert set(available_workloads()) == {"bing", "facebook"}
+    def test_known_frameworks_exist(self):
         assert set(available_frameworks()) == {"hadoop", "spark"}
 
     def test_lookup_case_insensitive(self):
@@ -233,7 +164,6 @@ class TestTraces:
         assert summary.num_jobs == 15
         assert summary.num_tasks == sum(job.num_tasks for job in trace)
         assert summary.median_task_duration > 0
-        assert len(summary.rows()) >= 8
 
     def test_trace_job_validation(self):
         with pytest.raises(ValueError):
@@ -252,7 +182,7 @@ class TestTraces:
         ]
         path = tmp_path / "trace.jsonl"
         save_trace(trace, path)
-        loaded = load_trace(path)
+        loaded = list(iter_trace(path))
         assert len(loaded) == 2
         assert loaded[0].task_durations == [1.0, 2.0]
         assert loaded[1].arrival_time == 3.0
