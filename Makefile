@@ -1,16 +1,26 @@
 # Convenience targets; the logic lives in scripts/check.sh so CI and
 # humans run exactly the same commands.
 
-.PHONY: test bench-smoke bench-gate analyze lint check ingest-smoke service-smoke cache-smoke cluster-replay perfbench
+.PHONY: test coverage bench-smoke bench-gate replay-determinism analyze lint check ingest-smoke service-smoke cache-smoke cluster-replay perfbench
 
 test:
 	./scripts/check.sh test
+
+# The tier-1 suite under pytest-cov with the line-coverage floor
+# (COVERAGE_FLOOR); needs pytest-cov, which CI installs.
+coverage:
+	./scripts/check.sh coverage
 
 bench-smoke:
 	./scripts/check.sh bench-smoke
 
 bench-gate:
 	./scripts/check.sh bench-gate
+
+# Two facebook_like plans replayed at --workers 1/4 x --sink retain/aggregate;
+# every digest must equal its entry in tests/golden/replay_digests.json.
+replay-determinism:
+	./scripts/check.sh replay-determinism
 
 # The repo's own determinism & safety linter (repro.analysis): stdlib-only
 # AST rules enforcing the invariants the replay digest matrix checks

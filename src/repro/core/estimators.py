@@ -32,7 +32,7 @@ from typing import Dict, List, Tuple
 
 from repro.core.task import Task
 from repro.utils.rng import RngStream
-from repro.utils.stats import OnlineMean, clamp
+from repro.utils.stats import OnlineStats, clamp
 
 
 #: A task executor sends a progress report every 5% of its input (§5.1).
@@ -78,7 +78,7 @@ class EstimateAccuracyTracker:
     """Tracks realised estimator accuracy, updated on every comparison."""
 
     def __init__(self) -> None:
-        self._accuracy = OnlineMean()
+        self._accuracy = OnlineStats()
 
     def record(self, estimated: float, actual: float) -> None:
         if actual <= 0:
@@ -91,7 +91,7 @@ class EstimateAccuracyTracker:
         """Mean realised accuracy in [0, 1]; 1.0 until the first sample."""
         if self._accuracy.count == 0:
             return 1.0
-        return self._accuracy.value
+        return self._accuracy.mean
 
     @property
     def sample_count(self) -> int:
@@ -330,7 +330,7 @@ class TaskEstimator:
                 sample = 0.0
             count = tracker_mean.count + 1
             tracker_mean.count = count
-            tracker_mean.value += (sample - tracker_mean.value) / count
+            tracker_mean._mean += (sample - tracker_mean._mean) / count
             snap.running = True
             snap.copies = task._num_running
             snap.trem = trem

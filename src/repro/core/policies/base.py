@@ -305,12 +305,12 @@ class SchedulingIndex:
             # ``record`` would compute exactly this sample from the cached
             # ``(trem, actual)`` pair.
             count = tracker_mean.count
-            value = tracker_mean.value
+            value = tracker_mean._mean
             for task_id in self.running_ids:
                 count += 1
                 value += (snaps[task_id]._acc - value) / count
             tracker_mean.count = count
-            tracker_mean.value = value
+            tracker_mean._mean = value
             return
         gen = self.gen
         now = self.now
@@ -329,7 +329,7 @@ class SchedulingIndex:
                 acc = snaps[task_id]._acc
                 count = tracker_mean.count + 1
                 tracker_mean.count = count
-                tracker_mean.value += (acc - tracker_mean.value) / count
+                tracker_mean._mean += (acc - tracker_mean._mean) / count
         dirty.clear()
 
     def on_copy_launched(self, task: Task) -> None:

@@ -79,7 +79,7 @@ from repro.workload.trace_replay import ClusterTierConfig
 
 #: Bump when the entry payload layout changes; older files become warned
 #: misses (satellite contract: never crash, never silently misread).
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 
 class CacheIntegrityWarning(UserWarning):

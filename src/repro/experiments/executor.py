@@ -9,6 +9,15 @@ worker processes and merges the resulting
 order**, so the output is bit-identical to the serial path no matter how the
 OS schedules the workers.
 
+A request is a recipe: every field is a small description — the spec
+source, the configs, the policy's registry name, the warm-up recipe, the
+sink factory — and the process that runs the request builds its specs, its
+policy, its warm-up and its sink from them.  So requests pickle to about a
+kilobyte and depend on nothing but themselves.  A process builds a
+synthetic workload or a warm-up once and memoises it for the requests it
+runs next (:func:`~repro.workload.synthetic.generated`,
+:mod:`repro.experiments.warmup`).
+
 Two entry points drive one dispatch loop, an in-order window of requests:
 
 * :meth:`ParallelExecutor.run` — the batch path: every request in flight
@@ -19,14 +28,6 @@ Two entry points drive one dispatch loop, an in-order window of requests:
   they complete.  This is what lets trace replay build arrival-window shards
   while earlier shards are still simulating, keeping memory bounded for
   traces that do not fit in RAM.
-
-Every request names its policy, so the loop submits each one to the pool
-as it is pulled.  A learning policy's requests may name the
-:class:`~repro.experiments.warmup.WarmupCache` their warm state comes from:
-the first request of each (cache, policy) pair — its *chain head* — warms
-the policy and runs in one worker task, and the pair's later requests wait
-for the snapshot the head returns, then go to the pool restored from it.
-Each pair is therefore warmed once per call, in a batch or a stream.
 
 The pool is a ``multiprocessing`` pool started per call.  A long-lived
 caller — the replay service — instead hands the executor a persistent
@@ -39,15 +40,17 @@ Determinism contract
 
 * Each request is self-contained: the process running it constructs its
   own policy instance (policies are stateful learners) and its own
-  ``Simulation``, so nothing is shared across processes or requests.
+  ``Simulation``, so nothing is shared across processes or requests.  A
+  warm-up a process memoises is restored into a fresh policy per request
+  (see :mod:`repro.experiments.warmup`).
 * Every simulation is seeded explicitly; a ``(policy, seed)`` run therefore
   produces the same ``MetricsCollector`` whether it executes in this process,
   a worker process, or a different worker count.
 * Results are merged strictly in request order — the loop yields position
-  ``i`` before pulling request ``i + k`` past its in-flight window, and a
-  chain only delays when a request is submitted — so ``workers=N`` and
-  ``workers=1`` return byte-identical payloads (``tests/test_executor.py``
-  locks this in with a pickle comparison for both entry points).
+  ``i`` before pulling request ``i + k`` past its in-flight window — so
+  ``workers=N`` and ``workers=1`` return byte-identical payloads
+  (``tests/test_executor.py`` locks this in with a pickle comparison for
+  both entry points).
 
 The serial path (a window of one process, no pool given) does not touch
 ``multiprocessing`` at all, which keeps unit tests and platforms without
@@ -62,15 +65,14 @@ import multiprocessing
 import os
 import traceback
 from collections import deque
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.experiments.policies import make_policy
 from repro.experiments.warmup import WarmupCache
 from repro.simulator.engine import Simulation, SimulationConfig
 from repro.simulator.metrics import MetricsCollector
 from repro.simulator.sinks import SinkFactory
-from repro.workload.synthetic import GeneratedWorkload
 from repro.workload.traces import TraceFormatError
 
 
@@ -88,42 +90,32 @@ class RequestExecutionError(RuntimeError):
 
 @dataclass(frozen=True)
 class RunRequest:
-    """One independent simulation: a policy over a workload under one seed.
+    """One independent simulation: a policy over a spec source under one seed.
 
-    The policy is named by registry name (``policy_name``, required): the
-    process that runs the request builds a fresh instance, so every request
-    is safe to ship to a worker process.
+    The policy is named by registry name (``policy_name``): the process that
+    runs the request builds a fresh instance, so every request is safe to
+    ship to a worker process.
 
-    The jobs come from exactly one of two sources:
+    The jobs come from ``spec_source``, a picklable *description* of the
+    specs: any object with ``iter_specs() -> Iterator[JobSpec]``, such as a
+    synthetic :class:`~repro.workload.synthetic.WorkloadConfig` or a trace
+    window's :class:`~repro.workload.trace_replay.ShardSpecSource`.  The
+    executing process — worker or parent — reads the specs straight into
+    the engine's lazy ingestion.  The source's spec stream must be sorted by
+    ``(arrival_time, job_id)`` (the engine raises otherwise).
 
-    * ``workload`` — a materialised :class:`GeneratedWorkload`;
-    * ``spec_source`` — a lazy *description* of the specs (any picklable
-      object with ``iter_specs() -> Iterator[JobSpec]``, e.g.
-      :class:`~repro.workload.trace_replay.ShardSpecSource`).  The executing
-      process — worker or parent — materialises specs one at a time straight
-      into the engine's lazy ingestion, so no process ever holds the spec
-      list; this is what bounds memory for unsharded million-job replays.
-      The source's spec stream must be sorted by ``(arrival_time, job_id)``
-      (the engine raises otherwise).
-
-    A learning policy starts from cluster history through ``warm_state``: a
-    pre-computed state snapshot (see ``repro.experiments.warmup``) restored
-    before the run.  Snapshots are plain data, so they pickle to workers
-    with the request.  ``warm_state`` may instead name the
-    :class:`~repro.experiments.warmup.WarmupCache` that produces the
-    snapshot: the request then resolves ``cache.snapshot_for(policy_name)``
-    wherever it runs, and :class:`ParallelExecutor` chains a pool worker's
-    warm-up with the first request of each (cache, policy) pair.
+    A learning policy starts from cluster history through ``warm_state``,
+    the :class:`~repro.experiments.warmup.WarmupCache` recipe of its
+    warm-up: the executing process resolves ``snapshot_for(policy_name)``
+    through its own memo and restores the snapshot before the run.
     """
 
-    workload: Optional[GeneratedWorkload] = None
-    config: SimulationConfig = None  # type: ignore[assignment]
-    policy_name: str = None  # type: ignore[assignment]
-    #: Pre-warmed policy state (from ``SpeculationPolicy.state_snapshot``),
-    #: or the ``WarmupCache`` that produces it.
-    warm_state: Optional[object] = None
     #: Lazy spec source (duck-typed: ``iter_specs()``); see the class docs.
-    spec_source: Optional[object] = None
+    spec_source: Any
+    config: SimulationConfig
+    policy_name: str
+    #: The warm-up recipe of a learning policy, or None for a cold start.
+    warm_state: Optional[WarmupCache] = None
     #: Which result sink the simulation records into (None = retain all —
     #: the historical behaviour).  A factory rather than an instance: spill
     #: sinks hold file handles, and the executing process — worker or
@@ -132,28 +124,11 @@ class RunRequest:
     #: constant-size payload home instead of one JobResult per job.
     sink_factory: Optional[SinkFactory] = None
 
-    def __post_init__(self) -> None:
-        if self.config is None:
-            raise ValueError("a run request needs a simulation config")
-        if (self.workload is None) == (self.spec_source is None):
-            raise ValueError("give exactly one of workload or spec_source")
-        if self.policy_name is None:
-            raise ValueError("a run request needs a registry policy_name")
-
     def __repr__(self) -> str:
-        """Concise identity (the dataclass default would dump the workload)."""
-        if isinstance(self.warm_state, WarmupCache):
-            warm = "cache"
-        elif self.warm_state is not None:
-            warm = "snapshot"
-        else:
-            warm = "none"
-        if self.workload is not None:
-            jobs = f"jobs={len(self.workload.job_specs)}"
-        else:
-            jobs = f"specs={self.spec_source}"
+        """Concise identity (the dataclass default would dump every config)."""
+        warm = "none" if self.warm_state is None else "cache"
         return (
-            f"RunRequest(policy={self.policy_name}, {jobs}, "
+            f"RunRequest(policy={self.policy_name}, specs={self.spec_source}, "
             f"seed={self.config.seed}, warm={warm})"
         )
 
@@ -169,28 +144,20 @@ class RunRequest:
     def execute(self) -> MetricsCollector:
         """Run this request in the current process and return its metrics.
 
-        A ``warm_state`` snapshot is restored into the policy first, so a
-        learning policy (GRASS) starts with the sample store a separate
-        warm-up workload gave it, as a long-running production scheduler
-        would.  Restoring is byte-equivalent to having this policy instance
-        simulate that warm-up itself.  A cache in ``warm_state`` is resolved
-        here, through its memo.
+        A learning policy is first restored from its warm-up's snapshot, so
+        it starts with the sample store a separate warm-up workload gave it,
+        as a long-running production scheduler would.  Restoring is
+        byte-equivalent to having this policy instance simulate that warm-up
+        itself.  The spec-source iterator then feeds the engine's
+        one-spec-lookahead ingestion.
         """
         policy = make_policy(self.policy_name)
-        warm_state = self.warm_state
-        if isinstance(warm_state, WarmupCache):
-            warm_state = warm_state.snapshot_for(self.policy_name)
-        if warm_state is not None:
-            policy.restore_state(warm_state)
+        if self.warm_state is not None:
+            policy.restore_state(self.warm_state.snapshot_for(self.policy_name))
         sink = self.sink_factory.create() if self.sink_factory is not None else None
-        if self.spec_source is not None:
-            # Lazy path: the spec-source iterator feeds the engine's
-            # one-spec-lookahead ingestion; peak resident jobs stays O(max
-            # concurrent) end to end.
-            return Simulation(
-                self.config, policy, self.spec_source.iter_specs(), sink=sink
-            ).run()
-        return Simulation(self.config, policy, self.workload.specs(), sink=sink).run()
+        return Simulation(
+            self.config, policy, self.spec_source.iter_specs(), sink=sink
+        ).run()
 
 
 def _execute_request(request: RunRequest) -> MetricsCollector:
@@ -204,30 +171,8 @@ def _execute_request(request: RunRequest) -> MetricsCollector:
     ``request.execute()`` directly and keeps its native (fully informative)
     traceback.
     """
-    return _named_failures(request, request.execute)
-
-
-def _warm_and_execute(request: RunRequest) -> Tuple[object, MetricsCollector]:
-    """Pool task of a chain head: warm its policy, then run it restored.
-
-    ``request.warm_state`` is a :class:`WarmupCache`; the worker warms
-    through ``snapshot_for`` and returns ``(snapshot, metrics)`` so the
-    parent can restore the policy's remaining requests from the snapshot.
-    Failures, the warm-up's included, are wrapped like
-    :func:`_execute_request`'s.
-    """
-
-    def chain() -> Tuple[object, MetricsCollector]:
-        snapshot = request.warm_state.snapshot_for(request.policy_name)
-        return snapshot, replace(request, warm_state=snapshot).execute()
-
-    return _named_failures(request, chain)
-
-
-def _named_failures(request: RunRequest, work: Callable[[], Any]) -> Any:
-    """``work()``, with failures wrapped as described in :func:`_execute_request`."""
     try:
-        return work()
+        return request.execute()
     except (TraceFormatError, OSError):
         raise
     except Exception as exc:
@@ -238,8 +183,16 @@ def _named_failures(request: RunRequest, work: Callable[[], Any]) -> Any:
 
 
 def default_worker_count() -> int:
-    """Worker count used when the caller passes ``workers=0`` ("auto")."""
-    return max(1, (os.cpu_count() or 2) - 1)
+    """Worker count used when the caller passes ``workers=0`` ("auto").
+
+    One fewer than the CPUs this process may run on (its affinity mask,
+    where the platform has one; else the host's CPU count), and at least 1.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 2
+    return max(1, cpus - 1)
 
 
 class ParallelExecutor:
@@ -247,8 +200,9 @@ class ParallelExecutor:
 
     ``workers=1`` (the default) executes in-process; ``workers>1`` uses a
     ``multiprocessing`` pool of up to that size, started per call;
-    ``workers=0`` auto-sizes to the machine (``cpu_count - 1``).  Results
-    always come back in request order.
+    ``workers=0`` auto-sizes to the CPUs this process may use, less one
+    (:func:`default_worker_count`).  Results always come back in request
+    order.
 
     ``pool`` — a persistent ``concurrent.futures`` process pool — makes
     :meth:`run` and :meth:`run_stream` submit every request to it, whatever
@@ -275,11 +229,6 @@ class ParallelExecutor:
         therefore runs in-process: spawning a pool to run a single
         simulation costs more than the simulation (fork + pickle +
         teardown).
-
-        Each warm-up chain (see the module docs) is warmed exactly once per
-        batch, as on the serial path.  Listing learning requests first gets
-        the chains, each the batch's longest path, onto the pool first; the
-        results do not depend on the dispatch order.
         """
         requests = list(requests)
         return list(self._dispatch(requests, max(1, len(requests))))
@@ -296,8 +245,7 @@ class ParallelExecutor:
         payloads (trace-replay shard workloads) never gets more than
         ``max_in_flight`` of them alive in this process at once.  Requests
         are submitted to the pool as they are pulled and yielded strictly in
-        request order.  Warm-up chains work as in :meth:`run`: a request
-        waiting for its head's snapshot holds its place in the window.
+        request order.
 
         ``max_in_flight`` defaults to ``2 * workers`` (enough to keep every
         worker busy while the next requests are being built) and must be at
@@ -335,80 +283,35 @@ class ParallelExecutor:
             if self.pool is None
             else contextlib.nullcontext()
         ) as own_pool:
-
-            def submit(task: Callable[[RunRequest], Any], request: RunRequest) -> Callable[[], Any]:
-                if own_pool is not None:
-                    return own_pool.apply_async(task, (request,)).get
-                try:
-                    return self.pool.submit(task, request).result
-                except concurrent.futures.BrokenExecutor as exc:
-                    raise _worker_died(request) from exc
-
-            in_flight: deque[_Pending] = deque()  # in request order
-            # Each chain whose head is still running: the requests of its
-            # (cache, policy) pair waiting for the head's snapshot.
-            held: Dict[Tuple[WarmupCache, str], List[_Pending]] = {}
-
-            def resolve() -> MetricsCollector:
-                pending = in_flight.popleft()
-                try:
-                    result = pending.result()
-                except concurrent.futures.BrokenExecutor as exc:
-                    raise _worker_died(pending.request) from exc
-                if pending.head_of is None:
-                    return result
-                snapshot, metrics = result
-                cache, name = pending.head_of
-                cache.record(name, snapshot)
-                for dependent in held.pop(pending.head_of):
-                    dependent.result = submit(_execute_request, _restored(dependent.request))
-                return metrics
-
+            # (request, a call blocking for its metrics), in request order.
+            in_flight: deque[Tuple[RunRequest, Callable[[], MetricsCollector]]] = deque()
             while True:
                 # Drain before pulling: the request generator is only
                 # advanced when the new request fits in the window, which is
                 # what bounds how many of its payloads exist at once.
-                if len(in_flight) >= max_in_flight:
-                    yield resolve()
-                    continue
+                while len(in_flight) >= max_in_flight:
+                    yield _result(*in_flight.popleft())
                 request = next(iterator, None)
                 if request is None:
                     break
-                pending = _Pending(request)
-                cache = request.warm_state
-                if isinstance(cache, WarmupCache) and not cache.holds(request.policy_name):
-                    chain = (cache, request.policy_name)
-                    if chain in held:
-                        held[chain].append(pending)
-                    else:
-                        held[chain] = []
-                        pending.head_of = chain
-                        pending.result = submit(_warm_and_execute, request)
+                if own_pool is not None:
+                    result = own_pool.apply_async(_execute_request, (request,)).get
                 else:
-                    pending.result = submit(_execute_request, _restored(request))
-                in_flight.append(pending)
+                    try:
+                        result = self.pool.submit(_execute_request, request).result
+                    except concurrent.futures.BrokenExecutor as exc:
+                        raise _worker_died(request) from exc
+                in_flight.append((request, result))
             while in_flight:
-                yield resolve()
+                yield _result(*in_flight.popleft())
 
 
-@dataclass
-class _Pending:
-    """A request of the dispatch window, from its pull until its yield."""
-
-    request: RunRequest
-    #: Blocks for the pool's result.  None for a chain dependent until its
-    #: head resolves — always before the dependent's own turn.
-    result: Optional[Callable[[], Any]] = None
-    #: The (cache, policy name) chain this request heads, if any.
-    head_of: Optional[Tuple[WarmupCache, str]] = None
-
-
-def _restored(request: RunRequest) -> RunRequest:
-    """``request`` with a cache in its ``warm_state`` swapped for the snapshot."""
-    cache = request.warm_state
-    if isinstance(cache, WarmupCache):
-        return replace(request, warm_state=cache.snapshot_for(request.policy_name))
-    return request
+def _result(request: RunRequest, result: Callable[[], MetricsCollector]) -> MetricsCollector:
+    """``result()``, the metrics of ``request``; a dead worker is named."""
+    try:
+        return result()
+    except concurrent.futures.BrokenExecutor as exc:
+        raise _worker_died(request) from exc
 
 
 def _worker_died(request: RunRequest) -> RequestExecutionError:

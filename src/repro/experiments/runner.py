@@ -41,7 +41,12 @@ from repro.experiments.plan import (
     ReplayPlan,
     repeated,
 )
-from repro.experiments.warmup import WarmupCache, policy_learns
+from repro.experiments.warmup import (
+    WarmupCache,
+    check_warmup_seed_collision,
+    forget_memos,
+    policy_learns,
+)
 from repro.simulator.cluster import ClusterConfig
 from repro.simulator.engine import SimulationConfig
 from repro.workload.bins import deadline_bin_label, error_bin_label
@@ -57,7 +62,7 @@ from repro.simulator.sinks import (
 from repro.workload.synthetic import (
     GeneratedWorkload,
     WorkloadConfig,
-    generate_workload,
+    generated,
 )
 from repro.workload.trace_replay import (
     ClusterTierConfig,
@@ -874,20 +879,26 @@ def compare_policies(
     warm-up workload of ``scale.warmup_jobs`` jobs (0 turns warm-up off)
     whose generation *and* simulation are seeded by
     ``workload seed + WARMUP_SEED_OFFSET`` — independent of the run seed, so
-    one warmed state serves every seed.  Every request of a learning policy
-    carries a :class:`~repro.experiments.warmup.WarmupCache` of that
-    warm-up.  With ``warm_cache`` (the default) they share one, so each
-    learning policy is warmed exactly once: in-process by its first
-    request, or on a pool by a worker that then runs that request too.
-    The learning policies' requests are listed first, so those chains reach
-    the pool ahead of the stateless policies, which fill the other workers
-    (see :meth:`ParallelExecutor.run`).  With ``warm_cache=False`` each
-    request has a cache of its own and warms its policy itself.  Both
-    paths produce byte-identical metrics — sharing is purely a wall-clock
-    optimisation.  A cache refuses a measured seed equal to the warm-up
-    seed.  Stateless policies are never warmed: warm-up cannot affect a
-    policy without cross-job state, so a comparison without a learning
-    policy neither generates a warm-up workload nor checks its seed.
+    one warmed state serves every seed.  A request is a recipe: it carries
+    the workload's config as its spec source and, for a learning policy,
+    the warm-up's :class:`~repro.experiments.warmup.WarmupCache` recipe, and
+    the process running it builds both.  Each process generates each
+    workload once and warms each learning policy once, memoising both; a
+    pool forked after this function generated the measured workload starts
+    with it.  So a serial comparison warms each learning policy once, and a
+    pool at most once per worker: a comparison over several seeds (every
+    ``paper()`` cell) may warm a learning policy on every worker.  The memos
+    are emptied when this function starts, so every call times its own
+    generation and warm-ups.  The learning policies' requests are listed
+    first, so their warm-ups reach the pool ahead of the stateless
+    policies, which fill the other workers.  Restoring
+    a snapshot is byte-equivalent to re-simulating the warm-up, so the
+    metrics do not depend on the worker count.  ``warm_cache`` is accepted
+    and ignored (the benchmark's figures workload passes it).  A measured
+    seed equal to the warm-up seed is refused.  Stateless policies are never
+    warmed: warm-up cannot affect a policy without cross-job state, so a
+    comparison without a learning policy neither builds a warm-up nor
+    checks its seed.
 
     ``sink`` picks the per-simulation result sink (the ``sink`` field of
     :class:`~repro.experiments.plan.ReplayPlan` describes the kinds); figure
@@ -912,6 +923,7 @@ def compare_policies(
     negative = [seed for seed in scale.seeds if seed < 0]
     if negative:
         raise ValueError(f"seeds must be non-negative: {', '.join(map(str, negative))}")
+    forget_memos()
     if workers is None:
         workers = scale.workers
     sink = sink or SinkFactory()
@@ -921,38 +933,29 @@ def compare_policies(
         size_scale=scale.size_scale,
         max_tasks_per_job=scale.max_tasks_per_job,
     )
-    workload = generate_workload(generator_config)
+    workload = generated(generator_config)
     learning = {name for name in policy_names if policy_learns(name)}
-    cache: Optional[WarmupCache] = None
+    warmup: Optional[WarmupCache] = None
     if scale.warmup_jobs > 0 and learning:
         warm_seed = generator_config.seed + WARMUP_SEED_OFFSET
-        cache = WarmupCache(
-            generate_workload(
-                replace(generator_config, num_jobs=scale.warmup_jobs, seed=warm_seed)
-            ),
+        check_warmup_seed_collision(warm_seed, scale.seeds)
+        warmup = WarmupCache(
+            replace(generator_config, num_jobs=scale.warmup_jobs, seed=warm_seed),
             build_simulation_config(workload, scale, warm_seed),
-            measured_seeds=scale.seeds,
         )
 
-    def warm_state(name: str) -> Optional[WarmupCache]:
-        if cache is None or name not in learning:
-            return None
-        if warm_cache:
-            return cache
-        return WarmupCache(cache.warmup, cache.warmup_config, measured_seeds=scale.seeds)
-
-    # Learning policies first: each chain head is the batch's longest path.
+    # Learning policies first: their requests warm up, so they run longest.
     coords = sorted(
         ((name, seed, 0) for name in policy_names for seed in scale.seeds),
         key=lambda coord: coord[0] not in learning,
     )
     requests = [
         RunRequest(
-            workload=workload,
+            spec_source=generator_config,
             config=build_simulation_config(workload, scale, seed),
             policy_name=name,
             sink_factory=sink.with_tag(f"{name}-seed{seed}"),
-            warm_state=warm_state(name),
+            warm_state=warmup if name in learning else None,
         )
         for name, seed, _shard in coords
     ]

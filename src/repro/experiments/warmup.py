@@ -1,52 +1,46 @@
-"""Shared warm-up caching: warm each learning policy once, ship snapshots.
+"""Warm-ups: a learning policy's cluster history, built where it is used.
 
 ``compare_policies`` warms learning policies (GRASS) on a separate workload
 so their sample stores reflect cluster history before the measured run.
 Every figure that runs GRASS goes through it, Figure 15's ξ variants
 (``grass-xi*``) included, so no figure measures a cold or carried-over GRASS.
-Re-simulating that warm-up inside every ``(policy, seed)`` request would
-cost, at ``paper()`` scale, 21 warm-ups each roughly a third as large as the
-measured workload.  The cache runs each warm-up exactly once per
-``(policy, warm-up seed)``, snapshots the policy's cross-job state
-(:meth:`~repro.core.policies.base.SpeculationPolicy.state_snapshot`) and
-ships the snapshot to workers, which restore it instead of re-simulating.
-A cache is also the only way a request is warmed: ``RunRequest.warm_state``
-holds either a cache or a snapshot taken from one.
 
-Where the warm-up runs
-----------------------
+A :class:`WarmupCache` is the *recipe* of one warm-up: the warm-up
+workload's config and the simulation config it runs under.  It is frozen
+and pickles to a few hundred bytes, so a request carries it as its
+``warm_state`` (``RunRequest.warm_state`` holds nothing else) and the
+process running the request — the parent or a pool worker — builds the
+warm-up itself through :meth:`WarmupCache.snapshot_for`: it reads the
+warm-up workload from :func:`~repro.workload.synthetic.generated`,
+simulates a fresh policy on it and snapshots the policy's cross-job state
+(:meth:`~repro.core.policies.base.SpeculationPolicy.state_snapshot`), which
+the request then restores.
 
-A request names the cache itself as its ``warm_state``, and the cache is
-resolved wherever the request runs.  In-process, ``RunRequest.execute``
-asks :meth:`WarmupCache.snapshot_for`, so the first request of a learning
-policy warms it and the rest hit the memo.  On a pool, the dispatch loop
-behind ``ParallelExecutor.run`` and ``run_stream`` sends each (cache,
-policy) pair's first request as a *chain head* — warm-up, then that
-request, as one worker task — and the head hands its snapshot back to the
-parent's cache (:meth:`WarmupCache.record`) for the pair's later requests,
-which wait for it.  A pickled cache carries only its recipe (the warm-up
-workload and config), so the copy a head takes to a worker starts empty.
-:meth:`WarmupCache.prewarm` is a plain serial loop that nothing in the
-package calls; the benchmark's tracer wraps it by name.
+Memo
+----
 
-Cache semantics
----------------
+Each process memoises the snapshots it warms, keyed by (policy name,
+recipe).  The memo is module state because a pool worker keeps nothing
+else between the requests it runs.  So a serial comparison warms each
+learning policy once, and on a pool each worker warms each learning policy
+at most once: a comparison over several seeds may warm a learning policy
+once per worker.  ``compare_policies`` empties this memo and the
+generated-workload memo (:func:`forget_memos`) when it starts, so a
+repeated comparison (``--repeat``) times every warm-up again and the memos
+hold one comparison's entries at most.
 
-* **Key**: ``(policy name, warm-up seed)`` where the warm-up seed is the
-  warm-up *simulation config's* seed.  The warm-up workload itself is
-  regenerated deterministically from its config, so two calls with the same
-  key have byte-identical warm-up runs and may share a snapshot.
-* **Invalidation**: a cache instance is scoped to the one warm-up workload +
-  config pair it was constructed with — the memo key deliberately omits
-  them, so do NOT reuse an instance across different warm-up workloads or
-  configs.  Callers build a fresh cache per ``compare_policies`` call, so
-  there is nothing to invalidate within a process: changing the workload,
-  scale, framework or seed produces a different cache, never a stale hit.
+* **Key**: the recipe is the whole warm-up — workload config, simulation
+  config and so seed — so two equal recipes simulate byte-identical warm-ups
+  and may share a snapshot, and a different workload, scale, framework or
+  seed is a different key, never a stale hit.
 * **Transparency**: restoring a snapshot is byte-equivalent to re-running
   the warm-up under the same config (locked in by
-  ``tests/test_warmup_cache.py``), so sharing changes wall-clock only —
-  metrics digests are identical whether a comparison's requests share one
-  cache or each carry their own (``compare_policies(warm_cache=False)``).
+  ``tests/test_warmup_cache.py``), so the memo changes wall-clock only:
+  metrics digests are identical for any worker count.
+* The memo calls :func:`warm_policy_snapshot` through this module's global
+  at call time, and the workload memo calls ``generate_workload`` through
+  its module's, so a wrapper bound over either (the benchmark's tracer, a
+  test's warm-up log) sees every warm-up.
 
 Stateless policies (``learns_across_jobs`` false) are never warmed at all:
 a warm-up simulation shares nothing with the measured one except the policy
@@ -55,11 +49,20 @@ object, so for a policy without cross-job state it is pure waste.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Sequence, Tuple
 
 from repro.experiments.policies import make_policy
 from repro.simulator.engine import Simulation, SimulationConfig
-from repro.workload.synthetic import GeneratedWorkload
+from repro.workload.synthetic import (
+    GeneratedWorkload,
+    WorkloadConfig,
+    forget_generated,
+    generated,
+)
+
+#: This process's warmed snapshots, by (policy name, recipe).
+_snapshots: Dict[Tuple[str, "WarmupCache"], object] = {}
 
 
 def policy_learns(name: str) -> bool:
@@ -97,64 +100,35 @@ def warm_policy_snapshot(
     return policy.state_snapshot()
 
 
+def forget_memos() -> None:
+    """Empty this process's warm-up and generated-workload memos."""
+    _snapshots.clear()
+    forget_generated()
+
+
+@dataclass(frozen=True)
 class WarmupCache:
-    """Memoised warm-up snapshots for one (warm-up workload, config) pair.
+    """The recipe of one warm-up: the workload and the config it runs under."""
 
-    ``measured_seeds`` (when given) are the simulation seeds of the runs the
-    warm-ups will serve; the constructor refuses a warm-up seed that is also
-    a measured seed (see :func:`check_warmup_seed_collision`).
-    """
-
-    def __init__(
-        self,
-        warmup: GeneratedWorkload,
-        warmup_config: SimulationConfig,
-        measured_seeds: Sequence[int] = (),
-    ) -> None:
-        check_warmup_seed_collision(warmup_config.seed, measured_seeds)
-        self.warmup = warmup
-        self.warmup_config = warmup_config
-        self._snapshots: Dict[Tuple[str, int], object] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def __reduce__(self) -> tuple:
-        # A cache pickles as its recipe: the copy a worker unpickles starts
-        # empty, and pickling never reads the memo while this process fills it.
-        return (WarmupCache, (self.warmup, self.warmup_config))
-
-    def _key(self, policy_name: str) -> Tuple[str, int]:
-        return (policy_name, self.warmup_config.seed)
-
-    def holds(self, policy_name: str) -> bool:
-        """True if the policy's snapshot is memoised (a lookup would hit)."""
-        return self._key(policy_name) in self._snapshots
-
-    def record(self, policy_name: str, snapshot: object) -> None:
-        """Memoise a freshly warmed snapshot, counted as the miss that made it.
-
-        ``ParallelExecutor`` records the snapshots its pool workers warm.
-        """
-        self._snapshots[self._key(policy_name)] = snapshot
-        self.misses += 1
+    workload: WorkloadConfig
+    config: SimulationConfig
 
     def snapshot_for(self, policy_name: str) -> object:
-        """The warmed state snapshot for one learning policy (memoised)."""
-        key = self._key(policy_name)
-        if key in self._snapshots:
-            self.hits += 1
-            return self._snapshots[key]
-        snapshot = warm_policy_snapshot(policy_name, self.warmup, self.warmup_config)
-        self.record(policy_name, snapshot)
-        return snapshot
+        """The policy's state after this warm-up, from this process's memo."""
+        key = (policy_name, self)
+        if key not in _snapshots:
+            _snapshots[key] = warm_policy_snapshot(
+                policy_name, generated(self.workload), self.config
+            )
+        return _snapshots[key]
 
     def prewarm(self, policy_names: Sequence[str]) -> None:
-        """Warm every *learning* policy in ``policy_names`` not yet memoised.
+        """Warm every *learning* policy in ``policy_names`` into the memo.
 
         A serial loop over :meth:`snapshot_for`.  Nothing in the package
         calls it; the benchmark's tracer (``perfbench/tracer.py``) wraps it
         by name, so it stays until that tracer changes.
         """
         for name in dict.fromkeys(policy_names):  # preserve order, dedupe
-            if policy_learns(name) and not self.holds(name):
+            if policy_learns(name):
                 self.snapshot_for(name)

@@ -599,8 +599,8 @@ class Simulation:
         trem_mean = estimator.trem_tracker._accuracy
         tnew_mean = estimator.tnew_tracker._accuracy
         accuracy = 0.5 * (
-            (trem_mean.value if trem_mean.count else 1.0)
-            + (tnew_mean.value if tnew_mean.count else 1.0)
+            (trem_mean._mean if trem_mean.count else 1.0)
+            + (tnew_mean._mean if tnew_mean.count else 1.0)
         )
         allocation = job.allocation
         view = index.view

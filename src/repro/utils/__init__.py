@@ -2,7 +2,6 @@
 
 from repro.utils.rng import RngStream
 from repro.utils.stats import (
-    OnlineMean,
     OnlineStats,
     clamp,
     mean,
@@ -12,7 +11,6 @@ from repro.utils.stats import (
 
 __all__ = [
     "RngStream",
-    "OnlineMean",
     "OnlineStats",
     "clamp",
     "mean",

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import add
 from typing import Iterable, Sequence
@@ -65,35 +65,15 @@ def percentile(values: Sequence[float], q: float) -> float:
 
 
 @dataclass
-class OnlineMean:
-    """Incrementally maintained mean (Welford-style, mean only)."""
-
-    count: int = 0
-    value: float = 0.0
-
-    def add(self, sample: float) -> None:
-        self.count += 1
-        self.value += (sample - self.value) / self.count
-
-
-@dataclass
 class OnlineStats:
-    """Incrementally maintained mean and variance (Welford's algorithm)."""
+    """Incrementally maintained, mergeable mean of a sample stream."""
 
     count: int = 0
     _mean: float = 0.0
-    _m2: float = 0.0
-    _min: float = field(default=math.inf)
-    _max: float = field(default=-math.inf)
 
     def add(self, sample: float) -> None:
         self.count += 1
-        delta = sample - self._mean
-        self._mean += delta / self.count
-        delta2 = sample - self._mean
-        self._m2 += delta * delta2
-        self._min = min(self._min, sample)
-        self._max = max(self._max, sample)
+        self._mean += (sample - self._mean) / self.count
 
     def merge(self, other: "OnlineStats") -> None:
         """Fold another accumulator in (Chan et al.'s parallel update).
@@ -109,63 +89,26 @@ class OnlineStats:
         if self.count == 0:
             self.count = other.count
             self._mean = other._mean
-            self._m2 = other._m2
-            self._min = other._min
-            self._max = other._max
             return
         total = self.count + other.count
-        delta = other._mean - self._mean
-        self._mean += delta * other.count / total
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self._min = min(self._min, other._min)
-        self._max = max(self._max, other._max)
+        self._mean += (other._mean - self._mean) * other.count / total
         self.count = total
 
     @property
     def mean(self) -> float:
         return self._mean if self.count else 0.0
 
-    @property
-    def variance(self) -> float:
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    @property
-    def stddev(self) -> float:
-        return math.sqrt(self.variance)
-
-    @property
-    def minimum(self) -> float:
-        return self._min if self.count else 0.0
-
-    @property
-    def maximum(self) -> float:
-        return self._max if self.count else 0.0
-
     # -- wire format -----------------------------------------------------------
 
     def to_wire(self) -> dict:
         """Plain-JSON dict; exact round-trip via :meth:`from_wire`.
 
-        ``min``/``max`` are omitted while empty because their sentinel values
-        (``±inf``) are not representable in strict JSON.  Python's float
-        serialisation is repr-based, so every finite field round-trips to
-        the identical double — merged means computed from wire-decoded stats
-        equal the locally merged ones bit for bit.
+        Python's float serialisation is repr-based, so the mean round-trips
+        to the identical double — merged means computed from wire-decoded
+        stats equal the locally merged ones bit for bit.
         """
-        wire = {"count": self.count, "mean": self._mean, "m2": self._m2}
-        if self.count:
-            wire["min"] = self._min
-            wire["max"] = self._max
-        return wire
+        return {"count": self.count, "mean": self._mean}
 
     @classmethod
     def from_wire(cls, wire: dict) -> "OnlineStats":
-        return cls(
-            count=int(wire["count"]),
-            _mean=float(wire["mean"]),
-            _m2=float(wire["m2"]),
-            _min=float(wire.get("min", math.inf)),
-            _max=float(wire.get("max", -math.inf)),
-        )
+        return cls(count=int(wire["count"]), _mean=float(wire["mean"]))

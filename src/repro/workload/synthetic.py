@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.bounds import ApproximationBound
 from repro.core.job import JobPhaseSpec, JobSpec
@@ -137,6 +137,15 @@ class WorkloadConfig:
     def framework_profile(self) -> FrameworkProfile:
         return framework_profile(self.framework)
 
+    def iter_specs(self) -> Iterator[JobSpec]:
+        """This workload's job specs, from the process's :func:`generated` memo.
+
+        A config is the spec source of a synthetic run request: it pickles to
+        a few hundred bytes where the specs take tens of kilobytes, and the
+        process running the request reads the same specs from it.
+        """
+        return iter(generated(self).job_specs)
+
 
 @dataclass
 class GeneratedWorkload:
@@ -224,3 +233,27 @@ class SyntheticWorkloadGenerator:
 def generate_workload(config: WorkloadConfig) -> GeneratedWorkload:
     """Convenience wrapper used throughout the experiment harness."""
     return SyntheticWorkloadGenerator(config).generate()
+
+
+#: This process's generated workloads, by config (see :func:`generated`).
+_generated: Dict[WorkloadConfig, GeneratedWorkload] = {}
+
+
+def generated(config: WorkloadConfig) -> GeneratedWorkload:
+    """``config``'s workload, generated at most once per process.
+
+    Every request of a comparison names the same configs, so a process
+    generates each one once and keeps it until :func:`forget_generated`; a
+    pool forked after the parent generated a config starts with it.  The
+    call goes through the module global ``generate_workload``, so a wrapper
+    bound over it (the benchmark's tracer) sees every generation.
+    """
+    workload = _generated.get(config)
+    if workload is None:
+        workload = _generated[config] = generate_workload(config)
+    return workload
+
+
+def forget_generated() -> None:
+    """Empty this process's :func:`generated` memo."""
+    _generated.clear()

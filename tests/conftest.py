@@ -111,3 +111,28 @@ def full_disk(monkeypatch):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self))
 
     monkeypatch.setattr(Path, "write_bytes", write_bytes)
+
+
+@pytest.fixture
+def warmup_log(tmp_path, monkeypatch):
+    """Logs every warm-up as ``(policy, pid)``; returns the log's reader.
+
+    Patched before any pool forks, so the workers inherit the wrapper.  The
+    process's memos start and end empty, so each warm-up the test causes is
+    logged.
+    """
+    from repro.experiments import warmup
+
+    log = tmp_path / "warmups.log"
+    original = warmup.warm_policy_snapshot
+
+    def logged(policy_name, workload, config):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{policy_name} {os.getpid()}\n")
+        return original(policy_name, workload, config)
+
+    monkeypatch.setattr(warmup, "warm_policy_snapshot", logged)
+    log.touch()
+    warmup.forget_memos()
+    yield lambda: [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+    warmup.forget_memos()

@@ -51,10 +51,6 @@ KEEP: Dict[str, str] = {
     # Nothing else exposes it.
     "repro.core.policies.grass:Grass.mode_of":
         "the only view of a job's GS/RAS mode; the GRASS tests observe switching through it",
-    # Every cache entry and service delta carries these fields.
-    "repro.utils.stats:OnlineStats.maximum": "reads a field every wire chunk carries",
-    "repro.utils.stats:OnlineStats.minimum": "reads a field every wire chunk carries",
-    "repro.utils.stats:OnlineStats.stddev": "reads a field every wire chunk carries",
 }
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

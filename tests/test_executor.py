@@ -15,11 +15,13 @@ import sys
 import threading
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.baselines import NoSpeculationPolicy
+from repro.experiments import runner
 from repro.experiments.executor import (
     ParallelExecutor,
     RequestExecutionError,
@@ -31,8 +33,9 @@ from repro.experiments.runner import (
     build_simulation_config,
     compare_policies,
 )
-from repro.experiments.warmup import WarmupCache, warm_policy_snapshot
-from repro.workload.synthetic import GeneratedWorkload, WorkloadConfig, generate_workload
+from repro.experiments.warmup import WarmupCache, forget_memos
+from repro.workload import synthetic
+from repro.workload.synthetic import WorkloadConfig, generate_workload
 from repro.workload.traces import TraceFormatError
 
 TINY = ExperimentScale(
@@ -41,38 +44,75 @@ TINY = ExperimentScale(
 )
 
 
-def _tiny_workload(seed: int = 42):
-    return generate_workload(
-        WorkloadConfig(
-            num_jobs=TINY.num_jobs,
-            size_scale=TINY.size_scale,
-            max_tasks_per_job=TINY.max_tasks_per_job,
-            seed=seed,
-        )
+def _tiny_config(seed: int = 42) -> WorkloadConfig:
+    return WorkloadConfig(
+        num_jobs=TINY.num_jobs,
+        size_scale=TINY.size_scale,
+        max_tasks_per_job=TINY.max_tasks_per_job,
+        seed=seed,
     )
+
+
+def _tiny_workload(seed: int = 42):
+    return generate_workload(_tiny_config(seed))
+
+
+def _sim_config(seed: int):
+    return build_simulation_config(_tiny_workload(), TINY, seed)
+
+
+def _request(name: str, seed: int = 1, **fields) -> RunRequest:
+    """A request over ``_tiny_config()``, the tests' measured workload."""
+    return RunRequest(
+        spec_source=_tiny_config(), config=_sim_config(seed), policy_name=name, **fields
+    )
+
+
+class _Stop(Exception):
+    """Ends a comparison once its requests are built."""
 
 
 class TestRunRequest:
     def test_requires_exactly_one_policy_source(self):
         # The registry name is the only policy source: required, and a
         # ready policy instance is not accepted.
-        workload = _tiny_workload()
-        config = build_simulation_config(workload, TINY, seed=1)
-        with pytest.raises(ValueError, match="policy_name"):
-            RunRequest(workload=workload, config=config)
+        with pytest.raises(TypeError, match="policy_name"):
+            RunRequest(spec_source=_tiny_config(), config=_sim_config(1))
         with pytest.raises(TypeError):
             RunRequest(
-                workload=workload,
-                config=config,
+                spec_source=_tiny_config(),
+                config=_sim_config(1),
                 policy_name="late",
                 policy=NoSpeculationPolicy(),
             )
 
     def test_execute_returns_metrics(self):
-        workload = _tiny_workload()
-        config = build_simulation_config(workload, TINY, seed=1)
-        metrics = RunRequest(workload=workload, config=config, policy_name="late").execute()
+        metrics = _request("late").execute()
         assert len(metrics.results) == TINY.num_jobs
+
+    def test_default_scale_figure_request_is_a_small_recipe(self, monkeypatch):
+        """A figure cell's requests carry configs, never the workload's specs."""
+        built = []
+
+        class Capture:
+            def __init__(self, workers):
+                pass
+
+            def run(self, requests):
+                built.extend(requests)
+                raise _Stop
+
+        monkeypatch.setattr(runner, "ParallelExecutor", Capture)
+        with pytest.raises(_Stop):
+            compare_policies(
+                ["late", "mantri", "grass"],
+                WorkloadConfig(bound_kind="deadline", seed=5),
+                scale=ExperimentScale(),
+            )
+        assert [request.policy_name for request in built] == ["grass", "late", "mantri"]
+        assert isinstance(built[0].warm_state, WarmupCache)
+        for request in built:
+            assert len(pickle.dumps(request, protocol=pickle.HIGHEST_PROTOCOL)) < 2048
 
 
 class TestParallelExecutor:
@@ -84,17 +124,25 @@ class TestParallelExecutor:
         assert ParallelExecutor(workers=0).workers == default_worker_count()
         assert default_worker_count() >= 1
 
+    def test_auto_size_follows_cpu_affinity(self, monkeypatch):
+        """The CPUs this process may run on, not the host's, less one."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        assert default_worker_count() == 3
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert default_worker_count() == 1
+        # Platforms without an affinity mask count the host's CPUs.
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert default_worker_count() == 63
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert default_worker_count() == 1
+
     def test_empty_batch(self):
         assert ParallelExecutor(workers=4).run([]) == []
 
     def test_single_request_batch_runs_in_process(self, monkeypatch):
         """A pool for one simulation costs more than the simulation."""
-        workload = _tiny_workload()
-        request = RunRequest(
-            workload=workload,
-            config=build_simulation_config(workload, TINY, seed=1),
-            policy_name="late",
-        )
+        request = _request("late")
 
         def refuse(*args, **kwargs):
             raise AssertionError("a one-request batch started a pool")
@@ -105,16 +153,7 @@ class TestParallelExecutor:
         assert pickle.dumps(metrics) == expected
 
     def test_results_come_back_in_request_order(self):
-        workload = _tiny_workload()
-        requests = [
-            RunRequest(
-                workload=workload,
-                config=build_simulation_config(workload, TINY, seed),
-                policy_name=name,
-            )
-            for name in ("late", "no-spec")
-            for seed in (1, 2)
-        ]
+        requests = [_request(name, seed) for name in ("late", "no-spec") for seed in (1, 2)]
         serial = ParallelExecutor(workers=1).run(requests)
         parallel = ParallelExecutor(workers=4).run(requests)
         assert len(serial) == len(parallel) == 4
@@ -122,30 +161,32 @@ class TestParallelExecutor:
             assert pickle.dumps(serial_metrics) == pickle.dumps(parallel_metrics)
 
 
+class NoSpecs:
+    """A spec source without jobs: the simulation's constructor raises."""
+
+    def iter_specs(self):
+        return iter(())
+
+    def __str__(self):
+        return "no-specs"
+
+
 class TestWorkerErrorSurfacing:
     def _failing_request(self):
-        # An empty workload makes Simulation's constructor raise inside the
-        # worker — the cheapest deterministic failure available.
-        from repro.workload.synthetic import GeneratedWorkload, WorkloadConfig
-
-        workload = _tiny_workload()
-        config = build_simulation_config(workload, TINY, seed=1)
-        empty = GeneratedWorkload(config=WorkloadConfig())
-        return RunRequest(workload=empty, config=config, policy_name="late")
+        # No jobs make Simulation's constructor raise inside the worker —
+        # the cheapest deterministic failure available.
+        return RunRequest(spec_source=NoSpecs(), config=_sim_config(1), policy_name="late")
 
     def test_worker_failure_names_the_request(self):
-        workload = _tiny_workload()
-        config = build_simulation_config(workload, TINY, seed=1)
-        good = RunRequest(workload=workload, config=config, policy_name="late")
         with pytest.raises(RequestExecutionError) as excinfo:
-            ParallelExecutor(workers=2).run([good, self._failing_request()])
+            ParallelExecutor(workers=2).run([_request("late"), self._failing_request()])
         message = str(excinfo.value)
         assert "RunRequest(policy=late" in message
-        assert "jobs=0" in message  # the failing request, not the good one
+        assert "specs=no-specs" in message  # the failing request, not the good one
         assert "worker traceback" in message
 
     def test_run_stream_surfaces_worker_failures_too(self):
-        with pytest.raises(RequestExecutionError, match="jobs=0"):
+        with pytest.raises(RequestExecutionError, match="specs=no-specs"):
             list(
                 ParallelExecutor(workers=2).run_stream(
                     iter([self._failing_request(), self._failing_request()])
@@ -153,21 +194,15 @@ class TestWorkerErrorSurfacing:
             )
 
     def test_request_repr_is_concise(self):
-        workload = _tiny_workload()
-        config = build_simulation_config(workload, TINY, seed=3)
-        request = RunRequest(workload=workload, config=config, policy_name="late")
-        text = repr(request)
-        assert text == f"RunRequest(policy=late, jobs={len(workload.job_specs)}, seed=3, warm=none)"
+        request = _request("late", seed=3)
+        assert repr(request) == f"RunRequest(policy=late, specs={_tiny_config()}, seed=3, warm=none)"
+        warmed = _request("grass", warm_state=_warmup_cache())
+        assert repr(warmed).endswith("seed=1, warm=cache)")
 
 
 def _named_requests(count: int = 6):
-    workload = _tiny_workload()
     return [
-        RunRequest(
-            workload=workload,
-            config=build_simulation_config(workload, TINY, seed),
-            policy_name=name,
-        )
+        _request(name, seed)
         for name in ("late", "no-spec", "gs")
         for seed in range(1, 1 + count // 3)
     ]
@@ -221,13 +256,13 @@ class TestEntryPointsAreIndependent:
     @pytest.mark.parametrize("entry, other", [("run", "run_stream"), ("run_stream", "run")])
     def test_entry_point_never_calls_the_other(self, entry, other, monkeypatch):
         """Both share a private loop, so a wrapper on either counts each request once."""
-        expected = [r.execute() for r in _chained_batch(_warmup_cache(), ("grass",), (1, 2))]
+        expected = [r.execute() for r in _warmed_batch(("grass",), (1, 2))]
 
         def refuse(*args, **kwargs):
             raise AssertionError(f"{entry} called {other}")
 
         monkeypatch.setattr(ParallelExecutor, other, refuse)
-        batch = _chained_batch(_warmup_cache(), ("grass",), (1, 2))
+        batch = _warmed_batch(("grass",), (1, 2))
         call = getattr(ParallelExecutor(workers=2), entry)
         got = _within(120, lambda: list(call(iter(batch))))
         assert [pickle.dumps(m) for m in got] == [pickle.dumps(m) for m in expected]
@@ -303,9 +338,7 @@ def pool():
 
 class TestPersistentPool:
     def _request(self, spec_source):
-        workload = _tiny_workload()
-        config = build_simulation_config(workload, TINY, seed=1)
-        return RunRequest(spec_source=spec_source, config=config, policy_name="late")
+        return RunRequest(spec_source=spec_source, config=_sim_config(1), policy_name="late")
 
     def test_pool_stream_matches_serial_bytes(self, pool):
         requests = _named_requests()
@@ -351,62 +384,24 @@ class TestPersistentPool:
             pool.shutdown(wait=False, cancel_futures=True)
 
 
-def _warmup_cache(warmup=None):
-    """A cache warming on a tiny workload distinct from ``_tiny_workload()``."""
-    warmup = warmup if warmup is not None else _tiny_workload(seed=5)
-    config = build_simulation_config(warmup, TINY, seed=9)
-    return WarmupCache(warmup, config)
+def _warmup_cache(seed: int = 5) -> WarmupCache:
+    """A warm-up recipe on a tiny workload distinct from ``_tiny_config()``."""
+    return WarmupCache(_tiny_config(seed), _sim_config(9))
 
 
-def _chained_batch(cache, learners, seeds):
-    """Learning requests warmed from ``cache`` among the other request kinds.
+def _warmed_batch(learners, seeds):
+    """Learning requests warmed from one recipe among the other request kinds.
 
-    A stateless request leads, so the chain heads are not first in request
-    order; a second stateless request and a GRASS request under run seed 1
-    with its own cache of the same warm-up follow the learning requests.
+    A stateless request leads, so the learning requests are not first in
+    request order; a second stateless request and a GRASS request under run
+    seed 1 with an equal recipe built on its own follow them.
     """
-    workload = _tiny_workload()
-    config = build_simulation_config(workload, TINY, seed=1)
+    recipe = _warmup_cache()
     return (
-        [RunRequest(workload=workload, config=config, policy_name="late")]
-        + [
-            RunRequest(
-                workload=workload,
-                config=build_simulation_config(workload, TINY, seed),
-                policy_name=name,
-                warm_state=cache,
-            )
-            for name in learners
-            for seed in seeds
-        ]
-        + [
-            RunRequest(workload=workload, config=config, policy_name="no-spec"),
-            RunRequest(
-                workload=workload,
-                config=config,
-                policy_name="grass",
-                warm_state=WarmupCache(cache.warmup, cache.warmup_config),
-            ),
-        ]
+        [_request("late")]
+        + [_request(name, seed, warm_state=recipe) for name in learners for seed in seeds]
+        + [_request("no-spec"), _request("grass", warm_state=_warmup_cache())]
     )
-
-
-@pytest.fixture
-def warmup_log(tmp_path, monkeypatch):
-    """Logs every warm-up as ``(policy, pid)``; returns the log's reader.
-
-    Patched before any pool forks, so the workers inherit the wrapper.
-    """
-    log = tmp_path / "warmups.log"
-
-    def logged(policy_name, warmup, warmup_config):
-        with open(log, "a", encoding="utf-8") as handle:
-            handle.write(f"{policy_name} {os.getpid()}\n")
-        return warm_policy_snapshot(policy_name, warmup, warmup_config)
-
-    monkeypatch.setattr("repro.experiments.warmup.warm_policy_snapshot", logged)
-    log.touch()
-    return lambda: [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
 
 
 CHAIN_CASES = pytest.mark.parametrize(
@@ -420,91 +415,79 @@ CHAIN_CASES = pytest.mark.parametrize(
 )
 
 
-class TestChainedWarmups:
-    @CHAIN_CASES
-    def test_pool_matches_serial_bytes(self, learners, seeds):
-        serial = ParallelExecutor(workers=1).run(
-            _chained_batch(_warmup_cache(), learners, seeds)
+class TestWarmupsWhereRequestsRun:
+    def test_serial_comparison_warms_each_learner_once(self, warmup_log):
+        scale = replace(TINY, seeds=(1, 2, 3))
+        compare_policies(
+            ["late", "grass", "grass-strawman"], _tiny_config(), scale=scale, workers=1
         )
-        pooled = _within(
-            120,
-            lambda: ParallelExecutor(workers=4).run(
-                _chained_batch(_warmup_cache(), learners, seeds)
-            ),
-        )
-        assert [pickle.dumps(m) for m in pooled] == [pickle.dumps(m) for m in serial]
-        # The shared cache's GRASS run at seed 1 equals the one restored
-        # from its own cache (the batch's last request).
-        assert pickle.dumps(pooled[1]) == pickle.dumps(pooled[-1])
+        warmups = warmup_log()
+        assert Counter(name for name, _pid in warmups) == {"grass": 1, "grass-strawman": 1}
+        assert {pid for _name, pid in warmups} == {str(os.getpid())}
 
     @CHAIN_CASES
     @pytest.mark.parametrize("workers", [2, 4])
-    def test_stream_holds_chains(self, learners, seeds, workers, warmup_log):
-        serial = ParallelExecutor(workers=1).run(
-            _chained_batch(_warmup_cache(), learners, seeds)
-        )
+    def test_pool_warms_once_per_worker(self, learners, seeds, workers, warmup_log):
+        serial = ParallelExecutor(workers=1).run(_warmed_batch(learners, seeds))
         warmed_serially = len(warmup_log())
-        cache = _warmup_cache()
-        requests = _chained_batch(cache, learners, seeds)
-        streamed = _within(
+        # A comparison empties the memos before its pool forks; do the same,
+        # so the workers inherit none of the serial run's snapshots.
+        forget_memos()
+        pooled = _within(
             120,
-            lambda: list(
-                ParallelExecutor(workers=workers).run_stream(iter(requests), max_in_flight=2)
-            ),
+            lambda: ParallelExecutor(workers=workers).run(_warmed_batch(learners, seeds)),
         )
-        assert [pickle.dumps(m) for m in streamed] == [pickle.dumps(m) for m in serial]
-        warmups = warmup_log()[warmed_serially:]
-        # One warm-up per (cache, policy) pair: each learner on the shared
-        # cache, and GRASS on the last request's own cache.
-        assert Counter(name for name, _pid in warmups) == Counter(learners + ("grass",))
+        assert [pickle.dumps(m) for m in pooled] == [pickle.dumps(m) for m in serial]
+        # The GRASS run at seed 1 equals the one from an equal recipe built
+        # on its own (the batch's last request).
+        assert pickle.dumps(pooled[1]) == pickle.dumps(pooled[-1])
+        warmups = [tuple(entry) for entry in warmup_log()[warmed_serially:]]
+        # Every learner warms where its requests run: in a worker, and at
+        # most once per worker.
+        assert {name for name, _pid in warmups} == set(learners)
+        assert max(Counter(warmups).values()) == 1
         assert str(os.getpid()) not in {pid for _name, pid in warmups}
-        # The batch path's counts: a miss per learner, a hit per later seed.
-        assert (cache.misses, cache.hits) == (len(learners), len(learners) * (len(seeds) - 1))
 
-    def test_each_pair_warms_once_per_batch(self, warmup_log):
-        shared, other = _warmup_cache(), _warmup_cache(_tiny_workload(seed=7))
-        requests = _chained_batch(shared, ("grass", "grass-strawman"), (1, 2, 3))[:-1]
-        requests += _chained_batch(other, ("grass",), (1, 2))[:-1]
-        _within(120, lambda: ParallelExecutor(workers=4).run(requests))
-        warmups = warmup_log()
-        assert Counter(name for name, _pid in warmups) == {"grass": 2, "grass-strawman": 1}
-        # Every warm-up ran in a pool worker, chained with its first run.
-        assert str(os.getpid()) not in {pid for _name, pid in warmups}
-        assert (shared.misses, shared.hits) == (2, 4)
-        assert (other.misses, other.hits) == (1, 1)
+    def test_measured_workload_is_generated_once_per_process(self, tmp_path, monkeypatch):
+        """A pool forked after the parent generated a workload starts with it."""
+        log = tmp_path / "generations.log"
+        original = synthetic.generate_workload
 
-    def test_warmup_failure_names_the_request(self):
-        broken = _warmup_cache(GeneratedWorkload(config=WorkloadConfig()))
-        workload = _tiny_workload()
-        config = build_simulation_config(workload, TINY, seed=1)
-        requests = [
-            RunRequest(workload=workload, config=config, policy_name="late"),
-            RunRequest(
-                workload=workload, config=config, policy_name="grass", warm_state=broken
-            ),
-        ]
+        def logged(config):
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{config.seed} {os.getpid()}\n")
+            return original(config)
+
+        monkeypatch.setattr(synthetic, "generate_workload", logged)
+        scale = replace(TINY, seeds=(1, 2, 3))
+        forget_memos()
+        _within(
+            120,
+            lambda: compare_policies(["grass", "late"], _tiny_config(), scale=scale, workers=2),
+        )
+        generations = [tuple(line.split()) for line in log.read_text(encoding="utf-8").splitlines()]
+        assert max(Counter(generations).values()) == 1
+        measured = [pid for seed, pid in generations if int(seed) == _tiny_config().seed]
+        assert measured[0] == str(os.getpid())
+        if multiprocessing.get_start_method() == "fork":
+            # The workers inherit the memo: only the parent generates it.
+            assert measured == [str(os.getpid())]
+        forget_memos()
+
+    def test_warmup_failure_names_the_request(self, monkeypatch):
+        def broken(policy_name, workload, config):
+            raise ValueError("a broken warm-up")
+
+        # Patched before the pool forks, so the workers inherit it.
+        monkeypatch.setattr("repro.experiments.warmup.warm_policy_snapshot", broken)
+        forget_memos()
+        requests = [_request("late"), _request("grass", warm_state=_warmup_cache())]
         with pytest.raises(RequestExecutionError) as excinfo:
             _within(60, lambda: ParallelExecutor(workers=2).run(requests))
         message = str(excinfo.value)
         assert "RunRequest(policy=grass" in message
         assert "warm=cache" in message
-        assert "at least one job" in message
-
-
-class TestWarmFieldValidation:
-    def test_cache_needs_a_named_policy(self):
-        workload = _tiny_workload()
-        config = build_simulation_config(workload, TINY, seed=1)
-        with pytest.raises(ValueError, match="policy_name"):
-            RunRequest(workload=workload, config=config, warm_state=_warmup_cache())
-
-    def test_repr_names_a_cache(self):
-        workload = _tiny_workload()
-        config = build_simulation_config(workload, TINY, seed=1)
-        request = RunRequest(
-            workload=workload, config=config, policy_name="grass", warm_state=_warmup_cache()
-        )
-        assert repr(request).endswith("seed=1, warm=cache)")
+        assert "a broken warm-up" in message
 
 
 class TestCompareDeterminism:
@@ -528,8 +511,6 @@ class TestCompareDeterminism:
             assert serial_run.results == parallel_run.results
 
     def test_scale_workers_is_the_default(self):
-        from dataclasses import replace
-
         config = WorkloadConfig(bound_kind="error", seed=9)
         scaled = replace(TINY, workers=4)
         via_scale = compare_policies(["late"], config, scale=scaled)

@@ -35,7 +35,7 @@ from repro.core import job as job_module
 from repro.core.bounds import ApproximationBound
 from repro.core.task import Task
 from repro.experiments.cli import metrics_digest
-from repro.experiments.executor import RunRequest
+from repro.experiments.executor import ParallelExecutor, RunRequest
 from repro.experiments.plan import ReplayPlan
 from repro.experiments.policies import available_policies, make_policy
 from repro.experiments.runner import (
@@ -46,7 +46,7 @@ from repro.experiments.runner import (
     compare_policies,
     execute,
 )
-from repro.experiments.warmup import WarmupCache, check_warmup_seed_collision
+from repro.experiments.warmup import check_warmup_seed_collision
 from repro.simulator.engine import Simulation, SimulationConfig
 from repro.simulator.stragglers import StragglerConfig
 from repro.workload.synthetic import WorkloadConfig, generate_workload
@@ -360,15 +360,9 @@ class TestSpecSource:
         with pytest.raises(ValueError, match="start < stop"):
             ShardSpecSource("t.jsonl", TraceReplayConfig(), 3, 3)
 
-    def test_run_request_accepts_exactly_one_job_source(self, tmp_path):
-        workload = generate_workload(WorkloadConfig(num_jobs=2, seed=0, size_scale=0.1))
+    def test_run_request_reads_a_shard_source(self):
         config = make_simulation_config()
         source = ShardSpecSource("t.jsonl", TraceReplayConfig(), 0, 2)
-        with pytest.raises(ValueError, match="exactly one of workload or spec_source"):
-            RunRequest(workload=workload, spec_source=source, config=config,
-                       policy_name="late")
-        with pytest.raises(ValueError, match="exactly one of workload or spec_source"):
-            RunRequest(config=config, policy_name="late")
         request = RunRequest(spec_source=source, config=config, policy_name="late")
         assert request.parallel_safe
         assert "shard[1/1] of t.jsonl (2 jobs)" in repr(request)
@@ -533,14 +527,20 @@ class TestWarmupSeedCollision:
         with pytest.raises(ValueError, match="warm-up seed collision"):
             compare_policies(["grass"], WorkloadConfig(seed=0), scale=scale)
 
-    def test_warmup_cache_refuses_colliding_seed(self):
-        workload = generate_workload(
-            WorkloadConfig(num_jobs=2, seed=0, size_scale=0.1)
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_compare_policies_refuses_collision_before_any_run(self, workers, monkeypatch):
+        """The refusal comes before any request runs, at any worker count."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated despite the seed collision")
+
+        monkeypatch.setattr(ParallelExecutor, "run", refuse)
+        scale = ExperimentScale(
+            num_jobs=4, size_scale=0.1, max_tasks_per_job=40, num_machines=20,
+            seeds=(1, 3 + WARMUP_SEED_OFFSET), warmup_jobs=2,
         )
-        config = make_simulation_config(seed=7919)
         with pytest.raises(ValueError, match="warm-up seed collision"):
-            WarmupCache(workload, config, measured_seeds=(7919,))
-        WarmupCache(workload, config, measured_seeds=(1, 2))  # fine
+            compare_policies(["late", "grass"], WorkloadConfig(seed=3), scale=scale, workers=workers)
 
 
 #: Strategy for a list of job "shapes": (arrival time, task works, bound pick).

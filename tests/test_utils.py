@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.utils.rng import RngStream
 from repro.utils.stats import (
-    OnlineMean,
     OnlineStats,
     clamp,
     left_sum,
@@ -119,26 +118,16 @@ class TestStatsHelpers:
         with pytest.raises(ValueError):
             percentile([], 50)
 
-    def test_online_mean(self):
-        online = OnlineMean()
-        for value in [1.0, 2.0, 3.0]:
-            online.add(value)
-        assert online.value == pytest.approx(2.0)
-        assert online.count == 3
-
     def test_online_stats(self):
         stats = OnlineStats()
         for value in [2.0, 4.0, 6.0]:
             stats.add(value)
         assert stats.mean == pytest.approx(4.0)
-        assert stats.variance == pytest.approx(4.0)
-        assert stats.stddev == pytest.approx(2.0)
-        assert stats.minimum == 2.0 and stats.maximum == 6.0
+        assert stats.count == 3
 
     def test_online_stats_empty(self):
         stats = OnlineStats()
-        assert stats.mean == 0.0 and stats.variance == 0.0
-        assert stats.minimum == 0.0 and stats.maximum == 0.0
+        assert stats.mean == 0.0 and stats.count == 0
 
 
 class TestStatsProperties:

@@ -1,28 +1,33 @@
-"""Tests for policy state snapshots and the shared warm-up cache.
+"""Tests for policy state snapshots and the per-process warm-up memos.
 
-The cache's contract is transparency: restoring a warmed snapshot into a
-fresh policy must be byte-equivalent to re-simulating the warm-up, so
-``compare_policies(warm_cache=True)`` and ``warm_cache=False`` — and any
-worker count — all produce identical metrics.  The cache only changes how
-often the warm-up simulation runs.
+The memo's contract is transparency: restoring a warmed snapshot into a
+fresh policy must be byte-equivalent to re-simulating the warm-up, so any
+worker count produces identical metrics.  The memo only changes how often
+the warm-up simulation runs.
 """
 
 import pickle
+from collections import Counter
 
 import pytest
 
 from repro.baselines import LatePolicy
 from repro.core.policies import Grass
-from repro.experiments.executor import ParallelExecutor, RunRequest
 from repro.experiments.policies import make_policy
 from repro.experiments.runner import (
     ExperimentScale,
     build_simulation_config,
     compare_policies,
 )
-from repro.experiments.warmup import WarmupCache, policy_learns, warm_policy_snapshot
+from repro.experiments.warmup import (
+    WarmupCache,
+    forget_memos,
+    policy_learns,
+    warm_policy_snapshot,
+)
 from repro.simulator.engine import Simulation
-from repro.workload.synthetic import WorkloadConfig, generate_workload
+from repro.workload import synthetic
+from repro.workload.synthetic import WorkloadConfig, generate_workload, generated
 
 TINY = ExperimentScale(
     num_jobs=8, size_scale=0.1, max_tasks_per_job=60, num_machines=40,
@@ -30,15 +35,21 @@ TINY = ExperimentScale(
 )
 
 
-def _tiny_workload(seed: int):
-    return generate_workload(
-        WorkloadConfig(
-            num_jobs=TINY.num_jobs,
-            size_scale=TINY.size_scale,
-            max_tasks_per_job=TINY.max_tasks_per_job,
-            seed=seed,
-        )
+def _tiny_config(seed: int) -> WorkloadConfig:
+    return WorkloadConfig(
+        num_jobs=TINY.num_jobs,
+        size_scale=TINY.size_scale,
+        max_tasks_per_job=TINY.max_tasks_per_job,
+        seed=seed,
     )
+
+
+def _tiny_workload(seed: int):
+    return generate_workload(_tiny_config(seed))
+
+
+def _recipe(seed: int = 5) -> WarmupCache:
+    return WarmupCache(_tiny_config(seed), build_simulation_config(_tiny_workload(seed), TINY, 9))
 
 
 class TestPolicySnapshots:
@@ -108,91 +119,74 @@ class TestPolicySnapshots:
 
 
 class TestWarmupCache:
-    def test_memoises_per_policy(self):
-        warmup = _tiny_workload(seed=5)
-        config = build_simulation_config(warmup, TINY, seed=9)
-        cache = WarmupCache(warmup, config)
-        first = cache.snapshot_for("grass")
-        second = cache.snapshot_for("grass")
-        assert first is second
-        assert cache.misses == 1
-        assert cache.hits == 1
+    def test_memoises_per_policy_and_recipe(self, warmup_log):
+        first = _recipe().snapshot_for("grass")
+        # An equal recipe built on its own is the same key.
+        assert _recipe().snapshot_for("grass") is first
+        assert _recipe(seed=6).snapshot_for("grass") is not first
+        _recipe().snapshot_for("grass-strawman")
+        assert Counter(name for name, _pid in warmup_log()) == {"grass": 2, "grass-strawman": 1}
+        forget_memos()
+        again = _recipe().snapshot_for("grass")
+        assert again is not first
+        assert pickle.dumps(again) == pickle.dumps(first)
 
-    def test_prewarm_parallel_matches_serial(self):
-        """Snapshots a pool's chain heads warm equal serial ``prewarm``'s."""
-        warmup = _tiny_workload(seed=5)
-        config = build_simulation_config(warmup, TINY, seed=9)
-        serial = WarmupCache(warmup, config)
-        serial.prewarm(["grass", "grass-strawman", "late"])
-        # Stateless policies are never warmed; prewarm itself never re-warms.
-        assert serial.misses == 2
-        serial.prewarm(["grass", "grass-strawman", "late"])
-        assert (serial.misses, serial.hits) == (2, 0)
+    def test_snapshot_equals_a_direct_warm_up(self, warmup_log):
+        recipe = _recipe()
+        direct = warm_policy_snapshot("grass", generate_workload(recipe.workload), recipe.config)
+        assert pickle.dumps(recipe.snapshot_for("grass")) == pickle.dumps(direct)
 
-        parallel = WarmupCache(warmup, config)
-        measured = _tiny_workload(seed=6)
-        requests = [
-            RunRequest(
-                workload=measured,
-                config=build_simulation_config(measured, TINY, seed),
-                policy_name=name,
-                warm_state=parallel,
-            )
-            for name in ("grass", "grass-strawman")
-            for seed in TINY.seeds
-        ]
-        ParallelExecutor(workers=4).run(requests)
-        # One miss per policy, recorded from its chain head; one hit per
-        # restored second seed.
-        assert (parallel.misses, parallel.hits) == (2, 2)
-        for name in ("grass", "grass-strawman"):
-            assert parallel.holds(name)
-            assert pickle.dumps(serial.snapshot_for(name)) == pickle.dumps(
-                parallel.snapshot_for(name)
-            )
+    def test_prewarm_warms_learning_policies_only(self, warmup_log):
+        recipe = _recipe()
+        recipe.prewarm(["grass", "late", "grass", "grass-strawman"])
+        recipe.prewarm(["grass"])
+        assert [name for name, _pid in warmup_log()] == ["grass", "grass-strawman"]
 
-    def test_pickles_as_its_recipe(self):
-        """A shipped cache carries the warm-up, never the parent's memo."""
-        warmup = _tiny_workload(seed=5)
-        config = build_simulation_config(warmup, TINY, seed=9)
-        cache = WarmupCache(warmup, config)
-        cache.snapshot_for("grass")
-        copy = pickle.loads(pickle.dumps(cache))
-        assert not copy.holds("grass")
-        assert (copy.hits, copy.misses) == (0, 0)
-        assert pickle.dumps(copy.snapshot_for("grass")) == pickle.dumps(
-            cache.snapshot_for("grass")
-        )
+    def test_each_config_is_generated_once(self, warmup_log, monkeypatch):
+        """Spec reads and warm-ups share one generation per config."""
+        calls = []
+
+        def counted(config):
+            calls.append(config.seed)
+            return generate_workload(config)
+
+        monkeypatch.setattr(synthetic, "generate_workload", counted)
+        recipe = _recipe()
+        measured = _tiny_config(6)
+        first = [spec.job_id for spec in measured.iter_specs()]
+        assert [spec.job_id for spec in measured.iter_specs()] == first
+        recipe.snapshot_for("grass")
+        recipe.snapshot_for("grass-strawman")
+        assert generated(recipe.workload) is generated(_tiny_config(5))
+        assert calls == [6, 5]
+        forget_memos()
+        assert [spec.job_id for spec in measured.iter_specs()] == first
+        assert calls == [6, 5, 6]
+
+    def test_recipe_pickles_to_an_equal_key(self):
+        recipe = _recipe()
+        copy = pickle.loads(pickle.dumps(recipe))
+        assert copy == recipe and hash(copy) == hash(recipe)
+        with pytest.raises(AttributeError):
+            recipe.workload = _tiny_config(6)
 
 
 class TestComparePoliciesTransparency:
     def test_cache_and_workers_never_change_results(self):
-        """warm_cache x workers: four runs, one set of bytes."""
+        """Serial again, then on four workers: the memos never change a result."""
         config = WorkloadConfig(bound_kind="mixed", seed=42)
-        reference = compare_policies(
-            ["grass", "late"], config, scale=TINY, warm_cache=False, workers=1
-        )
-        for warm_cache in (False, True):
-            for workers in (1, 4):
-                candidate = compare_policies(
-                    ["grass", "late"],
-                    config,
-                    scale=TINY,
-                    warm_cache=warm_cache,
-                    workers=workers,
+        reference = compare_policies(["grass", "late"], config, scale=TINY, workers=1)
+        for workers in (1, 4):
+            candidate = compare_policies(["grass", "late"], config, scale=TINY, workers=workers)
+            for name in reference.runs:
+                assert candidate.runs[name].results == reference.runs[name].results, (
+                    workers,
+                    name,
                 )
-                for name in reference.runs:
-                    assert (
-                        candidate.runs[name].results == reference.runs[name].results
-                    ), (warm_cache, workers, name)
 
-    def test_warm_state_shared_across_seeds(self):
-        """The whole point of the cache: one warm-up serves every seed."""
-        warmup = _tiny_workload(seed=5)
-        config = build_simulation_config(warmup, TINY, seed=9)
-        cache = WarmupCache(warmup, config)
-        cache.prewarm(["grass"])
-        cache.snapshot_for("grass")
-        cache.snapshot_for("grass")
-        assert cache.misses == 1
-        assert cache.hits == 2
+    def test_compare_policies_warms_again_each_call(self, warmup_log):
+        """Every comparison empties the memo, so each times its own warm-up."""
+        config = WorkloadConfig(bound_kind="mixed", seed=42)
+        for _ in range(2):
+            compare_policies(["grass", "late"], config, scale=TINY, workers=1)
+        assert [name for name, _pid in warmup_log()] == ["grass", "grass"]
