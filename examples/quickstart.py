@@ -55,7 +55,7 @@ def main() -> None:
         print(f"\n== {label}")
         print(f"  deadline-bound jobs: average accuracy = {summary['avg_accuracy']:.3f}")
         print(f"  error-bound jobs:    average duration = {summary['avg_duration']:.1f}s")
-        print(f"  speculative copies:  {metrics.speculative_copies_launched} "
+        print(f"  speculative copies:  {metrics.aggregates.speculative_copies} "
               f"({100 * summary['speculation_ratio']:.1f}% of all copies)")
 
 

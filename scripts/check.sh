@@ -4,12 +4,13 @@
 #
 # * test        — the tier-1 suite (PYTHONPATH=src python -m pytest -x -q,
 #                 printing its ten slowest tests), then the pool tests
-#                 (tests/test_executor.py, tests/test_warmup_cache.py)
-#                 again under `python -X dev
-#                 -W error::ResourceWarning` with pytest's
-#                 `-W error::pytest.PytestUnraisableExceptionWarning`, so a
-#                 multiprocessing.Pool left unclosed fails the run (its
-#                 __del__ warning is otherwise only reported), then every
+#                 (tests/test_executor.py, tests/test_warmup_cache.py) and
+#                 the result-sink tests (tests/test_result_sinks.py) again
+#                 under `python -X dev -W error::ResourceWarning` with
+#                 pytest's `-W error::pytest.PytestUnraisableExceptionWarning`,
+#                 so a multiprocessing.Pool left unclosed, or a JSONL spill
+#                 file that a sink's finish() did not close, fails the run
+#                 (its __del__ warning is otherwise only reported), then every
 #                 examples/*.py script (a few seconds together), each must
 #                 exit 0, so deleting public API an example uses fails here
 # * coverage    — the tier-1 suite under pytest-cov with the line-coverage
@@ -103,7 +104,7 @@ run_test() {
     python -m pytest -x -q --durations=10
     python -X dev -W error::ResourceWarning -m pytest -q \
         -W error::pytest.PytestUnraisableExceptionWarning \
-        tests/test_executor.py tests/test_warmup_cache.py
+        tests/test_executor.py tests/test_warmup_cache.py tests/test_result_sinks.py
     local example
     for example in examples/*.py; do
         echo "test: running $example"

@@ -37,7 +37,6 @@ class Pragma:
     applies_to: int  # line whose findings it suppresses
     rule_ids: Tuple[str, ...]
     reason: str
-    standalone: bool  # comment was the only thing on its line
 
 
 @dataclass(frozen=True)
@@ -108,9 +107,8 @@ def scan_pragmas(
                 )
             )
             continue
-        standalone = source_line[:col].strip() == ""
         applies_to = row
-        if standalone:
+        if source_line[:col].strip() == "":
             # A comment-only line covers the next code line.
             applies_to = _next_code_line(lines, row)
         pragmas.append(
@@ -119,7 +117,6 @@ def scan_pragmas(
                 applies_to=applies_to,
                 rule_ids=rule_ids,
                 reason=reason,
-                standalone=standalone,
             )
         )
     by_line: Dict[int, List[Pragma]] = {}

@@ -76,11 +76,6 @@ class ApproximationBound:
     def is_error(self) -> bool:
         return self.kind is BoundType.ERROR
 
-    @property
-    def is_exact(self) -> bool:
-        # repro: allow[DET004] exact zero-error sentinel, set literally and never computed
-        return self.kind is BoundType.ERROR and self.error == 0.0
-
     def required_tasks(self, total_tasks: int) -> int:
         """Number of input tasks an error-bound job must complete.
 

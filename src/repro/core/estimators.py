@@ -249,9 +249,9 @@ class TaskEstimator:
         noise draws and accuracy folds (``tests/test_estimators.py`` pins
         it).  Those methods stay the readable reference; this body inlines
         them because it is the simulator's hottest loop.  Each snapshot in
-        ``snaps`` receives ``copies``, ``tnew``, ``trem``, ``_actual`` (the
-        true remaining time) and ``_acc`` (the sample folded into
-        ``trem_tracker``, which a replayed scheduling round re-folds).
+        ``snaps`` receives ``copies``, ``tnew``, ``trem`` and ``_acc`` (the
+        sample folded into ``trem_tracker``, which a replayed scheduling
+        round re-folds).
 
         The shared ``tnew`` factor is fetched first, drawing its noise where
         the first per-task ``tnew`` call would, even with no running task.
@@ -335,7 +335,6 @@ class TaskEstimator:
             snap.copies = task._num_running
             snap.trem = trem
             snap.tnew = tnew
-            snap._actual = actual
             snap._acc = sample
         return samples, gen, rate, tnew_noise
 

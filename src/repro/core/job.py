@@ -134,7 +134,6 @@ class JobResult:
     met_bound: bool
     dag_length: int = 1
     name: str = ""
-    policy_label: str = ""
     estimator_accuracy: float = 0.75
 
     @property
@@ -362,9 +361,7 @@ class Job(TaskObserver):
                 killed.extend(task.abandon(now))
         return killed
 
-    def to_result(
-        self, policy_label: str = "", estimator_accuracy: float = 0.75
-    ) -> JobResult:
+    def to_result(self, estimator_accuracy: float = 0.75) -> JobResult:
         """Snapshot the job's outcome; only valid once the job has finished."""
         if self.start_time is None or self.finish_time is None:
             raise RuntimeError("job has not finished yet")
@@ -386,7 +383,6 @@ class Job(TaskObserver):
             met_bound=met_bound,
             dag_length=self.dag_length,
             name=self.spec.name,
-            policy_label=policy_label,
             estimator_accuracy=estimator_accuracy,
         )
 

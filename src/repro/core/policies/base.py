@@ -31,15 +31,14 @@ class TaskSnapshot:
     A ``__slots__`` class rather than a dataclass: the engine's scheduling
     index (:class:`SchedulingIndex`) keeps one snapshot per unfinished task
     alive across scheduling rounds and mutates it in place, so construction
-    and attribute access sit on the simulator's hottest path.  The two
-    private fields are index bookkeeping: ``_actual`` is the true remaining
-    time recorded alongside ``trem`` and ``_acc`` is the accuracy sample the
-    estimator folded into its tracker for that record — a replayed
+    and attribute access sit on the simulator's hottest path.  The private
+    field is index bookkeeping: ``_acc`` is the accuracy sample the
+    estimator folded into its tracker for the recorded ``trem`` — a replayed
     scheduling round re-folds the cached sample instead of recomputing the
     estimate.
     """
 
-    __slots__ = ("task", "running", "copies", "trem", "tnew", "_actual", "_acc")
+    __slots__ = ("task", "running", "copies", "trem", "tnew", "_acc")
 
     def __init__(
         self, task: Task, running: bool, copies: int, trem: float, tnew: float
@@ -53,7 +52,6 @@ class TaskSnapshot:
         self.copies = copies
         self.trem = trem
         self.tnew = tnew
-        self._actual = 0.0
         self._acc = 0.0
 
     def __repr__(self) -> str:
@@ -514,7 +512,6 @@ class SchedulingView:
         "cluster_utilization",
         "estimator_accuracy",
         "phase_index",
-        "is_input_phase",
         "sched",
     )
 
@@ -530,7 +527,6 @@ class SchedulingView:
         cluster_utilization: float,
         estimator_accuracy: float,
         phase_index: int = 0,
-        is_input_phase: bool = True,
     ) -> None:
         self.now = now
         self.job = job
@@ -543,7 +539,6 @@ class SchedulingView:
         self.cluster_utilization = cluster_utilization
         self.estimator_accuracy = estimator_accuracy
         self.phase_index = phase_index
-        self.is_input_phase = is_input_phase
 
     @property
     def tasks(self) -> List[TaskSnapshot]:
@@ -654,10 +649,6 @@ class SpeculationPolicy(abc.ABC):
         is ``running`` (the task already has a running copy), else an
         original.
         """
-
-    def label(self) -> str:
-        """Label used in experiment reports."""
-        return self.name
 
 
 def index_error_window(

@@ -74,7 +74,6 @@ class _JobState:
 
     mode: str
     last_switch_check: float = float("-inf")
-    switch_time: Optional[float] = None
     start_utilization: float = 0.0
 
     @property
@@ -119,13 +118,6 @@ class Grass(SpeculationPolicy):
             return StrawmanSwitchDecider()
         return LearnedSwitchDecider(store=self.store, factors=self.config.factors)
 
-    def label(self) -> str:
-        if self.config.switching == "strawman":
-            return "grass-strawman"
-        if self.config.factors != ALL_FACTORS:
-            return f"grass-{len(self.config.factors)}factor"
-        return "grass"
-
     # -- job lifecycle hooks -----------------------------------------------------------
 
     def on_job_start(self, job: Job, now: float) -> None:
@@ -155,7 +147,6 @@ class Grass(SpeculationPolicy):
             wave_width=wave_width,
             utilization=state.start_utilization,
             estimator_accuracy=result_accuracy_hint(result),
-            observed_duration=result.duration,
         )
         self.store.add(sample)
 
@@ -169,7 +160,6 @@ class Grass(SpeculationPolicy):
         state.last_switch_check = view.now
         if self._decider.should_switch(view):
             state.mode = MODE_ADAPTIVE_GS
-            state.switch_time = view.now
             self.switches_performed += 1
 
     def choose_task(self, view: SchedulingView) -> Optional[TaskSnapshot]:

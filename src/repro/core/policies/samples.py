@@ -61,7 +61,6 @@ class JobSample:
     wave_width: int
     utilization: float
     estimator_accuracy: float
-    observed_duration: float
 
     def __post_init__(self) -> None:
         if self.total_tasks <= 0:

@@ -43,7 +43,6 @@ class TaskSpec:
     job_id: int
     work: float
     phase_index: int = 0
-    input_bytes: float = 0.0
 
     def __post_init__(self) -> None:
         if self.work <= 0:

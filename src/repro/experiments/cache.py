@@ -26,14 +26,16 @@ An entry's key is the sha256 over the canonical JSON of:
   ``repro`` package — the engine, the policies and baselines, the utilities
   and the experiment registry and config builders alike — so any edit under
   ``repro`` silently invalidates every entry computed before it (the
-  entries become unreachable keys, reclaimed by eviction or ``cache
-  clear``).  Entries are not scoped per policy yet, so an edit to one
-  policy also invalidates every other policy's entries.
+  entries become unreachable keys, reclaimed by ``cache clear``).  Entries
+  are not scoped per policy yet, so an edit to one policy also invalidates
+  every other policy's entries.
 
 The value is the slice's sealed :class:`~repro.simulator.sinks.AggregateChunk`
-in its existing wire encoding plus the collector's scalar counters — enough
-to restore a :class:`~repro.simulator.metrics.MetricsCollector` whose
-aggregates (and digest part) are byte-identical to the simulation's.
+in its existing wire encoding plus the four collector gauges an entry point
+reads (truncated jobs, peak resident jobs, events processed, copies
+launched) — enough to restore a
+:class:`~repro.simulator.metrics.MetricsCollector` whose aggregates (and
+digest part) are byte-identical to the simulation's.
 
 Store layout and concurrency
 ----------------------------
@@ -43,9 +45,8 @@ Store layout and concurrency
 directory and land with ``os.replace``, so readers never observe a partial
 entry and concurrent multi-process writers of the *same* key (which, being
 content-addressed, write the same bytes) simply race to an identical
-result.  A small in-memory LRU fronts the store; the on-disk store is
-bounded by ``max_bytes`` with least-recently-*used* eviction (hits refresh
-the entry file's mtime).
+result.  An in-memory LRU of :data:`MEMORY_ENTRIES` slices fronts the
+store; the on-disk store is unbounded, and ``cache clear`` reclaims it.
 
 Corrupt, truncated or wrong-version entries are treated as misses with a
 one-line :class:`CacheIntegrityWarning` and are deleted (the next store
@@ -62,7 +63,7 @@ import json
 import os
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Tuple, Union
 
@@ -74,12 +75,14 @@ from repro.simulator.sinks import (
     chunk_from_wire,
     chunk_to_wire,
 )
-from repro.utils.stats import OnlineStats
 from repro.workload.trace_replay import ClusterTierConfig
 
 #: Bump when the entry payload layout changes; older files become warned
 #: misses (satellite contract: never crash, never silently misread).
-CACHE_FORMAT_VERSION = 2
+CACHE_FORMAT_VERSION = 3
+
+#: Slices the in-memory LRU keeps in front of the on-disk store.
+MEMORY_ENTRIES = 1024
 
 
 class CacheIntegrityWarning(UserWarning):
@@ -207,9 +210,9 @@ def source_from_descriptor(
 class CachedSlice:
     """One (policy, seed, shard) simulation's cacheable result.
 
-    The sealed aggregate chunk plus the collector's scalar gauges — exactly
+    The sealed aggregate chunk plus the collector's four gauges — exactly
     what :meth:`restore` needs to rebuild a collector whose aggregate view
-    (and digest part) is byte-identical to the original simulation's.  Raw
+    (and digest part) and gauges equal the original simulation's.  Raw
     per-job results are deliberately *not* cached: GRASS's evaluation is
     aggregate-only, and retaining them would make entries O(trace).
     """
@@ -219,10 +222,6 @@ class CachedSlice:
     peak_resident_jobs: int = 0
     events_processed: int = 0
     total_copies_launched: int = 0
-    speculative_copies_launched: int = 0
-    wasted_slot_seconds: float = 0.0
-    simulated_time: float = 0.0
-    utilization_stats: OnlineStats = field(default_factory=OnlineStats)
 
     @classmethod
     def from_metrics(cls, metrics: MetricsCollector) -> "CachedSlice":
@@ -237,10 +236,6 @@ class CachedSlice:
             peak_resident_jobs=metrics.peak_resident_jobs,
             events_processed=metrics.events_processed,
             total_copies_launched=metrics.total_copies_launched,
-            speculative_copies_launched=metrics.speculative_copies_launched,
-            wasted_slot_seconds=metrics.wasted_slot_seconds,
-            simulated_time=metrics.simulated_time,
-            utilization_stats=metrics.utilization_stats,
         )
 
     def restore(self) -> MetricsCollector:
@@ -253,10 +248,6 @@ class CachedSlice:
             peak_resident_jobs=self.peak_resident_jobs,
             events_processed=self.events_processed,
             total_copies_launched=self.total_copies_launched,
-            speculative_copies_launched=self.speculative_copies_launched,
-            wasted_slot_seconds=self.wasted_slot_seconds,
-            simulated_time=self.simulated_time,
-            utilization_stats=self.utilization_stats,
         )
 
     def counters_wire(self) -> Dict[str, object]:
@@ -265,10 +256,6 @@ class CachedSlice:
             "peak_resident_jobs": self.peak_resident_jobs,
             "events_processed": self.events_processed,
             "total_copies_launched": self.total_copies_launched,
-            "speculative_copies_launched": self.speculative_copies_launched,
-            "wasted_slot_seconds": self.wasted_slot_seconds,
-            "simulated_time": self.simulated_time,
-            "utilization_stats": self.utilization_stats.to_wire(),
         }
 
     @classmethod
@@ -280,10 +267,6 @@ class CachedSlice:
             peak_resident_jobs=int(counters["peak_resident_jobs"]),
             events_processed=int(counters["events_processed"]),
             total_copies_launched=int(counters["total_copies_launched"]),
-            speculative_copies_launched=int(counters["speculative_copies_launched"]),
-            wasted_slot_seconds=float(counters["wasted_slot_seconds"]),
-            simulated_time=float(counters["simulated_time"]),
-            utilization_stats=OnlineStats.from_wire(counters["utilization_stats"]),
         )
 
 
@@ -292,18 +275,14 @@ class CachedSlice:
 
 @dataclass
 class CacheCounters:
-    """One cache's session counters, surfaced in replay output and service
-    frames (the ISSUE's hit/miss/bytes/evictions contract)."""
+    """One cache's session counters, surfaced in replay output and in the
+    service's ``done`` frame (its ``cache`` object)."""
 
     hits: int = 0
     misses: int = 0
     stores: int = 0
     #: Corrupt/truncated/wrong-version entries encountered (each also a miss).
     invalid: int = 0
-    #: On-disk entries removed by the ``max_bytes`` budget.
-    evictions: int = 0
-    #: In-memory LRU entries dropped (the disk copy survives).
-    memory_evictions: int = 0
     bytes_read: int = 0
     bytes_written: int = 0
     #: Stores that failed with an OSError (full or read-only disk); the
@@ -321,8 +300,6 @@ class CacheCounters:
         ]
         if self.invalid:
             parts.append(f"{self.invalid} invalid")
-        if self.evictions:
-            parts.append(f"{self.evictions} evicted")
         if self.store_failures:
             parts.append(f"{self.store_failures} failed to store")
         parts.append(f"{self.bytes_read}B read, {self.bytes_written}B written")
@@ -336,7 +313,7 @@ class StoreStats:
     entries: int = 0
     total_bytes: int = 0
     #: Entries written by a different engine fingerprint — unreachable by
-    #: current lookups, reclaimed by eviction or ``cache clear``.
+    #: current lookups, reclaimed by ``cache clear``.
     stale_engine_entries: int = 0
     #: Files that do not parse as current-version entries.
     invalid_files: int = 0
@@ -355,20 +332,10 @@ class ReplayCache:
     """
 
     def __init__(
-        self,
-        root: Union[str, Path],
-        max_bytes: Optional[int] = None,
-        memory_entries: int = 1024,
-        engine: Optional[str] = None,
+        self, root: Union[str, Path], engine: Optional[str] = None
     ) -> None:
-        if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be >= 1 (or None for unbounded)")
-        if memory_entries < 0:
-            raise ValueError("memory_entries must be >= 0")
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.max_bytes = max_bytes
-        self.memory_entries = memory_entries
         self.engine = engine if engine is not None else engine_fingerprint()
         self.counters = CacheCounters()
         self._memory: "OrderedDict[str, CachedSlice]" = OrderedDict()
@@ -404,7 +371,6 @@ class ReplayCache:
         if cached is not None:
             self._memory.move_to_end(key)
             self.counters.hits += 1
-            self._touch(self.entry_path(key))
             return cached
         path = self.entry_path(key)
         try:
@@ -429,7 +395,6 @@ class ReplayCache:
             return None
         self.counters.hits += 1
         self.counters.bytes_read += len(raw)
-        self._touch(path)
         self._remember(key, cached)
         return cached
 
@@ -455,14 +420,6 @@ class ReplayCache:
             return CachedSlice.from_payload(payload), ""
         except (KeyError, TypeError, ValueError) as exc:
             return None, f"corrupt entry: {exc}"
-
-    @staticmethod
-    def _touch(path: Path) -> None:
-        """Refresh the entry's mtime — the disk store's LRU recency signal."""
-        try:
-            os.utime(path, None)
-        except OSError:
-            pass
 
     # -- store -----------------------------------------------------------------
 
@@ -516,47 +473,12 @@ class ReplayCache:
         self.counters.stores += 1
         self.counters.bytes_written += len(raw)
         self._remember(key, cached)
-        if self.max_bytes is not None:
-            self._evict_to_budget(keep=key)
 
     def _remember(self, key: str, cached: CachedSlice) -> None:
         self._memory[key] = cached
         self._memory.move_to_end(key)
-        while len(self._memory) > self.memory_entries:
+        if len(self._memory) > MEMORY_ENTRIES:
             self._memory.popitem(last=False)
-            self.counters.memory_evictions += 1
-
-    def _evict_to_budget(self, keep: Optional[str] = None) -> None:
-        """Delete least-recently-used entry files until under ``max_bytes``.
-
-        Recency is the entry file's mtime (hits refresh it); ties break on
-        path for determinism.  ``keep`` protects the entry just written —
-        a store must never evict its own result.
-        """
-        entries = []
-        total = 0
-        for path in sorted(self.root.glob("??/*.json")):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            entries.append((stat.st_mtime_ns, str(path), path, stat.st_size))
-            total += stat.st_size
-        if self.max_bytes is None or total <= self.max_bytes:
-            return
-        entries.sort()
-        for _mtime, _name, path, size in entries:
-            if total <= self.max_bytes:
-                break
-            if keep is not None and path.stem == keep:
-                continue
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            total -= size
-            self.counters.evictions += 1
-            self._memory.pop(path.stem, None)
 
     # -- maintenance (the ``cache`` CLI verb's backend) ------------------------
 

@@ -642,7 +642,7 @@ class ExecutedPlan:
     num_jobs: int
     #: Arrival-window shards the source was actually split into.
     num_shards: int
-    #: Replay-cache session counters (hits/misses/stores/bytes/evictions);
+    #: Replay-cache session counters (hits/misses/stores/bytes);
     #: ``None`` when the plan executed without a cache.
     cache_stats: Optional[CacheCounters] = None
 

@@ -34,7 +34,8 @@ Responses (server → client)
         merge order, so a client can refold its received deltas and verify
         the digest without trusting the server.  When the plan ran with a
         replay cache the frame also carries a ``cache`` object with the
-        hit/miss/bytes counters for the run.
+        run's counters: ``hits``, ``misses``, ``stores``, ``invalid``,
+        ``bytes_read``, ``bytes_written`` and ``store_failures``.
     ``{"event": "error", "id": N, "reason": "..."}``
         The plan was accepted but execution failed (unreadable trace,
         malformed rows, ...); terminal for this submission.
@@ -134,8 +135,8 @@ def done_message(
         "elapsed_ms": elapsed_ms,
     }
     if cache is not None:
-        # Replay-cache counters for the execution (hits/misses/stores/bytes/
-        # evictions); only present when the plan ran with a cache.
+        # Replay-cache counters for the execution (``CacheCounters``); only
+        # present when the plan ran with a cache.
         message["cache"] = cache
     return message
 

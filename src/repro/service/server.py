@@ -61,6 +61,7 @@ import functools
 import logging
 import multiprocessing
 import signal
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Set, Tuple
@@ -133,7 +134,6 @@ class _Submission:
     tenant: str
     plan: ReplayPlan
     connection: _Connection
-    submitted_at: float
     #: Virtual-time charge debited at dispatch; refunded on disconnect.
     cost: float = 0.0
 
@@ -333,7 +333,6 @@ class ReplayService:
             tenant=tenant,
             plan=plan,
             connection=connection,
-            submitted_at=time.perf_counter(),
             cost=cost,
         )
         try:
@@ -562,10 +561,21 @@ def build_serve_parser(parser: Optional[argparse.ArgumentParser] = None) -> argp
 
 
 def serve_main(args: argparse.Namespace) -> int:
+    for flag, value in (
+        ("--max-inflight", args.max_inflight),
+        ("--max-pending-per-tenant", args.max_pending_per_tenant),
+        ("--max-pending-total", args.max_pending_total),
+    ):
+        if value < 1:
+            print(f"{flag} must be >= 1", file=sys.stderr)
+            return 2
+    if not 0 <= args.port <= 65535:
+        print("--port must be in 0-65535 (0 binds an ephemeral port)", file=sys.stderr)
+        return 2
     try:
         weights = dict(_parse_weight(spec) for spec in args.weight)
     except ValueError as exc:
-        print(f"error: {exc}")
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     config = ServiceConfig(
         host=args.host,

@@ -86,10 +86,6 @@ class Cluster:
     def total_slots(self) -> int:
         return self.config.total_slots
 
-    @property
-    def busy_slots(self) -> int:
-        return self._busy_count
-
     # -- placement --------------------------------------------------------------
 
     def pick_machine(self) -> Optional[Machine]:

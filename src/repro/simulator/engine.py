@@ -281,11 +281,10 @@ class Simulation:
         # schedule); their partial results are still recorded.
         for job_id in list(self._running_job_ids):
             self._finish_job(self._jobs[job_id])
-        self.metrics.simulated_time = self._now
         self.metrics.peak_resident_jobs = self.peak_resident_jobs
         self.metrics.events_processed = self.events_processed
-        # Let the sink finalise (a spill sink flushes and closes its file);
-        # results recorded after this point would be a bug, not a feature.
+        # Seal the sink (a spill sink closes its file first): its chunk now
+        # carries the digest, and recording into it raises.
         self.metrics.sink.finish()
         return self.metrics
 
@@ -393,7 +392,6 @@ class Simulation:
         for victim in killed:
             self._cancel_copy_event(victim.copy_id)
             self._release_copy(job, victim)
-            self.metrics.record_wasted_work(victim.end_time - victim.start_time)
         self._alloc_dirty = True
         actual_duration = copy.end_time - copy.start_time
         estimator.observe_completion(task, actual_duration)
@@ -447,7 +445,6 @@ class Simulation:
         for victim in killed:
             self._cancel_copy_event(victim.copy_id)
             self._release_copy(job, victim)
-            self.metrics.record_wasted_work(victim.end_time - victim.start_time)
         job.finish(self._now)
         self._running_job_ids.pop(job.job_id, None)
         self._alloc_dirty = True
@@ -462,10 +459,7 @@ class Simulation:
             index.view = None
         self._jobs.pop(job.job_id, None)
         self._spec_by_id.pop(job.job_id, None)
-        result = job.to_result(
-            policy_label=self.policy.label(),
-            estimator_accuracy=estimator.combined_accuracy,
-        )
+        result = job.to_result(estimator_accuracy=estimator.combined_accuracy)
         self.metrics.add_result(result)
         self.policy.on_job_finish(job, result, self._now)
 
@@ -563,10 +557,6 @@ class Simulation:
                     continue
                 self._launch_copy(job, snap.task, speculative=snap.running)
                 progress = True
-        self.metrics.record_utilization(self._effective_utilization())
-
-    def _effective_utilization(self) -> float:
-        return self.cluster.busy_slots / self._total_slots
 
     def _build_view(self, job: Job) -> Optional[SchedulingView]:
         job_id = job.spec.job_id
@@ -584,8 +574,7 @@ class Simulation:
         if not index.prepare(self._now):
             return None
         phase_index = index.phase
-        is_input = phase_index == 0
-        if is_input:
+        if phase_index == 0:
             remaining_deadline = job.remaining_deadline(self._now)
             remaining_required = job.remaining_required_tasks()
         else:
@@ -593,8 +582,8 @@ class Simulation:
             # Schedulable tasks are unfinished by construction, so the old
             # ``sum(1 for task if not task.is_finished)`` is just the count.
             remaining_required = len(index.snaps)
-        # ``_effective_utilization`` and ``combined_accuracy``, inlined (same
-        # float expressions, minus the property/descriptor hops).
+        # The cluster's busy fraction, and ``combined_accuracy`` inlined (the
+        # same float expression, minus the property/descriptor hops).
         utilization = self.cluster._busy_count / self._total_slots
         trem_mean = estimator.trem_tracker._accuracy
         tnew_mean = estimator.tnew_tracker._accuracy
@@ -616,7 +605,6 @@ class Simulation:
                 cluster_utilization=utilization,
                 estimator_accuracy=accuracy,
                 phase_index=phase_index,
-                is_input_phase=is_input,
             )
         else:
             # One view per index, mutated per round: no policy retains views
@@ -630,7 +618,6 @@ class Simulation:
             view.cluster_utilization = utilization
             view.estimator_accuracy = accuracy
             view.phase_index = phase_index
-            view.is_input_phase = is_input
         return view
 
     def _oracle_tnew(self, task: Task) -> float:
@@ -680,7 +667,7 @@ class Simulation:
         self.cluster.occupy(machine.machine_id, job_id, task_id, copy_id)
         if speculative:
             job.speculative_copies_launched += 1
-        self.metrics.record_copy_launch(speculative)
+        self.metrics.total_copies_launched += 1
         self._alloc_dirty = True
         self._copy_finish_events[copy_id] = self._events.push(
             self._now + duration, EventKind.COPY_FINISH, job_id, task_id, copy_id

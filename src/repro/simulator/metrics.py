@@ -1,11 +1,13 @@
 """Metrics collection for simulation runs.
 
-The collector accumulates cluster-level counters and delegates per-job
-results to a pluggable :class:`~repro.simulator.sinks.ResultSink` (retain
-everything, fold into streaming aggregates, or spill to JSONL — see
-``repro.simulator.sinks``).  Its :attr:`~MetricsCollector.aggregates` are the
-sink's :class:`~repro.simulator.sinks.StreamingAggregates`, so an
-aggregate-only collector reports the same summary as a retaining one.
+The collector delegates per-job results to a pluggable
+:class:`~repro.simulator.sinks.ResultSink` (retain everything, fold into
+streaming aggregates, or spill to JSONL — see ``repro.simulator.sinks``) and
+keeps the few run-level gauges an entry point reads: copies launched (the
+quickstart's speculation ratio), truncated jobs, peak resident jobs and
+events processed.  Its :attr:`~MetricsCollector.aggregates` are the sink's
+:class:`~repro.simulator.sinks.StreamingAggregates`, so an aggregate-only
+collector reports the same summary as a retaining one.
 """
 
 from __future__ import annotations
@@ -21,19 +23,15 @@ from repro.simulator.sinks import (
     StreamingAggregates,
     results_with_bound,
 )
-from repro.utils.stats import OnlineStats, mean
+from repro.utils.stats import mean
 
 
 @dataclass
 class MetricsCollector:
-    """Accumulates :class:`JobResult` records (via a sink) and cluster counters."""
+    """Accumulates :class:`JobResult` records (via a sink) and run gauges."""
 
     sink: ResultSink = field(default_factory=RetainAllSink)
     total_copies_launched: int = 0
-    speculative_copies_launched: int = 0
-    wasted_slot_seconds: float = 0.0
-    utilization_stats: OnlineStats = field(default_factory=OnlineStats)
-    simulated_time: float = 0.0
     #: Jobs cut off by ``max_simulated_time``: in flight (force-finished with
     #: partial results) or arriving past the horizon (no result at all).
     truncated_jobs: int = 0
@@ -52,17 +50,6 @@ class MetricsCollector:
 
     def add_result(self, result: JobResult) -> None:
         self.sink.record(result)
-
-    def record_copy_launch(self, speculative: bool) -> None:
-        self.total_copies_launched += 1
-        if speculative:
-            self.speculative_copies_launched += 1
-
-    def record_wasted_work(self, slot_seconds: float) -> None:
-        self.wasted_slot_seconds += slot_seconds
-
-    def record_utilization(self, utilization: float) -> None:
-        self.utilization_stats.add(utilization)
 
     # -- result access ----------------------------------------------------------
 
@@ -111,7 +98,7 @@ class MetricsCollector:
         """Speculative copies as a fraction of all copies launched."""
         if self.total_copies_launched == 0:
             return 0.0
-        return self.speculative_copies_launched / self.total_copies_launched
+        return self.aggregates.speculative_copies / self.total_copies_launched
 
     def summary(self) -> Dict[str, float]:
         """A compact dictionary used by the CLI and the experiment reports."""
@@ -124,9 +111,6 @@ class MetricsCollector:
             "avg_duration": aggregates.average_duration,
             "bound_met_fraction": aggregates.bound_met_fraction,
             "speculation_ratio": self.speculation_ratio(),
-            "wasted_slot_seconds": self.wasted_slot_seconds,
-            "mean_utilization": self.utilization_stats.mean,
-            "simulated_time": self.simulated_time,
             "truncated_jobs": float(self.truncated_jobs),
             "peak_resident_jobs": float(self.peak_resident_jobs),
         }

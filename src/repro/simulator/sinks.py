@@ -15,10 +15,13 @@ by-bin breakdowns), so this module makes the destination pluggable:
 * :class:`JsonlSpillSink` — stream one JSON row per result to disk for
   offline analysis while keeping only the aggregates in memory.
 
-Every sink — including the retaining one — maintains the same
-:class:`StreamingAggregates`, folded per result in arrival order, so
-aggregate queries (and the metrics digest built from them) are bit-identical
-across sinks by construction, not by numerical luck.
+Every sink — including the retaining one — folds each result into its own
+:class:`AggregateChunk` in arrival order, so aggregate queries (and the
+metrics digest built from them) are bit-identical across sinks by
+construction, not by numerical luck.  A sink is sealed once: ``finish()``
+(the engine's last call), the first ``aggregates`` read or pickling stamps
+the rolling sha256 into the chunk and drops the hasher, and recording into a
+sealed sink raises.
 
 Mergeability
 ------------
@@ -39,7 +42,6 @@ O(policies x seeds x shards), never O(trace).
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -85,18 +87,17 @@ class AggregateChunk:
     Everything here is plain data (ints, floats, :class:`OnlineStats`,
     ``bytes``), so chunks pickle cleanly across the worker boundary and
     compare with dataclass equality.  ``digest`` is the sha256 over the
-    chunk's results' canonical encodings, in arrival order.
+    chunk's results' canonical encodings, in arrival order, stamped when
+    the sink that folds the chunk is sealed.
     """
 
     jobs: int = 0
     deadline_jobs: int = 0
     error_jobs: int = 0
-    exact_jobs: int = 0
     bound_met_jobs: int = 0
     speculative_copies: int = 0
     deadline_accuracy: OnlineStats = field(default_factory=OnlineStats)
     error_duration: OnlineStats = field(default_factory=OnlineStats)
-    bin_counts: Dict[str, int] = field(default_factory=dict)
     accuracy_by_bin: Dict[str, OnlineStats] = field(default_factory=dict)
     duration_by_bin: Dict[str, OnlineStats] = field(default_factory=dict)
     digest: bytes = hashlib.sha256(b"").digest()
@@ -210,12 +211,10 @@ def chunk_to_wire(chunk: AggregateChunk) -> Dict[str, object]:
         "jobs": chunk.jobs,
         "deadline_jobs": chunk.deadline_jobs,
         "error_jobs": chunk.error_jobs,
-        "exact_jobs": chunk.exact_jobs,
         "bound_met_jobs": chunk.bound_met_jobs,
         "speculative_copies": chunk.speculative_copies,
         "deadline_accuracy": chunk.deadline_accuracy.to_wire(),
         "error_duration": chunk.error_duration.to_wire(),
-        "bin_counts": dict(chunk.bin_counts),
         "accuracy_by_bin": {
             name: stats.to_wire() for name, stats in chunk.accuracy_by_bin.items()
         },
@@ -232,12 +231,10 @@ def chunk_from_wire(wire: Dict[str, object]) -> AggregateChunk:
         jobs=int(wire["jobs"]),
         deadline_jobs=int(wire["deadline_jobs"]),
         error_jobs=int(wire["error_jobs"]),
-        exact_jobs=int(wire["exact_jobs"]),
         bound_met_jobs=int(wire["bound_met_jobs"]),
         speculative_copies=int(wire["speculative_copies"]),
         deadline_accuracy=OnlineStats.from_wire(wire["deadline_accuracy"]),
         error_duration=OnlineStats.from_wire(wire["error_duration"]),
-        bin_counts={name: int(count) for name, count in wire["bin_counts"].items()},
         accuracy_by_bin={
             name: OnlineStats.from_wire(stats)
             for name, stats in wire["accuracy_by_bin"].items()
@@ -268,80 +265,48 @@ def fold_run_digests(named_parts: Iterable[Tuple[str, Iterable[bytes]]]) -> str:
     return outer.hexdigest()
 
 
-class _ChunkAccumulator:
-    """Folds results one at a time into an :class:`AggregateChunk`.
-
-    The live sha256 hasher cannot cross a pickle boundary, so the
-    accumulator keeps it *outside* the chunk and stamps the (copyable)
-    digest in when the chunk is sealed.  ``seal`` is non-destructive — the
-    hasher is copied, never finalised — so a sink can keep folding after a
-    snapshot has been taken.
-    """
-
-    def __init__(self) -> None:
-        self.chunk = AggregateChunk()
-        self._hasher = hashlib.sha256()
-
-    def fold(self, result: JobResult) -> None:
-        chunk = self.chunk
-        chunk.jobs += 1
-        bin_name = result.job_bin
-        chunk.bin_counts[bin_name] = chunk.bin_counts.get(bin_name, 0) + 1
-        if result.bound.kind is BoundType.DEADLINE:
-            chunk.deadline_jobs += 1
-            chunk.deadline_accuracy.add(result.accuracy)
-            chunk.accuracy_by_bin.setdefault(bin_name, OnlineStats()).add(
-                result.accuracy
-            )
-        elif result.bound.kind is BoundType.ERROR:
-            chunk.error_jobs += 1
-            chunk.error_duration.add(result.duration)
-            chunk.duration_by_bin.setdefault(bin_name, OnlineStats()).add(
-                result.duration
-            )
-        if result.bound.is_exact:
-            chunk.exact_jobs += 1
-        if result.met_bound:
-            chunk.bound_met_jobs += 1
-        chunk.speculative_copies += result.speculative_copies
-        self._hasher.update(encode_result(result))
-
-    def seal(self) -> AggregateChunk:
-        sealed = copy.deepcopy(self.chunk)
-        sealed.digest = self._hasher.copy().digest()
-        return sealed
-
-
 class ResultSink:
     """Destination for a simulation's :class:`JobResult` stream.
 
-    Every sink folds each recorded result into a per-simulation aggregate
-    chunk (see :class:`_ChunkAccumulator`); subclasses add what else happens
-    to the result — retained, spilled, or dropped.  Sinks pickle with the
-    collector they serve: the live hasher is sealed into the chunk digest on
-    ``__getstate__`` and recording refuses to continue afterwards (a shipped
-    chunk must never silently diverge from its digest).
+    Every sink folds each recorded result into its own
+    :class:`AggregateChunk` and a rolling sha256 of the results' canonical
+    encodings; subclasses add what else happens to the result — retained,
+    spilled, or dropped.  The sink is sealed once (see the module docs):
+    the digest is stamped into the chunk, the hasher is dropped, and
+    recording refuses to continue (a shipped chunk must never silently
+    diverge from its digest).
     """
 
     #: Whether :attr:`results` retains the raw per-job records.
     retains_results = False
 
     def __init__(self) -> None:
-        self._accumulator: Optional[_ChunkAccumulator] = _ChunkAccumulator()
-        self._sealed_chunk: Optional[AggregateChunk] = None
-        # Memoised seal of the live accumulator, invalidated per record():
-        # aggregate consumers (digest, CLI table, improvement queries) read
-        # ``aggregates`` repeatedly and must not deep-copy the chunk each time.
-        self._cached_chunk: Optional[AggregateChunk] = None
+        self._chunk = AggregateChunk()
+        self._hasher: Optional[hashlib._Hash] = hashlib.sha256()
 
     def record(self, result: JobResult) -> None:
-        if self._accumulator is None:
+        if self._hasher is None:
             raise RuntimeError(
-                f"{type(self).__name__} was sealed (pickled); it cannot "
-                "record further results"
+                f"{type(self).__name__} was sealed; it cannot record further results"
             )
-        self._cached_chunk = None
-        self._accumulator.fold(result)
+        chunk = self._chunk
+        chunk.jobs += 1
+        if result.bound.kind is BoundType.DEADLINE:
+            chunk.deadline_jobs += 1
+            chunk.deadline_accuracy.add(result.accuracy)
+            chunk.accuracy_by_bin.setdefault(result.job_bin, OnlineStats()).add(
+                result.accuracy
+            )
+        elif result.bound.kind is BoundType.ERROR:
+            chunk.error_jobs += 1
+            chunk.error_duration.add(result.duration)
+            chunk.duration_by_bin.setdefault(result.job_bin, OnlineStats()).add(
+                result.duration
+            )
+        if result.met_bound:
+            chunk.bound_met_jobs += 1
+        chunk.speculative_copies += result.speculative_copies
+        self._hasher.update(encode_result(result))
 
     @property
     def results(self) -> Optional[List[JobResult]]:
@@ -349,31 +314,20 @@ class ResultSink:
         return None
 
     def finish(self) -> None:
-        """Hook run when the simulation completes (flush spill files, ...)."""
+        """Seal the sink: stamp the digest into the chunk, drop the hasher."""
+        if self._hasher is not None:
+            self._chunk.digest = self._hasher.digest()
+            self._hasher = None
 
     @property
     def aggregates(self) -> StreamingAggregates:
-        """This simulation's results as a one-chunk aggregate view."""
-        if self._accumulator is not None:
-            if self._cached_chunk is None:
-                self._cached_chunk = self._accumulator.seal()
-            return StreamingAggregates(chunks=(self._cached_chunk,))
-        assert self._sealed_chunk is not None
-        return StreamingAggregates(chunks=(self._sealed_chunk,))
-
-    # -- pickling --------------------------------------------------------------
+        """This simulation's results as a one-chunk aggregate view (seals)."""
+        self.finish()
+        return StreamingAggregates(chunks=(self._chunk,))
 
     def __getstate__(self) -> Dict[str, object]:
-        state = dict(self.__dict__)
-        accumulator = state.pop("_accumulator")
-        if accumulator is not None:
-            state["_sealed_chunk"] = accumulator.seal()
-        state["_cached_chunk"] = None
-        state["_accumulator"] = None
-        return state
-
-    def __setstate__(self, state: Dict[str, object]) -> None:
-        self.__dict__.update(state)
+        self.finish()
+        return self.__dict__
 
 
 class RetainAllSink(ResultSink):
@@ -409,9 +363,8 @@ class SealedChunkSink(ResultSink):
     """
 
     def __init__(self, chunk: AggregateChunk) -> None:
-        super().__init__()
-        self._accumulator = None
-        self._sealed_chunk = chunk
+        self._chunk = chunk
+        self._hasher = None
 
 
 class AggregateSink(ResultSink):
@@ -428,8 +381,8 @@ class JsonlSpillSink(ResultSink):
 
     Rows are the canonical digest records (one compact JSON object per
     line), written in arrival order, so offline analysis sees exactly what
-    the digest hashed.  The file handle never crosses a pickle boundary:
-    ``__getstate__`` flushes and closes it, keeping only the path.
+    the digest hashed.  ``finish()`` closes the file before sealing, so the
+    handle never crosses a pickle boundary: only the path does.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
@@ -444,19 +397,11 @@ class JsonlSpillSink(ResultSink):
             self._file = open(self.path, "w", encoding="utf-8")
         self._file.write(encode_result(result).decode("utf-8") + "\n")
 
-    def close(self) -> None:
+    def finish(self) -> None:
         if self._file is not None:
             self._file.close()
             self._file = None
-
-    def finish(self) -> None:
-        self.close()
-
-    def __getstate__(self) -> Dict[str, object]:
-        self.close()
-        state = super().__getstate__()
-        state["_file"] = None
-        return state
+        super().finish()
 
 
 #: CLI names of the sink kinds (``jsonl`` additionally carries a path).

@@ -93,7 +93,6 @@ class StragglerModel:
 
     def __init__(self, config: StragglerConfig, seed: int) -> None:
         self.config = config
-        self._seed = seed
         # Each copy's multiplier is ``max(0.05, s.bounded_pareto(shape,
         # scale, cap) * s.truncated_gauss(1.0, jitter, low=0.7, high=1.3))``
         # drawn from its own stream ``s = RngStream(seed, "straggler-root")

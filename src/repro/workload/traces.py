@@ -75,7 +75,6 @@ class TraceSummary:
     median_task_duration: float
     p95_task_duration: float
     mean_slowest_to_median: float
-    mean_tasks_per_job: float
 
 
 def trace_from_specs(job_specs: Iterable[JobSpec]) -> List[TraceJob]:
@@ -111,7 +110,6 @@ def summarize_trace(trace: Sequence[TraceJob], name: str = "synthetic") -> Trace
         median_task_duration=median(all_durations),
         p95_task_duration=percentile(all_durations, 95.0),
         mean_slowest_to_median=mean(ratios),
-        mean_tasks_per_job=mean([float(job.num_tasks) for job in trace]),
     )
 
 

@@ -22,10 +22,10 @@ class TestConstruction:
         bound = ApproximationBound.exact()
         assert bound.is_error
         assert bound.error == 0.0
-        assert bound.is_exact
+        assert bound.required_tasks(100) == 100
 
     def test_error_bound_is_not_exact_when_positive(self):
-        assert not ApproximationBound.with_error(0.05).is_exact
+        assert ApproximationBound.with_error(0.05).required_tasks(100) == 95
 
     def test_deadline_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -261,9 +261,9 @@ class TestWalkMatchesReference:
                 trem = reference.trem(task, now)
                 actual = max(1e-6, task.true_remaining(now))
                 reference.record_trem_outcome(trem, actual)
-                expected.append((task.running_copy_count, tnew, trem, actual))
+                expected.append((task.running_copy_count, tnew, trem))
             walker.update_running_snaps(snaps, running_ids, now)
-            walked = [(snap.copies, snap.tnew, snap.trem, snap._actual) for snap in snaps.values()]
+            walked = [(snap.copies, snap.tnew, snap.trem) for snap in snaps.values()]
             assert walked == expected
             tracker, twin = walker.trem_tracker, reference.trem_tracker
             assert (tracker.sample_count, tracker.accuracy) == (twin.sample_count, twin.accuracy)

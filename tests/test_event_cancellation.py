@@ -110,7 +110,7 @@ class TestEngineCancellation:
         simulation = Simulation(make_simulation_config(machines=4), NoSpeculationPolicy(), [spec])
         metrics = simulation.run()
         assert len(simulation._events) == 0
-        assert metrics.simulated_time == 5.0
+        assert simulation._now == 5.0
         assert metrics.results[0].completed_input_tasks == 2
 
     def test_killed_copy_events_cancelled(self):

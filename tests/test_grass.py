@@ -37,11 +37,6 @@ class TestGrassConfig:
         with pytest.raises(ValueError):
             GrassConfig(switching="bogus")
 
-    def test_labels(self):
-        assert Grass().label() == "grass"
-        assert Grass(GrassConfig(switching="strawman")).label() == "grass-strawman"
-        assert "factor" in Grass(GrassConfig(factors=frozenset({"bound"}))).label()
-
 
 class TestModes:
     def _job(self, job_id=0):

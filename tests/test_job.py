@@ -185,11 +185,10 @@ class TestJobResult:
         copy = _run_copy(job, 0, 2.0, 1.0)
         job.tasks[0].complete(3.0, copy)
         job.finish(3.0)
-        result = job.to_result(policy_label="test", estimator_accuracy=0.9)
+        result = job.to_result(estimator_accuracy=0.9)
         assert result.duration == pytest.approx(1.0)
         assert result.accuracy == pytest.approx(0.5)
         assert result.met_bound
-        assert result.policy_label == "test"
         assert result.estimator_accuracy == 0.9
         assert result.job_bin == "small"
 

@@ -2,10 +2,10 @@
 
 Four layers, tested bottom-up:
 
-* :class:`ReplayCache` as a plain store — in-memory LRU bound, ``max_bytes``
-  disk eviction in mtime (least-recently-used) order, engine-fingerprint
-  keying, and the satellite contract that corrupt/truncated/wrong-version
-  entries are warned misses that get overwritten, never crashes;
+* :class:`ReplayCache` as a plain store — the in-memory LRU bound in front
+  of the unbounded disk store, engine-fingerprint keying, and the contract
+  that corrupt/truncated/wrong-version entries are warned misses that get
+  overwritten, never crashes;
 * concurrency — two real processes storing the same content-addressed key
   race to a single valid entry (atomic tmp + ``os.replace``);
 * the runner — a warm cache reproduces the cold run's digest byte-for-byte
@@ -25,6 +25,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -32,6 +33,7 @@ import pytest
 
 import repro
 from repro.experiments.cache import (
+    MEMORY_ENTRIES,
     CacheIntegrityWarning,
     CachedSlice,
     ReplayCache,
@@ -40,14 +42,20 @@ from repro.experiments.cache import (
     source_descriptor,
     source_from_descriptor,
 )
+from repro.core.policies import GreedySpeculative
 from repro.experiments.cli import main as cli_main
 from repro.experiments.plan import ReplayPlan
 from repro.experiments import runner
 from repro.experiments.runner import execute, probe_plan_cache
+from repro.simulator.engine import Simulation
+from repro.simulator.stragglers import StragglerConfig
 from repro.workload import trace_replay
 from repro.simulator.sinks import AggregateSink
+from repro.workload.synthetic import WorkloadConfig, generate_workload
 from repro.workload.trace_replay import ClusterTierConfig, synthesize_trace
 from repro.workload.traces import save_trace
+
+from tests.conftest import make_simulation_config
 
 POLICIES = ("no-spec", "grass")
 SHARDS = 2
@@ -195,41 +203,55 @@ class TestWarmColdParity:
         assert probe_plan_cache(make_plan(trace_path, cache_dir)) is None
 
 
+class TestCachedSlice:
+    def test_restored_collector_answers_like_the_simulated_one(self, tmp_path):
+        # A horizon that cuts the workload short, so every gauge is non-zero.
+        workload = generate_workload(
+            WorkloadConfig(
+                num_jobs=12, seed=5, size_scale=0.12, max_tasks_per_job=60,
+                bound_kind="mixed",
+            )
+        )
+        config = replace(
+            make_simulation_config(machines=30, seed=2, stragglers=StragglerConfig()),
+            max_simulated_time=80.0,
+        )
+        simulated = Simulation(
+            config, GreedySpeculative(), workload.specs(), sink=AggregateSink()
+        ).run()
+        ReplayCache(tmp_path, engine="unit-test").store(
+            {"policy": "gs"}, CachedSlice.from_metrics(simulated)
+        )
+        # A fresh instance reads the entry back from disk.
+        restored = ReplayCache(tmp_path, engine="unit-test").lookup({"policy": "gs"}).restore()
+
+        def gauges(metrics):
+            return (
+                metrics.truncated_jobs,
+                metrics.peak_resident_jobs,
+                metrics.events_processed,
+                metrics.total_copies_launched,
+            )
+
+        assert all(gauges(simulated))
+        assert gauges(restored) == gauges(simulated)
+        assert restored.summary() == simulated.summary()
+        assert restored.aggregates == simulated.aggregates
+        assert not restored.retains_results
+
+
 class TestStoreBounds:
     def test_memory_lru_is_bounded_and_falls_back_to_disk(self, tmp_path):
-        cache = ReplayCache(tmp_path, memory_entries=1, engine="unit-test")
-        for index in range(3):
+        cache = ReplayCache(tmp_path, engine="unit-test")
+        for index in range(MEMORY_ENTRIES + 1):
             cache.store({"index": index}, make_slice())
-        assert cache.counters.memory_evictions == 2
-        # Every entry still hits — the disk copy outlives the memory LRU.
-        for index in range(3):
-            assert cache.lookup({"index": index}) is not None
-        assert cache.counters.hits == 3
-
-    def test_max_bytes_evicts_least_recently_used_entries(self, tmp_path):
-        probe = ReplayCache(tmp_path / "probe", engine="unit-test")
-        probe.store({"index": 0}, make_slice())
-        entry_bytes = probe.store_stats().total_bytes
-        assert entry_bytes > 0
-
-        cache = ReplayCache(
-            tmp_path / "bounded",
-            max_bytes=int(entry_bytes * 2.5),
-            engine="unit-test",
-        )
-        for index in range(4):
-            cache.store({"index": index}, make_slice())
-            # Deterministic recency: age each entry explicitly so the LRU
-            # order is index order regardless of filesystem timestamp grain.
-            path = cache.entry_path(cache.key_for({"index": index}))
-            if path.exists():
-                os.utime(path, ns=(index * 10**9, index * 10**9))
-        assert cache.counters.evictions >= 2
-        assert cache.store_stats().total_bytes <= int(entry_bytes * 2.5)
-        # Oldest entries went first; the newest always survives its own store.
-        assert cache.lookup({"index": 0}) is None
-        fresh = ReplayCache(tmp_path / "bounded", engine="unit-test")
-        assert fresh.lookup({"index": 3}) is not None
+        assert len(cache._memory) == MEMORY_ENTRIES
+        assert cache.store_stats().entries == MEMORY_ENTRIES + 1
+        # The oldest entry left memory; its disk copy still hits.
+        assert cache.lookup({"index": 0}) is not None
+        assert cache.counters.bytes_read > 0
+        assert cache.lookup({"index": MEMORY_ENTRIES}) is not None
+        assert cache.counters.hits == 2
 
     def test_concurrent_writers_race_to_one_valid_entry(self, tmp_path):
         root = tmp_path / "shared"
@@ -310,9 +332,10 @@ class TestInvalidation:
     def test_damaged_entries_are_warned_misses_and_overwritten(
         self, tmp_path, damage
     ):
-        cache = ReplayCache(tmp_path, memory_entries=0, engine="unit-test")
+        ReplayCache(tmp_path, engine="unit-test").store({"policy": "grass"}, make_slice())
+        # A fresh instance has an empty memory LRU, so lookups reach the disk.
+        cache = ReplayCache(tmp_path, engine="unit-test")
         slice_wire = {"policy": "grass"}
-        cache.store(slice_wire, make_slice())
         path = cache.entry_path(cache.key_for(slice_wire))
         if damage == "garbage":
             path.write_text("not json at all")
@@ -327,7 +350,7 @@ class TestInvalidation:
         assert cache.counters.invalid == 1
         assert not path.exists(), "a damaged entry must be deleted, not kept"
         cache.store(slice_wire, make_slice())
-        assert cache.lookup(slice_wire) is not None
+        assert ReplayCache(tmp_path, engine="unit-test").lookup(slice_wire) is not None
 
     def test_replay_survives_a_corrupted_entry_with_the_same_digest(
         self, trace_path, tmp_path

@@ -12,6 +12,7 @@ The load-bearing properties:
   collector raises an actionable error instead of returning a wrong 0.0.
 """
 
+import hashlib
 import json
 import pickle
 from collections import Counter
@@ -120,9 +121,14 @@ class TestSinkUnits:
         assert aggregates.speculative_copies == sum(
             r.speculative_copies for r in metrics.results
         )
-        bins = Counter(r.job_bin for r in metrics.results)
-        (chunk,) = aggregates.chunks
-        assert chunk.bin_counts == dict(bins)
+        deadline_bins = Counter(r.job_bin for r in metrics.results if r.bound.is_deadline)
+        error_bins = Counter(r.job_bin for r in metrics.error_results())
+        assert {
+            name: stats.count for name, stats in aggregates.accuracy_by_bin().items()
+        } == dict(deadline_bins)
+        assert {
+            name: stats.count for name, stats in aggregates.duration_by_bin().items()
+        } == dict(error_bins)
 
     def test_aggregate_means_match_raw_results(self):
         metrics = run_tiny_simulation()
@@ -150,6 +156,32 @@ class TestSinkUnits:
         with pytest.raises(RuntimeError, match="sealed"):
             clone.add_result(make_result())
 
+    @pytest.mark.parametrize("seal", ["finish", "aggregates", "pickle"])
+    def test_each_seal_refuses_further_results(self, seal):
+        sink = AggregateSink()
+        sink.record(make_result(job_id=1))
+        if seal == "finish":
+            sink.finish()
+        elif seal == "aggregates":
+            sink.aggregates
+        else:
+            pickle.dumps(sink)
+        with pytest.raises(RuntimeError, match="sealed"):
+            sink.record(make_result(job_id=2))
+        assert sink.aggregates.num_results == 1
+
+    def test_the_seal_stamps_the_digest_of_every_recorded_result(self):
+        results = [make_result(job_id=index, accuracy=index / 4) for index in range(4)]
+        sink = AggregateSink()
+        for result in results:
+            sink.record(result)
+        (chunk,) = sink.aggregates.chunks
+        expected = hashlib.sha256(b"".join(encode_result(r) for r in results)).digest()
+        assert chunk.digest == expected
+        # Sealed once: later reads and a pickled copy see the same chunk.
+        assert sink.aggregates.chunks[0] is chunk
+        assert pickle.loads(pickle.dumps(sink)).aggregates == sink.aggregates
+
     def test_sink_factory_validation(self):
         with pytest.raises(ValueError, match="unknown sink kind"):
             SinkFactory(kind="csv")
@@ -174,10 +206,19 @@ class TestJsonlSpill:
         path = tmp_path / "rows.jsonl"
         retained = run_tiny_simulation()
         spilled = run_tiny_simulation(sink=JsonlSpillSink(path))
-        spilled.sink.close()
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert rows == [canonical_result_record(r) for r in retained.results]
         assert spilled.aggregates == retained.aggregates
+
+    def test_finish_closes_the_spill_file_then_seals(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        sink = JsonlSpillSink(path)
+        sink.record(make_result(job_id=1))
+        sink.finish()
+        assert sink._file is None
+        with pytest.raises(RuntimeError, match="sealed"):
+            sink.record(make_result(job_id=2))
+        assert path.read_text().splitlines() == [encode_result(make_result(job_id=1)).decode()]
 
     def test_spill_sink_survives_pickling(self, tmp_path):
         path = tmp_path / "rows.jsonl"

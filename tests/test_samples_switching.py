@@ -34,7 +34,6 @@ def make_sample(policy="gs", bound="deadline", tasks=20, times=None, util=0.5, a
         wave_width=5,
         utilization=util,
         estimator_accuracy=acc,
-        observed_duration=float(tasks),
     )
 
 

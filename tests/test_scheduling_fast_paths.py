@@ -212,7 +212,7 @@ def test_oracle_runs_never_touch_the_estimates(monkeypatch):
     config = make_simulation_config(machines=3, stragglers=StragglerConfig(), seed=5)
     metrics = Simulation(config, OraclePolicy(), specs).run()
     assert sorted(result.job_id for result in metrics.results) == [0, 1, 2]
-    assert metrics.speculative_copies_launched > 0
+    assert metrics.aggregates.speculative_copies > 0
 
 
 def reference_fair_share(limits: Dict[int, int], total_slots: int) -> Dict[int, int]:

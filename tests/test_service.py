@@ -643,8 +643,30 @@ class TestServeWeights:
             server_module.asyncio, "run", side_effect=AssertionError("serve started")
         ):
             assert cli_main(["serve", "--port", "0", "--weight", f"alice={raw}"]) == 2
-        out = capsys.readouterr().out
-        assert out.count("\n") == 1 and "finite number above zero" in out
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "finite number above zero" in captured.err
+
+
+class TestServeFlags:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--max-inflight", "0"], "--max-inflight must be >= 1"),
+            (["--max-pending-per-tenant", "0"], "--max-pending-per-tenant must be >= 1"),
+            (["--max-pending-total", "-1"], "--max-pending-total must be >= 1"),
+            (["--port", "70000"], "--port must be in 0-65535"),
+            (["--port", "-1"], "--port must be in 0-65535"),
+        ],
+    )
+    def test_serve_rejects_an_out_of_range_flag_before_serving(self, argv, message, capsys):
+        with mock.patch.object(
+            server_module.asyncio, "run", side_effect=AssertionError("serve started")
+        ):
+            assert server_module.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith(message)
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs Linux /proc")

@@ -92,15 +92,15 @@ class TestCluster:
     def test_total_and_busy_slots(self):
         cluster = Cluster(ClusterConfig(num_machines=5, heterogeneity=0.0))
         assert cluster.total_slots == 5
-        assert cluster.busy_slots == 0
+        assert cluster._busy_count == 0
 
     def test_occupy_and_release_update_busy_slots(self):
         cluster = Cluster(ClusterConfig(num_machines=4, heterogeneity=0.0))
         machine = cluster.pick_machine()
         cluster.occupy(machine.machine_id, 0, 0, 0)
-        assert cluster.busy_slots == 1
+        assert cluster._busy_count == 1
         cluster.release(machine.machine_id, 0, 0, 0)
-        assert cluster.busy_slots == 0
+        assert cluster._busy_count == 0
 
     def test_pick_machine_picks_an_idle_machine(self):
         cluster = Cluster(ClusterConfig(num_machines=2, heterogeneity=0.0))
@@ -154,7 +154,7 @@ class TestCluster:
             elif running:
                 machine_id, finished = running.pop(0)
                 cluster.release(machine_id, 0, finished, 0)
-            assert cluster.busy_slots == len(running)
+            assert cluster._busy_count == len(running)
 
     def test_heterogeneity_bounds_speed_factors(self):
         cluster = Cluster(ClusterConfig(num_machines=50, heterogeneity=0.2, seed=1))

@@ -90,7 +90,9 @@ class TestSyntheticWorkload:
         workload = generate_workload(
             WorkloadConfig(num_jobs=10, seed=3, bound_kind="exact", size_scale=0.2)
         )
-        assert all(spec.bound.is_exact for spec in workload.specs())
+        assert all(
+            spec.bound.is_error and spec.bound.error == 0.0 for spec in workload.specs()
+        )
 
     def test_error_bounds_within_recipe_range(self):
         workload = generate_workload(
